@@ -4,7 +4,7 @@ Social datasets are full of retweets and light edits of the same post.
 If copies land on both sides of a train/test split, the test set stops
 measuring generalization. The scanner groups exact copies (after
 case/URL/whitespace normalization) and near copies (MinHash over word
-3-shingles, verified by true Jaccard), then a second pass checks a
+3-shingles, verified by true Jaccard); the same scan then checks a
 concrete split for cross-partition contamination.
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 from leakaudit import (
     SplitSpec,
     build_dataset,
-    cross_split_contamination,
     make_split,
     scan_duplicates,
 )
@@ -52,7 +51,7 @@ for cluster in scan.clusters:
 
 # do any duplicates straddle a split?
 split = make_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=False))
-pairs = cross_split_contamination(dataset, split, jaccard_threshold=0.8)
+pairs = scan.contamination(split)
 print(f"\ncross-split contaminated pairs: {len(pairs)}")
 for pair in pairs:
     print(f"  train {pair.train_id} ~ {pair.partition} {pair.other_id} "

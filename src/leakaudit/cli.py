@@ -22,13 +22,12 @@ from pathlib import Path
 
 from . import __version__
 from .data import Dataset, Manifest, label_distribution, load_csv, load_jsonl, save_jsonl, validate
-from .dedup import cross_split_contamination, scan_duplicates
+from .dedup import scan_duplicates
 from .errors import LeakAuditError
 from .forest import ForestConfig
-from .idleak import DEFAULT_THRESHOLDS, run_id_leak_suite, summarize_id_leak_suite
+from .idleak import run_id_leak_suite, summarize_id_leak_suite
 from .metrics import aggregate_article_votes, evaluate_prediction_file, read_prediction_file
 from .rebalance import DEFAULT_WINDOW_MS, time_rebalance
-from .snowflake import try_decode_timestamp
 from .splits import (
     SplitSpec,
     export_split,
@@ -102,10 +101,24 @@ def _fingerprint(dataset: Dataset) -> dict:
 # --- audit ------------------------------------------------------------------
 
 
+def _k_values(raw: str) -> list[int]:
+    try:
+        k_values = [int(k) for k in _comma_list(raw)]
+    except ValueError:
+        raise UsageError(f"--k needs comma-separated integers, got {raw!r}") from None
+    if not k_values or min(k_values) < 1:
+        raise UsageError(f"--k needs prefix lengths >= 1, got {raw!r}")
+    return k_values
+
+
 def cmd_audit(args) -> int:
+    k_values = _k_values(args.k)
+    if args.n_splits < 1:
+        raise UsageError(f"--n-splits must be >= 1, got {args.n_splits}")
+    if not args.fail_over >= 0.0:  # also rejects nan
+        raise UsageError(f"--fail-over must be >= 0, got {args.fail_over}")
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
-    k_values = [int(k) for k in _comma_list(args.k)]
     config = ForestConfig(seed=args.seed)
 
     split = import_split(args.split, dataset) if args.split else None
@@ -152,7 +165,7 @@ def cmd_audit(args) -> int:
 
     contamination = None
     if split is not None and not args.skip_duplicates:
-        contamination = cross_split_contamination(dataset, split, args.jaccard)
+        contamination = duplicates.contamination(split)
         print(f"cross-split contamination: {len(contamination)} duplicate pairs "
               f"reach test/dev from train")
 
@@ -309,6 +322,9 @@ def cmd_rebalance(args) -> int:
     dataset = _load_dataset(args.data, manifest)
     if args.seed is None:
         raise UsageError("--seed is required for rebalance")
+    window_ms = parse_window(args.window)
+    if window_ms <= 0:
+        raise UsageError(f"--window must be positive, got {args.window!r}")
     if args.pool_manifest:
         pool_manifest = Manifest.from_json_file(args.pool_manifest)
     else:
@@ -318,7 +334,7 @@ def cmd_rebalance(args) -> int:
         dataset,
         pool,
         anchor_label=args.anchor_label,
-        window_ms=parse_window(args.window),
+        window_ms=window_ms,
         seed=args.seed,
         measure_leak=not args.no_leak_probe,
     )
@@ -386,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for generated splits and forests")
     p.add_argument("--n-splits", type=int, default=5, help="splits to generate when no --split")
     p.add_argument("--fail-over", type=float, default=0.15,
-                   help="exit 2 when any leak score reaches this")
+                   help="exit 2 when any leak score (in [0, 1]) reaches this; "
+                   "above 1 never fails")
     p.add_argument("--min-df", type=int, default=5, help="token document-frequency floor")
     p.add_argument("--top-tokens", type=int, default=25, help="tokens to show/emit")
     p.add_argument("--jaccard", type=float, default=0.8, help="near-duplicate threshold")

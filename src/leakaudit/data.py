@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +28,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .snowflake import MAX_ID, try_decode_timestamp
+from .snowflake import parse_id, try_decode_timestamp
 
 CANONICAL_FIELDS = ("id", "text", "label", "event", "article_id", "reply_count")
 REQUIRED_FIELDS = ("id", "text", "label")
@@ -91,9 +91,6 @@ class Record:
     reply_count: int | None = None
     timestamp_ms: int | None = None
     extra: Mapping[str, object] = field(default_factory=dict)
-
-    def with_derived_timestamp(self) -> "Record":
-        return replace(self, timestamp_ms=try_decode_timestamp(self.id))
 
 
 @dataclass(frozen=True)
@@ -186,12 +183,10 @@ def _check_id(id_str: object, line: int) -> str:
     # JSON writers commonly emit big ids as numbers; accept ints losslessly.
     if isinstance(id_str, int) and not isinstance(id_str, bool):
         id_str = str(id_str)
-    if not isinstance(id_str, str) or not id_str.isdigit():
-        raise RecordParseError(f"id is not a decimal string: {id_str!r}", line)
-    if id_str[0] == "0":
-        raise RecordParseError(f"id has a leading zero: {id_str!r}", line)
-    if int(id_str) > MAX_ID:
-        raise RecordParseError(f"id exceeds 2**63 - 1: {id_str!r}", line)
+    try:
+        parse_id(id_str)
+    except IdParseError as exc:
+        raise RecordParseError(str(exc), line) from None
     return id_str
 
 
@@ -351,12 +346,10 @@ def validate(dataset: Dataset) -> list[Violation]:
     seen: set[str] = set()
     for r in dataset.records:
         rid = r.id if isinstance(r.id, str) else repr(r.id)
-        if not isinstance(r.id, str) or not r.id.isdigit():
-            violations.append(Violation(rid, "id-syntax", f"id is not a decimal string: {r.id!r}"))
-        elif not 1 <= int(r.id) <= MAX_ID:
-            violations.append(Violation(rid, "id-range", f"id outside [1, 2**63 - 1]: {r.id}"))
-        elif r.id[0] == "0":
-            violations.append(Violation(rid, "id-leading-zero", f"id has a leading zero: {r.id}"))
+        try:
+            parse_id(r.id)
+        except IdParseError as exc:
+            violations.append(Violation(rid, exc.rule, str(exc)))
         if isinstance(r.id, str):
             if r.id in seen:
                 violations.append(Violation(rid, "duplicate-id", f"id {r.id} occurs more than once"))

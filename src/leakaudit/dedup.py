@@ -20,14 +20,14 @@ internal seed, and shingle hashes are stable 64-bit blake2b digests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .splits import Split
-from .textleak import URL_RE, tokenize
+from .textleak import URL_RE
 
 NUM_PERMUTATIONS = 128
 LSH_BANDS = 32
@@ -92,8 +92,23 @@ class DuplicateCluster:
 
 
 @dataclass(frozen=True)
+class ContaminationPair:
+    """One duplicate pair that leaks across the train boundary."""
+
+    train_id: str
+    other_id: str
+    partition: str  # "test" or "dev"
+    jaccard: float
+    kind: str  # "exact" or "near"
+
+
+@dataclass(frozen=True)
 class DuplicateScan:
-    """find_duplicates plus the bookkeeping the audit report wants."""
+    """Duplicate clusters plus the bookkeeping the audit report wants.
+
+    node_records (record ids per distinct normalized text) and edges
+    (node_a, node_b, jaccard) are the index the clusters came from.
+    """
 
     clusters: tuple[DuplicateCluster, ...]
     n_records: int
@@ -103,6 +118,41 @@ class DuplicateScan:
     n_records_in_exact: int
     n_records_in_near: int
     jaccard_threshold: float
+    node_records: list[list[str]] = field(repr=False, compare=False)
+    edges: list[tuple[int, int, float]] = field(repr=False, compare=False)
+
+    def contamination(self, split: Split) -> list[ContaminationPair]:
+        """Duplicate pairs spanning train x test or train x dev, sorted by
+        Jaccard descending (exact pairs first at 1.0), then by ids."""
+        part_of = split.partition_of()
+
+        def sides(ids: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
+            train, other = [], []
+            for rid in ids:
+                part = part_of.get(rid)
+                if part == "train":
+                    train.append(rid)
+                elif part in ("test", "dev"):
+                    other.append((rid, part))
+            return train, other
+
+        pairs: list[ContaminationPair] = []
+
+        def emit(train: list[str], other: list[tuple[str, str]], jaccard: float, kind: str) -> None:
+            pairs.extend(
+                ContaminationPair(t, o, part, jaccard, kind) for t in train for o, part in other
+            )
+
+        for records in self.node_records:
+            if len(records) >= 2:
+                emit(*sides(records), 1.0, "exact")
+        for a, b, j in self.edges:
+            train_a, other_a = sides(self.node_records[a])
+            train_b, other_b = sides(self.node_records[b])
+            emit(train_a, other_b, j, "near")
+            emit(train_b, other_a, j, "near")
+        pairs.sort(key=lambda p: (-p.jaccard, int(p.train_id), int(p.other_id)))
+        return pairs
 
 
 class _UnionFind:
@@ -276,6 +326,10 @@ def scan_duplicates(
 ) -> DuplicateScan:
     """Full duplicate scan: exact clusters, near clusters, and counts.
 
+    The returned scan keeps the node index and verified edges it was built
+    from, so ``scan.contamination(split)`` checks a split without a second
+    build.
+
     Raises:
         ValueError: if num_permutations is not divisible by bands or the
             threshold is outside (0, 1].
@@ -348,71 +402,6 @@ def scan_duplicates(
         n_records_in_exact=sum(c.size for c in exact),
         n_records_in_near=sum(c.size for c in near),
         jaccard_threshold=jaccard_threshold,
+        node_records=index.node_records,
+        edges=edges,
     )
-
-
-def find_duplicates(
-    dataset: Dataset,
-    jaccard_threshold: float = 0.8,
-    num_permutations: int = NUM_PERMUTATIONS,
-    bands: int = LSH_BANDS,
-    shingle_size: int = SHINGLE_SIZE,
-) -> list[DuplicateCluster]:
-    """Duplicate clusters only; see scan_duplicates for the counted form."""
-    return list(
-        scan_duplicates(dataset, jaccard_threshold, num_permutations, bands, shingle_size).clusters
-    )
-
-
-@dataclass(frozen=True)
-class ContaminationPair:
-    """One duplicate pair that leaks across the train boundary."""
-
-    train_id: str
-    other_id: str
-    partition: str  # "test" or "dev"
-    jaccard: float
-    kind: str  # "exact" or "near"
-
-
-def cross_split_contamination(
-    dataset: Dataset,
-    split: Split,
-    jaccard_threshold: float = 0.8,
-    num_permutations: int = NUM_PERMUTATIONS,
-    bands: int = LSH_BANDS,
-    shingle_size: int = SHINGLE_SIZE,
-) -> list[ContaminationPair]:
-    """Verified duplicate pairs spanning train x test or train x dev,
-    sorted by Jaccard descending (exact pairs first at 1.0)."""
-    part_of = split.partition_of()
-    index = _build_nodes(dataset, shingle_size)
-
-    pairs: list[ContaminationPair] = []
-
-    def emit(ids_a: list[str], ids_b: list[str], jaccard: float, kind: str) -> None:
-        for ra in ids_a:
-            pa = part_of.get(ra)
-            for rb in ids_b:
-                if ra == rb:
-                    continue
-                pb = part_of.get(rb)
-                if pa == "train" and pb in ("test", "dev"):
-                    pairs.append(ContaminationPair(ra, rb, pb, jaccard, kind))
-                elif pb == "train" and pa in ("test", "dev"):
-                    pairs.append(ContaminationPair(rb, ra, pa, jaccard, kind))
-
-    for records in index.node_records:
-        if len(records) >= 2:
-            emit(records, records, 1.0, "exact")
-
-    for a, b, j in _verified_edges(index, jaccard_threshold, num_permutations, bands):
-        emit(index.node_records[a], index.node_records[b], j, "near")
-
-    # exact pairs enumerate both directions; drop the mirrored duplicates
-    unique: dict[tuple[str, str], ContaminationPair] = {}
-    for p in pairs:
-        unique.setdefault((p.train_id, p.other_id), p)
-    out = list(unique.values())
-    out.sort(key=lambda p: (-p.jaccard, int(p.train_id), int(p.other_id)))
-    return out

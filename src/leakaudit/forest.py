@@ -58,7 +58,6 @@ class ForestConfig:
     min_samples_split: int = 2
     min_samples_leaf: int = 1
     seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -440,8 +439,7 @@ def fit_tree(
     return ForestModel(config=config, label_set=label_set, trees=[tree], n_features=X.shape[1])
 
 
-def _fit_one_tree(args):
-    pat_X, pat_y, pat_w, inverse, n_rows, k, config, t = args
+def _fit_one_tree(pat_X, pat_y, pat_w, inverse, n_rows, k, config, t):
     rng = _tree_rng(config.seed, t)
     if config.bootstrap:
         draws = rng.integers(0, n_rows, size=n_rows)
@@ -455,25 +453,14 @@ def fit_forest(
     X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
 ) -> ForestModel:
     """Fit a voting forest; tree t draws its RNG substream from
-    (config.seed, t), so results are independent of scheduling.
-
-    With n_jobs > 1 trees are fitted in a thread pool; the result is
-    contractually identical to the sequential fit.
-    """
+    (config.seed, t), so no tree depends on the trees fitted before it."""
     config = config or ForestConfig()
     X, y_idx, label_set = _prepare(X, y, label_set)
     pat_X, pat_y, pat_w, inverse = _compress(X, y_idx)
-    jobs = [
-        (pat_X, pat_y, pat_w, inverse, len(X), len(label_set), config, t)
+    trees = [
+        _fit_one_tree(pat_X, pat_y, pat_w, inverse, len(X), len(label_set), config, t)
         for t in range(config.n_trees)
     ]
-    if config.n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
-            trees = list(pool.map(_fit_one_tree, jobs))
-    else:
-        trees = [_fit_one_tree(job) for job in jobs]
     return ForestModel(config=config, label_set=label_set, trees=trees, n_features=X.shape[1])
 
 

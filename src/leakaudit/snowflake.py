@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import IdParseError, PreSnowflakeIdError, TooShortIdError
 
 TWITTER_EPOCH_MS = 1288834974657
@@ -46,19 +44,20 @@ DEFAULT_CONSTANTS = SnowflakeConstants()
 def parse_id(id_str: str) -> int:
     """Parse a canonical decimal id string.
 
-    Accepts exactly the strings that render back identically: digits only,
-    no leading zeros, value in [1, 2**63 - 1].
+    Accepts exactly the strings that render back identically: ASCII digits
+    only, no leading zeros, value in [1, 2**63 - 1]. This is the one id
+    rule; the loaders and ``validate`` both apply it.
 
     Raises:
-        IdParseError: for anything else.
+        IdParseError: for anything else, with the broken rule in ``rule``.
     """
-    if not isinstance(id_str, str) or not id_str.isdigit():
-        raise IdParseError(f"id is not a decimal string: {id_str!r}")
+    if not isinstance(id_str, str) or not (id_str.isascii() and id_str.isdigit()):
+        raise IdParseError(f"id is not a decimal string: {id_str!r}", "id-syntax")
     value = int(id_str)
     if not 1 <= value <= MAX_ID:
-        raise IdParseError(f"id outside [1, 2**63 - 1]: {id_str!r}")
+        raise IdParseError(f"id outside [1, 2**63 - 1]: {id_str!r}", "id-range")
     if id_str[0] == "0":
-        raise IdParseError(f"id has a leading zero: {id_str!r}")
+        raise IdParseError(f"id has a leading zero: {id_str!r}", "id-leading-zero")
     return value
 
 
@@ -185,13 +184,3 @@ def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
         key = (record.label, (ts // bucket_ms) * bucket_ms)
         counts[key] = counts.get(key, 0) + 1
     return TimestampHistogram(bucket_ms=bucket_ms, counts=counts, excluded_count=excluded)
-
-
-def ids_to_timestamp_array(ids) -> np.ndarray:
-    """Vectorized decode for monotonicity checks; NaN where undecodable."""
-    out = np.full(len(ids), np.nan, dtype=np.float64)
-    for i, id_str in enumerate(ids):
-        ts = try_decode_timestamp(id_str)
-        if ts is not None:
-            out[i] = float(ts)
-    return out

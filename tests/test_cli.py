@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import leakaudit
-from leakaudit import Manifest, label_distribution, load_jsonl, save_jsonl
+from leakaudit import Manifest, dedup, label_distribution, load_jsonl, save_jsonl
 from leakaudit.cli import main, parse_window
 
 LABELS = "true,false,unverified,non-rumor"
@@ -143,6 +143,26 @@ def test_audit_canonical_split_reports_contamination(env, capsys):
     assert bundle["contamination"]["n_pairs"] >= 0
 
 
+def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
+    split_path = env["root"] / "once.json"
+    assert main(["split", str(env["leaky"]), "--labels", LABELS,
+                 "--seed", "3", "--out", str(split_path)]) == 0
+    calls = {"_build_nodes": 0, "_verified_edges": 0}
+    for name in calls:
+        original = getattr(dedup, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dedup, name, counted)
+    bundle_path = env["root"] / "bundle-once.json"
+    assert main(["audit", str(env["leaky"]), "--labels", LABELS, "--split", str(split_path),
+                 "--k", "2", "--json", str(bundle_path)]) == 2
+    assert read_json(bundle_path)["contamination"] is not None
+    assert calls == {"_build_nodes": 1, "_verified_edges": 1}
+
+
 def test_audit_usage_errors(env, capsys):
     # no label vocabulary
     assert main(["audit", str(env["leaky"])]) == 1
@@ -152,9 +172,19 @@ def test_audit_usage_errors(env, capsys):
     assert main(["audit", str(env["root"] / "nope.jsonl"), "--labels", LABELS]) == 1
     assert "error:" in capsys.readouterr().err
 
-    # malformed --k
-    assert main(["audit", str(env["leaky"]), "--labels", LABELS, "--k", "abc"]) == 1
-    assert "error:" in capsys.readouterr().err
+    # malformed or out-of-range flags name the flag
+    base = ["audit", str(env["leaky"]), "--labels", LABELS, "--json", str(env["root"] / "never.json")]
+    for flags, named in (
+        (["--k", "abc"], "--k"),
+        (["--k", "0"], "--k"),
+        (["--k", ","], "--k"),
+        (["--n-splits", "0"], "--n-splits"),
+        (["--fail-over=-1"], "--fail-over"),
+        (["--fail-over", "nan"], "--fail-over"),
+    ):
+        assert main(base + flags) == 1
+        assert f"error: {named} " in capsys.readouterr().err
+    assert not (env["root"] / "never.json").exists()
 
     # unknown subcommand and empty argv are argument errors, not crashes
     assert main(["bogus"]) == 1
@@ -395,6 +425,9 @@ def test_rebalance_no_probe_and_errors(env, capsys):
     assert main(base + ["--anchor-label", "non-rumor"]) == 1
     assert "--seed is required" in capsys.readouterr().err
     assert main(base + ["--anchor-label", "non-rumor", "--seed", "1", "--window", "abc"]) == 1
+    for window in ("0", "-7d"):
+        assert main(base + ["--anchor-label", "non-rumor", "--seed", "1", f"--window={window}"]) == 1
+        assert "error: --window must be positive" in capsys.readouterr().err
     assert main(base + ["--anchor-label", "no-such-label", "--seed", "1"]) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -2,8 +2,9 @@
 
 The hand case: two 30-token texts differing in one middle word share 25 of
 their 28 trigram shingles, so Jaccard = 25 / (25 + 3 + 3) = 25/31, just
-above the 0.8 default threshold. The randomized case rebuilds the whole
-duplicate graph with set arithmetic and compares components.
+above the 0.8 default threshold. The randomized cases rebuild the whole
+duplicate graph with set arithmetic and compare components and
+cross-split pairs.
 """
 
 import numpy as np
@@ -12,8 +13,6 @@ import pytest
 from leakaudit import (
     SplitSpec,
     build_dataset,
-    cross_split_contamination,
-    find_duplicates,
     normalize_text,
     scan_duplicates,
 )
@@ -105,8 +104,9 @@ def test_scan_is_order_independent():
     assert scan1.clusters == scan2.clusters
 
 
-def _brute_force_components(rows, threshold):
-    """Independent duplicate graph: tuple shingles, set Jaccard, BFS."""
+def _brute_force_links(rows, threshold):
+    """Normalized texts, and (i, j, jaccard, kind) for every linked row
+    pair i < j: tuple shingles and set Jaccard, no hashing or LSH."""
 
     def norm_tokens(text):
         return [w for w in text.lower().split() if not w.startswith("http")]
@@ -120,19 +120,27 @@ def _brute_force_components(rows, threshold):
 
     norms = [" ".join(norm_tokens(r["text"])) for r in rows]
     shingle_sets = [shingles(norm_tokens(r["text"])) for r in rows]
-    n = len(rows)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
+    links = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
             si, sj = shingle_sets[i], shingle_sets[j]
             if not si or not sj:
                 continue
-            inter = len(si & sj)
-            union = len(si | sj)
-            linked = norms[i] == norms[j] or inter / union >= threshold
-            if linked:
-                adj[i].add(j)
-                adj[j].add(i)
+            if norms[i] == norms[j]:
+                links.append((i, j, 1.0, "exact"))
+            elif len(si & sj) / len(si | sj) >= threshold:
+                links.append((i, j, len(si & sj) / len(si | sj), "near"))
+    return norms, links
+
+
+def _brute_force_components(rows, threshold):
+    """Independent duplicate graph: the brute-force links, then BFS."""
+    norms, links = _brute_force_links(rows, threshold)
+    n = len(rows)
+    adj = {i: set() for i in range(n)}
+    for i, j, _, _ in links:
+        adj[i].add(j)
+        adj[j].add(i)
     seen = set()
     components = []
     for i in range(n):
@@ -165,32 +173,34 @@ def _brute_force_components(rows, threshold):
     return exact, near
 
 
-def test_clusters_match_brute_force_graph():
-    rng = np.random.default_rng(33)
+def _random_corpus(rng, n_base, n_edits, n_copies):
+    """Random texts, one- or two-token edits of them, and upper-cased
+    copies with a URL, which normalize to exact duplicates."""
     vocab = [f"w{i:02d}" for i in range(60)]
     rows = []
-    next_id = 5000
 
     def add(text):
-        nonlocal next_id
-        rows.append({"id": str(next_id), "text": text, "label": "a"})
-        next_id += 1
+        rows.append({"id": str(5000 + len(rows)), "text": text, "label": "a"})
 
     base_texts = []
-    for _ in range(120):
+    for _ in range(n_base):
         length = int(rng.integers(8, 26))
         words = [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
         base_texts.append(" ".join(words))
         add(base_texts[-1])
-    for _ in range(35):
+    for _ in range(n_edits):
         words = base_texts[int(rng.integers(len(base_texts)))].split()
         for _ in range(int(rng.integers(1, 3))):
             words[int(rng.integers(len(words)))] = vocab[int(rng.integers(len(vocab)))]
         add(" ".join(words))
-    for _ in range(15):
+    for _ in range(n_copies):
         text = base_texts[int(rng.integers(len(base_texts)))]
         add(text.upper() + "  http://t.co/XYZ")
+    return rows
 
+
+def test_clusters_match_brute_force_graph():
+    rows = _random_corpus(np.random.default_rng(33), n_base=120, n_edits=35, n_copies=15)
     ds = build_dataset(rows, labels=["a"])
     scan = scan_duplicates(ds, jaccard_threshold=0.8)
     got_exact = {frozenset(c.member_ids) for c in scan.clusters if c.kind == "exact"}
@@ -198,6 +208,34 @@ def test_clusters_match_brute_force_graph():
     want_exact, want_near = _brute_force_components(rows, 0.8)
     assert got_exact == want_exact
     assert got_near == want_near
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_contamination_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    rows = _random_corpus(rng, n_base=40, n_edits=30, n_copies=40)
+    # some records sit in no partition and must never be reported
+    parts = [("train", "dev", "test", None)[int(i)] for i in rng.integers(0, 4, len(rows))]
+    part_of = {r["id"]: part for r, part in zip(rows, parts)}
+    split = Split(
+        train_ids=tuple(rid for rid, part in part_of.items() if part == "train"),
+        dev_ids=tuple(rid for rid, part in part_of.items() if part == "dev"),
+        test_ids=tuple(rid for rid, part in part_of.items() if part == "test"),
+    )
+
+    want = []
+    for i, j, jaccard, kind in _brute_force_links(rows, 0.8)[1]:
+        a, b = rows[i]["id"], rows[j]["id"]
+        if part_of[b] == "train":
+            a, b = b, a
+        if part_of[a] == "train" and part_of[b] in ("dev", "test"):
+            want.append((a, b, part_of[b], jaccard, kind))
+    want.sort(key=lambda p: (-p[3], int(p[0]), int(p[1])))
+
+    pairs = scan_duplicates(build_dataset(rows, labels=["a"])).contamination(split)
+    got = [(p.train_id, p.other_id, p.partition, p.jaccard, p.kind) for p in pairs]
+    assert {"exact", "near"} <= {p[4] for p in want}
+    assert got == want
 
 
 def test_cross_split_contamination():
@@ -220,7 +258,7 @@ def test_cross_split_contamination():
         test_ids=("4", "6"),
         spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
     )
-    pairs = cross_split_contamination(ds, split)
+    pairs = scan_duplicates(ds).contamination(split)
     assert [(p.train_id, p.other_id, p.partition, p.kind) for p in pairs] == [
         ("1", "4", "test", "exact"),
         ("3", "5", "dev", "near"),
@@ -252,4 +290,4 @@ def test_skipped_empty_and_wrapper():
     scan = scan_duplicates(ds)
     assert scan.n_skipped_empty == 1
     assert scan.n_records == 3
-    assert find_duplicates(ds) == list(scan.clusters)
+    assert [c.member_ids for c in scan.clusters] == [("2", "3")]

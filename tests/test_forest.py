@@ -117,13 +117,6 @@ def test_forest_is_deterministic_and_seed_sensitive():
     assert one != other
 
 
-def test_parallel_fit_matches_sequential():
-    X, y = _digit_training_set(15)
-    seq = fit_forest(X, y, ForestConfig(n_trees=8, seed=5, n_jobs=1))
-    par = fit_forest(X, y, ForestConfig(n_trees=8, seed=5, n_jobs=4))
-    assert seq.to_json_str() == par.to_json_str()
-
-
 def test_model_serialization_round_trip(tmp_path):
     X, y = _digit_training_set(16)
     model = fit_forest(X, y, ForestConfig(n_trees=5, seed=9))

@@ -7,7 +7,10 @@ import pytest
 
 from leakaudit import (
     TWITTER_EPOCH_MS,
+    Dataset,
     DigitPrefix,
+    LabelSet,
+    Record,
     SnowflakeConstants,
     build_dataset,
     decode_parts,
@@ -16,8 +19,9 @@ from leakaudit import (
     prefix_digits,
     timestamp_histogram,
     try_decode_timestamp,
+    validate,
 )
-from leakaudit.errors import IdParseError, PreSnowflakeIdError, TooShortIdError
+from leakaudit.errors import IdParseError, PreSnowflakeIdError, RecordParseError, TooShortIdError
 
 from _synth import snowflake_id
 
@@ -51,12 +55,22 @@ def test_out_of_window_decode_rejected():
         decode_timestamp(str(2**63 - 1), tight)
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "12.3", "0", "007", "-5", str(2**63)])
+@pytest.mark.parametrize(
+    # Arabic-Indic digits and a superscript two are str.isdigit() but not ids
+    "bad", ["", "abc", "12.3", "0", "007", "-5", str(2**63), "\u0661\u0662\u0663", "\u00b2"]
+)
 def test_parse_id_rejects_non_canonical(bad):
-    with pytest.raises(IdParseError):
+    rule = {"0": "id-range", str(2**63): "id-range", "007": "id-leading-zero"}.get(bad, "id-syntax")
+    with pytest.raises(IdParseError) as exc:
         parse_id(bad)
+    assert exc.value.rule == rule
     with pytest.raises(IdParseError):
         decode_timestamp(bad)
+    # the loader and validate apply the same rule
+    with pytest.raises(RecordParseError, match="line 1"):
+        build_dataset([{"id": bad, "text": "t", "label": "x"}], labels=["x"])
+    dataset = Dataset(records=(Record(id=bad, text="t", label="x"),), label_set=LabelSet.of("x"))
+    assert [v.rule for v in validate(dataset)] == [rule]
 
 
 def test_parse_id_accepts_bounds():
