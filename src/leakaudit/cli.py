@@ -117,6 +117,8 @@ def cmd_audit(args) -> int:
         raise UsageError(f"--n-splits must be >= 1, got {args.n_splits}")
     if not args.fail_over >= 0.0:  # also rejects nan
         raise UsageError(f"--fail-over must be >= 0, got {args.fail_over}")
+    if not 0.0 < args.jaccard <= 1.0:  # also rejects nan
+        raise UsageError(f"--jaccard must be in (0, 1], got {args.jaccard}")
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     config = ForestConfig(seed=args.seed)
@@ -171,6 +173,9 @@ def cmd_audit(args) -> int:
 
     verdict_line = "FAIL" if gate_failed else "PASS"
     print(f"[{verdict_line}] worst id-leak score {worst:.3f} vs gate {args.fail_over}")
+    exit_code = 2 if gate_failed else 0
+    if not args.json:
+        return exit_code
 
     bundle = {
         "format_version": BUNDLE_FORMAT_VERSION,
@@ -233,10 +238,9 @@ def cmd_audit(args) -> int:
             ],
         },
     }
-    if args.json:
-        _write_json(bundle, args.json)
-        print(f"bundle written to {args.json}")
-    return 2 if gate_failed else 0
+    _write_json(bundle, args.json)
+    print(f"bundle written to {args.json}")
+    return exit_code
 
 
 # --- split -------------------------------------------------------------------
@@ -322,7 +326,12 @@ def cmd_rebalance(args) -> int:
     dataset = _load_dataset(args.data, manifest)
     if args.seed is None:
         raise UsageError("--seed is required for rebalance")
-    window_ms = parse_window(args.window)
+    try:
+        window_ms = parse_window(args.window)
+    except (ValueError, OverflowError):  # OverflowError: an infinite count of units
+        raise UsageError(
+            f"--window needs ms or a number with an s/m/h/d suffix, got {args.window!r}"
+        ) from None
     if window_ms <= 0:
         raise UsageError(f"--window must be positive, got {args.window!r}")
     if args.pool_manifest:
@@ -409,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jaccard", type=float, default=0.8, help="near-duplicate threshold")
     p.add_argument("--skip-duplicates", action="store_true",
                    help="skip the duplicate/contamination scans")
-    p.add_argument("--json", default="audit-bundle.json", help="bundle output path")
+    p.add_argument("--json", help="write the audit bundle as JSON to this path")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("split", help="generate and export a split")
@@ -475,7 +484,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
-        # ValueError covers malformed numeric arguments (--k, --ratios, --window)
+        # ValueError covers malformed numeric arguments (--ratios)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -364,12 +364,15 @@ class ForestModel:
             raise WidthMismatchError(
                 f"model expects {self.n_features} features, got {X.shape[1]}"
             )
-        votes = np.zeros((len(X), len(self.label_set)), dtype=np.int64)
-        rows = np.arange(len(X))
+        # digit-prefix matrices repeat rows heavily: run the trees on each
+        # distinct row once and gather the votes back
+        distinct, inverse = np.unique(X, axis=0, return_inverse=True)
+        votes = np.zeros((len(distinct), len(self.label_set)), dtype=np.int64)
+        rows = np.arange(len(distinct))
         for tree in self.trees:
-            votes[rows, tree.predict_index(X)] += 1
+            votes[rows, tree.predict_index(distinct)] += 1
         # argmax takes the first maximum: vote ties go to the lowest label index
-        return np.argmax(votes, axis=1)
+        return np.argmax(votes, axis=1)[inverse.reshape(-1)]
 
     def predict(self, X) -> list[str]:
         return [self.label_set.labels[i] for i in self.predict_index(X)]

@@ -73,7 +73,16 @@ class RebalanceReport:
 
 
 class _AlivePool:
-    """Sorted timestamps with O(1) removal and nearest-alive lookup."""
+    """Sorted timestamps with O(1) removal and path-compressed
+    nearest-alive lookup.
+
+    For a dead slot j, every slot strictly between j and right[j] (or
+    left[j]) is dead too. A removal only marks its slot dead. The lookups
+    walk these pointers past dead slots and then point every slot they
+    passed straight at the alive slot reached: path compression (Tarjan,
+    JACM 1975), so a dead run is crossed once rather than on every lookup
+    that lands in it, and many takes at one place stay near-linear.
+    """
 
     def __init__(self, timestamps: list[int], records: list[Record]):
         order = sorted(range(len(timestamps)), key=lambda i: (timestamps[i], int(records[i].id)))
@@ -85,15 +94,26 @@ class _AlivePool:
         self.dead = [False] * n
 
     def _alive_at_or_right(self, j: int) -> int | None:
-        n = len(self.ts)
-        while j < n and self.dead[j]:
-            j = self.right[j]
-        return j if j < n else None
+        n, dead, right = len(self.ts), self.dead, self.right
+        end = j
+        while end < n and dead[end]:
+            end = right[end]
+        while j != end:
+            nxt = right[j]
+            right[j] = end
+            j = nxt
+        return end if end < n else None
 
     def _alive_left(self, j: int) -> int | None:
-        while j >= 0 and self.dead[j]:
-            j = self.left[j]
-        return j if j >= 0 else None
+        dead, left = self.dead, self.left
+        end = j
+        while end >= 0 and dead[end]:
+            end = left[end]
+        while j != end:
+            nxt = left[j]
+            left[j] = end
+            j = nxt
+        return end if end >= 0 else None
 
     def take_nearest(self, target: int, window_ms: int) -> Record | None:
         """Remove and return the alive record with timestamp nearest to
@@ -116,10 +136,6 @@ class _AlivePool:
         if best is None or abs(self.ts[best] - target) > window_ms:
             return None
         self.dead[best] = True
-        if self.left[best] >= 0:
-            self.right[self.left[best]] = self.right[best]
-        if self.right[best] < len(self.ts):
-            self.left[self.right[best]] = self.left[best]
         return self.records[best]
 
 
@@ -156,8 +172,9 @@ def time_rebalance(
     dataset: Dataset,
     pool: Dataset,
     anchor_label: str,
+    *,
+    seed: int,
     window_ms: int = DEFAULT_WINDOW_MS,
-    seed: int | None = None,
     bucket_ms: int = DAY_MS,
     leak_k: int = 3,
     leak_config: ForestConfig | None = None,
@@ -174,14 +191,9 @@ def time_rebalance(
         UnknownLabelError: anchor label outside the dataset's label set.
         NoAnchorRecordsError: no anchor record has a decodable timestamp.
         EmptyPoolError: no usable pool record for any non-anchor label.
-        RatioError (via the seeded draw): when seed is None.
     """
     if anchor_label not in dataset.label_set:
         raise UnknownLabelError(f"anchor label {anchor_label!r} not in label set")
-    if seed is None:
-        from .errors import RatioError
-
-        raise RatioError("a seed is required for time_rebalance")
 
     anchor_ts = np.array(
         [r.timestamp_ms for r in dataset.records if r.label == anchor_label and r.timestamp_ms],

@@ -143,6 +143,15 @@ def test_audit_canonical_split_reports_contamination(env, capsys):
     assert bundle["contamination"]["n_pairs"] >= 0
 
 
+def test_audit_without_json_writes_no_file(env, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["audit", str(env["leaky"]), "--labels", LABELS,
+               "--k", "2", "--n-splits", "1", "--skip-duplicates"])
+    assert rc == 2
+    assert "[FAIL] worst id-leak score" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
     split_path = env["root"] / "once.json"
     assert main(["split", str(env["leaky"]), "--labels", LABELS,
@@ -181,6 +190,10 @@ def test_audit_usage_errors(env, capsys):
         (["--n-splits", "0"], "--n-splits"),
         (["--fail-over=-1"], "--fail-over"),
         (["--fail-over", "nan"], "--fail-over"),
+        (["--jaccard", "0"], "--jaccard"),
+        (["--jaccard", "1.5"], "--jaccard"),
+        (["--jaccard", "nan"], "--jaccard"),
+        (["--jaccard", "5", "--skip-duplicates"], "--jaccard"),
     ):
         assert main(base + flags) == 1
         assert f"error: {named} " in capsys.readouterr().err
@@ -424,7 +437,10 @@ def test_rebalance_no_probe_and_errors(env, capsys):
     ]
     assert main(base + ["--anchor-label", "non-rumor"]) == 1
     assert "--seed is required" in capsys.readouterr().err
-    assert main(base + ["--anchor-label", "non-rumor", "--seed", "1", "--window", "abc"]) == 1
+    for window in ("abc", "7days", "infd"):
+        assert main(base + ["--anchor-label", "non-rumor", "--seed", "1", "--window", window]) == 1
+        assert f"error: --window needs ms or a number with an s/m/h/d suffix, got {window!r}" \
+            in capsys.readouterr().err
     for window in ("0", "-7d"):
         assert main(base + ["--anchor-label", "non-rumor", "--seed", "1", f"--window={window}"]) == 1
         assert "error: --window must be positive" in capsys.readouterr().err

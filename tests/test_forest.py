@@ -2,7 +2,7 @@
 
 The centerpiece is a randomized structural comparison against the
 Fraction-exact reference in _oracle_forest; the rest pins determinism,
-serialization, parallel equivalence, and the baseline formulas.
+serialization, distinct-row prediction, and the baseline formulas.
 """
 
 import numpy as np
@@ -136,6 +136,31 @@ def test_single_tree_forest_equals_fit_tree():
     forest = fit_forest(X, y, config)
     tree = fit_tree(X, y, config)
     assert forest.to_json_str() == tree.to_json_str()
+
+
+def test_predict_on_repeated_rows_matches_row_by_row_loop():
+    X, y = _digit_training_set(18)
+    model = fit_forest(X, y, ForestConfig(n_trees=9, seed=5))
+    # 3**4 = 81 possible rows over 600 queries: most rows repeat, in shuffled order
+    Xq = np.random.default_rng(19).integers(0, 3, size=(600, 4))
+
+    def walk(tree, row):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        return int(tree.leaf_class[node])
+
+    want = []
+    for row in Xq:
+        votes = [0] * len(model.label_set)
+        for tree in model.trees:
+            votes[walk(tree, row)] += 1
+        want.append(votes.index(max(votes)))
+    got = model.predict_index(Xq)
+    assert got.shape == (600,)
+    assert got.tolist() == want
+    assert len(set(got.tolist())) > 1
 
 
 def test_vote_ties_go_to_lowest_label_index():

@@ -7,18 +7,22 @@ the anchor's.
 """
 
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakaudit import (
     EmptyPoolError,
     NoAnchorRecordsError,
-    RatioError,
+    Record,
     UnknownLabelError,
     build_dataset,
     label_distribution,
     time_rebalance,
 )
+from leakaudit.rebalance import _AlivePool
 
 ANCHOR = "non-rumor"
 
@@ -122,10 +126,70 @@ def test_pool_id_collisions_dropped():
     assert out.records[2].label == "r"
 
 
+def _brute_force_take(entries, used, target, window_ms):
+    """Nearest unused entry of the (timestamp, id)-sorted list, or None.
+
+    Nearer timestamps win; on equal distance the earlier side wins; among
+    equal timestamps the entry nearest the target's place in the order wins.
+    """
+    place = sum(1 for ts, _ in entries if ts < target)
+    keys = [
+        (abs(ts - target), ts >= target, abs(i - place), i)
+        for i, (ts, _) in enumerate(entries)
+        if i not in used
+    ]
+    best = min(keys, default=None)
+    if best is None or best[0] > window_ms:
+        return None
+    used.add(best[3])
+    return entries[best[3]][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pool_take_nearest_matches_brute_force(data):
+    timestamps = data.draw(st.lists(st.integers(0, 40), max_size=30), label="timestamps")
+    ids = data.draw(
+        st.lists(st.integers(1, 10**6), min_size=len(timestamps), max_size=len(timestamps),
+                 unique=True),
+        label="ids",
+    )
+    takes = data.draw(
+        st.lists(st.tuples(st.integers(-10, 50), st.integers(0, 15)), max_size=45),
+        label="takes",
+    )
+    records = [
+        Record(id=str(rid), text="", label="r", timestamp_ms=ts)
+        for rid, ts in zip(ids, timestamps)
+    ]
+    pool = _AlivePool(timestamps, records)
+    entries = sorted(zip(timestamps, records), key=lambda e: (e[0], int(e[1].id)))
+    used: set[int] = set()
+    for target, window_ms in takes:
+        want = _brute_force_take(entries, used, target, window_ms)
+        assert pool.take_nearest(target, window_ms) is want
+
+
+@pytest.mark.parametrize("edge", ["left", "right"])
+def test_pool_takes_at_one_edge_stay_near_linear(edge):
+    # every take lands beside the run of slots taken before it; walking that
+    # dead run anew on each take makes 100k takes run for minutes
+    n, takes = 200_000, 100_000
+    records = [Record(id=str(i + 1), text="", label="r", timestamp_ms=i) for i in range(n)]
+    pool = _AlivePool(list(range(n)), records)
+    target = -1 if edge == "left" else n
+    start = time.perf_counter()
+    got = [pool.take_nearest(target, 2 * n) for _ in range(takes)]
+    elapsed = time.perf_counter() - start
+    want = records[:takes] if edge == "left" else records[: n - takes - 1 : -1]
+    assert [r.id for r in got] == [r.id for r in want]
+    assert elapsed < 5.0, f"{takes} takes at the {edge} edge took {elapsed:.1f} s"
+
+
 def test_rebalance_error_cases(leaky, pool):
     with pytest.raises(UnknownLabelError):
         time_rebalance(leaky, pool, "ghost", seed=0)
-    with pytest.raises(RatioError):
+    with pytest.raises(TypeError):
         time_rebalance(leaky, pool, ANCHOR)
 
     # anchor records whose ids predate the snowflake epoch have no timestamp
