@@ -119,6 +119,10 @@ def cmd_audit(args) -> int:
         raise UsageError(f"--fail-over must be >= 0, got {args.fail_over}")
     if not 0.0 < args.jaccard <= 1.0:  # also rejects nan
         raise UsageError(f"--jaccard must be in (0, 1], got {args.jaccard}")
+    if args.min_df < 1:
+        raise UsageError(f"--min-df must be >= 1, got {args.min_df}")
+    if args.top_tokens < 0:
+        raise UsageError(f"--top-tokens must be >= 0, got {args.top_tokens}")
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     config = ForestConfig(seed=args.seed)

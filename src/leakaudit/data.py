@@ -18,8 +18,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateIdError,
@@ -62,6 +65,12 @@ class LabelSet:
             return self.labels.index(label)
         except ValueError:
             raise UnknownLabelError(f"label {label!r} not in {self.labels}") from None
+
+    def encode(self, labels: Iterable[str]) -> np.ndarray:
+        """Label-set position of each label as int64, -1 for a label
+        outside the set. This is the one label-to-position map."""
+        position = {label: i for i, label in enumerate(self.labels)}
+        return np.fromiter((position.get(label, -1) for label in labels), dtype=np.int64)
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels
@@ -113,11 +122,15 @@ class Dataset:
     def by_id(self) -> dict[str, Record]:
         return {r.id: r for r in self.records}
 
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
+    @cached_property
+    def label_index(self) -> np.ndarray:
+        """Each record's label-set position (-1 outside the set), read-only.
 
-    def label_distribution(self) -> dict[str, int]:
-        return label_distribution(self)
+        Built on first use, not at load, so loading does not pay for it.
+        """
+        index = self.label_set.encode(r.label for r in self.records)
+        index.flags.writeable = False
+        return index
 
     def subset(self, ids: Iterable[str], name: str | None = None) -> "Dataset":
         """Records whose id is in ``ids``, keeping dataset order."""
@@ -371,11 +384,9 @@ def validate(dataset: Dataset) -> list[Violation]:
 
 def label_distribution(dataset: Dataset) -> dict[str, int]:
     """Counts per label, in label-set order, zeros included."""
-    counts = {label: 0 for label in dataset.label_set}
-    for r in dataset.records:
-        if r.label in counts:
-            counts[r.label] += 1
-    return counts
+    index = dataset.label_index
+    counts = np.bincount(index[index >= 0], minlength=len(dataset.label_set))
+    return dict(zip(dataset.label_set, counts.tolist()))
 
 
 def build_dataset(

@@ -57,10 +57,6 @@ class PreSnowflakeIdError(LeakAuditError):
     out-of-window decode)."""
 
 
-class TooShortIdError(LeakAuditError):
-    """The id has fewer decimal digits than the requested prefix length."""
-
-
 # --- tabular learner ------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ The probe's score is normalized headroom above chance,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,17 +79,26 @@ class IdLeakReport:
 
 
 def digit_features(ids, k: int):
-    """Ordinal feature rows (one int per digit position) for each id long
-    enough; returns (rows, labels_kept_mask) style pair of X and kept
-    index list. Ids shorter than k digits are excluded."""
-    rows = []
-    kept = []
-    for i, id_str in enumerate(ids):
-        if len(id_str) < k:
-            continue
-        rows.append([int(c) for c in id_str[:k]])
-        kept.append(i)
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), k), kept
+    """The first k digits of each id as one int64 feature row, and the list
+    of positions kept. Ids shorter than k digits are excluded.
+
+    This is the one digit rule: each id's ASCII bytes minus ``ord('0')``.
+
+    Raises:
+        ValueError: if k < 1 or an id is not a string of ASCII digits.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    ids = list(ids)
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    width = max(k, int(lengths.max(initial=0)))
+    # a non-ASCII id fails here with UnicodeEncodeError, a ValueError
+    raw = np.array(ids, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    digits = raw - np.uint8(ord("0"))  # bytes below '0' wrap above 9
+    if np.any((digits > 9) & (np.arange(width) < lengths[:, None])):
+        raise ValueError("ids must be strings of ASCII digits")
+    kept = np.flatnonzero(lengths >= k)
+    return digits[kept, :k].astype(np.int64), kept.tolist()
 
 
 def leakage_score(macro_f1: float, baseline_macro_f1: float) -> float:
@@ -140,13 +150,9 @@ def run_id_leak_test(
     matrix = ConfusionMatrix.from_pairs(y_test, preds, dataset.label_set)
     result = result_from_matrix(matrix)
 
-    train_counts: dict[str, int] = {}
-    for lab in y_train:
-        train_counts[lab] = train_counts.get(lab, 0) + 1
-    test_counts: dict[str, int] = {}
-    for lab in y_test:
-        test_counts[lab] = test_counts.get(lab, 0) + 1
-    baseline = baseline_expected_macro_f1(train_counts, test_counts)
+    # Counter keeps first-occurrence order, which fixes the order the
+    # baseline's mean sums in, down to the last bit.
+    baseline = baseline_expected_macro_f1(Counter(y_train), Counter(y_test))
 
     score = leakage_score(result.macro_f1, baseline)
     return IdLeakReport(

@@ -57,13 +57,15 @@ class ConfusionMatrix:
         if len(gold) != len(predicted):
             raise ValueError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
         k = len(label_set)
-        counts = np.zeros((k, k), dtype=np.int64)
-        for g, p in zip(gold, predicted):
-            counts[label_set.index(g), label_set.index(p)] += 1
-        missing = [0] * k
-        for g in missing_gold:
-            missing[label_set.index(g)] += 1
-        return cls(label_set=label_set, counts=counts, missing_per_label=tuple(missing))
+        labels = [*gold, *predicted, *missing_gold]
+        codes = label_set.encode(labels)
+        if np.any(codes < 0):
+            unknown = labels[int(np.argmax(codes < 0))]
+            raise UnknownLabelError(f"label {unknown!r} not in {label_set.labels}")
+        n = len(gold)
+        counts = np.bincount(codes[:n] * k + codes[n : 2 * n], minlength=k * k).reshape(k, k)
+        missing = np.bincount(codes[2 * n :], minlength=k)
+        return cls(label_set=label_set, counts=counts, missing_per_label=tuple(missing.tolist()))
 
     @property
     def total(self) -> int:

@@ -1,4 +1,4 @@
-"""Snowflake id arithmetic: timestamp decoding, digit prefixes, histograms.
+"""Snowflake id arithmetic: id parsing, timestamp decoding, histograms.
 
 Twitter ids minted since late 2010 pack a millisecond timestamp into the
 high bits:
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IdParseError, PreSnowflakeIdError, TooShortIdError
+from .errors import IdParseError, PreSnowflakeIdError
 
 TWITTER_EPOCH_MS = 1288834974657
 # 2100-01-01T00:00:00Z; decodes past this are garbage ids, not timestamps.
@@ -102,42 +102,6 @@ def decode_parts(
     worker = (value >> constants.sequence_bits) & ((1 << constants.worker_bits) - 1)
     sequence = value & ((1 << constants.sequence_bits) - 1)
     return ts, worker, sequence
-
-
-@dataclass(frozen=True)
-class DigitPrefix:
-    """The first k decimal digits of an id, most significant first."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.digits) < 1:
-            raise ValueError("empty digit prefix")
-        if self.digits[0] == 0:
-            raise ValueError("prefix starts with zero; ids have no leading zeros")
-
-    @property
-    def k(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-
-def prefix_digits(id_str: str, k: int) -> DigitPrefix:
-    """First k digits of the id's canonical decimal rendering.
-
-    Raises:
-        IdParseError: if the id is not canonical.
-        TooShortIdError: if the id has fewer than k digits.
-        ValueError: if k < 1.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    parse_id(id_str)
-    if len(id_str) < k:
-        raise TooShortIdError(f"id {id_str} has {len(id_str)} digits, need {k}")
-    return DigitPrefix(tuple(int(c) for c in id_str[:k]))
 
 
 @dataclass(frozen=True)

@@ -146,28 +146,22 @@ def largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
 
 
 def _partition_indices(
-    records: Sequence[Record],
-    label_set: LabelSet,
+    labels: np.ndarray,
+    n_labels: int,
     ratios: Sequence[float],
     rng: np.random.Generator,
     stratify: bool,
 ) -> tuple[list[int], list[int], list[int]]:
-    """Allocate record positions to (train, dev, test) in shuffled order."""
-    perm = rng.permutation(len(records))
+    """Allocate positions of ``labels`` (label-set positions, -1 outside the
+    set) to (train, dev, test) in shuffled order. Stratified, each label is
+    allocated on its own and records outside the label set are dropped."""
+    perm = rng.permutation(len(labels))
+    groups = [perm[labels[perm] == i] for i in range(n_labels)] if stratify else [perm]
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-    if stratify:
-        for label in label_set:
-            member = [int(i) for i in perm if records[i].label == label]
-            alloc = largest_remainder(len(member), ratios)
-            start = 0
-            for p, take in enumerate(alloc):
-                parts[p].extend(member[start : start + take])
-                start += take
-    else:
-        alloc = largest_remainder(len(records), ratios)
+    for members in groups:
         start = 0
-        for p, take in enumerate(alloc):
-            parts[p].extend(int(i) for i in perm[start : start + take])
+        for p, take in enumerate(largest_remainder(len(members), ratios)):
+            parts[p].extend(members[start : start + take].tolist())
             start += take
     return parts
 
@@ -183,7 +177,9 @@ def random_split(dataset: Dataset, spec: SplitSpec) -> Split:
     if len(dataset) == 0:
         raise EmptyInputError("cannot split an empty dataset")
     rng = _rng(spec.seed)
-    parts = _partition_indices(dataset.records, dataset.label_set, spec.ratios, rng, spec.stratify)
+    parts = _partition_indices(
+        dataset.label_index, len(dataset.label_set), spec.ratios, rng, spec.stratify
+    )
     ids = [tuple(dataset.records[i].id for i in part) for part in parts]
     return Split(
         train_ids=ids[0],
@@ -307,12 +303,14 @@ def _holdout(dataset: Dataset, spec: SplitSpec) -> Split:
     test_ids = [r.id for r in dataset.records if r.event == spec.holdout_event]
     if not test_ids:
         raise UnknownEventError(f"no record has event {spec.holdout_event!r}")
-    rest = [r for r in dataset.records if r.event != spec.holdout_event]
+    rest = [i for i, r in enumerate(dataset.records) if r.event != spec.holdout_event]
     rng = _rng(spec.seed)
-    parts = _partition_indices(rest, dataset.label_set, spec.ratios, rng, spec.stratify)
+    parts = _partition_indices(
+        dataset.label_index[rest], len(dataset.label_set), spec.ratios, rng, spec.stratify
+    )
     return Split(
-        train_ids=tuple(rest[i].id for i in parts[0]),
-        dev_ids=tuple(rest[i].id for i in parts[1]),
+        train_ids=tuple(dataset.records[rest[i]].id for i in parts[0]),
+        dev_ids=tuple(dataset.records[rest[i]].id for i in parts[1]),
         test_ids=tuple(test_ids),
         spec=spec,
         provenance={

@@ -194,6 +194,9 @@ def test_audit_usage_errors(env, capsys):
         (["--jaccard", "1.5"], "--jaccard"),
         (["--jaccard", "nan"], "--jaccard"),
         (["--jaccard", "5", "--skip-duplicates"], "--jaccard"),
+        (["--min-df", "0"], "--min-df"),
+        (["--min-df=-3"], "--min-df"),
+        (["--top-tokens=-1"], "--top-tokens"),
     ):
         assert main(base + flags) == 1
         assert f"error: {named} " in capsys.readouterr().err

@@ -246,9 +246,17 @@ def test_label_distribution_zeros_included():
         ],
         labels=["real", "fake", "unused"],
     )
+    assert "label_index" not in vars(ds)  # built on first use, not at load
     assert label_distribution(ds) == {"real": 2, "fake": 1, "unused": 0}
+    assert ds.label_index.tolist() == [0, 0, 1]
     empty = Dataset(records=(), label_set=LabelSet.of("real", "fake"))
     assert label_distribution(empty) == {"real": 0, "fake": 0}
+    outside = Dataset(
+        records=(Record(id="1", text="a", label="real"), Record(id="2", text="b", label="other")),
+        label_set=LabelSet.of("fake", "real"),
+    )
+    assert outside.label_index.tolist() == [1, -1]
+    assert label_distribution(outside) == {"fake": 0, "real": 1}
 
 
 def test_subset_preserves_order():

@@ -9,6 +9,8 @@ other.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakaudit import (
     AllIdsTooShortError,
@@ -60,6 +62,41 @@ def test_digit_features_basic():
     assert X1.tolist() == [[7], [8]] and kept1 == [0, 1]
     X0, kept0 = digit_features(["12"], k=5)
     assert X0.shape == (0, 5) and kept0 == []
+
+
+def _digit_rows_by_character(ids, k):
+    rows, kept = [], []
+    for i, id_str in enumerate(ids):
+        if len(id_str) >= k:
+            rows.append([int(c) for c in id_str[:k]])
+            kept.append(i)
+    return rows, kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(
+        st.one_of(st.integers(1, 2**63 - 1), st.integers(1, 999)).map(str), max_size=30
+    ),
+    k=st.integers(1, 20),
+)
+def test_digit_features_matches_per_character_loop(ids, k):
+    X, kept = digit_features(ids, k)
+    rows, want_kept = _digit_rows_by_character(ids, k)
+    assert X.dtype == np.int64 and X.shape == (len(want_kept), k)
+    assert X.tolist() == rows
+    assert kept == want_kept
+
+
+def test_digit_features_rejects_bad_k_and_non_digit_ids():
+    with pytest.raises(ValueError):
+        digit_features(["123"], 0)
+    for bad in ("12a", "1 2", "\u0661\u0662\u0663", "1\x002"):
+        with pytest.raises(ValueError):
+            digit_features(["456", bad], 1)
+    # a non-digit id is an error even when it is too short to be kept
+    with pytest.raises(ValueError):
+        digit_features(["456", "a"], 3)
 
 
 def test_short_ids_excluded_and_counted():

@@ -132,6 +132,9 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(label_set=ls, counts=np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(ValueError):
         ConfusionMatrix.from_pairs(["a"], ["a", "b"], ls)
+    for gold, pred, missing_gold in ((["z"], ["a"], ()), (["a"], ["z"], ()), ([], [], ["z"])):
+        with pytest.raises(UnknownLabelError):
+            ConfusionMatrix.from_pairs(gold, pred, ls, missing_gold)
     m = ConfusionMatrix.from_pairs(["a", "b"], ["b", "b"], ls, missing_gold=["a"])
     assert m.counts.tolist() == [[0, 1], [0, 1]]
     assert m.missing_per_label == (1, 0)

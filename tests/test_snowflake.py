@@ -1,4 +1,4 @@
-"""Id decoding, digit prefixes, and timestamp histograms."""
+"""Id decoding and timestamp histograms."""
 
 from datetime import datetime, timezone
 
@@ -8,7 +8,6 @@ import pytest
 from leakaudit import (
     TWITTER_EPOCH_MS,
     Dataset,
-    DigitPrefix,
     LabelSet,
     Record,
     SnowflakeConstants,
@@ -16,12 +15,11 @@ from leakaudit import (
     decode_parts,
     decode_timestamp,
     parse_id,
-    prefix_digits,
     timestamp_histogram,
     try_decode_timestamp,
     validate,
 )
-from leakaudit.errors import IdParseError, PreSnowflakeIdError, RecordParseError, TooShortIdError
+from leakaudit.errors import IdParseError, PreSnowflakeIdError, RecordParseError
 
 from _synth import snowflake_id
 
@@ -106,37 +104,6 @@ def test_low_22_bits_never_change_the_timestamp():
         for _ in range(5):
             jitter = int(rng.integers(0, 1 << 22))
             assert decode_timestamp(str(base | jitter)) == ts
-
-
-def test_prefix_digits():
-    assert prefix_digits("98765", 3).digits == (9, 8, 7)
-    assert prefix_digits("98765", 1).digits == (9,)
-    assert prefix_digits("98765", 5).digits == (9, 8, 7, 6, 5)
-
-
-def test_prefix_digits_errors():
-    with pytest.raises(TooShortIdError):
-        prefix_digits("98765", 6)
-    with pytest.raises(ValueError):
-        prefix_digits("98765", 0)
-    with pytest.raises(IdParseError):
-        prefix_digits("0123", 2)
-
-
-def test_prefix_digits_matches_string_slice():
-    rng = np.random.default_rng(6)
-    for _ in range(500):
-        value = int(rng.integers(1, 2**63))
-        sid = str(value)
-        k = int(rng.integers(1, len(sid) + 1))
-        assert prefix_digits(sid, k).digits == tuple(int(c) for c in sid[:k])
-
-
-def test_digit_prefix_rejects_leading_zero():
-    with pytest.raises(ValueError):
-        DigitPrefix((0, 1))
-    with pytest.raises(ValueError):
-        DigitPrefix(())
 
 
 def test_timestamp_histogram_buckets_and_exclusions():

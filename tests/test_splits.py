@@ -2,17 +2,25 @@
 event invariants, quota subsampling, split files, and the preset registry.
 """
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracle_splits
 from leakaudit import (
     Dataset,
     EmptyInputError,
     InsufficientRecordsError,
+    LabelSet,
     MissingGroupFieldError,
     RatioError,
+    Record,
     SplitFileError,
     SplitSpec,
     UnknownEventError,
@@ -334,6 +342,89 @@ def test_export_import_round_trip(tmp_path):
     export_split(back, path2)
     back2 = import_split(path2, ds)
     assert back2.train_ids == back.train_ids
+
+
+RATIOS = st.sampled_from(
+    [(0.7, 0.1, 0.2), (0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.8, 0.2, 0.0)]
+)
+
+
+@st.composite
+def _datasets(draw, min_size=0):
+    """Small datasets whose records may carry a label outside the set."""
+    label_set = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from([*"pqrs", "outside"]), st.sampled_from(["storm", "flood", None])),
+            min_size=min_size,
+            max_size=40,
+        )
+    )
+    records = tuple(
+        Record(id=str(1000 + i), text="t", label=label, event=event)
+        for i, (label, event) in enumerate(rows)
+    )
+    return Dataset(records=records, label_set=LabelSet(tuple(label_set)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ds=_datasets(min_size=1),
+    ratios=RATIOS,
+    seed=st.integers(0, 2**64 - 1),
+    stratify=st.booleans(),
+)
+def test_random_split_matches_per_label_oracle(ds, ratios, seed, stratify):
+    split = random_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify))
+    want = _oracle_splits.random_split_ids(ds, ratios, seed, stratify)
+    assert (split.train_ids, split.dev_ids, split.test_ids) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ds=_datasets(),
+    dev_ratio=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    seed=st.integers(0, 2**64 - 1),
+    stratify=st.booleans(),
+)
+def test_event_holdout_split_matches_per_label_oracle(ds, dev_ratio, seed, stratify):
+    if not any(r.event == "storm" for r in ds.records):
+        with pytest.raises(UnknownEventError):
+            event_holdout_split(ds, "storm", dev_ratio, seed, stratify)
+        return
+    split = event_holdout_split(ds, "storm", dev_ratio, seed, stratify)
+    want = _oracle_splits.holdout_split_ids(ds, "storm", dev_ratio, seed, stratify)
+    assert (split.train_ids, split.dev_ids, split.test_ids) == want
+
+
+def test_label_outside_the_set_is_dropped_only_when_stratified():
+    records = tuple(
+        Record(id=str(1000 + i), text="t", label="outside" if i == 3 else "a") for i in range(10)
+    )
+    ds = Dataset(records=records, label_set=LabelSet.of("a", "b"))
+    for stratify, want in ((True, 9), (False, 10)):
+        split = random_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=stratify))
+        assert sum(split.sizes()) == want
+        assert ("1003" in split.all_ids()) is not stratify
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ds=_datasets(min_size=1),
+    ratios=RATIOS,
+    seed=st.integers(0, 2**64 - 1),
+    stratify=st.booleans(),
+)
+def test_export_import_round_trip_property(ds, ratios, seed, stratify):
+    split = random_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify, name="p"))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        export_split(split, first)
+        back = import_split(first, ds)
+        export_split(back, second)
+        again = import_split(second, ds)
+    assert back == dataclasses.replace(split, provenance={**split.provenance, "missing_ids": 0})
+    assert again == back
 
 
 def test_import_split_rejects_bad_files(tmp_path):
