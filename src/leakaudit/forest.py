@@ -15,18 +15,32 @@ float rounding or library version:
     one seed through per-tree substreams, so a forest is a pure function
     of (X, y, config) and serializes to byte-identical JSON across runs.
 
+Feature values must be exact integers (integer, bool or integral float
+arrays); anything else is refused, never truncated.
+
 Feature matrices here are tiny-alphabet ordinal ints (digit positions of
 ids), which makes duplicate rows the common case. Training therefore
 compresses (row, label) duplicates into weighted patterns once and grows
 trees on the patterns; weighted CART on multiplicities is arithmetically
 identical to unweighted CART on the duplicated rows, and million-row
 inputs collapse to a few hundred patterns.
+
+All trees of a fit grow in lockstep (``_LockstepGrower``). Each feature
+column is rank-coded once. A step takes the next node in preorder from
+every tree, counts the (node, feature, present value, label) weights of
+all those nodes with one sort and one bincount, scores every boundary
+together, and partitions every split node's patterns with one stable
+sort. The counts are sparse, so a step's work follows the rows times the
+features it evaluates, never a column's number of distinct values. Since
+each tree still visits its nodes in preorder and draws from its own
+substream, the trees are exactly those a node-by-node recursion grows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,6 +52,7 @@ from .errors import (
     EmptyDistributionError,
     EmptyInputError,
     RaggedRowsError,
+    UnknownLabelError,
     WidthMismatchError,
 )
 
@@ -111,9 +126,10 @@ class DecisionTree:
 
     def __post_init__(self):
         leaf_class = np.full(len(self.feature), -1, dtype=np.int64)
-        for i, c in enumerate(self.counts):
-            if c is not None:
-                leaf_class[i] = int(np.argmax(c))
+        leaves = [i for i, c in enumerate(self.counts) if c is not None]
+        if leaves:
+            # argmax takes the first maximum: ties go to the lowest label index
+            leaf_class[leaves] = np.argmax([self.counts[i] for i in leaves], axis=1)
         self.leaf_class = leaf_class
 
     @property
@@ -169,7 +185,14 @@ def _as_feature_matrix(X) -> np.ndarray:
         raise RaggedRowsError("feature rows have unequal widths")
     if arr.ndim != 2:
         raise RaggedRowsError(f"expected a 2-d feature matrix, got ndim={arr.ndim}")
-    if arr.size and np.abs(arr).max() >= _MAX_FEATURE_MAGNITUDE:
+    if arr.dtype.kind == "f":
+        if not np.isfinite(arr).all():
+            raise ValueError("feature values must be integers, got NaN or infinity")
+        if (arr != np.floor(arr)).any():
+            raise ValueError("feature values must be integers, got a fractional float")
+    elif arr.dtype.kind not in "biu":
+        raise ValueError(f"feature values must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.max() >= _MAX_FEATURE_MAGNITUDE or arr.min() <= -_MAX_FEATURE_MAGNITUDE):
         raise ValueError("feature values too large for exact threshold arithmetic")
     return arr.astype(np.int64, copy=False)
 
@@ -183,77 +206,148 @@ def _compress(X: np.ndarray, y_idx: np.ndarray):
     return patterns[:, :-1], patterns[:, -1], counts.astype(np.int64), inverse
 
 
-class _TreeBuilder:
-    """Grows one tree on weighted patterns; all state is per-fit."""
+_BATCH_CELLS = 1 << 18  # (pattern, feature) cells one split search sorts at most
 
-    def __init__(self, n_labels: int, config: ForestConfig, rng: np.random.Generator):
+
+class _LockstepGrower:
+    """Grows a list of trees on the same patterns, one node per tree per step.
+
+    Every tree's alive patterns (nonzero weight) sit in one flat array, and
+    each pending node owns a contiguous range of it. A step pops the next
+    node in preorder from every tree's stack, searches all their splits in
+    one batch and partitions the split ranges in place, so the per-node
+    Python cost of a recursive builder becomes a per-step cost shared by
+    all trees. Each tree draws from its own RNG in its own preorder, so a
+    tree does not depend on how many others grow beside it.
+    """
+
+    def __init__(self, pat_X, pat_y, n_labels, config, rngs, weights):
         self.K = n_labels
         self.config = config
-        self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list = []
+        self.rngs = rngs
+        n_features = pat_X.shape[1]
+        self.n_features = n_features
+        self.max_eval = config.resolve_max_features(n_features)
+        self.subsample = self.max_eval < n_features
+        self.pat_y = pat_y
+        # rank codes: column f's distinct values get the consecutive codes
+        # offset_f .. offset_f + n_distinct_f - 1 in ascending value order
+        self.codes = np.empty(pat_X.shape, dtype=np.int64)
+        distinct = []
+        offset = 0
+        for f in range(n_features):
+            values, rank = np.unique(pat_X[:, f], return_inverse=True)
+            self.codes[:, f] = rank.reshape(-1) + offset
+            distinct.append(values)
+            offset += len(values)
+        self.n_codes = offset
+        self.value_of = np.concatenate(distinct)
+        self.feature_of = np.repeat(np.arange(n_features), [len(v) for v in distinct])
+        alive = [np.flatnonzero(w) for w in weights]
+        self.flat_pat = np.concatenate(alive)
+        self.flat_w = np.concatenate([w[a] for w, a in zip(weights, alive)])
+        self.root_ends = np.cumsum([len(a) for a in alive])
 
-    def fit(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> DecisionTree:
-        alive = w > 0
-        self._n_features = X.shape[1]
-        self._max_eval = self.config.resolve_max_features(self._n_features)
-        self._subsample = self._max_eval < self._n_features
-        self._build(X[alive], y[alive], w[alive], depth=0)
-        return DecisionTree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            counts=self.counts,
-        )
+    def grow(self) -> list[DecisionTree]:
+        K, config = self.K, self.config
+        n_trees = len(self.rngs)
+        starts = np.concatenate([[0], self.root_ends[:-1]])
+        root_w = np.zeros((n_trees, K), dtype=np.int64)
+        tree_of = np.repeat(np.arange(n_trees), self.root_ends - starts)
+        np.add.at(root_w, (tree_of, self.pat_y[self.flat_pat]), self.flat_w)
+        # a pending node: (start, end, depth, parent node, is right child, label weights)
+        stacks = [
+            [(start, end, 0, -1, False, root_w[t])]
+            for t, (start, end) in enumerate(zip(starts.tolist(), self.root_ends.tolist()))
+        ]
+        # typed arrays, not lists of int objects: every tree's nodes stay in
+        # memory until the last tree finishes
+        nodes = [(array("q"), array("d"), array("q"), array("q"), []) for _ in range(n_trees)]
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(None)
-        return len(self.feature) - 1
+        while True:
+            live = [t for t in range(n_trees) if stacks[t]]
+            if not live:
+                break
+            popped = [stacks[t].pop() for t in live]
+            bounds = np.array([p[:3] for p in popped], dtype=np.int64)
+            label_w = np.array([p[5] for p in popped], dtype=np.int64)
+            n = label_w.sum(axis=1)
+            open_ = ((label_w > 0).sum(axis=1) > 1) & (n >= config.min_samples_split)
+            if config.max_depth is not None:
+                open_ &= bounds[:, 2] < config.max_depth
+            split_feat = np.full(len(popped), -1, dtype=np.int64)
+            split_thr = np.zeros(len(popped), dtype=np.float64)
+            n_left = np.zeros(len(popped), dtype=np.int64)
+            left_w = np.zeros_like(label_w)
+            cand = np.flatnonzero(open_)
+            if cand.size:
+                # one feature order per split candidate, drawn in its tree's preorder
+                perms = (
+                    np.array([self.rngs[live[j]].permutation(self.n_features) for j in cand])
+                    if self.subsample
+                    else None
+                )
+                for lo, hi in self._batches(cand, bounds):
+                    batch = cand[lo:hi]
+                    found = self._split(
+                        bounds[batch, 0],
+                        bounds[batch, 1],
+                        label_w[batch],
+                        None if perms is None else perms[lo:hi],
+                    )
+                    split_feat[batch], split_thr[batch], n_left[batch], left_w[batch] = found
 
-    def _leaf(self, node: int, label_w: np.ndarray) -> None:
-        self.counts[node] = [int(x) for x in label_w]
+            right_w = label_w - left_w
+            split_feat = split_feat.tolist()
+            for j, (t, (start, end, depth, parent, is_right, _)) in enumerate(zip(live, popped)):
+                feature, threshold, left, right, counts = nodes[t]
+                node = len(feature)
+                if parent >= 0:
+                    (right if is_right else left)[parent] = node
+                left.append(-1)
+                right.append(-1)
+                feature.append(split_feat[j])
+                if split_feat[j] < 0:
+                    threshold.append(0.0)
+                    counts.append(label_w[j].tolist())
+                    continue
+                threshold.append(float(split_thr[j]))
+                counts.append(None)
+                mid = start + int(n_left[j])
+                # right pushed first so the left child is popped next: preorder ids
+                stacks[t].append((mid, end, depth + 1, node, True, right_w[j]))
+                stacks[t].append((start, mid, depth + 1, node, False, left_w[j]))
 
-    def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        label_w = np.zeros(self.K, dtype=np.int64)
-        np.add.at(label_w, y, w)
-        n = int(label_w.sum())
+        return [
+            DecisionTree(
+                feature=np.asarray(feature, dtype=np.int64),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int64),
+                right=np.asarray(right, dtype=np.int64),
+                counts=counts,
+            )
+            for feature, threshold, left, right, counts in nodes
+        ]
 
-        depth_capped = self.config.max_depth is not None and depth >= self.config.max_depth
-        pure = int((label_w > 0).sum()) <= 1
-        if depth_capped or pure or n < self.config.min_samples_split:
-            self._leaf(node, label_w)
-            return node
+    def _batches(self, cand: np.ndarray, bounds: np.ndarray):
+        """Cut the candidates into runs of at most _BATCH_CELLS cells, as
+        (lo, hi) positions in cand; a single larger node runs alone. This
+        bounds the memory of the batch's sort."""
+        cells = ((bounds[cand, 1] - bounds[cand, 0]) * self.n_features).tolist()
+        lo, acc = 0, 0
+        for i, size in enumerate(cells):
+            if acc and acc + size > _BATCH_CELLS:
+                yield lo, i
+                lo, acc = i, 0
+            acc += size
+        yield lo, len(cells)
 
-        split = self._choose_split(X, y, w)
-        if split is None:
-            self._leaf(node, label_w)
-            return node
+    def _split(self, starts, ends, label_w, perms):
+        """Best split of each node [starts[i], ends[i]) and its partition.
 
-        feat, thr = split
-        mask = X[:, feat] <= thr
-        # children are built left-first; node ids are preorder
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = self._build(X[mask], y[mask], w[mask], depth + 1)
-        self.right[node] = self._build(X[~mask], y[~mask], w[~mask], depth + 1)
-        return node
-
-    def _feature_order(self) -> np.ndarray:
-        if self._subsample:
-            return self.rng.permutation(self._n_features)
-        return np.arange(self._n_features)
-
-    def _choose_split(self, X, y, w):
-        """Best (feature, threshold) by weighted Gini, or None.
+        Returns (feature, threshold, n_left, left label weights) per node;
+        feature is -1 where the node stays a leaf. Split nodes have their
+        range stably partitioned in place: left patterns first.
 
         Gini comparisons happen in two stages: float scores shortlist the
         near-best candidates, then exact integer cross-multiplication picks
@@ -261,90 +355,107 @@ class _TreeBuilder:
         is equivalent to maximizing sum(left_count_k^2)/n_left +
         sum(right_count_k^2)/n_right, which keeps everything integral.
         """
+        K = self.K
+        m = len(starts)
+        lengths = ends - starts
+        seg = np.repeat(np.arange(m), lengths)
+        seg_first = np.cumsum(lengths) - lengths
+        idx = np.arange(len(seg)) + np.repeat(starts - seg_first, lengths)
+        pat = self.flat_pat[idx]
+        w = self.flat_w[idx]
+        codes = self.codes[pat]
+
+        # a constant feature takes no evaluation slot; with subsampling, each
+        # node evaluates the first max_eval non-constant features of its order
+        evaluated = np.minimum.reduceat(codes, seg_first) < np.maximum.reduceat(codes, seg_first)
+        if perms is not None:
+            rows = np.arange(m)[:, None]
+            in_order = evaluated[rows, perms]
+            in_order &= np.cumsum(in_order, axis=1) <= self.max_eval
+            evaluated[rows, perms] = in_order
+
+        # sparse histogram of the evaluated (pattern, feature) cells: one row
+        # per (node, feature, present value), sorted in that order, and one
+        # column per label
+        cell, cell_feat = np.nonzero(evaluated[seg])
+        groups, inverse = np.unique(
+            seg[cell] * self.n_codes + codes[cell, cell_feat], return_inverse=True
+        )
+        hist = np.bincount(
+            inverse.reshape(-1) * K + self.pat_y[pat[cell]],
+            weights=w[cell],
+            minlength=len(groups) * K,
+        ).astype(np.int64).reshape(-1, K)
+        g_seg = groups // self.n_codes
+        g_code = groups - g_seg * self.n_codes
+        block = g_seg * self.n_features + self.feature_of[g_code]
+
+        # cut c separates group c from group c + 1 of the same block
+        new_block = np.ones(len(groups), dtype=bool)
+        new_block[1:] = block[1:] != block[:-1]
+        cut = np.flatnonzero(~new_block[1:])
+        cut_seg = g_seg[cut]
+        block_first = np.maximum.accumulate(np.where(new_block, np.arange(len(groups)), 0))
+        prefix = np.zeros((len(groups) + 1, K), dtype=np.int64)
+        np.cumsum(hist, axis=0, out=prefix[1:])
+        left = prefix[cut + 1] - prefix[block_first[cut]]
+        nL = left.sum(axis=1)
+        nR = label_w.sum(axis=1)[cut_seg] - nL
         min_leaf = self.config.min_samples_leaf
-        feats: list[np.ndarray] = []
-        thrs: list[np.ndarray] = []
-        a_sq: list[np.ndarray] = []
-        b_sq: list[np.ndarray] = []
-        n_left: list[np.ndarray] = []
-        n_right: list[np.ndarray] = []
-        evaluated = 0
-        for f in self._feature_order():
-            cand = self._candidates_for_feature(X[:, f], y, w, min_leaf)
-            if cand is None:
-                continue  # constant at this node: no slot consumed
-            evaluated += 1
-            if cand:
-                thr, A, B, nL, nR = cand
-                feats.append(np.full(len(thr), f, dtype=np.int64))
-                thrs.append(thr)
-                a_sq.append(A)
-                b_sq.append(B)
-                n_left.append(nL)
-                n_right.append(nR)
-            if evaluated >= self._max_eval:
-                break
-        if not feats:
-            return None
+        keep = np.flatnonzero((nL >= min_leaf) & (nR >= min_leaf))
+        cut, cut_seg, left, nL, nR = cut[keep], cut_seg[keep], left[keep], nL[keep], nR[keep]
 
-        feat_arr = np.concatenate(feats)
-        thr_arr = np.concatenate(thrs)
-        A = np.concatenate(a_sq)
-        B = np.concatenate(b_sq)
-        nL = np.concatenate(n_left)
-        nR = np.concatenate(n_right)
+        split_feat = np.full(m, -1, dtype=np.int64)
+        split_thr = np.zeros(m, dtype=np.float64)
+        n_left = np.zeros(m, dtype=np.int64)
+        left_w = np.zeros((m, K), dtype=np.int64)
+        if len(cut) == 0:
+            return split_feat, split_thr, n_left, left_w
 
+        right = label_w[cut_seg] - left
+        A = (left * left).sum(axis=1)
+        B = (right * right).sum(axis=1)
         score = A / nL + B / nR
-        best_float = score.max()
-        tol = abs(best_float) * 1e-9 + 1e-12
-        shortlist = np.nonzero(score >= best_float - tol)[0]
-        # tie rule: lowest feature index, then lowest threshold
-        shortlist = shortlist[np.lexsort((thr_arr[shortlist], feat_arr[shortlist]))]
+        best_float = np.full(m, -np.inf)
+        np.maximum.at(best_float, cut_seg, score)
+        best_float = best_float[cut_seg]
+        tol = np.abs(best_float) * 1e-9 + 1e-12
+        shortlist = np.flatnonzero(score >= best_float - tol)
+        # within a node, cuts run in (feature, threshold) order, so the first
+        # exact maximum follows the tie rule
+        s_seg = cut_seg[shortlist]
+        head = np.ones(len(shortlist), dtype=bool)
+        head[1:] = s_seg[1:] != s_seg[:-1]
+        heads = np.flatnonzero(head)
+        chosen = shortlist[heads]
+        if len(heads) < len(shortlist):
+            tails = np.append(heads[1:], len(shortlist))
+            for h in np.flatnonzero(tails - heads > 1).tolist():
+                best = best_num = best_den = None
+                for i in shortlist[heads[h] : tails[h]].tolist():
+                    num = int(A[i]) * int(nR[i]) + int(B[i]) * int(nL[i])
+                    den = int(nL[i]) * int(nR[i])
+                    if best is None or num * best_den > best_num * den:
+                        best, best_num, best_den = i, num, den
+                chosen[h] = best
 
-        best = None
-        best_num = best_den = 0
-        for i in shortlist:
-            num = int(A[i]) * int(nR[i]) + int(B[i]) * int(nL[i])
-            den = int(nL[i]) * int(nR[i])
-            if best is None or num * best_den > best_num * den:
-                best, best_num, best_den = int(i), num, den
-        return int(feat_arr[best]), float(thr_arr[best])
+        node = cut_seg[chosen]
+        g = cut[chosen]
+        split_feat[node] = self.feature_of[g_code[g]]
+        split_thr[node] = (self.value_of[g_code[g]] + self.value_of[g_code[g + 1]]) / 2.0
+        left_w[node] = left[chosen]
+        split_code = np.zeros(m, dtype=np.int64)
+        split_code[node] = g_code[g]
 
-    def _candidates_for_feature(self, values, y, w, min_leaf):
-        """Per-boundary split stats for one feature.
-
-        Returns None when the feature is constant at the node, an empty
-        tuple when boundaries exist but none satisfies min_samples_leaf,
-        else (thresholds, A, B, n_left, n_right) arrays.
-        """
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        if sv[0] == sv[-1]:
-            return None
-        sy = y[order]
-        sw = w[order]
-        change = np.empty(len(sv), dtype=bool)
-        change[0] = True
-        change[1:] = sv[1:] != sv[:-1]
-        group = np.cumsum(change) - 1
-        distinct = sv[change]
-        M = np.zeros((len(distinct), self.K), dtype=np.int64)
-        np.add.at(M, (group, sy), sw)
-        prefix = np.cumsum(M, axis=0)
-        total = prefix[-1]
-        n = int(total.sum())
-
-        left_counts = prefix[:-1]
-        nL = left_counts.sum(axis=1)
-        nR = n - nL
-        valid = (nL >= min_leaf) & (nR >= min_leaf)
-        if not valid.any():
-            return ()
-        right_counts = total[None, :] - left_counts
-        A = (left_counts * left_counts).sum(axis=1)
-        B = (right_counts * right_counts).sum(axis=1)
-        thr = (distinct[:-1] + distinct[1:]) / 2.0
-        return thr[valid], A[valid], B[valid], nL[valid], nR[valid]
+        # one stable sort keyed by (node, side) partitions every split range
+        moving = np.flatnonzero(split_feat[seg] >= 0)
+        m_seg = seg[moving]
+        goes_right = codes[moving, split_feat[m_seg]] > split_code[m_seg]
+        order = np.argsort(m_seg * 2 + goes_right, kind="stable")
+        self.flat_pat[idx[moving]] = pat[moving][order]
+        self.flat_w[idx[moving]] = w[moving][order]
+        n_left[:] = np.bincount(m_seg[~goes_right], minlength=m)
+        return split_feat, split_thr, n_left, left_w
 
 
 @dataclass
@@ -416,7 +527,10 @@ def _prepare(X, y: Sequence[str], label_set: LabelSet | None):
         raise ValueError(f"{len(X)} rows vs {len(y)} labels")
     if label_set is None:
         label_set = LabelSet(tuple(sorted(set(y))))
-    y_idx = np.asarray([label_set.index(lab) for lab in y], dtype=np.int64)
+    y_idx = label_set.encode(y)
+    outside = np.flatnonzero(y_idx < 0)
+    if outside.size:
+        raise UnknownLabelError(f"label {y[int(outside[0])]!r} not in {label_set.labels}")
     return X, y_idx, label_set
 
 
@@ -436,35 +550,35 @@ def fit_tree(
     config = config or ForestConfig()
     X, y_idx, label_set = _prepare(X, y, label_set)
     pat_X, pat_y, pat_w, _ = _compress(X, y_idx)
-    tree = _TreeBuilder(len(label_set), config, _tree_rng(config.seed, 0)).fit(
-        pat_X, pat_y, pat_w
+    grower = _LockstepGrower(
+        pat_X, pat_y, len(label_set), config, [_tree_rng(config.seed, 0)], [pat_w]
     )
-    return ForestModel(config=config, label_set=label_set, trees=[tree], n_features=X.shape[1])
-
-
-def _fit_one_tree(pat_X, pat_y, pat_w, inverse, n_rows, k, config, t):
-    rng = _tree_rng(config.seed, t)
-    if config.bootstrap:
-        draws = rng.integers(0, n_rows, size=n_rows)
-        weights = np.bincount(inverse[draws], minlength=len(pat_w)).astype(np.int64)
-    else:
-        weights = pat_w
-    return _TreeBuilder(k, config, rng).fit(pat_X, pat_y, weights)
+    return ForestModel(
+        config=config, label_set=label_set, trees=grower.grow(), n_features=X.shape[1]
+    )
 
 
 def fit_forest(
     X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
 ) -> ForestModel:
     """Fit a voting forest; tree t draws its RNG substream from
-    (config.seed, t), so no tree depends on the trees fitted before it."""
+    (config.seed, t), so no tree depends on the trees fitted beside it."""
     config = config or ForestConfig()
     X, y_idx, label_set = _prepare(X, y, label_set)
     pat_X, pat_y, pat_w, inverse = _compress(X, y_idx)
-    trees = [
-        _fit_one_tree(pat_X, pat_y, pat_w, inverse, len(X), len(label_set), config, t)
-        for t in range(config.n_trees)
-    ]
-    return ForestModel(config=config, label_set=label_set, trees=trees, n_features=X.shape[1])
+    rngs = [_tree_rng(config.seed, t) for t in range(config.n_trees)]
+    if config.bootstrap:
+        # each substream makes its bootstrap draw before any feature order
+        weights = [
+            np.bincount(inverse[rng.integers(0, len(X), size=len(X))], minlength=len(pat_w))
+            for rng in rngs
+        ]
+    else:
+        weights = [pat_w] * config.n_trees
+    grower = _LockstepGrower(pat_X, pat_y, len(label_set), config, rngs, weights)
+    return ForestModel(
+        config=config, label_set=label_set, trees=grower.grow(), n_features=X.shape[1]
+    )
 
 
 # --- stratified random baseline -------------------------------------------

@@ -10,40 +10,74 @@ structural equality between the two is strong evidence of correctness.
 from fractions import Fraction
 
 
-def oracle_tree(rows, labels, k, max_depth=None, min_samples_split=2, min_samples_leaf=1):
+def oracle_tree(
+    rows,
+    labels,
+    k,
+    max_depth=None,
+    min_samples_split=2,
+    min_samples_leaf=1,
+    weights=None,
+    feature_order=None,
+    max_eval=None,
+):
     """Grow one tree on integer rows and 0-based label indices.
+
+    ``weights`` gives each row an integer multiplicity (default 1); a row
+    of weight 0 is left out. ``feature_order`` is called with no arguments
+    once per split-candidate node (one that is not depth-capped, pure or
+    below min_samples_split), in preorder, and returns the order in which
+    that node tries features; it defaults to ascending order. The node
+    evaluates the first ``max_eval`` (default: all) features of that order
+    that are not constant at the node.
 
     Returns (feature, threshold, left, right, counts) parallel lists in
     preorder; internal nodes carry counts=None, leaves a k-vector.
     """
+    if weights is None:
+        weights = [1] * len(rows)
+    d = len(rows[0])
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list = []
 
+    def tally(idx):
+        out = [0] * k
+        for i in idx:
+            out[labels[i]] += weights[i]
+        return out
+
     def weighted_gini(li, ri):
-        n = len(li) + len(ri)
+        n = sum(weights[i] for i in li + ri)
         total = Fraction(0)
         for part in (li, ri):
-            size = len(part)
-            tally = [0] * k
-            for i in part:
-                tally[labels[i]] += 1
-            p2 = sum(Fraction(c, size) ** 2 for c in tally)
+            size = sum(weights[i] for i in part)
+            p2 = sum(Fraction(c, size) ** 2 for c in tally(part))
             total += Fraction(size, n) * (1 - p2)
         return total
 
     def best_split(idx):
+        order = list(range(d)) if feature_order is None else list(feature_order())
+        limit = d if max_eval is None else max_eval
+        evaluated = []
+        for f in order:
+            if len(evaluated) == limit:
+                break
+            if len({rows[i][f] for i in idx}) > 1:
+                evaluated.append(f)
         best = None
-        d = len(rows[0])
-        for f in range(d):
+        for f in sorted(evaluated):
             vals = sorted({rows[i][f] for i in idx})
             for a, b in zip(vals, vals[1:]):
                 thr = Fraction(a + b, 2)
                 li = [i for i in idx if rows[i][f] <= thr]
                 ri = [i for i in idx if rows[i][f] > thr]
-                if len(li) < min_samples_leaf or len(ri) < min_samples_leaf:
+                if (
+                    sum(weights[i] for i in li) < min_samples_leaf
+                    or sum(weights[i] for i in ri) < min_samples_leaf
+                ):
                     continue
                 g = weighted_gini(li, ri)
                 # strict < while scanning (feature asc, threshold asc)
@@ -59,17 +93,15 @@ def oracle_tree(rows, labels, k, max_depth=None, min_samples_split=2, min_sample
         left.append(-1)
         right.append(-1)
         counts.append(None)
-        tally = [0] * k
-        for i in idx:
-            tally[labels[i]] += 1
+        node_tally = tally(idx)
         capped = max_depth is not None and depth >= max_depth
-        pure = sum(1 for c in tally if c) <= 1
-        if capped or pure or len(idx) < min_samples_split:
-            counts[node] = tally
+        pure = sum(1 for c in node_tally if c) <= 1
+        if capped or pure or sum(node_tally) < min_samples_split:
+            counts[node] = node_tally
             return node
         found = best_split(idx)
         if found is None:
-            counts[node] = tally
+            counts[node] = node_tally
             return node
         _, f, thr, li, ri = found
         feature[node] = f
@@ -78,7 +110,7 @@ def oracle_tree(rows, labels, k, max_depth=None, min_samples_split=2, min_sample
         right[node] = build(ri, depth + 1)
         return node
 
-    build(list(range(len(rows))), 0)
+    build([i for i in range(len(rows)) if weights[i] > 0], 0)
     return feature, threshold, left, right, counts
 
 

@@ -1,9 +1,14 @@
 """Forest trainer tests.
 
 The centerpiece is a randomized structural comparison against the
-Fraction-exact reference in _oracle_forest; the rest pins determinism,
-serialization, distinct-row prediction, and the baseline formulas.
+Fraction-exact reference in _oracle_forest, for single trees and for the
+bootstrapped, feature-subsampled trees of a forest; the rest pins model
+digests, determinism, serialization, distinct-row prediction, and the
+baseline formulas.
 """
+
+import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -18,12 +23,16 @@ from leakaudit import (
     LabelSet,
     RaggedRowsError,
     StratifiedBaseline,
+    UnknownLabelError,
     WidthMismatchError,
     baseline_expected_macro_f1,
     baseline_macro_f1_monte_carlo,
+    digit_features,
     fit_forest,
     fit_tree,
 )
+import leakaudit.forest as forest_module
+from leakaudit.forest import _tree_rng
 
 
 def _plain_config(max_depth=None, min_samples_split=2, min_samples_leaf=1):
@@ -70,6 +79,29 @@ def test_tie_breaks_lowest_feature_then_threshold():
     assert model2.trees[0].threshold[0] == 0.5
 
 
+def test_near_tie_is_decided_in_exact_arithmetic():
+    # Class totals (T, T + 1). Splitting on feature 0 puts (b, a) of the
+    # two classes left, feature 1 puts (a, b) left, with b = a - 1. The
+    # feature-1 split is better by 2 / (2T - 2a + 2), about 1.7e-5, well
+    # inside the float shortlist's 1e-9 relative tolerance, so only the
+    # exact integer stage can prefer it over the lower feature index.
+    T, a = 100_000, 40_000
+    b = a - 1
+    cells = {
+        (0, 1, "p"): b,
+        (1, 0, "p"): a,
+        (1, 1, "p"): T - a - b,
+        (0, 1, "q"): a,
+        (1, 0, "q"): b,
+        (1, 1, "q"): T + 1 - a - b,
+    }
+    sizes = list(cells.values())
+    X = np.repeat(np.array([key[:2] for key in cells]), sizes, axis=0)
+    y = [label for key, size in zip(cells, sizes) for label in [key[2]] * size]
+    model = fit_tree(X, y, _plain_config(max_depth=1))
+    assert model.trees[0].feature[0] == 1
+
+
 def test_random_trees_match_exact_oracle():
     rng = np.random.default_rng(707)
     labels_pool = ["a", "b", "c"]
@@ -89,15 +121,127 @@ def test_random_trees_match_exact_oracle():
         want = oracle_tree(
             rows, y_idx, k, max_depth=max_depth, min_samples_split=mss, min_samples_leaf=msl
         )
-        w_feature, w_threshold, w_left, w_right, w_counts = want
-        assert tree.feature.tolist() == w_feature, f"case {case}"
-        assert tree.threshold.tolist() == pytest.approx(w_threshold, abs=0), f"case {case}"
-        assert tree.left.tolist() == w_left, f"case {case}"
-        assert tree.right.tolist() == w_right, f"case {case}"
-        assert tree.counts == w_counts, f"case {case}"
+        _assert_tree_matches(tree, want, f"case {case}")
         queries = [[int(rng.integers(0, 5)) for _ in range(d)] for _ in range(8)]
         got = model.predict_index(np.asarray(queries))
         assert [int(g) for g in got] == [oracle_predict(want, q) for q in queries]
+
+
+def _assert_tree_matches(tree, want, msg):
+    w_feature, w_threshold, w_left, w_right, w_counts = want
+    assert tree.feature.tolist() == w_feature, msg
+    assert tree.threshold.tolist() == pytest.approx(w_threshold, abs=0), msg
+    assert tree.left.tolist() == w_left, msg
+    assert tree.right.tolist() == w_right, msg
+    assert tree.counts == w_counts, msg
+
+
+def test_bootstrapped_subsampled_forest_trees_match_exact_oracle():
+    rng = np.random.default_rng(909)
+    labels_pool = ["a", "b", "c"]
+    for case in range(150):
+        n = int(rng.integers(2, 13))
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 4))
+        rows = [[int(rng.integers(-3, 4)) for _ in range(d)] for _ in range(n)]
+        y_idx = [int(rng.integers(0, k)) for _ in range(n)]
+        y = [labels_pool[i] for i in y_idx]
+        config = ForestConfig(
+            n_trees=3,
+            max_depth=[None, 2, 3][case % 3],
+            max_features=["sqrt", 1, 2, 3][case % 4],
+            bootstrap=True,
+            min_samples_split=2 + case % 2,
+            min_samples_leaf=1 + case % 3,
+            seed=int(rng.integers(0, 2**63)),
+        )
+        model = fit_forest(rows, y, config, label_set=LabelSet.of(*labels_pool[:k]))
+        max_eval = config.resolve_max_features(d)
+        for t, tree in enumerate(model.trees):
+            # replay tree t's substream: its bootstrap draw, then one feature
+            # order per split-candidate node in preorder
+            stream = _tree_rng(config.seed, t)
+            weights = np.bincount(stream.integers(0, n, size=n), minlength=n).tolist()
+            if max_eval < d:
+                order = lambda: stream.permutation(d).tolist()  # noqa: E731
+            else:
+                order = None
+            want = oracle_tree(
+                rows,
+                y_idx,
+                k,
+                max_depth=config.max_depth,
+                min_samples_split=config.min_samples_split,
+                min_samples_leaf=config.min_samples_leaf,
+                weights=weights,
+                feature_order=order,
+                max_eval=max_eval,
+            )
+            _assert_tree_matches(tree, want, f"case {case} tree {t}")
+
+
+def _digits_and_labels(dataset, k):
+    X, kept = digit_features([r.id for r in dataset.records], k=k)
+    return X, [dataset.records[i].label for i in kept]
+
+
+# SHA-256 of to_json_str(), pinned from the recursive per-node trainer that
+# preceded lockstep growth; any change to the fitted trees changes them
+@pytest.mark.parametrize(
+    "fixture, k, fit, config, digest",
+    [
+        (
+            "leaky",
+            3,
+            fit_forest,
+            ForestConfig(),
+            "2d35b592eeed25703ba88c1346c77bd0c0a937e218e569d438a394b953ace9de",
+        ),
+        (
+            "control",
+            3,
+            fit_forest,
+            ForestConfig(),
+            "08b9e8b391aafc935dd28de74decbb4432c9b61fb3ee8586ba3fceb6ac16a624",
+        ),
+        (
+            "control",
+            4,
+            fit_tree,
+            ForestConfig(max_features="all", bootstrap=False, min_samples_leaf=2),
+            "69a44dc7934538684cacad953fa9fa0dc67040c0e5b4a8ced2ef3aee6a7fca92",
+        ),
+    ],
+    ids=["forest-leaky", "forest-control", "tree-control"],
+)
+def test_model_digest_is_pinned(request, fixture, k, fit, config, digest):
+    dataset = request.getfixturevalue(fixture)
+    X, y = _digits_and_labels(dataset, k)
+    model = fit(X, y, config, dataset.label_set)
+    assert hashlib.sha256(model.to_json_str().encode("utf-8")).hexdigest() == digest
+
+
+def test_split_search_in_small_batches_grows_the_same_forest(monkeypatch):
+    X, y = _digit_training_set(21, n=300)
+    config = ForestConfig(n_trees=8, max_depth=6, seed=4)
+    whole = fit_forest(X, y, config).to_json_str()
+    # a bound below one node's cells searches every node in its own batch
+    monkeypatch.setattr(forest_module, "_BATCH_CELLS", 1)
+    assert fit_forest(X, y, config).to_json_str() == whole
+    monkeypatch.setattr(forest_module, "_BATCH_CELLS", 400)
+    assert fit_forest(X, y, config).to_json_str() == whole
+
+
+def test_high_cardinality_column_fits_in_bounded_time():
+    # a dense (feature, value, label) histogram per node grows with the
+    # 8,000 distinct values of column 0 and takes over a minute here
+    rng = np.random.default_rng(8000)
+    X = np.column_stack([rng.permutation(8000), rng.integers(0, 10, 8000)])
+    y = [("a", "b")[i] for i in rng.integers(0, 2, 8000)]
+    started = time.perf_counter()
+    model = fit_forest(X, y, ForestConfig(n_trees=10, seed=1))
+    assert time.perf_counter() - started < 20
+    assert len(model.trees) == 10
 
 
 def _digit_training_set(seed, n=400, d=4, k=3):
@@ -193,6 +337,29 @@ def test_input_validation():
         fit_tree([[2**53]], ["a"])
     with pytest.raises(ValueError):
         fit_tree([[1], [2]], ["a"])
+    with pytest.raises(UnknownLabelError, match="'c'"):
+        fit_forest([[1], [2], [3]], ["a", "c", "d"], label_set=LabelSet.of("a", "b"))
+
+    # features are exact integers: fractional, non-finite and non-numeric
+    # values are refused on fit and on predict, never truncated
+    not_integers = (
+        ([[1.7], [2.2], [2.9]], "fractional"),
+        ([[1.0], [float("nan")], [3.0]], "NaN"),
+        ([[1.0], [float("inf")], [3.0]], "infinity"),
+        ([["1"], ["2"], ["3"]], "dtype"),
+    )
+    for bad, message in not_integers:
+        with pytest.raises(ValueError, match=message):
+            fit_tree(bad, ["a", "b", "b"])
+    model = fit_tree([[1.0], [2.0], [3.0]], ["a", "b", "b"])
+    assert model.trees[0].threshold[0] == 1.5
+    assert model.predict(np.array([[True], [False]])) == ["a", "a"]
+    assert model.predict(np.array([[2], [3]], dtype=np.uint8)) == ["b", "b"]
+    for bad, message in not_integers:
+        with pytest.raises(ValueError, match=message):
+            model.predict(bad)
+    with pytest.raises(ValueError, match="too large"):
+        fit_tree([[-(2**63)]], ["a"])
 
     model = fit_tree([[1], [2]], ["a", "b"])
     with pytest.raises(WidthMismatchError):
