@@ -6,213 +6,46 @@ recoverable from id-encoded creation times, keyword-label shortcuts, and
 duplicate contamination across split boundaries; it also generates the
 reproducible splits such audits need, evaluates prediction files, and
 applies a time-randomization mitigation when the temporal probe fires.
+
+The names below are the ones the README and the demos use; everything else
+is imported from its submodule (``leakaudit.forest``, ``leakaudit.errors``,
+and so on).
 """
 
-from .data import (
-    Dataset,
-    LabelSet,
-    Manifest,
-    Record,
-    Violation,
-    build_dataset,
-    label_distribution,
-    load_csv,
-    load_jsonl,
-    save_csv,
-    save_jsonl,
-    validate,
-)
-from .errors import (
-    AllIdsTooShortError,
-    DuplicateIdError,
-    EmptyDistributionError,
-    EmptyInputError,
-    EmptyPoolError,
-    EmptySplitError,
-    IdParseError,
-    InsufficientRecordsError,
-    LeakAuditError,
-    MissingGroupFieldError,
-    NoAnchorRecordsError,
-    PredictionFileError,
-    PreSnowflakeIdError,
-    RaggedRowsError,
-    RatioError,
-    RecordParseError,
-    SchemaError,
-    SplitFileError,
-    UnknownEventError,
-    UnknownLabelError,
-    UnknownPresetError,
-    WidthMismatchError,
-)
-from .dedup import (
-    ContaminationPair,
-    DuplicateCluster,
-    DuplicateScan,
-    normalize_text,
-    scan_duplicates,
-)
-from .forest import (
-    DecisionTree,
-    ForestConfig,
-    ForestModel,
-    StratifiedBaseline,
-    baseline_expected_macro_f1,
-    baseline_macro_f1_monte_carlo,
-    fit_forest,
-    fit_tree,
-)
-from .idleak import (
-    DEFAULT_THRESHOLDS,
-    IdLeakReport,
-    VerdictThresholds,
-    digit_features,
-    leakage_score,
-    run_id_leak_suite,
-    run_id_leak_test,
-    summarize_id_leak_suite,
-)
-from .metrics import (
-    ConfusionMatrix,
-    EvalResult,
-    aggregate_article_votes,
-    evaluate,
-    evaluate_prediction_file,
-    read_prediction_file,
-    result_from_matrix,
-)
-from .rebalance import RebalanceReport, time_rebalance
+from .data import LabelSet, Manifest, build_dataset, load_jsonl
+from .dedup import scan_duplicates
+from .idleak import run_id_leak_test
+from .metrics import evaluate
+from .rebalance import time_rebalance
 from .snowflake import (
-    SnowflakeConstants,
-    TimestampHistogram,
     TWITTER_EPOCH_MS,
-    decode_parts,
     decode_timestamp,
-    parse_id,
     timestamp_histogram,
     try_decode_timestamp,
 )
-from .splits import (
-    Split,
-    SplitSpec,
-    event_holdout_split,
-    export_split,
-    find_conflicting_groups,
-    get_preset,
-    group_split,
-    import_split,
-    label_filter,
-    load_presets,
-    make_split,
-    preset_split,
-    quota_subsample,
-    random_split,
-)
-from .textleak import (
-    ScatterData,
-    TokenStats,
-    class_scatter_data,
-    keyword_label_table,
-    scan_discriminative_tokens,
-    token_set,
-    tokenize,
-)
+from .splits import SplitSpec, export_split, load_presets, make_split, preset_split
+from .textleak import keyword_label_table, scan_discriminative_tokens
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllIdsTooShortError",
-    "ConfusionMatrix",
-    "ContaminationPair",
-    "Dataset",
-    "DecisionTree",
-    "DEFAULT_THRESHOLDS",
-    "DuplicateCluster",
-    "DuplicateIdError",
-    "DuplicateScan",
-    "EmptyDistributionError",
-    "EmptyInputError",
-    "EmptyPoolError",
-    "EmptySplitError",
-    "EvalResult",
-    "ForestConfig",
-    "ForestModel",
-    "IdLeakReport",
-    "IdParseError",
-    "InsufficientRecordsError",
     "LabelSet",
-    "LeakAuditError",
     "Manifest",
-    "MissingGroupFieldError",
-    "NoAnchorRecordsError",
-    "PredictionFileError",
-    "PreSnowflakeIdError",
-    "RaggedRowsError",
-    "RatioError",
-    "RebalanceReport",
-    "Record",
-    "RecordParseError",
-    "ScatterData",
-    "SchemaError",
-    "SnowflakeConstants",
-    "Split",
-    "SplitFileError",
     "SplitSpec",
-    "StratifiedBaseline",
-    "TimestampHistogram",
-    "TokenStats",
     "TWITTER_EPOCH_MS",
-    "UnknownEventError",
-    "UnknownLabelError",
-    "UnknownPresetError",
-    "VerdictThresholds",
-    "Violation",
-    "WidthMismatchError",
-    "aggregate_article_votes",
-    "baseline_expected_macro_f1",
-    "baseline_macro_f1_monte_carlo",
     "build_dataset",
-    "class_scatter_data",
-    "decode_parts",
     "decode_timestamp",
-    "digit_features",
     "evaluate",
-    "evaluate_prediction_file",
-    "event_holdout_split",
     "export_split",
-    "find_conflicting_groups",
-    "fit_forest",
-    "fit_tree",
-    "get_preset",
-    "group_split",
-    "import_split",
     "keyword_label_table",
-    "label_distribution",
-    "label_filter",
-    "leakage_score",
-    "load_csv",
     "load_jsonl",
     "load_presets",
     "make_split",
-    "normalize_text",
-    "parse_id",
     "preset_split",
-    "quota_subsample",
-    "random_split",
-    "read_prediction_file",
-    "result_from_matrix",
-    "run_id_leak_suite",
     "run_id_leak_test",
-    "save_csv",
-    "save_jsonl",
     "scan_discriminative_tokens",
     "scan_duplicates",
-    "summarize_id_leak_suite",
     "time_rebalance",
     "timestamp_histogram",
-    "token_set",
-    "tokenize",
     "try_decode_timestamp",
-    "validate",
 ]

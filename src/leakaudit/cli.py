@@ -250,26 +250,35 @@ def cmd_audit(args) -> int:
 # --- split -------------------------------------------------------------------
 
 
+def _ratios(raw: str) -> tuple[float, float, float]:
+    try:
+        ratios = tuple(float(x) for x in _comma_list(raw))
+    except ValueError:
+        ratios = ()
+    if len(ratios) != 3:
+        raise UsageError(f"--ratios needs three numbers, got {raw!r}")
+    return ratios  # type: ignore[return-value]
+
+
 def cmd_split(args) -> int:
-    manifest = _manifest_from_args(args)
-    dataset = _load_dataset(args.data, manifest)
     if args.seed is None:
         raise UsageError("--seed is required for split")
-    if args.preset:
-        split = preset_split(dataset, args.preset, seed=args.seed)
-    else:
-        ratios = tuple(float(x) for x in _comma_list(args.ratios))
-        if len(ratios) != 3:
-            raise UsageError(f"--ratios needs three numbers, got {args.ratios!r}")
+    spec = None
+    if not args.preset:
         spec = SplitSpec(
-            ratios=ratios,  # type: ignore[arg-type]
+            ratios=_ratios(args.ratios),
             seed=args.seed,
             stratify=not args.no_stratify,
             group_by=args.group_by,
             holdout_event=args.holdout_event,
             label_filter=tuple(_comma_list(args.label_filter)) if args.label_filter else None,
             exclude_conflicting_groups=args.exclude_conflicting_groups,
-        )
+        ).validated()
+    manifest = _manifest_from_args(args)
+    dataset = _load_dataset(args.data, manifest)
+    if spec is None:
+        split = preset_split(dataset, args.preset, seed=args.seed)
+    else:
         split = make_split(dataset, spec)
     export_split(split, args.out)
     train_n, dev_n, test_n = split.sizes()
@@ -306,6 +315,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    if args.min_tweets < 1:
+        raise UsageError(f"--min-tweets must be >= 1, got {args.min_tweets}")
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     predictions = read_prediction_file(args.pred)
@@ -326,8 +337,6 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_rebalance(args) -> int:
-    manifest = _manifest_from_args(args)
-    dataset = _load_dataset(args.data, manifest)
     if args.seed is None:
         raise UsageError("--seed is required for rebalance")
     try:
@@ -338,6 +347,8 @@ def cmd_rebalance(args) -> int:
         ) from None
     if window_ms <= 0:
         raise UsageError(f"--window must be positive, got {args.window!r}")
+    manifest = _manifest_from_args(args)
+    dataset = _load_dataset(args.data, manifest)
     if args.pool_manifest:
         pool_manifest = Manifest.from_json_file(args.pool_manifest)
     else:
@@ -488,7 +499,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
-        # ValueError covers malformed numeric arguments (--ratios)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

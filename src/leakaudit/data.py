@@ -132,17 +132,6 @@ class Dataset:
         index.flags.writeable = False
         return index
 
-    def subset(self, ids: Iterable[str], name: str | None = None) -> "Dataset":
-        """Records whose id is in ``ids``, keeping dataset order."""
-        wanted = set(ids)
-        records = tuple(r for r in self.records if r.id in wanted)
-        return Dataset(
-            records=records,
-            label_set=self.label_set,
-            name=self.name if name is None else name,
-            source_notes=self.source_notes,
-        )
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -327,26 +316,6 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
                 row["reply_count"] = r.reply_count
             row.update(r.extra)
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write canonical CSV with the full canonical header."""
-    extra_keys = sorted({k for r in dataset.records for k in r.extra})
-    header = list(CANONICAL_FIELDS) + extra_keys
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in dataset.records:
-            row = [
-                r.id,
-                r.text,
-                r.label,
-                r.event or "",
-                r.article_id or "",
-                "" if r.reply_count is None else r.reply_count,
-            ]
-            row += [r.extra.get(k, "") for k in extra_keys]
-            writer.writerow(row)
 
 
 def validate(dataset: Dataset) -> list[Violation]:

@@ -46,7 +46,7 @@ def _hash_shingle(shingle: str) -> int:
     return int.from_bytes(hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def shingle_hashes(tokens: Sequence[str], size: int = SHINGLE_SIZE, _memo: dict | None = None) -> list[int]:
+def shingle_hashes(tokens: Sequence[str], _memo: dict | None = None) -> list[int]:
     """Sorted distinct 64-bit hashes of the token n-gram shingles.
 
     Texts shorter than the shingle size degenerate to one whole-text
@@ -55,10 +55,13 @@ def shingle_hashes(tokens: Sequence[str], size: int = SHINGLE_SIZE, _memo: dict 
     """
     if not tokens:
         return []
-    if len(tokens) < size:
+    if len(tokens) < SHINGLE_SIZE:
         grams = [" ".join(tokens)]
     else:
-        grams = [" ".join(tokens[i : i + size]) for i in range(len(tokens) - size + 1)]
+        grams = [
+            " ".join(tokens[i : i + SHINGLE_SIZE])
+            for i in range(len(tokens) - SHINGLE_SIZE + 1)
+        ]
     if _memo is None:
         hashes = {_hash_shingle(g) for g in grams}
     else:
@@ -177,29 +180,30 @@ def _sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(ids, key=int))
 
 
-def _minhash_signatures(flat: np.ndarray, starts: np.ndarray, n_perm: int) -> np.ndarray:
-    """(n_nodes, n_perm) uint64 signature matrix over concatenated
+def _minhash_signatures(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(n_nodes, NUM_PERMUTATIONS) uint64 signature matrix over concatenated
     per-node shingle-hash segments."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_PERM_SEED)))
     # multiply-shift family: odd multiplier, arbitrary offset, mod 2**64
-    a = (rng.integers(0, 2**63, size=n_perm, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-    b = rng.integers(0, 2**64, size=n_perm, dtype=np.uint64)
-    sig = np.empty((len(starts), n_perm), dtype=np.uint64)
-    for p in range(n_perm):
+    a = rng.integers(0, 2**63, size=NUM_PERMUTATIONS, dtype=np.uint64)
+    a = (a << np.uint64(1)) | np.uint64(1)
+    b = rng.integers(0, 2**64, size=NUM_PERMUTATIONS, dtype=np.uint64)
+    sig = np.empty((len(starts), NUM_PERMUTATIONS), dtype=np.uint64)
+    for p in range(NUM_PERMUTATIONS):
         values = a[p] * flat + b[p]  # uint64 wraparound is the point
         sig[:, p] = np.minimum.reduceat(values, starts)
     return sig
 
 
-def _band_candidate_pairs(sig: np.ndarray, bands: int, rows: int) -> set[tuple[int, int]]:
+def _band_candidate_pairs(sig: np.ndarray) -> set[tuple[int, int]]:
     """Node pairs sharing at least one LSH band bucket."""
     n = sig.shape[0]
     candidates: set[tuple[int, int]] = set()
     mix_a = np.uint64(0x9E3779B97F4A7C15)
-    for band in range(bands):
-        cols = sig[:, band * rows : (band + 1) * rows]
+    for band in range(LSH_BANDS):
+        cols = sig[:, band * LSH_ROWS : (band + 1) * LSH_ROWS]
         key = np.zeros(n, dtype=np.uint64)
-        for r in range(rows):
+        for r in range(LSH_ROWS):
             key = (key ^ cols[:, r]) * mix_a + np.uint64(band)
         order = np.argsort(key, kind="stable")
         sorted_keys = key[order]
@@ -244,7 +248,7 @@ class _NodeIndex:
     n_skipped_empty: int
 
 
-def _build_nodes(dataset: Dataset, shingle_size: int) -> _NodeIndex:
+def _build_nodes(dataset: Dataset) -> _NodeIndex:
     node_of_text: dict[str, int] = {}
     node_records: list[list[str]] = []
     node_tokens: list[list[str]] = []
@@ -269,7 +273,7 @@ def _build_nodes(dataset: Dataset, shingle_size: int) -> _NodeIndex:
     segments: dict[int, tuple[int, int]] = {}
     cursor = 0
     for node, tokens in enumerate(node_tokens):
-        hashes = shingle_hashes(tokens, shingle_size, memo)
+        hashes = shingle_hashes(tokens, memo)
         if not hashes:
             continue
         flat_parts.append(hashes)
@@ -293,18 +297,12 @@ def _build_nodes(dataset: Dataset, shingle_size: int) -> _NodeIndex:
     )
 
 
-def _verified_edges(
-    index: _NodeIndex,
-    jaccard_threshold: float,
-    num_permutations: int,
-    bands: int,
-) -> list[tuple[int, int, float]]:
+def _verified_edges(index: _NodeIndex, jaccard_threshold: float) -> list[tuple[int, int, float]]:
     """(node_a, node_b, jaccard) for every verified near-duplicate pair."""
     if len(index.starts) < 2:
         return []
-    rows = num_permutations // bands
-    sig = _minhash_signatures(index.flat, index.starts, num_permutations)
-    candidates = _band_candidate_pairs(sig, bands, rows)
+    sig = _minhash_signatures(index.flat, index.starts)
+    candidates = _band_candidate_pairs(sig)
     edges: list[tuple[int, int, float]] = []
     for si, sj in sorted(candidates):
         node_i = int(index.node_with_shingles[si])
@@ -317,13 +315,7 @@ def _verified_edges(
     return edges
 
 
-def scan_duplicates(
-    dataset: Dataset,
-    jaccard_threshold: float = 0.8,
-    num_permutations: int = NUM_PERMUTATIONS,
-    bands: int = LSH_BANDS,
-    shingle_size: int = SHINGLE_SIZE,
-) -> DuplicateScan:
+def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> DuplicateScan:
     """Full duplicate scan: exact clusters, near clusters, and counts.
 
     The returned scan keeps the node index and verified edges it was built
@@ -331,15 +323,12 @@ def scan_duplicates(
     build.
 
     Raises:
-        ValueError: if num_permutations is not divisible by bands or the
-            threshold is outside (0, 1].
+        ValueError: if the threshold is outside (0, 1].
     """
     if not 0.0 < jaccard_threshold <= 1.0:
         raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
-    if num_permutations % bands != 0:
-        raise ValueError(f"{num_permutations} permutations do not band into {bands}")
 
-    index = _build_nodes(dataset, shingle_size)
+    index = _build_nodes(dataset)
     clusters: list[DuplicateCluster] = []
 
     for records in index.node_records:
@@ -354,7 +343,7 @@ def scan_duplicates(
                 )
             )
 
-    edges = _verified_edges(index, jaccard_threshold, num_permutations, bands)
+    edges = _verified_edges(index, jaccard_threshold)
     uf = _UnionFind(len(index.node_records))
     for a, b, _ in edges:
         uf.union(a, b)

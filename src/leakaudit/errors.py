@@ -53,8 +53,7 @@ class IdParseError(LeakAuditError):
 
 
 class PreSnowflakeIdError(LeakAuditError):
-    """The id carries no plausible snowflake timestamp (sequential-era or
-    out-of-window decode)."""
+    """The id carries no snowflake timestamp (a sequential-era id)."""
 
 
 # --- tabular learner ------------------------------------------------------

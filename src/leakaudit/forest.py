@@ -42,7 +42,6 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -136,14 +135,6 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def depth(self) -> int:
-        def walk(node: int) -> int:
-            if self.feature[node] < 0:
-                return 0
-            return 1 + max(walk(int(self.left[node])), walk(int(self.right[node])))
-
-        return walk(0)
-
     def predict_index(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(len(X), dtype=np.int64)
         while True:
@@ -164,16 +155,6 @@ class DecisionTree:
             "right": self.right.tolist(),
             "counts": [None if c is None else [int(x) for x in c] for c in self.counts],
         }
-
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "DecisionTree":
-        return cls(
-            feature=np.asarray(raw["feature"], dtype=np.int64),
-            threshold=np.asarray(raw["threshold"], dtype=np.float64),
-            left=np.asarray(raw["left"], dtype=np.int64),
-            right=np.asarray(raw["right"], dtype=np.int64),
-            counts=[None if c is None else list(c) for c in raw["counts"]],
-        )
 
 
 def _as_feature_matrix(X) -> np.ndarray:
@@ -499,25 +480,6 @@ class ForestModel:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json_str() + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_json_str(cls, text: str) -> "ForestModel":
-        raw = json.loads(text)
-        if raw.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported model format: {raw.get('format_version')!r}")
-        return cls(
-            config=ForestConfig(**raw["config"]),
-            label_set=LabelSet(tuple(raw["labels"])),
-            trees=[DecisionTree.from_json_dict(t) for t in raw["trees"]],
-            n_features=int(raw["n_features"]),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ForestModel":
-        return cls.from_json_str(Path(path).read_text(encoding="utf-8"))
-
 
 def _prepare(X, y: Sequence[str], label_set: LabelSet | None):
     X = _as_feature_matrix(X)
@@ -540,22 +502,34 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     )
 
 
-def fit_tree(
-    X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
-) -> ForestModel:
-    """Fit a single deterministic tree (no bootstrap) on all rows.
-
-    Returned as a one-tree ForestModel so predict/serialize are uniform.
-    """
-    config = config or ForestConfig()
+def _fit(X, y, config, label_set, n_trees: int, bootstrap: bool) -> ForestModel:
     X, y_idx, label_set = _prepare(X, y, label_set)
-    pat_X, pat_y, pat_w, _ = _compress(X, y_idx)
-    grower = _LockstepGrower(
-        pat_X, pat_y, len(label_set), config, [_tree_rng(config.seed, 0)], [pat_w]
-    )
+    pat_X, pat_y, pat_w, inverse = _compress(X, y_idx)
+    rngs = [_tree_rng(config.seed, t) for t in range(n_trees)]
+    if bootstrap:
+        # each substream makes its bootstrap draw before any feature order
+        weights = [
+            np.bincount(inverse[rng.integers(0, len(X), size=len(X))], minlength=len(pat_w))
+            for rng in rngs
+        ]
+    else:
+        weights = [pat_w] * n_trees
+    grower = _LockstepGrower(pat_X, pat_y, len(label_set), config, rngs, weights)
     return ForestModel(
         config=config, label_set=label_set, trees=grower.grow(), n_features=X.shape[1]
     )
+
+
+def fit_tree(
+    X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
+) -> ForestModel:
+    """Fit a single deterministic tree (no bootstrap) on all rows, whatever
+    config.n_trees and config.bootstrap say.
+
+    Returned as a one-tree ForestModel, keeping config, so predict and
+    serialize are uniform.
+    """
+    return _fit(X, y, config or ForestConfig(), label_set, n_trees=1, bootstrap=False)
 
 
 def fit_forest(
@@ -564,21 +538,7 @@ def fit_forest(
     """Fit a voting forest; tree t draws its RNG substream from
     (config.seed, t), so no tree depends on the trees fitted beside it."""
     config = config or ForestConfig()
-    X, y_idx, label_set = _prepare(X, y, label_set)
-    pat_X, pat_y, pat_w, inverse = _compress(X, y_idx)
-    rngs = [_tree_rng(config.seed, t) for t in range(config.n_trees)]
-    if config.bootstrap:
-        # each substream makes its bootstrap draw before any feature order
-        weights = [
-            np.bincount(inverse[rng.integers(0, len(X), size=len(X))], minlength=len(pat_w))
-            for rng in rngs
-        ]
-    else:
-        weights = [pat_w] * config.n_trees
-    grower = _LockstepGrower(pat_X, pat_y, len(label_set), config, rngs, weights)
-    return ForestModel(
-        config=config, label_set=label_set, trees=grower.grow(), n_features=X.shape[1]
-    )
+    return _fit(X, y, config, label_set, config.n_trees, config.bootstrap)
 
 
 # --- stratified random baseline -------------------------------------------
@@ -666,29 +626,3 @@ def baseline_macro_f1_monte_carlo(
         macro_sum += float(f1[:, present].mean(axis=1).sum())
         done += m
     return macro_sum / n_draws
-
-
-@dataclass(frozen=True)
-class StratifiedBaseline:
-    """Generator of label predictions drawn iid from a training
-    distribution; the no-information reference every leak score is
-    measured against."""
-
-    label_probs: Mapping[str, float]
-    seed: int = 0
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[str], seed: int = 0) -> "StratifiedBaseline":
-        counts: dict[str, int] = {}
-        for lab in labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        return cls(label_probs=_normalize(counts, "train"), seed=seed)
-
-    def predict_for(self, ids: Sequence[str]) -> dict[str, str]:
-        labels = sorted(self.label_probs)
-        probs = np.array([self.label_probs[lab] for lab in labels], dtype=np.float64)
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed % 2**64)))
-        draws = np.searchsorted(cum, rng.random(len(ids)), side="right")
-        return {rid: labels[i] for rid, i in zip(ids, draws)}

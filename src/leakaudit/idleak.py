@@ -25,25 +25,21 @@ from .metrics import ConfusionMatrix, result_from_matrix
 from .splits import Split, SplitSpec, random_split
 
 
-@dataclass(frozen=True)
-class VerdictThresholds:
-    """Score cutpoints for the human-readable verdict."""
-
-    none_below: float = 0.05
-    mild_below: float = 0.15
-    moderate_below: float = 0.40
-
-    def verdict(self, leakage_score: float) -> str:
-        if leakage_score < self.none_below:
-            return "none"
-        if leakage_score < self.mild_below:
-            return "mild"
-        if leakage_score < self.moderate_below:
-            return "moderate"
-        return "severe"
+# leak-score cutpoints of the human-readable verdict
+NONE_BELOW = 0.05
+MILD_BELOW = 0.15
+MODERATE_BELOW = 0.40
 
 
-DEFAULT_THRESHOLDS = VerdictThresholds()
+def verdict(score: float) -> str:
+    """Grade a leak score: none, mild, moderate or severe."""
+    if score < NONE_BELOW:
+        return "none"
+    if score < MILD_BELOW:
+        return "mild"
+    if score < MODERATE_BELOW:
+        return "moderate"
+    return "severe"
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,6 @@ def run_id_leak_test(
     split: Split,
     k: int,
     config: ForestConfig | None = None,
-    thresholds: VerdictThresholds = DEFAULT_THRESHOLDS,
 ) -> IdLeakReport:
     """Run the probe on one split at one prefix length.
 
@@ -161,7 +156,7 @@ def run_id_leak_test(
         macro_f1=result.macro_f1,
         baseline_macro_f1=baseline,
         leakage_score=score,
-        verdict=thresholds.verdict(score),
+        verdict=verdict(score),
         n_train=len(kept_train),
         n_test=len(kept_test),
         excluded_short_ids=excluded,
@@ -179,39 +174,36 @@ def run_id_leak_suite(
     k_values=(2, 3),
     split: Split | None = None,
     n_splits: int = 5,
-    ratios=(0.7, 0.1, 0.2),
     seed: int = 0,
     config: ForestConfig | None = None,
-    thresholds: VerdictThresholds = DEFAULT_THRESHOLDS,
 ) -> list[IdLeakReport]:
     """Probe at several prefix lengths.
 
     With a canonical split given, one report per k on that split. Without
-    one, generates n_splits fresh stratified splits (seeded substreams of
-    ``seed``) and reports every (split, k) pair, so downstream summaries
-    can quote mean and spread instead of one arbitrary partition's luck.
+    one, generates n_splits fresh stratified 70/10/20 splits (seeded
+    substreams of ``seed``) and reports every (split, k) pair, so
+    downstream summaries can quote mean and spread instead of one
+    arbitrary partition's luck.
     """
     reports: list[IdLeakReport] = []
     if split is not None:
         for k in k_values:
-            reports.append(run_id_leak_test(dataset, split, k, config, thresholds))
+            reports.append(run_id_leak_test(dataset, split, k, config))
         return reports
     for i in range(n_splits):
         spec = SplitSpec(
-            ratios=tuple(ratios),
+            ratios=(0.7, 0.1, 0.2),
             seed=_derived_seed(seed, i),
             stratify=True,
             name=f"probe-split-{i}",
         )
         generated = random_split(dataset, spec)
         for k in k_values:
-            reports.append(run_id_leak_test(dataset, generated, k, config, thresholds))
+            reports.append(run_id_leak_test(dataset, generated, k, config))
     return reports
 
 
-def summarize_id_leak_suite(
-    reports, thresholds: VerdictThresholds = DEFAULT_THRESHOLDS
-) -> dict[int, dict]:
+def summarize_id_leak_suite(reports) -> dict[int, dict]:
     """Per-k mean/std of macro-F1 and leak score across a suite's runs.
 
     Std is the sample standard deviation (ddof=1), 0.0 for a single run.
@@ -234,6 +226,6 @@ def summarize_id_leak_suite(
             "baseline_mean": float(baselines.mean()),
             "leakage_mean": mean_score,
             "leakage_std": float(scores.std(ddof=ddof)),
-            "verdict": thresholds.verdict(mean_score),
+            "verdict": verdict(mean_score),
         }
     return out

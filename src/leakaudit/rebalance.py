@@ -23,7 +23,6 @@ import numpy as np
 
 from .data import Dataset, Record
 from .errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
-from .forest import ForestConfig
 from .idleak import IdLeakReport, run_id_leak_test
 from .snowflake import timestamp_histogram
 from .splits import SplitSpec, random_split
@@ -153,8 +152,8 @@ def _tv_distance(hist_a: dict[int, int], hist_b: dict[int, int]) -> float:
     return min(tv, 1.0)
 
 
-def _tv_per_label(dataset: Dataset, anchor_label: str, bucket_ms: int) -> dict[str, float]:
-    hist = timestamp_histogram(dataset, bucket_ms)
+def _tv_per_label(dataset: Dataset, anchor_label: str) -> dict[str, float]:
+    hist = timestamp_histogram(dataset, DAY_MS)
     anchor = hist.label_marginal(anchor_label)
     return {
         label: _tv_distance(hist.label_marginal(label), anchor)
@@ -163,9 +162,10 @@ def _tv_per_label(dataset: Dataset, anchor_label: str, bucket_ms: int) -> dict[s
     }
 
 
-def _leak_probe(dataset: Dataset, k: int, seed: int, config: ForestConfig | None) -> IdLeakReport:
+def _leak_probe(dataset: Dataset, seed: int) -> IdLeakReport:
+    """The k=3 id probe with default forest settings on one 70/10/20 split."""
     spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed, stratify=True)
-    return run_id_leak_test(dataset, random_split(dataset, spec), k, config)
+    return run_id_leak_test(dataset, random_split(dataset, spec), k=3)
 
 
 def time_rebalance(
@@ -175,9 +175,6 @@ def time_rebalance(
     *,
     seed: int,
     window_ms: int = DEFAULT_WINDOW_MS,
-    bucket_ms: int = DAY_MS,
-    leak_k: int = 3,
-    leak_config: ForestConfig | None = None,
     measure_leak: bool = True,
 ) -> tuple[Dataset, RebalanceReport]:
     """Replace non-anchor records with time-matched pool records.
@@ -224,8 +221,8 @@ def time_rebalance(
 
     leak_before = leak_after = None
     if measure_leak:
-        leak_before = _leak_probe(dataset, leak_k, seed, leak_config)
-    tv_before = _tv_per_label(dataset, anchor_label, bucket_ms)
+        leak_before = _leak_probe(dataset, seed)
+    tv_before = _tv_per_label(dataset, anchor_label)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64)))
     replaced_per_label = {label: 0 for label in dataset.label_set if label != anchor_label}
@@ -253,8 +250,8 @@ def time_rebalance(
         source_notes=dataset.source_notes,
     )
     if measure_leak:
-        leak_after = _leak_probe(rebalanced, leak_k, seed, leak_config)
-    tv_after = _tv_per_label(rebalanced, anchor_label, bucket_ms)
+        leak_after = _leak_probe(rebalanced, seed)
+    tv_after = _tv_per_label(rebalanced, anchor_label)
 
     report = RebalanceReport(
         anchor_label=anchor_label,

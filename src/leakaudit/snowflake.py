@@ -19,26 +19,9 @@ from dataclasses import dataclass, field
 from .errors import IdParseError, PreSnowflakeIdError
 
 TWITTER_EPOCH_MS = 1288834974657
-# 2100-01-01T00:00:00Z; decodes past this are garbage ids, not timestamps.
-MAX_PLAUSIBLE_MS = 4102444800000
+# worker (10 bits) and sequence (12 bits) sit below the timestamp field
+TIMESTAMP_SHIFT = 22
 MAX_ID = 2**63 - 1
-
-
-@dataclass(frozen=True)
-class SnowflakeConstants:
-    """Bit layout of the id scheme. The defaults are Twitter's."""
-
-    epoch_ms: int = TWITTER_EPOCH_MS
-    worker_bits: int = 10
-    sequence_bits: int = 12
-    max_plausible_ms: int = MAX_PLAUSIBLE_MS
-
-    @property
-    def timestamp_shift(self) -> int:
-        return self.worker_bits + self.sequence_bits
-
-
-DEFAULT_CONSTANTS = SnowflakeConstants()
 
 
 def parse_id(id_str: str) -> int:
@@ -61,47 +44,31 @@ def parse_id(id_str: str) -> int:
     return value
 
 
-def decode_timestamp(id_str: str, constants: SnowflakeConstants = DEFAULT_CONSTANTS) -> int:
+def decode_timestamp(id_str: str) -> int:
     """Decode the creation time of a snowflake id, in unix milliseconds.
+
+    The largest id decodes to ``(MAX_ID >> 22) + TWITTER_EPOCH_MS``, in
+    the year 2080, so every nonzero timestamp field is a plausible time.
 
     Raises:
         IdParseError: if the id is not a canonical decimal string.
         PreSnowflakeIdError: if the timestamp field is zero (sequential-era
-            id) or the decode falls after ``max_plausible_ms``.
+            id).
     """
-    value = parse_id(id_str)
-    offset = value >> constants.timestamp_shift
+    offset = parse_id(id_str) >> TIMESTAMP_SHIFT
     if offset == 0:
         raise PreSnowflakeIdError(
             f"id {id_str} has a zero timestamp field (pre-snowflake id)"
         )
-    ts = offset + constants.epoch_ms
-    if ts > constants.max_plausible_ms:
-        raise PreSnowflakeIdError(
-            f"id {id_str} decodes past the plausible window ({ts} ms)"
-        )
-    return ts
+    return offset + TWITTER_EPOCH_MS
 
 
-def try_decode_timestamp(
-    id_str: str, constants: SnowflakeConstants = DEFAULT_CONSTANTS
-) -> int | None:
+def try_decode_timestamp(id_str: str) -> int | None:
     """decode_timestamp, but None instead of PreSnowflakeIdError."""
     try:
-        return decode_timestamp(id_str, constants)
+        return decode_timestamp(id_str)
     except PreSnowflakeIdError:
         return None
-
-
-def decode_parts(
-    id_str: str, constants: SnowflakeConstants = DEFAULT_CONSTANTS
-) -> tuple[int, int, int]:
-    """Split an id into (timestamp_ms, worker_id, sequence) for debugging."""
-    ts = decode_timestamp(id_str, constants)
-    value = int(id_str)
-    worker = (value >> constants.sequence_bits) & ((1 << constants.worker_bits) - 1)
-    sequence = value & ((1 << constants.sequence_bits) - 1)
-    return ts, worker, sequence
 
 
 @dataclass(frozen=True)
@@ -116,9 +83,6 @@ class TimestampHistogram:
     bucket_ms: int
     counts: dict[tuple[str, int], int] = field(default_factory=dict)
     excluded_count: int = 0
-
-    def labels(self) -> list[str]:
-        return sorted({label for label, _ in self.counts})
 
     def label_marginal(self, label: str) -> dict[int, int]:
         return {b: c for (lab, b), c in self.counts.items() if lab == label}

@@ -13,15 +13,12 @@ hashtags surface as plain tokens.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .data import Dataset
-from .errors import UnknownLabelError
 
 URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -135,84 +132,3 @@ def scan_discriminative_tokens(dataset: Dataset, min_df: int = 5) -> list[TokenS
         )
     stats.sort(key=lambda s: (-abs(s.log_odds), s.token))
     return stats
-
-
-@dataclass(frozen=True)
-class ScatterData:
-    """Token frequencies for one label vs all others, per 1000 records;
-    feeds a scatter plot whose off-diagonal points are shortcut suspects."""
-
-    target_label: str
-    rows: list[tuple[str, float, float]]
-    n_target: int
-    n_rest: int
-    skipped_empty: int
-
-
-def class_scatter_data(dataset: Dataset, target_label: str, min_df: int = 1) -> ScatterData:
-    """Per-token document rates (per 1000 records) in the target label vs
-    the rest.
-
-    Raises:
-        UnknownLabelError: if the label is not in the label set.
-    """
-    if target_label not in dataset.label_set:
-        raise UnknownLabelError(f"label {target_label!r} not in label set")
-    target_counts: dict[str, int] = {}
-    rest_counts: dict[str, int] = {}
-    n_target = n_rest = skipped = 0
-    for record in dataset.records:
-        tokens = token_set(record.text)
-        if not tokens:
-            skipped += 1
-            continue
-        bucket = target_counts if record.label == target_label else rest_counts
-        if record.label == target_label:
-            n_target += 1
-        else:
-            n_rest += 1
-        for tok in tokens:
-            bucket[tok] = bucket.get(tok, 0) + 1
-
-    rows: list[tuple[str, float, float]] = []
-    for tok in sorted(set(target_counts) | set(rest_counts)):
-        a = target_counts.get(tok, 0)
-        b = rest_counts.get(tok, 0)
-        if a + b < min_df:
-            continue
-        rate_target = 1000.0 * a / n_target if n_target else 0.0
-        rate_rest = 1000.0 * b / n_rest if n_rest else 0.0
-        rows.append((tok, rate_target, rate_rest))
-    return ScatterData(
-        target_label=target_label,
-        rows=rows,
-        n_target=n_target,
-        n_rest=n_rest,
-        skipped_empty=skipped,
-    )
-
-
-def write_token_stats_csv(stats: Iterable[TokenStats], path: str | Path) -> None:
-    """token, doc_freq, log_odds, top_label, excluded_labels rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "doc_freq", "log_odds", "top_label", "excluded_labels"])
-        for s in stats:
-            writer.writerow(
-                [s.token, s.doc_freq, f"{s.log_odds:.6f}", s.top_label, "|".join(s.excluded_labels)]
-            )
-
-
-def write_scatter_csv(scatter: ScatterData, path: str | Path) -> None:
-    """token, rate_target_per_1000, rate_rest_per_1000 rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "token",
-                f"rate_{scatter.target_label}_per_1000",
-                "rate_rest_per_1000",
-            ]
-        )
-        for tok, rate_t, rate_r in scatter.rows:
-            writer.writerow([tok, f"{rate_t:.4f}", f"{rate_r:.4f}"])

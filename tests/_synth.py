@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from leakaudit import TWITTER_EPOCH_MS, Dataset, build_dataset
+from leakaudit import TWITTER_EPOCH_MS, build_dataset
+from leakaudit.data import Dataset
 
 DAY_MS = 86_400_000
 LABELS = ("true", "false", "unverified", "non-rumor")

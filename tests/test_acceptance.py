@@ -33,32 +33,32 @@ import pytest
 
 from _oracle_forest import oracle_predict, oracle_tree
 from leakaudit import (
-    Dataset,
-    ForestConfig,
     LabelSet,
     Manifest,
-    Record,
     SplitSpec,
     TWITTER_EPOCH_MS,
-    baseline_expected_macro_f1,
-    baseline_macro_f1_monte_carlo,
     build_dataset,
     decode_timestamp,
     evaluate,
     export_split,
-    fit_tree,
-    get_preset,
     keyword_label_table,
     load_jsonl,
     load_presets,
     make_split,
     preset_split,
     run_id_leak_test,
-    save_jsonl,
     scan_duplicates,
     time_rebalance,
 )
 from leakaudit.cli import main as cli_main
+from leakaudit.data import Dataset, Record, save_jsonl
+from leakaudit.forest import (
+    ForestConfig,
+    baseline_expected_macro_f1,
+    baseline_macro_f1_monte_carlo,
+    fit_tree,
+)
+from leakaudit.splits import get_preset
 from test_metrics import brute_force_eval
 
 DATA_DIR = Path(os.environ.get("LEAKAUDIT_DATA_DIR", "data"))
@@ -271,7 +271,7 @@ def test_criterion_08_forest_matches_exact_oracle():
 
 @criterion(9)
 def test_criterion_09_metrics_match_exact_oracle():
-    from leakaudit import EmptyInputError
+    from leakaudit.errors import EmptyInputError
 
     rng = np.random.default_rng(1409)
     alphabet = ["a", "b", "c", "d", "e"]

@@ -13,8 +13,9 @@ import jsonschema
 import pytest
 
 import leakaudit
-from leakaudit import Manifest, dedup, label_distribution, load_jsonl, save_jsonl
+from leakaudit import Manifest, dedup, load_jsonl
 from leakaudit.cli import main, parse_window
+from leakaudit.data import label_distribution, save_jsonl
 
 LABELS = "true,false,unverified,non-rumor"
 SCHEMA_DIR = Path(leakaudit.__file__).parent / "schemas"
@@ -234,10 +235,21 @@ def test_split_errors(env, capsys):
     assert main(base + ["--seed", "1", "--ratios", "0.5,0.5"]) == 1
     assert "three numbers" in capsys.readouterr().err
 
-    assert main(base + ["--seed", "1", "--ratios", "a,b,c"]) == 1
+    for ratios in ("a,b,c", "0.7,x,0.2"):
+        assert main(base + ["--seed", "1", "--ratios", ratios]) == 1
+        assert f"error: --ratios needs three numbers, got {ratios!r}" in capsys.readouterr().err
     assert main(base + ["--seed", "1", "--ratios", "0.5,0.4,0.3"]) == 1
     assert main(base + ["--seed", "1", "--preset", "no-such-preset"]) == 1
     assert not out.exists()
+
+    # --seed and --ratios are checked before the data file is opened
+    missing = ["split", str(env["root"] / "nope.jsonl"), "--labels", LABELS, "--out", str(out)]
+    assert main(missing) == 1
+    assert "--seed is required" in capsys.readouterr().err
+    assert main(missing + ["--seed", "1", "--ratios", "0.7,x,0.2"]) == 1
+    assert "--ratios" in capsys.readouterr().err
+    assert main(missing + ["--seed", "1", "--ratios", "0.5,0.4,0.3"]) == 1
+    assert "ratios sum to" in capsys.readouterr().err
 
 
 def test_split_preset(env, capsys):
@@ -383,6 +395,14 @@ def test_aggregate_votes(env, capsys):
         ["artC", "x"],
     ]
 
+    for min_tweets in ("0", "-5"):
+        rc = main([
+            "aggregate", str(data_path), "--labels", "x,y",
+            "--pred", str(pred_path), f"--min-tweets={min_tweets}", "--out", str(out_path),
+        ])
+        assert rc == 1
+        assert f"error: --min-tweets must be >= 1, got {min_tweets}" in capsys.readouterr().err
+
 
 def test_rebalance_cli(env, capsys):
     out_path = env["root"] / "rebalanced.jsonl"
@@ -449,6 +469,17 @@ def test_rebalance_no_probe_and_errors(env, capsys):
         assert "error: --window must be positive" in capsys.readouterr().err
     assert main(base + ["--anchor-label", "no-such-label", "--seed", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # --seed and --window are checked before any file is opened
+    missing = [
+        "rebalance", str(env["root"] / "nope.jsonl"), "--labels", LABELS,
+        "--pool", str(env["root"] / "nope-pool.jsonl"), "--anchor-label", "non-rumor",
+        "--out", str(out_path),
+    ]
+    assert main(missing) == 1
+    assert "--seed is required" in capsys.readouterr().err
+    assert main(missing + ["--seed", "1", "--window", "abc"]) == 1
+    assert "error: --window needs ms" in capsys.readouterr().err
 
 
 def test_inspect_cli(env, capsys):

@@ -1,22 +1,11 @@
-"""Loaders, savers, validation, and the core model."""
+"""Loaders, the JSONL saver, validation, and the core model."""
 
 import json
 
 import pytest
 
-from leakaudit import (
-    Dataset,
-    LabelSet,
-    Manifest,
-    Record,
-    build_dataset,
-    label_distribution,
-    load_csv,
-    load_jsonl,
-    save_csv,
-    save_jsonl,
-    validate,
-)
+from leakaudit import LabelSet, Manifest, build_dataset, load_jsonl
+from leakaudit.data import Dataset, Record, label_distribution, load_csv, save_jsonl, validate
 from leakaudit.errors import (
     DuplicateIdError,
     RecordParseError,
@@ -185,19 +174,20 @@ def test_jsonl_round_trip(tmp_path):
     assert (tmp_path / "rt2.jsonl").read_bytes() == out.read_bytes()
 
 
-def test_csv_round_trip(tmp_path):
-    rows = [
-        {"id": "4211941865", "text": 'comma, "quote"', "label": "real", "note": "n1"},
-        {"id": "77", "text": "plain", "label": "fake", "reply_count": 2, "note": "n2"},
-    ]
-    ds = build_dataset(rows, labels=["real", "fake"], name="rt")
-    out = tmp_path / "rt.csv"
-    save_csv(ds, out)
-    again = load_csv(out, Manifest(labels=("real", "fake")), name="rt")
-    assert [r.id for r in again.records] == [r.id for r in ds.records]
-    assert [r.text for r in again.records] == [r.text for r in ds.records]
-    assert again.records[1].reply_count == 2
-    assert again.records[0].extra["note"] == "n1"
+def test_load_csv_keeps_extra_columns(tmp_path):
+    # the full canonical header, empty optional cells, and one extra column
+    path = write(
+        tmp_path / "extra.csv",
+        "id,text,label,event,article_id,reply_count,note\n"
+        '4211941865,"comma, ""quote""",real,,,,n1\n'
+        "77,plain,fake,,,2,n2\n",
+    )
+    ds = load_csv(path, MANIFEST)
+    assert [r.id for r in ds.records] == ["4211941865", "77"]
+    assert [r.text for r in ds.records] == ['comma, "quote"', "plain"]
+    assert [r.reply_count for r in ds.records] == [None, 2]
+    assert [(r.event, r.article_id) for r in ds.records] == [(None, None), (None, None)]
+    assert [r.extra for r in ds.records] == [{"note": "n1"}, {"note": "n2"}]
 
 
 def test_validate_reports_instead_of_raising():
@@ -258,11 +248,3 @@ def test_label_distribution_zeros_included():
     assert outside.label_index.tolist() == [1, -1]
     assert label_distribution(outside) == {"fake": 0, "real": 1}
 
-
-def test_subset_preserves_order():
-    ds = build_dataset(
-        [{"id": str(i), "text": "t", "label": "real"} for i in range(1, 8)],
-        labels=["real"],
-    )
-    sub = ds.subset({"5", "2", "6"})
-    assert [r.id for r in sub.records] == ["2", "5", "6"]

@@ -10,13 +10,8 @@ cross-split pairs.
 import numpy as np
 import pytest
 
-from leakaudit import (
-    SplitSpec,
-    build_dataset,
-    normalize_text,
-    scan_duplicates,
-)
-from leakaudit.dedup import shingle_hashes
+from leakaudit import SplitSpec, build_dataset, scan_duplicates
+from leakaudit.dedup import normalize_text, shingle_hashes
 from leakaudit.splits import Split
 
 
@@ -276,8 +271,6 @@ def test_scan_parameter_validation(leaky):
         scan_duplicates(small, jaccard_threshold=0.0)
     with pytest.raises(ValueError):
         scan_duplicates(small, jaccard_threshold=1.2)
-    with pytest.raises(ValueError):
-        scan_duplicates(small, num_permutations=100, bands=32)
 
 
 def test_skipped_empty_and_wrapper():

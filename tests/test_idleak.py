@@ -12,22 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakaudit import (
-    AllIdsTooShortError,
-    DEFAULT_THRESHOLDS,
-    EmptySplitError,
-    ForestConfig,
-    SplitSpec,
-    VerdictThresholds,
-    build_dataset,
+from leakaudit import SplitSpec, build_dataset, run_id_leak_test
+from leakaudit.errors import AllIdsTooShortError, EmptySplitError
+from leakaudit.forest import ForestConfig
+from leakaudit.idleak import (
     digit_features,
     leakage_score,
-    random_split,
     run_id_leak_suite,
-    run_id_leak_test,
     summarize_id_leak_suite,
+    verdict,
 )
-from leakaudit.splits import Split
+from leakaudit.splits import Split, random_split
 
 FAST = ForestConfig(n_trees=20, seed=0)
 
@@ -141,15 +136,12 @@ def test_leakage_score_formula():
 
 
 def test_verdict_thresholds():
-    t = DEFAULT_THRESHOLDS
-    assert t.verdict(0.049) == "none"
-    assert t.verdict(0.05) == "mild"
-    assert t.verdict(0.149) == "mild"
-    assert t.verdict(0.15) == "moderate"
-    assert t.verdict(0.399) == "moderate"
-    assert t.verdict(0.40) == "severe"
-    custom = VerdictThresholds(none_below=0.5, mild_below=0.6, moderate_below=0.7)
-    assert custom.verdict(0.45) == "none"
+    assert verdict(0.049) == "none"
+    assert verdict(0.05) == "mild"
+    assert verdict(0.149) == "mild"
+    assert verdict(0.15) == "moderate"
+    assert verdict(0.399) == "moderate"
+    assert verdict(0.40) == "severe"
 
 
 def test_suite_on_canonical_split(leaky):

@@ -10,15 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leakaudit import (
+from leakaudit import LabelSet, build_dataset, evaluate
+from leakaudit.errors import EmptyInputError, PredictionFileError, UnknownLabelError
+from leakaudit.metrics import (
     ConfusionMatrix,
-    EmptyInputError,
-    LabelSet,
-    PredictionFileError,
-    UnknownLabelError,
     aggregate_article_votes,
-    build_dataset,
-    evaluate,
     evaluate_prediction_file,
     read_prediction_file,
     result_from_matrix,

@@ -13,15 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakaudit import (
-    EmptyPoolError,
-    NoAnchorRecordsError,
-    Record,
-    UnknownLabelError,
-    build_dataset,
-    label_distribution,
-    time_rebalance,
-)
+from leakaudit import build_dataset, time_rebalance
+from leakaudit.data import Record, label_distribution
+from leakaudit.errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
 from leakaudit.rebalance import _AlivePool
 
 ANCHOR = "non-rumor"

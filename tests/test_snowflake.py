@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from leakaudit import (
-    TWITTER_EPOCH_MS,
-    Dataset,
     LabelSet,
-    Record,
-    SnowflakeConstants,
+    TWITTER_EPOCH_MS,
     build_dataset,
-    decode_parts,
     decode_timestamp,
-    parse_id,
     timestamp_histogram,
     try_decode_timestamp,
-    validate,
 )
+from leakaudit.data import Dataset, Record, validate
 from leakaudit.errors import IdParseError, PreSnowflakeIdError, RecordParseError
+from leakaudit.snowflake import parse_id
 
 from _synth import snowflake_id
 
@@ -46,13 +42,6 @@ def test_pre_snowflake_ids_rejected():
     assert try_decode_timestamp("20") is None
 
 
-def test_out_of_window_decode_rejected():
-    # narrow layout makes a big id decode past year 2100
-    tight = SnowflakeConstants(worker_bits=2, sequence_bits=2)
-    with pytest.raises(PreSnowflakeIdError):
-        decode_timestamp(str(2**63 - 1), tight)
-
-
 @pytest.mark.parametrize(
     # Arabic-Indic digits and a superscript two are str.isdigit() but not ids
     "bad", ["", "abc", "12.3", "0", "007", "-5", str(2**63), "\u0661\u0662\u0663", "\u00b2"]
@@ -76,17 +65,16 @@ def test_parse_id_accepts_bounds():
     assert parse_id(str(2**63 - 1)) == 2**63 - 1
 
 
-def test_decode_parts_round_trip():
+def test_decode_random_ids():
     rng = np.random.default_rng(3)
     for _ in range(200):
         offset = int(rng.integers(1, 2**41))
         worker = int(rng.integers(0, 1 << 10))
         seq = int(rng.integers(0, 1 << 12))
         sid = str((offset << 22) | (worker << 12) | seq)
-        ts, got_worker, got_seq = decode_parts(sid)
-        assert ts == offset + TWITTER_EPOCH_MS
-        assert got_worker == worker
-        assert got_seq == seq
+        assert decode_timestamp(sid) == offset + TWITTER_EPOCH_MS
+    # the largest id decodes too: no timestamp field is out of range
+    assert decode_timestamp(str(2**63 - 1)) == (2**41 - 1) + TWITTER_EPOCH_MS
 
 
 def test_decode_monotone_in_id():

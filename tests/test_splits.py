@@ -14,33 +14,38 @@ from hypothesis import strategies as st
 
 import _oracle_splits
 from leakaudit import (
-    Dataset,
+    LabelSet,
+    SplitSpec,
+    build_dataset,
+    export_split,
+    load_presets,
+    make_split,
+    preset_split,
+)
+from leakaudit.data import Dataset, Record
+from leakaudit.errors import (
     EmptyInputError,
     InsufficientRecordsError,
-    LabelSet,
     MissingGroupFieldError,
     RatioError,
-    Record,
     SplitFileError,
-    SplitSpec,
     UnknownEventError,
     UnknownLabelError,
     UnknownPresetError,
-    build_dataset,
+)
+from leakaudit.splits import (
+    CONFIG_DIR_ENV,
+    Split,
     event_holdout_split,
-    export_split,
     find_conflicting_groups,
     get_preset,
     group_split,
     import_split,
     label_filter,
-    load_presets,
-    make_split,
-    preset_split,
+    largest_remainder,
     quota_subsample,
     random_split,
 )
-from leakaudit.splits import CONFIG_DIR_ENV, Split, largest_remainder
 
 PRESET_NAMES = {
     "pheme9-tf",

@@ -5,20 +5,12 @@ six "r" records (five containing "bomb") and four "n" records (none) gives
 "bomb" a smoothed log-odds of ln((5.5*4.5)/(0.5*1.5)) = ln(33) for "r".
 """
 
-import csv
 import math
 
 import pytest
 
-from leakaudit import (
-    UnknownLabelError,
-    build_dataset,
-    class_scatter_data,
-    keyword_label_table,
-    scan_discriminative_tokens,
-    token_set,
-    tokenize,
-)
+from leakaudit import build_dataset, keyword_label_table, scan_discriminative_tokens
+from leakaudit.textleak import token_set, tokenize
 
 
 def test_tokenize_rules():
@@ -113,54 +105,3 @@ def test_keyword_label_table_token_mode():
 
     sub = keyword_label_table(ds, ["Bomb"], substring=True)
     assert sub["Bomb"] == {"r": 2, "n": 0}
-
-
-def test_class_scatter_data():
-    ds = build_dataset(
-        [
-            {"id": "1", "text": "x y", "label": "t"},
-            {"id": "2", "text": "x", "label": "t"},
-            {"id": "3", "text": "z", "label": "t"},
-            {"id": "4", "text": "w", "label": "t"},
-            {"id": "5", "text": "x", "label": "o"},
-            {"id": "6", "text": "z", "label": "o"},
-            {"id": "7", "text": "http://u.rl", "label": "o"},
-        ],
-        labels=["t", "o"],
-    )
-    scatter = class_scatter_data(ds, "t")
-    assert scatter.n_target == 4 and scatter.n_rest == 2
-    assert scatter.skipped_empty == 1
-    rates = {tok: (rt, rr) for tok, rt, rr in scatter.rows}
-    assert rates["x"] == (500.0, 500.0)
-    assert rates["y"] == (250.0, 0.0)
-    assert rates["w"] == (250.0, 0.0)
-    # rows come back token-sorted
-    assert [row[0] for row in scatter.rows] == sorted(row[0] for row in scatter.rows)
-
-    filtered = class_scatter_data(ds, "t", min_df=2)
-    assert {row[0] for row in filtered.rows} == {"x", "z"}
-
-    with pytest.raises(UnknownLabelError):
-        class_scatter_data(ds, "missing")
-
-
-def test_csv_exports(tmp_path):
-    from leakaudit.textleak import write_scatter_csv, write_token_stats_csv
-
-    ds = _shortcut_dataset()
-    stats = scan_discriminative_tokens(ds, min_df=5)
-    stats_path = tmp_path / "tokens.csv"
-    write_token_stats_csv(stats, stats_path)
-    with open(stats_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["token", "doc_freq", "log_odds", "top_label", "excluded_labels"]
-    assert rows[1][0] == "bomb" and rows[1][4] == "n"
-    assert float(rows[1][2]) == pytest.approx(math.log(33.0), abs=1e-6)
-
-    scatter_path = tmp_path / "scatter.csv"
-    write_scatter_csv(class_scatter_data(ds, "r"), scatter_path)
-    with open(scatter_path, newline="", encoding="utf-8") as fh:
-        srows = list(csv.reader(fh))
-    assert srows[0] == ["token", "rate_r_per_1000", "rate_rest_per_1000"]
-    assert len(srows) == 1 + 3  # bomb, calm, the
