@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -29,12 +30,13 @@ from .idleak import run_id_leak_suite, summarize_id_leak_suite
 from .metrics import aggregate_article_votes, evaluate_prediction_file, read_prediction_file
 from .rebalance import DEFAULT_WINDOW_MS, time_rebalance
 from .splits import (
+    GROUP_FIELDS,
     SplitSpec,
     export_split,
+    get_preset,
     import_split,
     load_presets,
     make_split,
-    preset_split,
 )
 from .textleak import scan_discriminative_tokens
 
@@ -260,26 +262,39 @@ def _ratios(raw: str) -> tuple[float, float, float]:
     return ratios  # type: ignore[return-value]
 
 
+# split flags a preset replaces: argparse dest -> flag
+_SPEC_FLAGS = {
+    "ratios": "--ratios",
+    "no_stratify": "--no-stratify",
+    "group_by": "--group-by",
+    "holdout_event": "--holdout-event",
+    "label_filter": "--label-filter",
+    "exclude_conflicting_groups": "--exclude-conflicting-groups",
+}
+
+
 def cmd_split(args) -> int:
     if args.seed is None:
         raise UsageError("--seed is required for split")
-    spec = None
-    if not args.preset:
+    if args.preset:
+        given = [f for dest, f in _SPEC_FLAGS.items() if getattr(args, dest) not in (None, False)]
+        if given:
+            raise UsageError(f"--preset takes no other split flags, got {', '.join(given)}")
+        spec = replace(get_preset(args.preset), seed=args.seed)
+    else:
         spec = SplitSpec(
-            ratios=_ratios(args.ratios),
+            ratios=SplitSpec.ratios if args.ratios is None else _ratios(args.ratios),
             seed=args.seed,
             stratify=not args.no_stratify,
             group_by=args.group_by,
             holdout_event=args.holdout_event,
             label_filter=tuple(_comma_list(args.label_filter)) if args.label_filter else None,
             exclude_conflicting_groups=args.exclude_conflicting_groups,
-        ).validated()
+        )
+    spec.validated()
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
-    if spec is None:
-        split = preset_split(dataset, args.preset, seed=args.seed)
-    else:
-        split = make_split(dataset, spec)
+    split = make_split(dataset, spec)
     export_split(split, args.out)
     train_n, dev_n, test_n = split.sizes()
     print(f"split written to {args.out}")
@@ -439,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="generate and export a split")
     add_data_args(p)
     p.add_argument("--preset", help=f"named protocol ({', '.join(sorted(load_presets()))})")
-    p.add_argument("--ratios", default="0.7,0.1,0.2", help="train,dev,test fractions")
-    p.add_argument("--group-by", help="keep whole groups together (e.g. article_id)")
+    p.add_argument("--ratios", help="train,dev,test fractions (default 0.7,0.1,0.2)")
+    p.add_argument("--group-by", choices=GROUP_FIELDS, help="keep whole groups together")
     p.add_argument("--holdout-event", help="hold this event out as the test set")
     p.add_argument("--label-filter", help="comma-separated labels to keep")
     p.add_argument("--exclude-conflicting-groups", action="store_true",
@@ -492,13 +507,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LeakAuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (LeakAuditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -90,7 +90,9 @@ class AllIdsTooShortError(LeakAuditError):
 
 
 class RatioError(LeakAuditError):
-    """Split ratios are malformed (wrong arity, negative, or sum != 1)."""
+    """A split spec is malformed: bad ratios (wrong arity, negative, or
+    sum != 1), a missing seed, fields that cannot combine, a group_by
+    outside the group fields, or bad quotas."""
 
 
 class MissingGroupFieldError(LeakAuditError):

@@ -3,9 +3,10 @@ event-holdout partitioning, plus quota subsampling and a registry of named
 presets for the common benchmark protocols.
 
 Everything here is a pure function of (dataset, spec): the same seed gives
-byte-identical exported split files. Stratified allocation uses the
-largest-remainder method, so every per-label partition size is within one
-record of the exact proportion.
+byte-identical exported split files. A spec's filters narrow one list of
+dataset positions; one allocator then partitions that list. Stratified
+allocation uses the largest-remainder method, so every per-label partition
+size is within one record of the exact proportion.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, LabelSet, Record
+from .data import Dataset
 from .errors import (
     EmptyInputError,
     InsufficientRecordsError,
@@ -33,6 +34,7 @@ from .errors import (
 
 SPLIT_FORMAT_VERSION = 1
 PARTITIONS = ("train", "dev", "test")
+GROUP_FIELDS = ("article_id", "event")
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,9 @@ class SplitSpec:
 
     ratios are (train, dev, test) fractions summing to 1. Optional stages
     compose in a fixed order: event_filter -> label_filter ->
-    quota subsample -> partitioning (holdout, group, or random).
+    quota subsample -> partitioning (holdout, group, or random). group_by
+    names one of GROUP_FIELDS; quotas map labels to non-negative record
+    counts, at least one of them positive.
     """
 
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
@@ -69,6 +73,20 @@ class SplitSpec:
             )
         if self.holdout_event is not None and self.group_by is not None:
             raise RatioError("holdout_event and group_by cannot be combined")
+        if self.group_by is not None and self.group_by not in GROUP_FIELDS:
+            raise RatioError(
+                f"group_by must be one of {', '.join(GROUP_FIELDS)}, got {self.group_by!r}"
+            )
+        if self.label_filter is not None and not self.label_filter:
+            raise RatioError("label_filter must keep at least one label")
+        if self.quotas is not None:
+            for label, quota in self.quotas.items():
+                if isinstance(quota, bool) or not isinstance(quota, int) or quota < 0:
+                    raise RatioError(
+                        f"quotas: {label!r} needs a non-negative integer count, got {quota!r}"
+                    )
+            if not any(self.quotas.values()):
+                raise RatioError("quotas: at least one label needs a positive count")
         return self
 
     def to_json_dict(self) -> dict:
@@ -91,7 +109,7 @@ class SplitSpec:
                 kwargs[key] = tuple(kwargs[key])
         if kwargs.get("quotas") is not None:
             kwargs["quotas"] = dict(kwargs["quotas"])
-        unknown = set(kwargs) - {f.name for f in __import__("dataclasses").fields(cls)}
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise SplitFileError(f"unknown spec fields: {sorted(unknown)}")
         return cls(**kwargs)
@@ -151,251 +169,204 @@ def _partition_indices(
     ratios: Sequence[float],
     rng: np.random.Generator,
     stratify: bool,
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Allocate positions of ``labels`` (label-set positions, -1 outside the
     set) to (train, dev, test) in shuffled order. Stratified, each label is
-    allocated on its own and records outside the label set are dropped."""
+    allocated on its own and records outside the label set are dropped.
+
+    This is the one allocator. The permutation is drawn before grouping, so
+    a label with no records changes nothing: the full label set gives the
+    same split as one narrowed to the labels present."""
     perm = rng.permutation(len(labels))
     groups = [perm[labels[perm] == i] for i in range(n_labels)] if stratify else [perm]
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    chunks: tuple[list[np.ndarray], ...] = ([], [], [])
     for members in groups:
         start = 0
         for p, take in enumerate(largest_remainder(len(members), ratios)):
-            parts[p].extend(members[start : start + take].tolist())
+            chunks[p].append(members[start : start + take])
             start += take
-    return parts
+    return tuple(np.concatenate(chunk) for chunk in chunks)  # type: ignore[return-value]
+
+
+def _split(
+    dataset: Dataset, parts: Sequence[np.ndarray], spec: SplitSpec, provenance: dict
+) -> Split:
+    """A Split of three arrays of dataset positions."""
+    records = dataset.records
+    train, dev, test = (tuple(records[i].id for i in part.tolist()) for part in parts)
+    return Split(train_ids=train, dev_ids=dev, test_ids=test, spec=spec, provenance=provenance)
+
+
+def _shuffled_parts(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
+    """(train, dev, test) positions of ``rows`` under the spec's ratios."""
+    labels = dataset.label_index[rows]
+    rng = _rng(spec.seed)
+    parts = _partition_indices(labels, len(dataset.label_set), spec.ratios, rng, spec.stratify)
+    return [rows[part] for part in parts]
 
 
 def random_split(dataset: Dataset, spec: SplitSpec) -> Split:
-    """Seeded (optionally stratified) partition by the spec's ratios.
+    """Seeded (optionally stratified) partition of every record by the
+    spec's ratios; the spec's filters, holdout and grouping are not applied
+    here (``make_split`` applies them).
 
     Raises:
         EmptyInputError: on an empty dataset.
         RatioError: on malformed ratios or a missing seed.
     """
-    spec = spec.validated()
-    if len(dataset) == 0:
+    return _random(dataset, np.arange(len(dataset)), spec.validated())
+
+
+def _random(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
+    if len(rows) == 0:
         raise EmptyInputError("cannot split an empty dataset")
-    rng = _rng(spec.seed)
-    parts = _partition_indices(
-        dataset.label_index, len(dataset.label_set), spec.ratios, rng, spec.stratify
-    )
-    ids = [tuple(dataset.records[i].id for i in part) for part in parts]
-    return Split(
-        train_ids=ids[0],
-        dev_ids=ids[1],
-        test_ids=ids[2],
-        spec=spec,
-        provenance={
-            "generator": "random_split",
-            "dataset": dataset.name,
-            "n_records": len(dataset),
-            "stratified": spec.stratify,
-        },
-    )
+    provenance = {
+        "generator": "random_split",
+        "dataset": dataset.name,
+        "n_records": len(rows),
+        "stratified": spec.stratify,
+    }
+    return _split(dataset, _shuffled_parts(dataset, rows, spec), spec, provenance)
 
 
-def find_conflicting_groups(dataset: Dataset, group_by: str = "article_id") -> list[str]:
-    """Group keys whose records carry more than one distinct label."""
-    labels_of: dict[str, set[str]] = {}
-    for r in dataset.records:
-        key = getattr(r, group_by, None)
-        if key is not None:
-            labels_of.setdefault(key, set()).add(r.label)
-    return sorted(k for k, labs in labels_of.items() if len(labs) > 1)
+def _holdout(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
+    """The held-out event's rows are the test set; the rest split train/dev."""
+    records = dataset.records
+    held = np.array([records[i].event == spec.holdout_event for i in rows.tolist()], dtype=bool)
+    if not held.any():
+        raise UnknownEventError(f"no record has event {spec.holdout_event!r}")
+    train, dev, _ = _shuffled_parts(dataset, rows[~held], spec)
+    provenance = {
+        "generator": "event_holdout_split",
+        "dataset": dataset.name,
+        "holdout_event": spec.holdout_event,
+        "n_holdout_records": int(held.sum()),
+    }
+    return _split(dataset, (train, dev, rows[held]), spec, provenance)
 
 
-def group_split(dataset: Dataset, spec: SplitSpec) -> Split:
-    """Partition whole groups (e.g. all tweets of one article together).
+def _group(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
+    """Whole groups to one partition each; ratios apply to group counts.
 
-    Ratios apply to group counts. Records lacking the group field are
-    excluded and counted in provenance; with exclude_conflicting_groups,
-    groups with mixed labels are dropped too (their keys are recorded).
-
-    Raises:
-        MissingGroupFieldError: if no record carries the group field.
+    Rows lacking the group field are excluded and counted in provenance;
+    with exclude_conflicting_groups, groups with mixed labels are dropped
+    too (their keys are recorded). The output keeps dataset order.
     """
-    spec = spec.validated()
-    if spec.group_by is None:
-        raise RatioError("group_split needs spec.group_by")
     rng = _rng(spec.seed)
-
-    grouped: dict[str, list[Record]] = {}
-    ungrouped = 0
-    for r in dataset.records:
-        key = getattr(r, spec.group_by, None)
-        if key is None:
-            ungrouped += 1
-        else:
-            grouped.setdefault(key, []).append(r)
-    if not grouped:
+    records = dataset.records
+    key_of = [getattr(records[i], spec.group_by) for i in rows.tolist()]
+    labels_of: dict[str, set[str]] = {}
+    for i, key in zip(rows.tolist(), key_of):
+        if key is not None:
+            labels_of.setdefault(key, set()).add(records[i].label)
+    if not labels_of:
         raise MissingGroupFieldError(f"no record has a {spec.group_by!r} value")
 
     conflicting: list[str] = []
     if spec.exclude_conflicting_groups:
-        conflicting = [k for k in find_conflicting_groups(dataset, spec.group_by) if k in grouped]
+        conflicting = sorted(k for k, labels in labels_of.items() if len(labels) > 1)
         for k in conflicting:
-            del grouped[k]
-        if not grouped:
+            del labels_of[k]
+        if not labels_of:
             raise MissingGroupFieldError("every group was excluded as conflicting")
 
-    keys = sorted(grouped)
-    perm = rng.permutation(len(keys))
-    alloc = largest_remainder(len(keys), spec.ratios)
-    part_of_key: dict[str, int] = {}
-    start = 0
-    for p, take in enumerate(alloc):
-        for i in perm[start : start + take]:
-            part_of_key[keys[int(i)]] = p
-        start += take
-
-    ids: tuple[list[str], ...] = ([], [], [])
-    for r in dataset.records:
-        key = getattr(r, spec.group_by, None)
-        if key in part_of_key:
-            ids[part_of_key[key]].append(r.id)
-
+    keys = sorted(labels_of)
+    key_parts = _partition_indices(
+        np.zeros(len(keys), dtype=np.int64), 1, spec.ratios, rng, stratify=False
+    )
+    part_of_key = {keys[k]: p for p, part in enumerate(key_parts) for k in part.tolist()}
+    part_of_row = np.array([part_of_key.get(key, -1) for key in key_of])
     provenance = {
         "generator": "group_split",
         "dataset": dataset.name,
         "group_by": spec.group_by,
         "n_groups": len(keys),
-        "excluded_ungrouped_records": ungrouped,
+        "excluded_ungrouped_records": key_of.count(None),
         "excluded_conflicting_groups": conflicting,
     }
     if len(keys) < 3:
         provenance["warning"] = (
             f"only {len(keys)} group(s): some partitions are necessarily empty"
         )
-    return Split(
-        train_ids=tuple(ids[0]),
-        dev_ids=tuple(ids[1]),
-        test_ids=tuple(ids[2]),
-        spec=spec,
-        provenance=provenance,
-    )
+    return _split(dataset, [rows[part_of_row == p] for p in range(3)], spec, provenance)
 
 
-def event_holdout_split(
-    dataset: Dataset,
-    holdout_event: str,
-    dev_ratio: float = 0.1,
-    seed: int | None = None,
-    stratify: bool = True,
-) -> Split:
-    """Hold one event out as the whole test set; split the rest train/dev.
+def _filter_rows(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, dict[str, object]]:
+    """Dataset positions the spec's event, label and quota filters keep, in
+    dataset order, plus each stage's record for the provenance."""
+    records = dataset.records
+    label_set = dataset.label_set
+    rows = np.arange(len(records))
+    stages: dict[str, object] = {}
 
-    Raises:
-        UnknownEventError: if no record belongs to the event.
-    """
-    if not 0.0 <= dev_ratio < 1.0:
-        raise RatioError(f"dev_ratio must be in [0, 1), got {dev_ratio}")
-    spec = SplitSpec(
-        ratios=(1.0 - dev_ratio, dev_ratio, 0.0),
-        seed=seed,
-        stratify=stratify,
-        holdout_event=holdout_event,
-    ).validated()
-    return _holdout(dataset, spec)
+    if spec.event_filter is not None:
+        events = {r.event for r in records}
+        missing = [e for e in spec.event_filter if e not in events]
+        if missing:
+            raise UnknownEventError(f"events not in dataset: {missing}")
+        keep = set(spec.event_filter)
+        rows = rows[[r.event in keep for r in records]]
+        stages["event_filter"] = {"events": list(spec.event_filter), "n_after": len(rows)}
 
+    # labels a quota may name: the label set, narrowed by the label filter
+    labels = label_set.labels
+    if spec.label_filter is not None:
+        for label in spec.label_filter:
+            if label not in label_set:
+                raise UnknownLabelError(f"label {label!r} not in label set")
+        labels = tuple(lab for lab in labels if lab in spec.label_filter)
+        rows = rows[np.isin(dataset.label_index[rows], label_set.encode(labels))]
+        stages["label_filter"] = {"labels": list(spec.label_filter), "n_after": len(rows)}
 
-def _holdout(dataset: Dataset, spec: SplitSpec) -> Split:
-    test_ids = [r.id for r in dataset.records if r.event == spec.holdout_event]
-    if not test_ids:
-        raise UnknownEventError(f"no record has event {spec.holdout_event!r}")
-    rest = [i for i, r in enumerate(dataset.records) if r.event != spec.holdout_event]
-    rng = _rng(spec.seed)
-    parts = _partition_indices(
-        dataset.label_index[rest], len(dataset.label_set), spec.ratios, rng, spec.stratify
-    )
-    return Split(
-        train_ids=tuple(dataset.records[rest[i]].id for i in parts[0]),
-        dev_ids=tuple(dataset.records[rest[i]].id for i in parts[1]),
-        test_ids=tuple(test_ids),
-        spec=spec,
-        provenance={
-            "generator": "event_holdout_split",
-            "dataset": dataset.name,
-            "holdout_event": spec.holdout_event,
-            "n_holdout_records": len(test_ids),
-        },
-    )
+    if spec.quotas is not None:
+        rows = _quota_rows(dataset, rows, labels, spec)
+        stages["quota_subsample"] = {
+            "quotas": dict(spec.quotas),
+            "min_reply_count": spec.min_reply_count,
+            "n_after": len(rows),
+        }
+    return rows, stages
 
 
-def quota_subsample(
-    dataset: Dataset,
-    quotas: Mapping[str, int],
-    min_reply_count: int | None = None,
-    seed: int | None = None,
-) -> Dataset:
-    """Random per-label subsample to exact quota sizes.
-
-    Only records meeting min_reply_count (when set) are eligible; records
-    without a reply_count count as 0 replies. The result keeps dataset
-    order and narrows the label set to the quota labels.
+def _quota_rows(
+    dataset: Dataset, rows: np.ndarray, labels: Sequence[str], spec: SplitSpec
+) -> np.ndarray:
+    """Random per-label subsample of ``rows`` to exact quota sizes, in
+    dataset order. Only rows meeting min_reply_count (when set) are
+    eligible; a missing reply_count counts as 0 replies.
 
     Raises:
-        UnknownLabelError: for a quota on a label outside the label set.
+        UnknownLabelError: for a quota on a label outside ``labels``.
         InsufficientRecordsError: naming each label whose eligible pool is
             smaller than its quota.
     """
+    quotas = spec.quotas
     for label in quotas:
-        if label not in dataset.label_set:
+        if label not in labels:
             raise UnknownLabelError(f"quota label {label!r} not in label set")
-    rng = _rng(seed)
+    rng = _rng(spec.seed)
 
-    eligible: dict[str, list[int]] = {label: [] for label in quotas}
-    for i, r in enumerate(dataset.records):
-        if r.label not in eligible:
-            continue
-        if min_reply_count is not None and (r.reply_count or 0) < min_reply_count:
-            continue
-        eligible[r.label].append(i)
-
-    shortfalls = {
-        label: (quotas[label], len(eligible[label]))
-        for label in quotas
-        if len(eligible[label]) < quotas[label]
-    }
-    if shortfalls:
-        detail = ", ".join(
-            f"{label}: need {need}, have {have}" for label, (need, have) in sorted(shortfalls.items())
-        )
+    records = dataset.records
+    if spec.min_reply_count is not None:
+        replies = [records[i].reply_count or 0 for i in rows.tolist()]
+        rows = rows[[n >= spec.min_reply_count for n in replies]]
+    label_of = dataset.label_index[rows]
+    pools = {label: rows[label_of == dataset.label_set.index(label)] for label in quotas}
+    detail = ", ".join(
+        f"{label}: need {quotas[label]}, have {len(pools[label])}"
+        for label in sorted(pools)
+        if len(pools[label]) < quotas[label]
+    )
+    if detail:
         raise InsufficientRecordsError(f"quota cannot be met ({detail})")
 
-    chosen: set[int] = set()
     # label-set order fixes the rng consumption order
-    for label in dataset.label_set:
-        if label not in quotas or quotas[label] == 0:
-            continue
-        pool = eligible[label]
-        take = rng.permutation(len(pool))[: quotas[label]]
-        chosen.update(pool[int(i)] for i in take)
-
-    records = tuple(r for i, r in enumerate(dataset.records) if i in chosen)
-    kept_labels = tuple(lab for lab in dataset.label_set if lab in quotas and quotas[lab] > 0)
-    return Dataset(
-        records=records,
-        label_set=LabelSet(kept_labels),
-        name=dataset.name,
-        source_notes=dataset.source_notes,
-    )
-
-
-def label_filter(dataset: Dataset, labels: Iterable[str]) -> Dataset:
-    """Keep only the given labels; label-set order is preserved from the
-    original. Filtering to the full label set is the identity."""
-    wanted = set(labels)
-    for label in wanted:
-        if label not in dataset.label_set:
-            raise UnknownLabelError(f"label {label!r} not in label set")
-    kept = tuple(lab for lab in dataset.label_set if lab in wanted)
-    return Dataset(
-        records=tuple(r for r in dataset.records if r.label in wanted),
-        label_set=LabelSet(kept),
-        name=dataset.name,
-        source_notes=dataset.source_notes,
-    )
+    chosen = [
+        pools[label][rng.permutation(len(pools[label]))[: quotas[label]]]
+        for label in dataset.label_set
+        if quotas.get(label, 0) > 0
+    ]
+    return np.sort(np.concatenate(chosen))
 
 
 def make_split(dataset: Dataset, spec: SplitSpec) -> Split:
@@ -405,52 +376,15 @@ def make_split(dataset: Dataset, spec: SplitSpec) -> Split:
     the returned provenance.
     """
     spec = spec.validated()
-    working = dataset
-    stages: dict[str, object] = {}
-
-    if spec.event_filter is not None:
-        events = {r.event for r in working.records}
-        missing = [e for e in spec.event_filter if e not in events]
-        if missing:
-            raise UnknownEventError(f"events not in dataset: {missing}")
-        keep = set(spec.event_filter)
-        working = Dataset(
-            records=tuple(r for r in working.records if r.event in keep),
-            label_set=working.label_set,
-            name=working.name,
-            source_notes=working.source_notes,
-        )
-        stages["event_filter"] = {"events": list(spec.event_filter), "n_after": len(working)}
-
-    if spec.label_filter is not None:
-        working = label_filter(working, spec.label_filter)
-        stages["label_filter"] = {"labels": list(spec.label_filter), "n_after": len(working)}
-
-    if spec.quotas is not None:
-        working = quota_subsample(working, spec.quotas, spec.min_reply_count, spec.seed)
-        stages["quota_subsample"] = {
-            "quotas": dict(spec.quotas),
-            "min_reply_count": spec.min_reply_count,
-            "n_after": len(working),
-        }
-
+    rows, stages = _filter_rows(dataset, spec)
     if spec.holdout_event is not None:
-        split = _holdout(working, spec)
+        split = _holdout(dataset, rows, spec)
     elif spec.group_by is not None:
-        split = group_split(working, spec)
+        split = _group(dataset, rows, spec)
     else:
-        split = random_split(working, spec)
-
+        split = _random(dataset, rows, spec)
     if stages:
-        provenance = dict(split.provenance)
-        provenance["stages"] = stages
-        split = Split(
-            train_ids=split.train_ids,
-            dev_ids=split.dev_ids,
-            test_ids=split.test_ids,
-            spec=spec,
-            provenance=provenance,
-        )
+        split.provenance["stages"] = stages
     return split
 
 
@@ -561,5 +495,5 @@ def preset_split(dataset: Dataset, name: str, seed: int | None = None) -> Split:
     """Apply a named preset; ``seed`` fills a spec that ships without one."""
     spec = get_preset(name)
     if seed is not None:
-        spec = SplitSpec.from_json_dict({**spec.to_json_dict(), "seed": seed})
+        spec = replace(spec, seed=seed)
     return make_split(dataset, spec)

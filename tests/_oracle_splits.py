@@ -42,7 +42,7 @@ def random_split_ids(dataset, ratios, seed, stratify):
 
 
 def holdout_split_ids(dataset, event, dev_ratio, seed, stratify):
-    """(train, dev, test) id tuples of ``event_holdout_split``."""
+    """(train, dev, test) id tuples of ``make_split`` with ``holdout_event``."""
     test = tuple(r.id for r in dataset.records if r.event == event)
     rest = [r for r in dataset.records if r.event != event]
     ratios = (1.0 - dev_ratio, dev_ratio, 0.0)

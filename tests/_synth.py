@@ -98,3 +98,36 @@ def replacement_pool(
                 {"id": snowflake_id(ts, rng, seen), "text": random_text(rng), "label": label}
             )
     return build_dataset(rows, labels=LABELS, name=name)
+
+
+PHEME_EVENTS = (
+    "charliehebdo", "sydneysiege", "ferguson", "ottawashooting", "germanwings-crash",
+    "putinmissing", "prince-toronto", "gurlitt", "ebola-essien",
+)
+
+
+def preset_corpus(seed: int = 5, n: int = 6000, name: str = "synthetic-presets") -> Dataset:
+    """Every field a split preset reads, with gaps: the nine PHEME events
+    (5% of records have none), 300 single-label articles of which a few
+    receive an off-label record (5% of records have no article), and reply
+    counts 0-9 (5% missing). Enough records clear 3 replies to meet the
+    ``pheme9-4way`` quotas."""
+    rng = np.random.default_rng(seed)
+    seen: set[str] = set()
+    rows = []
+    for i in range(n):
+        label = LABELS[i % len(LABELS)]
+        ts = WINDOW_STARTS["true"] + int(rng.integers(0, 365 * DAY_MS))
+        row: dict = {"id": snowflake_id(ts, rng, seen), "text": random_text(rng), "label": label}
+        if rng.random() >= 0.05:
+            row["event"] = PHEME_EVENTS[int(rng.integers(0, len(PHEME_EVENTS)))]
+        if rng.random() >= 0.05:
+            # articles 4j + l carry label l; 0.5% of records land in any article
+            article = 4 * int(rng.integers(0, 75)) + LABELS.index(label)
+            if rng.random() < 0.005:
+                article = int(rng.integers(0, 300))
+            row["article_id"] = f"a{article}"
+        if rng.random() >= 0.05:
+            row["reply_count"] = int(rng.integers(0, 10))
+        rows.append(row)
+    return build_dataset(rows, labels=LABELS, name=name)

@@ -225,7 +225,7 @@ def test_split_deterministic_and_schema(env, capsys):
     assert payload["spec"]["seed"] == 11
 
 
-def test_split_errors(env, capsys):
+def test_split_errors(env, capsys, monkeypatch, tmp_path):
     out = env["root"] / "never-written.json"
     base = ["split", str(env["leaky"]), "--labels", LABELS, "--out", str(out)]
 
@@ -250,6 +250,45 @@ def test_split_errors(env, capsys):
     assert "--ratios" in capsys.readouterr().err
     assert main(missing + ["--seed", "1", "--ratios", "0.5,0.4,0.3"]) == 1
     assert "ratios sum to" in capsys.readouterr().err
+
+    # --preset fixes the whole spec: every other split flag is refused by name
+    preset = missing + ["--seed", "1", "--preset", "twitter16"]
+    for extra in (
+        ["--ratios", "0.7,0.1,0.2"],
+        ["--no-stratify"],
+        ["--group-by", "article_id"],
+        ["--holdout-event", "storm"],
+        ["--label-filter", "true,false"],
+        ["--exclude-conflicting-groups"],
+    ):
+        assert main(preset + extra) == 1
+        assert f"error: --preset takes no other split flags, got {extra[0]}\n" == (
+            capsys.readouterr().err
+        )
+    several = ["--no-stratify", "--group-by", "article_id", "--ratios", "0.5,0.5,0"]
+    assert main(preset + several) == 1
+    assert "got --ratios, --no-stratify, --group-by" in capsys.readouterr().err
+
+    # groups are article_id or event; anything else is refused by argparse
+    for field in ("extra", "__class__"):
+        assert main(missing + ["--seed", "1", "--group-by", field]) == 1
+        err = capsys.readouterr().err
+        assert "argument --group-by: invalid choice" in err and repr(field) in err
+
+    # quotas of user presets are checked before the data file is opened
+    user = {
+        "presets": {
+            "negative": {"spec": {"quotas": {"true": -1, "false": 2}}},
+            "zeros": {"spec": {"quotas": {"true": 0, "false": 0}}},
+        }
+    }
+    (tmp_path / "presets.json").write_text(json.dumps(user), encoding="utf-8")
+    monkeypatch.setenv("LEAKAUDIT_CONFIG_DIR", str(tmp_path))
+    assert main(missing + ["--seed", "1", "--preset", "negative"]) == 1
+    assert "quotas: 'true' needs a non-negative integer count, got -1" in capsys.readouterr().err
+    assert main(missing + ["--seed", "1", "--preset", "zeros"]) == 1
+    assert "quotas: at least one label needs a positive count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_split_preset(env, capsys):

@@ -3,6 +3,7 @@ event invariants, quota subsampling, split files, and the preset registry.
 """
 
 import dataclasses
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle_splits
+import _synth
 from leakaudit import (
     LabelSet,
     SplitSpec,
@@ -36,14 +38,9 @@ from leakaudit.errors import (
 from leakaudit.splits import (
     CONFIG_DIR_ENV,
     Split,
-    event_holdout_split,
-    find_conflicting_groups,
     get_preset,
-    group_split,
     import_split,
-    label_filter,
     largest_remainder,
-    quota_subsample,
     random_split,
 )
 
@@ -143,6 +140,10 @@ def test_split_validation_errors():
         SplitSpec(holdout_event="x", ratios=(0.7, 0.1, 0.2), seed=0).validated()
     with pytest.raises(RatioError):
         SplitSpec(holdout_event="x", group_by="article_id", ratios=(0.9, 0.1, 0.0), seed=0).validated()
+    # only the group fields a record carries as a plain value
+    for field in ("extra", "__class__", "reply_count", "id"):
+        with pytest.raises(RatioError, match="group_by must be one of article_id, event"):
+            make_split(ds, SplitSpec(seed=0, group_by=field))
 
 
 def _grouped_dataset():
@@ -168,7 +169,7 @@ def _grouped_dataset():
 def test_group_split_keeps_groups_whole():
     ds = _grouped_dataset()
     spec = SplitSpec(ratios=(0.6, 0.2, 0.2), seed=1, group_by="article_id")
-    split = group_split(ds, spec)
+    split = make_split(ds, spec)
     part_of = split.partition_of()
     by_id = ds.by_id()
     group_parts = {}
@@ -184,11 +185,10 @@ def test_group_split_keeps_groups_whole():
 
 def test_group_split_excludes_conflicting():
     ds = _grouped_dataset()
-    assert find_conflicting_groups(ds) == ["g9"]
     spec = SplitSpec(
         ratios=(0.6, 0.2, 0.2), seed=1, group_by="article_id", exclude_conflicting_groups=True
     )
-    split = group_split(ds, spec)
+    split = make_split(ds, spec)
     assert split.provenance["excluded_conflicting_groups"] == ["g9"]
     by_id = ds.by_id()
     assert all(by_id[rid].article_id != "g9" for rid in split.partition_of())
@@ -201,9 +201,21 @@ def test_group_split_errors_and_warning():
         [{"id": "1", "text": "x", "label": "a"}], labels=["a"]
     )
     with pytest.raises(MissingGroupFieldError):
-        group_split(no_groups, SplitSpec(seed=0, group_by="article_id"))
+        make_split(no_groups, SplitSpec(seed=0, group_by="article_id"))
     with pytest.raises(RatioError):
-        group_split(no_groups, SplitSpec(seed=0))  # group_by missing
+        make_split(no_groups, SplitSpec(group_by="article_id"))  # seed missing
+    one_conflicting = build_dataset(
+        [
+            {"id": "1", "text": "x", "label": "a", "article_id": "g1"},
+            {"id": "2", "text": "y", "label": "b", "article_id": "g1"},
+        ],
+        labels=["a", "b"],
+    )
+    with pytest.raises(MissingGroupFieldError, match="every group was excluded as conflicting"):
+        make_split(
+            one_conflicting,
+            SplitSpec(seed=0, group_by="article_id", exclude_conflicting_groups=True),
+        )
 
     two_groups = build_dataset(
         [
@@ -212,7 +224,8 @@ def test_group_split_errors_and_warning():
         ],
         labels=["a"],
     )
-    split = group_split(two_groups, SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0, group_by="article_id"))
+    spec = SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0, group_by="article_id")
+    split = make_split(two_groups, spec)
     assert "warning" in split.provenance
 
 
@@ -235,7 +248,7 @@ def _event_dataset():
 
 def test_event_holdout_split():
     ds = _event_dataset()
-    split = event_holdout_split(ds, "flood", dev_ratio=0.1, seed=2)
+    split = make_split(ds, SplitSpec(ratios=(0.9, 0.1, 0.0), seed=2, holdout_event="flood"))
     by_id = ds.by_id()
     assert len(split.test_ids) == 20
     assert all(by_id[rid].event == "flood" for rid in split.test_ids)
@@ -244,9 +257,9 @@ def test_event_holdout_split():
     assert split.provenance["n_holdout_records"] == 20
 
     with pytest.raises(UnknownEventError):
-        event_holdout_split(ds, "eclipse", seed=2)
+        make_split(ds, SplitSpec(ratios=(0.9, 0.1, 0.0), seed=2, holdout_event="eclipse"))
     with pytest.raises(RatioError):
-        event_holdout_split(ds, "flood", dev_ratio=1.0, seed=2)
+        make_split(ds, SplitSpec(ratios=(0.8, 0.1, 0.1), seed=2, holdout_event="flood"))
 
 
 def _reply_dataset():
@@ -264,43 +277,71 @@ def _reply_dataset():
     return build_dataset(rows, labels=["a", "b"])
 
 
+def _quota_split(ds, quotas, min_reply_count=None, seed=0, **fields):
+    """make_split of the quota stage alone: every kept record in train."""
+    spec = SplitSpec(
+        ratios=(1.0, 0.0, 0.0), seed=seed, quotas=quotas, min_reply_count=min_reply_count, **fields
+    )
+    return make_split(ds, spec)
+
+
 def test_quota_subsample():
     ds = _reply_dataset()
-    out = quota_subsample(ds, {"a": 6, "b": 4}, seed=0)
+    by_id = ds.by_id()
+    out = _quota_split(ds, {"a": 6, "b": 4})
     dist = {}
-    for r in out.records:
-        dist[r.label] = dist.get(r.label, 0) + 1
+    for rid in out.train_ids:
+        dist[by_id[rid].label] = dist.get(by_id[rid].label, 0) + 1
     assert dist == {"a": 6, "b": 4}
-    # dataset order preserved
-    positions = [int(r.id) for r in out.records]
-    assert positions == sorted(positions)
+    assert out.provenance["stages"]["quota_subsample"]["n_after"] == 10
     # determinism
-    again = quota_subsample(ds, {"a": 6, "b": 4}, seed=0)
-    assert [r.id for r in again.records] == [r.id for r in out.records]
+    again = _quota_split(ds, {"a": 6, "b": 4})
+    assert again.train_ids == out.train_ids
 
-    filtered = quota_subsample(ds, {"a": 5}, min_reply_count=3, seed=1)
-    assert all((r.reply_count or 0) >= 3 for r in filtered.records)
-    assert tuple(filtered.label_set) == ("a",)
+    filtered = _quota_split(ds, {"a": 5}, min_reply_count=3, seed=1)
+    assert len(filtered.train_ids) == 5
+    assert all((by_id[rid].reply_count or 0) >= 3 for rid in filtered.train_ids)
+    assert all(by_id[rid].label == "a" for rid in filtered.train_ids)
 
     with pytest.raises(InsufficientRecordsError) as err:
-        quota_subsample(ds, {"b": 99}, seed=0)
+        _quota_split(ds, {"b": 99})
     assert "need 99, have 15" in str(err.value)
     with pytest.raises(UnknownLabelError):
-        quota_subsample(ds, {"zzz": 1}, seed=0)
+        _quota_split(ds, {"zzz": 1})
+    with pytest.raises(UnknownLabelError, match="quota label 'b' not in label set"):
+        _quota_split(ds, {"b": 1}, label_filter=("a",))  # b was filtered out
     with pytest.raises(RatioError):
-        quota_subsample(ds, {"a": 1})  # seed required
+        _quota_split(ds, {"a": 1}, seed=None)  # seed required
+
+    # quotas come from user preset files: counts must be non-negative
+    # integers, and at least one positive
+    for bad in ({"a": -1, "b": 2}, {"a": 1.5}, {"a": True}, {"a": "2"}):
+        with pytest.raises(RatioError, match="non-negative integer count"):
+            _quota_split(ds, bad)
+    for empty in ({"a": 0, "b": 0}, {}):
+        with pytest.raises(RatioError, match="at least one label needs a positive count"):
+            _quota_split(ds, empty)
 
 
 def test_label_filter():
     ds = _balanced(10, labels=("a", "b", "c"))
-    out = label_filter(ds, ["c", "a"])
-    assert tuple(out.label_set) == ("a", "c")  # original order kept
-    assert all(r.label in ("a", "c") for r in out.records)
-    assert len(out) == 20
-    identity = label_filter(ds, ["a", "b", "c"])
-    assert identity.records == ds.records
+    by_id = ds.by_id()
+    out = make_split(ds, SplitSpec(seed=0, label_filter=("c", "a")))
+    assert all(by_id[rid].label in ("a", "c") for rid in out.all_ids())
+    assert len(out.all_ids()) == 20
+    assert out.provenance["stages"]["label_filter"]["n_after"] == 20
+    # filtering to the full label set changes nothing but the provenance
+    identity = make_split(ds, SplitSpec(seed=0, label_filter=("a", "b", "c")))
+    plain = make_split(ds, SplitSpec(seed=0))
+    assert (identity.train_ids, identity.dev_ids, identity.test_ids) == (
+        plain.train_ids,
+        plain.dev_ids,
+        plain.test_ids,
+    )
     with pytest.raises(UnknownLabelError):
-        label_filter(ds, ["nope"])
+        make_split(ds, SplitSpec(seed=0, label_filter=("nope",)))
+    with pytest.raises(RatioError, match="label_filter must keep at least one label"):
+        make_split(ds, SplitSpec(seed=0, label_filter=()))
 
 
 def test_make_split_runs_stages():
@@ -337,7 +378,8 @@ def test_export_import_round_trip(tmp_path):
     assert back.provenance["missing_ids"] == 0
 
     # ids the dataset does not know are dropped and counted
-    smaller = label_filter(ds, ["a"])
+    only_a = tuple(r for r in ds.records if r.label == "a")
+    smaller = Dataset(records=only_a, label_set=ds.label_set)
     partial = import_split(path, smaller)
     assert partial.provenance["missing_ids"] == 50
     assert all(rid in {r.id for r in smaller.records} for rid in partial.all_ids())
@@ -393,11 +435,13 @@ def test_random_split_matches_per_label_oracle(ds, ratios, seed, stratify):
     stratify=st.booleans(),
 )
 def test_event_holdout_split_matches_per_label_oracle(ds, dev_ratio, seed, stratify):
+    ratios = (1.0 - dev_ratio, dev_ratio, 0.0)
+    spec = SplitSpec(ratios=ratios, seed=seed, stratify=stratify, holdout_event="storm")
     if not any(r.event == "storm" for r in ds.records):
         with pytest.raises(UnknownEventError):
-            event_holdout_split(ds, "storm", dev_ratio, seed, stratify)
+            make_split(ds, spec)
         return
-    split = event_holdout_split(ds, "storm", dev_ratio, seed, stratify)
+    split = make_split(ds, spec)
     want = _oracle_splits.holdout_split_ids(ds, "storm", dev_ratio, seed, stratify)
     assert (split.train_ids, split.dev_ids, split.test_ids) == want
 
@@ -481,6 +525,36 @@ def test_preset_split_on_synthetic_data(leaky):
     assert sum(plain.sizes()) == len(leaky)
     # stratified per label: exact (337.5, 50, 112.5) -> (338, 50, 112) each
     assert plain.sizes() == (4 * 338, 4 * 50, 4 * 112)
+
+
+# SHA-256 of each preset's exported split file for preset_corpus() at seed 3,
+# recorded before the split stages were rewritten as one row pipeline
+PRESET_DIGESTS = {
+    "gossipcop": "2a59cd45feedc224bbf1aa5d7f187c3835e0e6c73e97ffeec3c8cb84e890a2b7",
+    "pheme5-3way": "d36d00bf1228bb6a7602aa72797ac5d7ad3851f6baba914b847bfb278a0d5ecc",
+    "pheme5-lc": "59b143e3b8ba022843a94e60f1faf19582d9440a6847aa534d90032c0b4f9608",
+    "pheme5-rnr": "b7e73f151f3ebdd533ba33250fcfb5c6d1d7f06bd4bcd45f62672cf3e440f954",
+    "pheme9-4way": "cd8437f9ea5209a5cbf2d3de2b9f38f40ce8c60983b05e5b60fb755cd886b8c7",
+    "pheme9-tf": "04c5099178b576a94a1528089a8a354d976ff911fd701e83a16faff260b71c7c",
+    "politifact": "5e874cf85e2ea23be0647d4c3a6cb60d393eacdb0100e987e2856c75346be196",
+    "twitter15": "2fef704865bd0b0ca286a57a285726411820460f0f762cceb5b8b4bc7fb5b80d",
+    "twitter15-tf": "9b77dcdb19ca3fad40beb03a452eddb8c37fe58cc81832244e68eff09a2318c4",
+    "twitter16": "684b6bfb2d34bf854022ced569bdf03ea7fc1009d10d2f9453bfef9e0ddc0a16",
+    "twitter16-tf": "ebbb98fe22b2f1e1ca7c0f01046bfeae6c805e8c42967f29975efb0196ed9c4f",
+    "wnut2020": "36ecd3d8d740dd51f5d51fa4d7255be941f3c266507889d3f166b28426e6917b",
+}
+
+
+@pytest.fixture(scope="module")
+def preset_corpus():
+    return _synth.preset_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_split_file_is_pinned(name, preset_corpus, tmp_path):
+    path = tmp_path / "split.json"
+    export_split(preset_split(preset_corpus, name, seed=3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_DIGESTS[name]
 
 
 def test_user_preset_dir_merges(tmp_path, monkeypatch):
