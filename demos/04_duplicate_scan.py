@@ -51,8 +51,8 @@ for cluster in scan.clusters:
 
 # do any duplicates straddle a split?
 split = make_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=False))
-pairs = scan.contamination(split)
-print(f"\ncross-split contaminated pairs: {len(pairs)}")
-for pair in pairs:
+leaks = scan.contamination(split)
+print(f"\ncross-split contaminated pairs: {leaks.n_pairs}")
+for pair in leaks.worst:  # the first 25, worst first
     print(f"  train {pair.train_id} ~ {pair.partition} {pair.other_id} "
           f"(J={pair.jaccard:.2f}, {pair.kind})")

@@ -174,7 +174,7 @@ def cmd_audit(args) -> int:
     contamination = None
     if split is not None and not args.skip_duplicates:
         contamination = duplicates.contamination(split)
-        print(f"cross-split contamination: {len(contamination)} duplicate pairs "
+        print(f"cross-split contamination: {contamination.n_pairs} duplicate pairs "
               f"reach test/dev from train")
 
     verdict_line = "FAIL" if gate_failed else "PASS"
@@ -231,7 +231,7 @@ def cmd_audit(args) -> int:
         "contamination": None
         if contamination is None
         else {
-            "n_pairs": len(contamination),
+            "n_pairs": contamination.n_pairs,
             "worst": [
                 {
                     "train_id": p.train_id,
@@ -240,7 +240,7 @@ def cmd_audit(args) -> int:
                     "jaccard": p.jaccard,
                     "kind": p.kind,
                 }
-                for p in contamination[:25]
+                for p in contamination.worst
             ],
         },
     }
@@ -503,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the --preset help text reads the presets files, which can be malformed
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (LeakAuditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,24 +3,40 @@
 Exact duplicates are records with identical normalized text (lowercased,
 URLs stripped, whitespace collapsed; punctuation kept). Near duplicates
 are found with vectorized MinHash over word 3-shingles plus banded LSH
-(128 permutations in 32 bands of 4 rows), then every candidate pair is
-verified against the true shingle Jaccard before it counts. The band
-shape makes the chance of missing a pair at Jaccard 0.85 about 6e-11, so
-recall is limited by verification, not by the sketch.
+(128 permutations in 32 bands of 4 rows), and a candidate pair counts
+only once its true shingle Jaccard is verified. The band shape makes the
+chance of missing a pair at Jaccard 0.85 about 6e-11, so recall is
+limited by verification, not by the sketch.
 
 Clusters are connected components over verified pairs, with exact groups
 collapsed to one node first. Components chain, so a cluster can contain a
 pair below threshold; each cluster records the minimum Jaccard of its
 members against the representative to keep that visible.
 
+Every stage is a pass over arrays, and a candidate pair that cannot
+change an output is never verified:
+
+- each distinct token is hashed once; the token hashes of a shingle are
+  combined in numpy by an order-sensitive, non-linear 64-bit mixer that
+  also takes the shingle's length;
+- each band finds its multi-member buckets with one sort, so singleton
+  buckets cost nothing;
+- the scan verifies a candidate pair only when it would join two
+  components, and ``DuplicateScan.contamination`` only pairs with train
+  records on one side and dev/test records on the other;
+- pairs are verified in bounded batches, by binary search in one sorted
+  array of (node, shingle) keys.
+
 Everything is deterministic: permutation constants come from a fixed
-internal seed, and shingle hashes are stable 64-bit blake2b digests.
+internal seed, and token hashes are 64-bit blake2b digests, which depend
+neither on the process nor on the record order.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,20 +49,73 @@ NUM_PERMUTATIONS = 128
 LSH_BANDS = 32
 LSH_ROWS = NUM_PERMUTATIONS // LSH_BANDS
 SHINGLE_SIZE = 3
+WORST_PAIRS = 25  # contamination pairs that are built in full
 _PERM_SEED = 0x5EEDED
+_BAND_MIX = np.uint64(0x9E3779B97F4A7C15)
+_BATCH = 1 << 18  # shingle lookups or pairs one verification or expansion pass holds at most
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, strip URLs, collapse whitespace. Empty result means the
     record has no usable text."""
-    return " ".join(URL_RE.sub(" ", text.lower()).split())
+    text = text.lower()
+    if "://" in text or "www." in text:  # URL_RE matches nothing else, and costs more
+        text = URL_RE.sub(" ", text)
+    return " ".join(text.split())
 
 
-def _hash_shingle(shingle: str) -> int:
-    return int.from_bytes(hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "big")
+def _token_hash(token: str) -> int:
+    return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def shingle_hashes(tokens: Sequence[str], _memo: dict | None = None) -> list[int]:
+class _TokenHashes(dict):
+    """token -> _token_hash(token), hashing each distinct token once."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = _token_hash(token)
+        return value
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer: a non-linear bijection of uint64."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), which on large arrays is much slower than a sort."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _shingle_array(token_hashes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hash of every shingle of some texts, and the text it belongs to.
+
+    The texts' tokens lie end to end in token_hashes, lengths[i] >= 1 of
+    them for text i. A text shorter than SHINGLE_SIZE is one whole-text
+    shingle. A shingle's hash starts from its length and mixes in its
+    tokens in order, so "a b c" and "c b a" differ, and a two-token text
+    does not systematically meet a three-token shingle.
+    """
+    per_text = np.maximum(lengths - (SHINGLE_SIZE - 1), 1)
+    owner = np.repeat(np.arange(len(lengths)), per_text)
+    first = _ragged_arange(np.cumsum(lengths) - lengths, per_text)
+    size = np.minimum(lengths, SHINGLE_SIZE)[owner]
+    padded = np.concatenate((token_hashes, np.zeros(SHINGLE_SIZE - 1, dtype=np.uint64)))
+    hashes = _mix(size.astype(np.uint64))
+    for k in range(SHINGLE_SIZE):
+        hashes = np.where(size > k, _mix(hashes ^ padded[first + k]), hashes)
+    return hashes, owner
+
+
+def shingle_hashes(tokens: Sequence[str]) -> list[int]:
     """Sorted distinct 64-bit hashes of the token n-gram shingles.
 
     Texts shorter than the shingle size degenerate to one whole-text
@@ -55,23 +124,9 @@ def shingle_hashes(tokens: Sequence[str], _memo: dict | None = None) -> list[int
     """
     if not tokens:
         return []
-    if len(tokens) < SHINGLE_SIZE:
-        grams = [" ".join(tokens)]
-    else:
-        grams = [
-            " ".join(tokens[i : i + SHINGLE_SIZE])
-            for i in range(len(tokens) - SHINGLE_SIZE + 1)
-        ]
-    if _memo is None:
-        hashes = {_hash_shingle(g) for g in grams}
-    else:
-        hashes = set()
-        for g in grams:
-            h = _memo.get(g)
-            if h is None:
-                h = _memo[g] = _hash_shingle(g)
-            hashes.add(h)
-    return sorted(hashes)
+    token_hashes = np.fromiter(map(_token_hash, tokens), dtype=np.uint64, count=len(tokens))
+    hashes, _ = _shingle_array(token_hashes, np.array([len(tokens)]))
+    return np.unique(hashes).tolist()
 
 
 @dataclass(frozen=True)
@@ -106,11 +161,207 @@ class ContaminationPair:
 
 
 @dataclass(frozen=True)
+class Contamination:
+    """The duplicate pairs of a split with one record in train and the
+    other in dev or test.
+
+    n_pairs counts them all. worst holds the first WORST_PAIRS of them in
+    order of Jaccard descending (exact pairs at 1.0), then numeric train
+    id, then numeric other id.
+    """
+
+    n_pairs: int
+    worst: tuple[ContaminationPair, ...]
+
+
+@dataclass
+class _NodeIndex:
+    """Distinct normalized texts (nodes), their record ids and shingles.
+
+    keys holds node * len(hashes) + shingle id for each distinct shingle
+    of each node, sorted, so node i's shingles are keys[starts[i] :
+    starts[i + 1]] and one binary search tells whether a node has a given
+    shingle. hashes maps a shingle id to its 64-bit hash.
+    """
+
+    node_records: list[list[str]]  # record ids per node
+    keys: np.ndarray
+    starts: np.ndarray
+    hashes: np.ndarray
+    n_skipped_empty: int
+
+
+def _build_nodes(dataset: Dataset) -> _NodeIndex:
+    node_of_text: dict[str, int] = {}
+    node_records: list[list[str]] = []
+    skipped = 0
+    for record in dataset.records:
+        normalized = normalize_text(record.text)
+        if not normalized:
+            skipped += 1
+            continue
+        node = node_of_text.get(normalized)
+        if node is None:
+            node = node_of_text[normalized] = len(node_records)
+            node_records.append([])
+        node_records[node].append(record.id)
+
+    texts = list(node_of_text)
+    lengths = np.fromiter((t.count(" ") + 1 for t in texts), dtype=np.int64, count=len(texts))
+    token_hashes = np.fromiter(
+        map(_TokenHashes().__getitem__, chain.from_iterable(map(str.split, texts))),
+        dtype=np.uint64,
+        count=int(lengths.sum()),
+    )
+    shingles, owner = _shingle_array(token_hashes, lengths)
+    hashes, shingle_ids = np.unique(shingles, return_inverse=True)
+    keys = _sorted_unique(owner * len(hashes) + shingle_ids)
+    starts = np.searchsorted(keys, np.arange(len(texts) + 1) * len(hashes))
+    return _NodeIndex(node_records, keys, starts, hashes, skipped)
+
+
+def _batches(weights: np.ndarray) -> Iterable[tuple[int, int]]:
+    """Cut positions into runs (lo, hi) whose weights sum to at most
+    _BATCH; a single heavier position runs alone. This bounds the memory
+    of one pass."""
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < len(weights):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _BATCH, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _jaccard(index: _NodeIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Shingle Jaccard of each node pair (a[i], b[i]): each shingle of the
+    smaller node is looked up among the other node's keys."""
+    sizes = np.diff(index.starts)
+    size_a, size_b = sizes[a], sizes[b]
+    swap = size_a > size_b
+    small, large = np.where(swap, b, a), np.where(swap, a, b)
+    n_small = np.minimum(size_a, size_b)
+    inter = np.zeros(len(a), dtype=np.int64)
+    last = len(index.keys) - 1
+    for lo, hi in _batches(n_small):
+        count = n_small[lo:hi]
+        shift = np.repeat((large[lo:hi] - small[lo:hi]) * len(index.hashes), count)
+        query = index.keys[_ragged_arange(index.starts[small[lo:hi]], count)] + shift
+        found = index.keys[np.minimum(np.searchsorted(index.keys, query), last)] == query
+        inter[lo:hi] = np.add.reduceat(found.astype(np.int64), np.cumsum(count) - count)
+    return inter / (size_a + size_b - inter)
+
+
+def _lsh_buckets(index: _NodeIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The LSH buckets with two or more nodes, as rows (bucket, node).
+
+    A bucket's rows are adjacent, in bucket order, and ordered by pivot
+    priority: nodes that share buckets with more nodes first, so the post
+    that a family of near copies was edited from leads its buckets. Each
+    band's MinHash rows are computed, keyed and sorted on their own, so the
+    signature matrix is never held whole.
+    """
+    n = len(index.starts) - 1
+    if n < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_PERM_SEED)))
+    # multiply-shift family: odd multiplier, arbitrary offset, mod 2**64
+    mul = rng.integers(0, 2**63, size=NUM_PERMUTATIONS, dtype=np.uint64)
+    mul = (mul << np.uint64(1)) | np.uint64(1)
+    add = rng.integers(0, 2**64, size=NUM_PERMUTATIONS, dtype=np.uint64)
+    values = index.hashes[index.keys % len(index.hashes)]
+    segments = index.starts[:-1]
+    buckets, nodes, n_buckets = [], [], 0
+    for band in range(LSH_BANDS):
+        key = np.zeros(n, dtype=np.uint64)
+        for p in range(band * LSH_ROWS, (band + 1) * LSH_ROWS):
+            # uint64 wraparound is the point
+            row = np.minimum.reduceat(mul[p] * values + add[p], segments)
+            key = (key ^ row) * _BAND_MIX + np.uint64(band)
+        ordered = np.sort(key)
+        shared_keys = _sorted_unique(ordered[1:][ordered[1:] == ordered[:-1]])
+        if len(shared_keys):
+            bucket = np.minimum(np.searchsorted(shared_keys, key), len(shared_keys) - 1)
+            shared = np.flatnonzero(shared_keys[bucket] == key)
+            buckets.append(bucket[shared] + n_buckets)
+            nodes.append(shared)
+            n_buckets += len(shared_keys)
+    if not buckets:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    bucket, node = np.concatenate(buckets), np.concatenate(nodes)
+    size = np.bincount(bucket)
+    degree = np.bincount(node, weights=size[bucket] - 1, minlength=n)
+    order = np.lexsort((node, -degree[node], bucket))
+    return bucket[order], node[order]
+
+
+def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component labels after adding the edges (a[i], b[i]). Each label is
+    the smallest node of its component, before and after."""
+    while True:
+        label_a, label_b = label[a], label[b]
+        apart = label_a != label_b
+        if not apart.any():
+            return label
+        a, b, label_a, label_b = a[apart], b[apart], label_a[apart], label_b[apart]
+        np.minimum.at(label, np.maximum(label_a, label_b), np.minimum(label_a, label_b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _components(
+    index: _NodeIndex, buckets: tuple[np.ndarray, np.ndarray], jaccard_threshold: float
+) -> list[np.ndarray]:
+    """The nodes of each component of two or more nodes in the graph of
+    bucket-sharing node pairs with Jaccard >= jaccard_threshold.
+
+    Works in rounds. In each bucket the first row, the pivot, is paired
+    with the rows that sit in other components; all such pairs are
+    verified in one batch and the passing ones merged. Then the pivot
+    leaves its bucket, since it has no pair left to decide there, and a
+    bucket whose rows all share one component closes. So a pair is
+    verified only when it would join two components at the start of a
+    round, and a family of near copies led by its original closes in one
+    round.
+    """
+    bucket, member = buckets
+    nodes, member = np.unique(member, return_inverse=True)
+    label = np.arange(len(nodes))
+    while len(member):
+        starts = np.flatnonzero(np.concatenate(([True], bucket[1:] != bucket[:-1])))
+        sizes = np.diff(np.append(starts, len(member)))
+        pivot = np.repeat(starts, sizes)
+        cross = label[member] != label[member[pivot]]
+        a, b = member[pivot[cross]], member[cross]
+        pairs = _sorted_unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b))
+        a, b = np.divmod(pairs, len(nodes))
+        passed = _jaccard(index, nodes[a], nodes[b]) >= jaccard_threshold
+        label = _merge(label, a[passed], b[passed])
+        keep = np.repeat(np.logical_or.reduceat(cross, starts), sizes)
+        keep[starts] = False
+        bucket, member = bucket[keep], member[keep]
+    order = np.argsort(label, kind="stable")
+    groups = np.split(nodes[order], np.flatnonzero(np.diff(label[order])) + 1)
+    return [g for g in groups if len(g) > 1]
+
+
+def _sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
+    return tuple(sorted(ids, key=int))
+
+
+@dataclass(frozen=True)
 class DuplicateScan:
     """Duplicate clusters plus the bookkeeping the audit report wants.
 
-    node_records (record ids per distinct normalized text) and edges
-    (node_a, node_b, jaccard) are the index the clusters came from.
+    index (the distinct normalized texts with their record ids and
+    shingles) and buckets (the LSH buckets of two or more nodes, as
+    (bucket, node) rows) let ``contamination`` check a split without a
+    second build. The scan keeps no list of verified edges: it verifies a
+    candidate pair only when the pair would join two components, so most
+    candidate pairs are never verified.
     """
 
     clusters: tuple[DuplicateCluster, ...]
@@ -121,204 +372,94 @@ class DuplicateScan:
     n_records_in_exact: int
     n_records_in_near: int
     jaccard_threshold: float
-    node_records: list[list[str]] = field(repr=False, compare=False)
-    edges: list[tuple[int, int, float]] = field(repr=False, compare=False)
+    index: _NodeIndex = field(repr=False, compare=False)
+    buckets: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
-    def contamination(self, split: Split) -> list[ContaminationPair]:
-        """Duplicate pairs spanning train x test or train x dev, sorted by
-        Jaccard descending (exact pairs first at 1.0), then by ids."""
+    def contamination(self, split: Split) -> Contamination:
+        """Duplicate pairs spanning train x test or train x dev.
+
+        Exact pairs are counted per text as |train| x |dev and test|; near
+        pairs per verified node pair. Only the candidate node pairs with
+        train records on one side and dev/test records on the other are
+        verified, and only the pairs that can reach ``worst`` are built.
+        """
         part_of = split.partition_of()
+        records = self.index.node_records
+        bucket, member = self.buckets
+        n = len(records)
+        train: dict[int, list[str]] = {}
+        other: dict[int, list[tuple[str, str]]] = {}
+        n_train = np.zeros(n, dtype=np.int64)
+        n_other = np.zeros(n, dtype=np.int64)
+        for node in {*member.tolist(), *(i for i, ids in enumerate(records) if len(ids) > 1)}:
+            train[node] = [rid for rid in records[node] if part_of.get(rid) == "train"]
+            other[node] = [
+                (rid, part_of[rid])
+                for rid in records[node]
+                if part_of.get(rid) in ("dev", "test")
+            ]
+            n_train[node], n_other[node] = len(train[node]), len(other[node])
 
-        def sides(ids: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
-            train, other = [], []
-            for rid in ids:
-                part = part_of.get(rid)
-                if part == "train":
-                    train.append(rid)
-                elif part in ("test", "dev"):
-                    other.append((rid, part))
-            return train, other
+        # candidate node pairs (x, y), x != y, with train records in x and
+        # dev/test records in y, from each train row against its bucket's
+        # dev/test rows
+        has_train, has_other = n_train[member] > 0, n_other[member] > 0
+        train_bucket, train_node = bucket[has_train], member[has_train]
+        other_bucket, other_node = bucket[has_other], member[has_other]
+        first = np.searchsorted(other_bucket, train_bucket)
+        count = np.searchsorted(other_bucket, train_bucket, side="right") - first
+        pairs = np.empty(0, dtype=np.int64)
+        for lo, hi in _batches(count):
+            x = np.repeat(train_node[lo:hi], count[lo:hi])
+            y = other_node[_ragged_arange(first[lo:hi], count[lo:hi])]
+            apart = x != y
+            x, y = x[apart], y[apart]
+            pairs = _sorted_unique(np.concatenate((pairs, np.minimum(x, y) * n + np.maximum(x, y))))
+        x, y = np.divmod(pairs, n)
+        jaccard = _jaccard(self.index, x, y)
+        near = jaccard >= self.jaccard_threshold
+        x, y, jaccard = x[near], y[near], jaccard[near]
 
-        pairs: list[ContaminationPair] = []
+        # sources: groups of pairs with one Jaccard, train records from one
+        # node and dev/test records from another (or the same, for exact)
+        exact = np.flatnonzero(n_train * n_other)
+        src_train = np.concatenate((exact, x, y))
+        src_other = np.concatenate((exact, y, x))
+        src_jaccard = np.concatenate((np.ones(len(exact)), jaccard, jaccard))
+        src_pairs = n_train[src_train] * n_other[src_other]
+        live = np.flatnonzero(src_pairs)
+        n_pairs = int(src_pairs.sum())
 
-        def emit(train: list[str], other: list[tuple[str, str]], jaccard: float, kind: str) -> None:
-            pairs.extend(
-                ContaminationPair(t, o, part, jaccard, kind) for t in train for o, part in other
-            )
-
-        for records in self.node_records:
-            if len(records) >= 2:
-                emit(*sides(records), 1.0, "exact")
-        for a, b, j in self.edges:
-            train_a, other_a = sides(self.node_records[a])
-            train_b, other_b = sides(self.node_records[b])
-            emit(train_a, other_b, j, "near")
-            emit(train_b, other_a, j, "near")
-        pairs.sort(key=lambda p: (-p.jaccard, int(p.train_id), int(p.other_id)))
-        return pairs
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(ids, key=int))
-
-
-def _minhash_signatures(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """(n_nodes, NUM_PERMUTATIONS) uint64 signature matrix over concatenated
-    per-node shingle-hash segments."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_PERM_SEED)))
-    # multiply-shift family: odd multiplier, arbitrary offset, mod 2**64
-    a = rng.integers(0, 2**63, size=NUM_PERMUTATIONS, dtype=np.uint64)
-    a = (a << np.uint64(1)) | np.uint64(1)
-    b = rng.integers(0, 2**64, size=NUM_PERMUTATIONS, dtype=np.uint64)
-    sig = np.empty((len(starts), NUM_PERMUTATIONS), dtype=np.uint64)
-    for p in range(NUM_PERMUTATIONS):
-        values = a[p] * flat + b[p]  # uint64 wraparound is the point
-        sig[:, p] = np.minimum.reduceat(values, starts)
-    return sig
-
-
-def _band_candidate_pairs(sig: np.ndarray) -> set[tuple[int, int]]:
-    """Node pairs sharing at least one LSH band bucket."""
-    n = sig.shape[0]
-    candidates: set[tuple[int, int]] = set()
-    mix_a = np.uint64(0x9E3779B97F4A7C15)
-    for band in range(LSH_BANDS):
-        cols = sig[:, band * LSH_ROWS : (band + 1) * LSH_ROWS]
-        key = np.zeros(n, dtype=np.uint64)
-        for r in range(LSH_ROWS):
-            key = (key ^ cols[:, r]) * mix_a + np.uint64(band)
-        order = np.argsort(key, kind="stable")
-        sorted_keys = key[order]
-        boundaries = np.nonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))[0]
-        ends = np.concatenate((boundaries[1:], [n]))
-        for lo, hi in zip(boundaries, ends):
-            if hi - lo < 2:
-                continue
-            bucket = np.sort(order[lo:hi])
-            for i in range(len(bucket)):
-                for j in range(i + 1, len(bucket)):
-                    candidates.add((int(bucket[i]), int(bucket[j])))
-    return candidates
-
-
-def _intersection_size(s1: np.ndarray, s2: np.ndarray) -> int:
-    if len(s1) > len(s2):
-        s1, s2 = s2, s1
-    pos = np.searchsorted(s2, s1)
-    pos[pos >= len(s2)] = len(s2) - 1
-    return int((s2[pos] == s1).sum())
-
-
-def _jaccard(s1: np.ndarray, s2: np.ndarray) -> float:
-    if len(s1) == 0 or len(s2) == 0:
-        return 0.0
-    inter = _intersection_size(s1, s2)
-    union = len(s1) + len(s2) - inter
-    return inter / union
-
-
-@dataclass
-class _NodeIndex:
-    """Distinct normalized texts with their record memberships and
-    shingle-hash segments."""
-
-    node_records: list[list[str]]  # record ids per node
-    flat: np.ndarray  # concatenated sorted shingle hashes
-    starts: np.ndarray  # segment starts for nodes with shingles
-    node_with_shingles: np.ndarray  # node index per segment
-    segments: dict[int, tuple[int, int]]  # node -> (start, end) into flat
-    n_skipped_empty: int
-
-
-def _build_nodes(dataset: Dataset) -> _NodeIndex:
-    node_of_text: dict[str, int] = {}
-    node_records: list[list[str]] = []
-    node_tokens: list[list[str]] = []
-    skipped = 0
-    for record in dataset.records:
-        normalized = normalize_text(record.text)
-        if not normalized:
-            skipped += 1
-            continue
-        node = node_of_text.get(normalized)
-        if node is None:
-            node = len(node_records)
-            node_of_text[normalized] = node
-            node_records.append([])
-            node_tokens.append(normalized.split(" "))
-        node_records[node].append(record.id)
-
-    memo: dict[str, int] = {}
-    flat_parts: list[list[int]] = []
-    starts: list[int] = []
-    node_with_shingles: list[int] = []
-    segments: dict[int, tuple[int, int]] = {}
-    cursor = 0
-    for node, tokens in enumerate(node_tokens):
-        hashes = shingle_hashes(tokens, memo)
-        if not hashes:
-            continue
-        flat_parts.append(hashes)
-        starts.append(cursor)
-        node_with_shingles.append(node)
-        segments[node] = (cursor, cursor + len(hashes))
-        cursor += len(hashes)
-
-    flat = (
-        np.concatenate([np.asarray(part, dtype=np.uint64) for part in flat_parts])
-        if flat_parts
-        else np.empty(0, dtype=np.uint64)
-    )
-    return _NodeIndex(
-        node_records=node_records,
-        flat=flat,
-        starts=np.asarray(starts, dtype=np.int64),
-        node_with_shingles=np.asarray(node_with_shingles, dtype=np.int64),
-        segments=segments,
-        n_skipped_empty=skipped,
-    )
-
-
-def _verified_edges(index: _NodeIndex, jaccard_threshold: float) -> list[tuple[int, int, float]]:
-    """(node_a, node_b, jaccard) for every verified near-duplicate pair."""
-    if len(index.starts) < 2:
-        return []
-    sig = _minhash_signatures(index.flat, index.starts)
-    candidates = _band_candidate_pairs(sig)
-    edges: list[tuple[int, int, float]] = []
-    for si, sj in sorted(candidates):
-        node_i = int(index.node_with_shingles[si])
-        node_j = int(index.node_with_shingles[sj])
-        lo_i, hi_i = index.segments[node_i]
-        lo_j, hi_j = index.segments[node_j]
-        j = _jaccard(index.flat[lo_i:hi_i], index.flat[lo_j:hi_j])
-        if j >= jaccard_threshold:
-            edges.append((node_i, node_j, j))
-    return edges
+        # a source whose Jaccard is below that of the WORST_PAIRS-th pair
+        # cannot reach worst; the others offer their first WORST_PAIRS
+        # pairs in (train id, other id) order
+        by_jaccard = live[np.argsort(-src_jaccard[live], kind="stable")]
+        reach = np.cumsum(src_pairs[by_jaccard])
+        cut = 1.0
+        if len(live):
+            nth = min(int(np.searchsorted(reach, WORST_PAIRS)), len(live) - 1)
+            cut = src_jaccard[by_jaccard[nth]]
+        offered = []
+        for s in live[src_jaccard[live] >= cut].tolist():
+            j = float(src_jaccard[s])
+            kind = "exact" if s < len(exact) else "near"
+            t_ids = sorted(train[int(src_train[s])], key=int)
+            o_ids = sorted(other[int(src_other[s])], key=lambda p: int(p[0]))
+            for k in range(min(WORST_PAIRS, len(t_ids) * len(o_ids))):
+                t_id, (o_id, part) = t_ids[k // len(o_ids)], o_ids[k % len(o_ids)]
+                offered.append((-j, int(t_id), int(o_id), t_id, o_id, part, kind))
+        offered.sort()
+        worst = tuple(
+            ContaminationPair(t_id, o_id, part, -neg_j, kind)
+            for neg_j, _, _, t_id, o_id, part, kind in offered[:WORST_PAIRS]
+        )
+        return Contamination(n_pairs, worst)
 
 
 def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> DuplicateScan:
     """Full duplicate scan: exact clusters, near clusters, and counts.
 
-    The returned scan keeps the node index and verified edges it was built
+    The returned scan keeps the node index and LSH buckets it was built
     from, so ``scan.contamination(split)`` checks a split without a second
     build.
 
@@ -329,6 +470,7 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
         raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
 
     index = _build_nodes(dataset)
+    buckets = _lsh_buckets(index)
     clusters: list[DuplicateCluster] = []
 
     for records in index.node_records:
@@ -343,41 +485,27 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
                 )
             )
 
-    edges = _verified_edges(index, jaccard_threshold)
-    uf = _UnionFind(len(index.node_records))
-    for a, b, _ in edges:
-        uf.union(a, b)
-    components: dict[int, list[int]] = {}
-    for node in range(len(index.node_records)):
-        components.setdefault(uf.find(node), []).append(node)
-
-    for nodes in components.values():
-        if len(nodes) < 2:
-            continue
-        members = _sorted_ids(rid for node in nodes for rid in index.node_records[node])
-        rep = members[0]
-        rep_node = next(n for n in nodes if rep in index.node_records[n])
-        rep_seg = index.segments.get(rep_node)
-        min_j = 1.0
-        for node in nodes:
-            if node == rep_node:
-                continue
-            seg = index.segments.get(node)
-            if rep_seg is None or seg is None:
-                min_j = 0.0
-                continue
-            j = _jaccard(
-                index.flat[rep_seg[0] : rep_seg[1]], index.flat[seg[0] : seg[1]]
+    components = _components(index, buckets, jaccard_threshold)
+    near_members, rep_nodes = [], []
+    for nodes in components:
+        members = _sorted_ids(rid for node in nodes.tolist() for rid in index.node_records[node])
+        near_members.append(members)
+        rep_nodes.append(next(n for n in nodes.tolist() if members[0] in index.node_records[n]))
+    if components:
+        # each component's nodes against its representative's node, which
+        # scores 1.0 against itself like the exact clusters
+        sizes = np.array([len(nodes) for nodes in components])
+        jaccard = _jaccard(index, np.repeat(rep_nodes, sizes), np.concatenate(components))
+        min_jaccard = np.minimum.reduceat(jaccard, np.cumsum(sizes) - sizes).tolist()
+        for members, min_j in zip(near_members, min_jaccard):
+            clusters.append(
+                DuplicateCluster(
+                    kind="near",
+                    member_ids=members,
+                    representative_id=members[0],
+                    min_jaccard_to_representative=min_j,
+                )
             )
-            min_j = min(min_j, j)
-        clusters.append(
-            DuplicateCluster(
-                kind="near",
-                member_ids=members,
-                representative_id=rep,
-                min_jaccard_to_representative=min_j,
-            )
-        )
 
     clusters.sort(key=lambda c: (c.kind, int(c.representative_id)))
     exact = [c for c in clusters if c.kind == "exact"]
@@ -391,6 +519,6 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
         n_records_in_exact=sum(c.size for c in exact),
         n_records_in_near=sum(c.size for c in near),
         jaccard_threshold=jaccard_threshold,
-        node_records=index.node_records,
-        edges=edges,
+        index=index,
+        buckets=buckets,
     )

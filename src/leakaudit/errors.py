@@ -90,9 +90,10 @@ class AllIdsTooShortError(LeakAuditError):
 
 
 class RatioError(LeakAuditError):
-    """A split spec is malformed: bad ratios (wrong arity, negative, or
-    sum != 1), a missing seed, fields that cannot combine, a group_by
-    outside the group fields, or bad quotas."""
+    """A split spec is malformed: bad ratios (wrong arity, not numbers,
+    negative, or sum != 1), a missing seed, fields that cannot combine, a
+    group_by outside the group fields, bad quotas, or a min_reply_count
+    that is not a non-negative integer."""
 
 
 class MissingGroupFieldError(LeakAuditError):
@@ -108,7 +109,7 @@ class InsufficientRecordsError(LeakAuditError):
 
 
 class SplitFileError(LeakAuditError):
-    """A split file is malformed or inconsistent."""
+    """A split file or a presets file is malformed or inconsistent."""
 
 
 class UnknownPresetError(LeakAuditError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -63,6 +64,8 @@ class SplitSpec:
     def validated(self) -> "SplitSpec":
         if len(self.ratios) != 3:
             raise RatioError(f"need (train, dev, test) ratios, got {self.ratios}")
+        if any(isinstance(r, bool) or not isinstance(r, numbers.Real) for r in self.ratios):
+            raise RatioError(f"ratios: need three numbers, got {self.ratios!r}")
         if any(r < 0 for r in self.ratios):
             raise RatioError(f"negative ratio in {self.ratios}")
         if not math.isclose(sum(self.ratios), 1.0, abs_tol=1e-9):
@@ -77,6 +80,11 @@ class SplitSpec:
             raise RatioError(
                 f"group_by must be one of {', '.join(GROUP_FIELDS)}, got {self.group_by!r}"
             )
+        count = self.min_reply_count
+        if count is not None and (
+            isinstance(count, bool) or not isinstance(count, int) or count < 0
+        ):
+            raise RatioError(f"min_reply_count: needs a non-negative integer, got {count!r}")
         if self.label_filter is not None and not self.label_filter:
             raise RatioError("label_filter must keep at least one label")
         if self.quotas is not None:
@@ -103,6 +111,10 @@ class SplitSpec:
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "SplitSpec":
         kwargs = dict(raw)
+        for key in ("ratios", "label_filter", "event_filter", "quotas"):
+            kind = dict if key == "quotas" else (list, tuple)
+            if kwargs.get(key) is not None and not isinstance(kwargs[key], kind):
+                raise SplitFileError(f"spec field {key!r} has the wrong type: {kwargs[key]!r}")
         kwargs["ratios"] = tuple(kwargs.get("ratios", (0.7, 0.1, 0.2)))
         for key in ("label_filter", "event_filter"):
             if kwargs.get(key) is not None:
@@ -472,14 +484,33 @@ def load_presets() -> dict[str, dict]:
         if candidate.exists():
             sources.append(candidate)
     for source in sources:
-        raw = json.loads(source.read_text(encoding="utf-8"))
-        for name, entry in raw.get("presets", {}).items():
+        for name, entry in _read_presets(source).items():
+            try:
+                spec = SplitSpec.from_json_dict({**entry["spec"], "name": name})
+            except SplitFileError as exc:
+                raise SplitFileError(f"{source}: preset {name!r}: {exc}") from exc
             registry[name] = {
                 "description": entry.get("description", ""),
                 "expects": entry.get("expects", ""),
-                "spec": SplitSpec.from_json_dict({**entry["spec"], "name": name}),
+                "spec": spec,
             }
     return registry
+
+
+def _read_presets(source: Path) -> dict[str, dict]:
+    """The name -> entry map of one presets file, each entry holding a
+    "spec" object."""
+    try:
+        raw = json.loads(source.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SplitFileError(f"{source}: not valid JSON: {exc}") from exc
+    presets = raw.get("presets", {}) if isinstance(raw, dict) else None
+    if not isinstance(presets, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("spec"), dict)
+        for entry in presets.values()
+    ):
+        raise SplitFileError(f'{source}: expected {{"presets": {{name: {{"spec": {{...}}}}}}}}')
+    return presets
 
 
 def get_preset(name: str) -> SplitSpec:

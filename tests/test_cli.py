@@ -157,7 +157,7 @@ def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
     split_path = env["root"] / "once.json"
     assert main(["split", str(env["leaky"]), "--labels", LABELS,
                  "--seed", "3", "--out", str(split_path)]) == 0
-    calls = {"_build_nodes": 0, "_verified_edges": 0}
+    calls = {"_build_nodes": 0, "_lsh_buckets": 0}
     for name in calls:
         original = getattr(dedup, name)
 
@@ -170,7 +170,7 @@ def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
     assert main(["audit", str(env["leaky"]), "--labels", LABELS, "--split", str(split_path),
                  "--k", "2", "--json", str(bundle_path)]) == 2
     assert read_json(bundle_path)["contamination"] is not None
-    assert calls == {"_build_nodes": 1, "_verified_edges": 1}
+    assert calls == {"_build_nodes": 1, "_lsh_buckets": 1}
 
 
 def test_audit_usage_errors(env, capsys):
@@ -289,6 +289,57 @@ def test_split_errors(env, capsys, monkeypatch, tmp_path):
     assert main(missing + ["--seed", "1", "--preset", "zeros"]) == 1
     assert "quotas: at least one label needs a positive count" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_split_preset_field_types(env, capsys, monkeypatch, tmp_path):
+    # ratios and min_reply_count of user presets are type-checked before
+    # the data file is opened
+    ratios = "ratios: need three numbers, got "
+    count = "min_reply_count: needs a non-negative integer, got "
+    bad = {
+        "letters": ({"ratios": ["a", 0.5, 0.5]}, ratios + "('a', 0.5, 0.5)"),
+        "bools": ({"ratios": [True, 0, 0]}, ratios + "(True, 0, 0)"),
+        "text-count": ({"min_reply_count": "3"}, count + "'3'"),
+        "negative-count": ({"min_reply_count": -1}, count + "-1"),
+        "bool-count": ({"min_reply_count": True}, count + "True"),
+        "float-count": ({"min_reply_count": 2.5}, count + "2.5"),
+    }
+    user = {"presets": {name: {"spec": spec} for name, (spec, _) in bad.items()}}
+    (tmp_path / "presets.json").write_text(json.dumps(user), encoding="utf-8")
+    monkeypatch.setenv("LEAKAUDIT_CONFIG_DIR", str(tmp_path))
+    out = env["root"] / "never-written.json"
+    missing = ["split", str(env["root"] / "nope.jsonl"), "--labels", LABELS, "--out", str(out)]
+    for name, (_, message) in bad.items():
+        assert main(missing + ["--seed", "1", "--preset", name]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        "[]",
+        '{"presets": []}',
+        '{"presets": {"mine": {"description": "no spec"}}}',
+        '{"presets": {"mine": {"spec": {"ratios": 5}}}}',
+        '{"presets": {"mine": {"spec": {"quotas": ["true"]}}}}',
+    ],
+)
+def test_malformed_user_presets_exit_cleanly(env, capsys, monkeypatch, tmp_path, content):
+    presets = tmp_path / "presets.json"
+    presets.write_text(content, encoding="utf-8")
+    monkeypatch.setenv("LEAKAUDIT_CONFIG_DIR", str(tmp_path))
+    data = [str(env["leaky"]), "--labels", LABELS]
+    for argv in (
+        ["inspect", *data],
+        ["audit", *data, "--k", "2", "--n-splits", "1", "--skip-duplicates"],
+        ["split", *data, "--seed", "1", "--out", str(tmp_path / "split.json")],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {presets}: ") and err.count("\n") == 1
+    assert not (tmp_path / "split.json").exists()
 
 
 def test_split_preset(env, capsys):

@@ -7,11 +7,15 @@ duplicate graph with set arithmetic and compare components and
 cross-split pairs.
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leakaudit import SplitSpec, build_dataset, scan_duplicates
-from leakaudit.dedup import normalize_text, shingle_hashes
+from leakaudit.dedup import WORST_PAIRS, normalize_text, shingle_hashes
 from leakaudit.splits import Split
 
 
@@ -34,6 +38,18 @@ def test_shingle_hashes():
     # repeated shingles collapse
     rep = shingle_hashes(["x", "x", "x", "x"])
     assert len(rep) == 1
+    assert len(shingle_hashes(["x", "y", "z", "x", "y", "z"])) == 3
+    # a shingle is its tokens in order
+    assert shingle_hashes(["a", "b", "c"]) != shingle_hashes(["c", "b", "a"])
+    assert shingle_hashes(["a", "b", "c"]) != shingle_hashes(["a", "c", "b"])
+    assert shingle_hashes(["a", "b"]) != shingle_hashes(["b", "a"])
+    assert len(shingle_hashes(["a", "b", "a"])) == 1
+    assert len(shingle_hashes(["a", "b", "a", "b"])) == 2
+    # a whole-text shingle is told apart by its length, and tokens stay whole
+    short = {*shingle_hashes(["a"]), *shingle_hashes(["a", "a"]), *shingle_hashes(["a", "a", "a"])}
+    assert len(short) == 3
+    assert shingle_hashes(["ab"]) != shingle_hashes(["a", "b"])
+    assert shingle_hashes(["a", "bc", "d"]) != shingle_hashes(["ab", "c", "d"])
 
 
 def _words(n, offset=0):
@@ -99,22 +115,24 @@ def test_scan_is_order_independent():
     assert scan1.clusters == scan2.clusters
 
 
+def _norm_tokens(text):
+    return [w for w in text.lower().split() if not w.startswith("http")]
+
+
+def _brute_shingles(text):
+    tokens = _norm_tokens(text)
+    if not tokens:
+        return set()
+    if len(tokens) < 3:
+        return {tuple(tokens)}
+    return {tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
+
+
 def _brute_force_links(rows, threshold):
     """Normalized texts, and (i, j, jaccard, kind) for every linked row
     pair i < j: tuple shingles and set Jaccard, no hashing or LSH."""
-
-    def norm_tokens(text):
-        return [w for w in text.lower().split() if not w.startswith("http")]
-
-    def shingles(tokens):
-        if not tokens:
-            return set()
-        if len(tokens) < 3:
-            return {tuple(tokens)}
-        return {tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
-
-    norms = [" ".join(norm_tokens(r["text"])) for r in rows]
-    shingle_sets = [shingles(norm_tokens(r["text"])) for r in rows]
+    norms = [" ".join(_norm_tokens(r["text"])) for r in rows]
+    shingle_sets = [_brute_shingles(r["text"]) for r in rows]
     links = []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -154,7 +172,8 @@ def _brute_force_components(rows, threshold):
 
     exact_groups = {}
     for i, norm in enumerate(norms):
-        exact_groups.setdefault(norm, []).append(i)
+        if norm:  # a record without usable text is skipped, not grouped
+            exact_groups.setdefault(norm, []).append(i)
     exact = {
         frozenset(rows[i]["id"] for i in grp)
         for grp in exact_groups.values()
@@ -205,32 +224,127 @@ def test_clusters_match_brute_force_graph():
     assert got_near == want_near
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_contamination_matches_brute_force(seed):
-    rng = np.random.default_rng(seed)
-    rows = _random_corpus(rng, n_base=40, n_edits=30, n_copies=40)
-    # some records sit in no partition and must never be reported
-    parts = [("train", "dev", "test", None)[int(i)] for i in rng.integers(0, 4, len(rows))]
-    part_of = {r["id"]: part for r, part in zip(rows, parts)}
-    split = Split(
+def _split_of(part_of):
+    return Split(
         train_ids=tuple(rid for rid, part in part_of.items() if part == "train"),
         dev_ids=tuple(rid for rid, part in part_of.items() if part == "dev"),
         test_ids=tuple(rid for rid, part in part_of.items() if part == "test"),
     )
 
+
+def _brute_force_contamination(rows, part_of, threshold):
+    """Every linked record pair across the train boundary, in report order."""
     want = []
-    for i, j, jaccard, kind in _brute_force_links(rows, 0.8)[1]:
+    for i, j, jaccard, kind in _brute_force_links(rows, threshold)[1]:
         a, b = rows[i]["id"], rows[j]["id"]
         if part_of[b] == "train":
             a, b = b, a
         if part_of[a] == "train" and part_of[b] in ("dev", "test"):
             want.append((a, b, part_of[b], jaccard, kind))
     want.sort(key=lambda p: (-p[3], int(p[0]), int(p[1])))
+    return want
 
-    pairs = scan_duplicates(build_dataset(rows, labels=["a"])).contamination(split)
-    got = [(p.train_id, p.other_id, p.partition, p.jaccard, p.kind) for p in pairs]
+
+def _report(leaks):
+    worst = [(p.train_id, p.other_id, p.partition, p.jaccard, p.kind) for p in leaks.worst]
+    return leaks.n_pairs, worst
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
+def test_contamination_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    # seed 5 is small enough that worst is the whole list
+    n_copies = 16 if seed == 5 else 40
+    rows = _random_corpus(rng, n_base=40, n_edits=30, n_copies=n_copies)
+    # some records sit in no partition and must never be reported
+    parts = [("train", "dev", "test", None)[int(i)] for i in rng.integers(0, 4, len(rows))]
+    part_of = {r["id"]: part for r, part in zip(rows, parts)}
+
+    want = _brute_force_contamination(rows, part_of, 0.8)
+    leaks = scan_duplicates(build_dataset(rows, labels=["a"])).contamination(_split_of(part_of))
     assert {"exact", "near"} <= {p[4] for p in want}
-    assert got == want
+    assert _report(leaks) == (len(want), want[:WORST_PAIRS])
+    if seed == 5:
+        assert len(want) <= WORST_PAIRS
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        # four words, so texts repeat, share and repeat shingles, and
+        # distinct texts can have one shingle set ("a a a a", "a a a")
+        st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=10),
+        st.booleans(),  # an upper-cased copy with a URL
+        st.sampled_from(["train", "dev", "test", None]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_RECORDS, threshold=st.sampled_from([0.8, 1.0]))
+@example(
+    records=[
+        ([], False, "train"),  # no tokens
+        (["a", "a", "a", "a"], False, "train"),  # a repeated shingle
+        (["a"], False, "test"),  # one token
+        (["a", "b"], False, "train"),  # two tokens
+        (["a", "b"], True, "dev"),  # its exact copy, which sorts after the
+        (["a", "a", "a"], False, "test"),  # near pair at J = 1.0 of ids 42, 930
+        (["b", "c", "dd", "a", "b"], False, None),  # in no partition
+        (["b", "c", "dd", "a", "b"], True, "dev"),
+    ],
+    threshold=0.8,
+)
+def test_scan_and_contamination_match_brute_force(records, threshold):
+    rows, part_of = [], {}
+    for i, (words, shout, part) in enumerate(records):
+        text = " ".join(words)
+        if shout:
+            text = text.upper() + " http://t.co/Xy"
+        rid = str(37 * i * i + 5)  # 5, 42, 153, ...: string order is not numeric order
+        rows.append({"id": rid, "text": text, "label": "a"})
+        part_of[rid] = part
+    scan = scan_duplicates(build_dataset(rows, labels=["a"]), jaccard_threshold=threshold)
+
+    want_exact, want_near = _brute_force_components(rows, threshold)
+    assert {frozenset(c.member_ids) for c in scan.clusters if c.kind == "exact"} == want_exact
+    near = [c for c in scan.clusters if c.kind == "near"]
+    assert {frozenset(c.member_ids) for c in near} == want_near
+    shingles = {r["id"]: _brute_shingles(r["text"]) for r in rows}
+    for cluster in near:
+        assert cluster.representative_id == min(cluster.member_ids, key=int)
+        rep = shingles[cluster.representative_id]
+        assert cluster.min_jaccard_to_representative == min(
+            len(rep & shingles[m]) / len(rep | shingles[m]) for m in cluster.member_ids
+        )
+
+    want = _brute_force_contamination(rows, part_of, threshold)
+    assert _report(scan.contamination(_split_of(part_of))) == (len(want), want[:WORST_PAIRS])
+
+
+def test_near_copy_family_scans_in_bounded_time():
+    """A 40-word post and 1000 one-token edits of it share buckets in
+    about 500k pairs, most of them below threshold. The scan verifies a
+    pair only when it would join two components, so it stays linear."""
+    rng = np.random.default_rng(8)
+    post = _words(40).split()
+    texts = [" ".join(post)]
+    for k in range(1000):
+        edited = list(post)
+        edited[int(rng.integers(len(post)))] = f"edit{k}"
+        texts.append(" ".join(edited))
+    texts += [_words(12, offset=100 + 12 * k) for k in range(2000)]
+    rows = [
+        {"id": str(10_000 + i), "text": texts[j], "label": "x"}
+        for i, j in enumerate(rng.permutation(len(texts)))
+    ]
+    ds = build_dataset(rows, labels=["x"])
+    start = time.perf_counter()
+    scan = scan_duplicates(ds)
+    elapsed = time.perf_counter() - start
+    assert [(c.kind, c.size) for c in scan.clusters] == [("near", 1001)]
+    assert elapsed < 3.0
 
 
 def test_cross_split_contamination():
@@ -253,7 +367,9 @@ def test_cross_split_contamination():
         test_ids=("4", "6"),
         spec=SplitSpec(ratios=(0.6, 0.2, 0.2), seed=0),
     )
-    pairs = scan_duplicates(ds).contamination(split)
+    leaks = scan_duplicates(ds).contamination(split)
+    assert leaks.n_pairs == 2
+    pairs = leaks.worst
     assert [(p.train_id, p.other_id, p.partition, p.kind) for p in pairs] == [
         ("1", "4", "test", "exact"),
         ("3", "5", "dev", "near"),
