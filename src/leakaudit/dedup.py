@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import Dataset
 from .splits import Split
-from .textleak import URL_RE
+from .textleak import strip_urls
 
 NUM_PERMUTATIONS = 128
 LSH_BANDS = 32
@@ -58,10 +58,7 @@ _BATCH = 1 << 18  # shingle lookups or pairs one verification or expansion pass 
 def normalize_text(text: str) -> str:
     """Lowercase, strip URLs, collapse whitespace. Empty result means the
     record has no usable text."""
-    text = text.lower()
-    if "://" in text or "www." in text:  # URL_RE matches nothing else, and costs more
-        text = URL_RE.sub(" ", text)
-    return " ".join(text.split())
+    return " ".join(strip_urls(text.lower()).split())
 
 
 def _token_hash(token: str) -> int:

@@ -19,11 +19,13 @@ Feature values must be exact integers (integer, bool or integral float
 arrays); anything else is refused, never truncated.
 
 Feature matrices here are tiny-alphabet ordinal ints (digit positions of
-ids), which makes duplicate rows the common case. Training therefore
-compresses (row, label) duplicates into weighted patterns once and grows
-trees on the patterns; weighted CART on multiplicities is arithmetically
-identical to unweighted CART on the duplicated rows, and million-row
-inputs collapse to a few hundred patterns.
+ids), which makes duplicate rows the common case. The fit core,
+``fit_rows``, takes the distinct rows, each training row's index into them
+and its label position; one 1-D unique of ``row * n_labels + label``
+collapses them into weighted patterns, and trees grow on the patterns.
+Weighted CART on multiplicities is arithmetically identical to unweighted
+CART on the duplicated rows, and million-row inputs collapse to a few
+hundred patterns.
 
 All trees of a fit grow in lockstep (``_LockstepGrower``). Each feature
 column is rank-coded once. A step takes the next node in preorder from
@@ -176,15 +178,6 @@ def _as_feature_matrix(X) -> np.ndarray:
     if arr.size and (arr.max() >= _MAX_FEATURE_MAGNITUDE or arr.min() <= -_MAX_FEATURE_MAGNITUDE):
         raise ValueError("feature values too large for exact threshold arithmetic")
     return arr.astype(np.int64, copy=False)
-
-
-def _compress(X: np.ndarray, y_idx: np.ndarray):
-    """Collapse duplicate (row, label) pairs into weighted patterns."""
-    combined = np.concatenate([X, y_idx[:, None]], axis=1)
-    patterns, inverse, counts = np.unique(
-        combined, axis=0, return_inverse=True, return_counts=True
-    )
-    return patterns[:, :-1], patterns[:, -1], counts.astype(np.int64), inverse
 
 
 _BATCH_CELLS = 1 << 18  # (pattern, feature) cells one split search sorts at most
@@ -493,7 +486,8 @@ def _prepare(X, y: Sequence[str], label_set: LabelSet | None):
     outside = np.flatnonzero(y_idx < 0)
     if outside.size:
         raise UnknownLabelError(f"label {y[int(outside[0])]!r} not in {label_set.labels}")
-    return X, y_idx, label_set
+    rows, row_of = np.unique(X, axis=0, return_inverse=True)
+    return rows, row_of.reshape(-1), y_idx, label_set
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -502,21 +496,24 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     )
 
 
-def _fit(X, y, config, label_set, n_trees: int, bootstrap: bool) -> ForestModel:
-    X, y_idx, label_set = _prepare(X, y, label_set)
-    pat_X, pat_y, pat_w, inverse = _compress(X, y_idx)
+def fit_rows(rows, row_of, y_idx, label_set, config, n_trees: int, bootstrap: bool) -> ForestModel:
+    """Fit on training rows ``rows[row_of]`` with label positions y_idx.
+    ``rows`` are distinct int64 rows in ``np.unique(axis=0)`` order, so the
+    patterns sort as a 2-d unique of (row, label) would. Nothing is checked."""
+    K = len(label_set)
+    keys, inverse, counts = np.unique(row_of * K + y_idx, return_inverse=True, return_counts=True)
     rngs = [_tree_rng(config.seed, t) for t in range(n_trees)]
     if bootstrap:
         # each substream makes its bootstrap draw before any feature order
+        n = len(row_of)
         weights = [
-            np.bincount(inverse[rng.integers(0, len(X), size=len(X))], minlength=len(pat_w))
-            for rng in rngs
+            np.bincount(inverse[rng.integers(0, n, size=n)], minlength=len(keys)) for rng in rngs
         ]
     else:
-        weights = [pat_w] * n_trees
-    grower = _LockstepGrower(pat_X, pat_y, len(label_set), config, rngs, weights)
+        weights = [counts] * n_trees
+    grower = _LockstepGrower(rows[keys // K], keys % K, K, config, rngs, weights)
     return ForestModel(
-        config=config, label_set=label_set, trees=grower.grow(), n_features=X.shape[1]
+        config=config, label_set=label_set, trees=grower.grow(), n_features=rows.shape[1]
     )
 
 
@@ -529,7 +526,9 @@ def fit_tree(
     Returned as a one-tree ForestModel, keeping config, so predict and
     serialize are uniform.
     """
-    return _fit(X, y, config or ForestConfig(), label_set, n_trees=1, bootstrap=False)
+    return fit_rows(
+        *_prepare(X, y, label_set), config or ForestConfig(), n_trees=1, bootstrap=False
+    )
 
 
 def fit_forest(
@@ -538,7 +537,7 @@ def fit_forest(
     """Fit a voting forest; tree t draws its RNG substream from
     (config.seed, t), so no tree depends on the trees fitted beside it."""
     config = config or ForestConfig()
-    return _fit(X, y, config, label_set, config.n_trees, config.bootstrap)
+    return fit_rows(*_prepare(X, y, label_set), config, config.n_trees, config.bootstrap)
 
 
 # --- stratified random baseline -------------------------------------------

@@ -6,6 +6,10 @@ accuracy above the stratified-random baseline means the label is readable
 off the clock: classes were collected in different time windows and a
 model can exploit that instead of content.
 
+A run works on dataset rows and label positions: one dict maps the split's
+ids to rows, one ``digit_features`` call parses them, and the forest fits
+and predicts once per distinct digit pattern.
+
 The probe's score is normalized headroom above chance,
 ``(macro - baseline) / (1 - baseline)``, clamped at 0, so 0.0 reads as
 "no temporal signal" and 1.0 as "labels fully recoverable from id alone".
@@ -13,14 +17,15 @@ The probe's score is normalized headroom above chance,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .errors import AllIdsTooShortError, EmptySplitError
-from .forest import ForestConfig, baseline_expected_macro_f1, fit_forest
+from .errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
+from .forest import ForestConfig, baseline_expected_macro_f1, fit_rows
 from .metrics import ConfusionMatrix, result_from_matrix
 from .splits import Split, SplitSpec, random_split
 
@@ -120,34 +125,42 @@ def run_id_leak_test(
         EmptySplitError: if train or test has no records.
         AllIdsTooShortError: if a partition loses every id to the k-digit
             requirement.
+        UnknownLabelError: if a kept record's label is outside the label set.
     """
     config = config or ForestConfig()
-    by_id = dataset.by_id()
-    train_recs = [by_id[i] for i in split.train_ids if i in by_id]
-    test_recs = [by_id[i] for i in split.test_ids if i in by_id]
-    if not train_recs or not test_recs:
-        raise EmptySplitError(
-            f"need non-empty train and test (got {len(train_recs)}/{len(test_recs)})"
-        )
+    label_set = dataset.label_set
+    row_of_id = {r.id: row for row, r in enumerate(dataset.records)}
+    train = [row_of_id[i] for i in split.train_ids if i in row_of_id]
+    test = [row_of_id[i] for i in split.test_ids if i in row_of_id]
+    if not train or not test:
+        raise EmptySplitError(f"need non-empty train and test (got {len(train)}/{len(test)})")
 
-    X_train, kept_train = digit_features([r.id for r in train_recs], k)
-    X_test, kept_test = digit_features([r.id for r in test_recs], k)
-    excluded = (len(train_recs) - len(kept_train)) + (len(test_recs) - len(kept_test))
-    if len(kept_train) == 0 or len(kept_test) == 0:
+    rows = np.array(train + test)
+    digits, kept = digit_features([dataset.records[row].id for row in rows.tolist()], k)
+    n_train = bisect_left(kept, len(train))  # kept ascends, so train comes first
+    if n_train == 0 or n_train == len(kept):
         raise AllIdsTooShortError(f"every id in a partition is shorter than {k} digits")
+    rows = rows[kept]
+    labels = dataset.label_index[rows]
+    if np.any(labels < 0):
+        bad = dataset.records[rows[np.argmax(labels < 0)]].label
+        raise UnknownLabelError(f"label {bad!r} not in {label_set.labels}")
 
-    y_train = [train_recs[i].label for i in kept_train]
-    y_test = [test_recs[i].label for i in kept_test]
-
-    model = fit_forest(X_train, y_train, config, dataset.label_set)
-    preds = model.predict(X_test)
-
-    matrix = ConfusionMatrix.from_pairs(y_test, preds, dataset.label_set)
-    result = result_from_matrix(matrix)
+    patterns, pattern_of = np.unique(digits, axis=0, return_inverse=True)
+    pattern_of = pattern_of.reshape(-1)
+    y, gold = labels[:n_train], labels[n_train:]
+    model = fit_rows(
+        patterns, pattern_of[:n_train], y, label_set, config, config.n_trees, config.bootstrap
+    )
+    predicted = model.predict_index(patterns)[pattern_of[n_train:]]
+    result = result_from_matrix(ConfusionMatrix.from_positions(gold, predicted, label_set))
 
     # Counter keeps first-occurrence order, which fixes the order the
     # baseline's mean sums in, down to the last bit.
-    baseline = baseline_expected_macro_f1(Counter(y_train), Counter(y_test))
+    names = label_set.labels
+    baseline = baseline_expected_macro_f1(
+        Counter(names[i] for i in y.tolist()), Counter(names[i] for i in gold.tolist())
+    )
 
     score = leakage_score(result.macro_f1, baseline)
     return IdLeakReport(
@@ -157,9 +170,9 @@ def run_id_leak_test(
         baseline_macro_f1=baseline,
         leakage_score=score,
         verdict=verdict(score),
-        n_train=len(kept_train),
-        n_test=len(kept_test),
-        excluded_short_ids=excluded,
+        n_train=n_train,
+        n_test=len(kept) - n_train,
+        excluded_short_ids=len(train) + len(test) - len(kept),
         split_name=split.name(),
         config=config,
     )

@@ -56,15 +56,22 @@ class ConfusionMatrix:
     ) -> "ConfusionMatrix":
         if len(gold) != len(predicted):
             raise ValueError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
-        k = len(label_set)
         labels = [*gold, *predicted, *missing_gold]
         codes = label_set.encode(labels)
         if np.any(codes < 0):
             unknown = labels[int(np.argmax(codes < 0))]
             raise UnknownLabelError(f"label {unknown!r} not in {label_set.labels}")
         n = len(gold)
-        counts = np.bincount(codes[:n] * k + codes[n : 2 * n], minlength=k * k).reshape(k, k)
-        missing = np.bincount(codes[2 * n :], minlength=k)
+        return cls.from_positions(codes[:n], codes[n : 2 * n], label_set, codes[2 * n :])
+
+    @classmethod
+    def from_positions(
+        cls, gold: np.ndarray, predicted: np.ndarray, label_set: LabelSet, missing_gold=()
+    ) -> "ConfusionMatrix":
+        """from_pairs on label-set positions: int arrays without -1."""
+        k = len(label_set)
+        counts = np.bincount(gold * k + predicted, minlength=k * k).reshape(k, k)
+        missing = np.bincount(np.asarray(missing_gold, dtype=np.int64), minlength=k)
         return cls(label_set=label_set, counts=counts, missing_per_label=tuple(missing.tolist()))
 
     @property

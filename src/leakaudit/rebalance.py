@@ -85,54 +85,32 @@ class _AlivePool:
 
     def __init__(self, timestamps: list[int], records: list[Record]):
         order = sorted(range(len(timestamps)), key=lambda i: (timestamps[i], int(records[i].id)))
-        self.ts = [timestamps[i] for i in order]
-        self.records = [records[i] for i in order]
-        n = len(order)
-        self.left = list(range(-1, n - 1))
-        self.right = list(range(1, n + 1))
-        self.dead = [False] * n
+        # slots 0 and n + 1 are sentinels that never die and are never in a window
+        self.ts = [-float("inf"), *(timestamps[i] for i in order), float("inf")]
+        self.records = [None, *(records[i] for i in order), None]
+        self.left = list(range(-1, len(self.ts) - 1))
+        self.right = list(range(1, len(self.ts) + 1))
+        self.dead = [False] * len(self.ts)
 
-    def _alive_at_or_right(self, j: int) -> int | None:
-        n, dead, right = len(self.ts), self.dead, self.right
+    def _alive(self, step: list[int], j: int) -> int:
+        """The first alive slot from j on along step (left or right)."""
+        dead = self.dead
         end = j
-        while end < n and dead[end]:
-            end = right[end]
+        while dead[end]:
+            end = step[end]
         while j != end:
-            nxt = right[j]
-            right[j] = end
-            j = nxt
-        return end if end < n else None
-
-    def _alive_left(self, j: int) -> int | None:
-        dead, left = self.dead, self.left
-        end = j
-        while end >= 0 and dead[end]:
-            end = left[end]
-        while j != end:
-            nxt = left[j]
-            left[j] = end
-            j = nxt
-        return end if end >= 0 else None
+            step[j], j = end, step[j]
+        return end
 
     def take_nearest(self, target: int, window_ms: int) -> Record | None:
         """Remove and return the alive record with timestamp nearest to
         target (ties to the earlier timestamp), or None when the nearest
         is farther than window_ms or the pool is empty."""
-        if not self.ts:
-            return None
         pos = bisect_left(self.ts, target)
-        right = self._alive_at_or_right(pos)
-        left = self._alive_left(pos - 1)
-        best = None
-        if left is not None and right is not None:
-            d_left = target - self.ts[left]
-            d_right = self.ts[right] - target
-            best = left if d_left <= d_right else right
-        elif left is not None:
-            best = left
-        elif right is not None:
-            best = right
-        if best is None or abs(self.ts[best] - target) > window_ms:
+        right = self._alive(self.right, pos)
+        left = self._alive(self.left, pos - 1)
+        best = left if target - self.ts[left] <= self.ts[right] - target else right
+        if abs(self.ts[best] - target) > window_ms:
             return None
         self.dead[best] = True
         return self.records[best]

@@ -76,8 +76,8 @@ class TimestampHistogram:
     """Per-label counts of records falling in fixed-width time buckets.
 
     Bucket keys are unix-epoch-aligned start times: bucket(ts) is
-    ``(ts // bucket_ms) * bucket_ms``. Records whose ids decode to no
-    timestamp are tallied in excluded_count, not in any bucket.
+    ``(ts // bucket_ms) * bucket_ms``. Records without a ``timestamp_ms``
+    are tallied in excluded_count, not in any bucket.
     """
 
     bucket_ms: int
@@ -93,7 +93,8 @@ class TimestampHistogram:
 
 
 def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
-    """Histogram a dataset's decodable creation times, per label.
+    """Histogram a dataset's creation times, per label. A record's time is
+    its ``timestamp_ms``, which the loaders decode from its id.
 
     Raises:
         ValueError: if bucket_ms < 1.
@@ -104,8 +105,6 @@ def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
     excluded = 0
     for record in dataset.records:
         ts = record.timestamp_ms
-        if ts is None:
-            ts = try_decode_timestamp(record.id)
         if ts is None:
             excluded += 1
             continue

@@ -7,14 +7,18 @@ else identical. The probe must say "severe" on one and "none" on the
 other.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakaudit import SplitSpec, build_dataset, run_id_leak_test
-from leakaudit.errors import AllIdsTooShortError, EmptySplitError
-from leakaudit.forest import ForestConfig
+from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
+from leakaudit.data import Dataset, Record
+from leakaudit.errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
+from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.idleak import (
     digit_features,
     leakage_score,
@@ -94,24 +98,27 @@ def test_digit_features_rejects_bad_k_and_non_digit_ids():
         digit_features(["456", "a"], 3)
 
 
+SHORT_ID_ROWS = [
+    {"id": "51", "text": "a", "label": "x"},
+    {"id": "523456789012345678", "text": "b", "label": "x"},
+    {"id": "623456789012345678", "text": "c", "label": "y"},
+    {"id": "62", "text": "d", "label": "y"},
+    {"id": "533456789012345678", "text": "e", "label": "x"},
+    {"id": "633456789012345678", "text": "f", "label": "y"},
+]
+SHORT_ID_SPEC = SplitSpec(ratios=(0.5, 0.0, 0.5), seed=1)
+SHORT_ID_SPLIT = Split(
+    train_ids=("51", "523456789012345678", "623456789012345678", "62"),
+    dev_ids=(),
+    test_ids=("533456789012345678", "633456789012345678"),
+    spec=SHORT_ID_SPEC,
+)
+
+
 def test_short_ids_excluded_and_counted():
-    rows = [
-        {"id": "51", "text": "a", "label": "x"},
-        {"id": "523456789012345678", "text": "b", "label": "x"},
-        {"id": "623456789012345678", "text": "c", "label": "y"},
-        {"id": "62", "text": "d", "label": "y"},
-        {"id": "533456789012345678", "text": "e", "label": "x"},
-        {"id": "633456789012345678", "text": "f", "label": "y"},
-    ]
-    ds = build_dataset(rows, labels=["x", "y"])
-    spec = SplitSpec(ratios=(0.5, 0.0, 0.5), seed=1)
-    split = Split(
-        train_ids=("51", "523456789012345678", "623456789012345678", "62"),
-        dev_ids=(),
-        test_ids=("533456789012345678", "633456789012345678"),
-        spec=spec,
-    )
-    report = run_id_leak_test(ds, split, k=3, config=FAST)
+    ds = build_dataset(SHORT_ID_ROWS, labels=["x", "y"])
+    spec = SHORT_ID_SPEC
+    report = run_id_leak_test(ds, SHORT_ID_SPLIT, k=3, config=FAST)
     assert report.excluded_short_ids == 2
     assert report.n_train == 2 and report.n_test == 2
 
@@ -126,6 +133,84 @@ def test_short_ids_excluded_and_counted():
 
     with pytest.raises(EmptySplitError):
         run_id_leak_test(ds, Split(train_ids=("51",), dev_ids=(), test_ids=(), spec=spec), k=1)
+
+
+@pytest.mark.parametrize("bad_in", ["train", "test"])
+def test_label_outside_label_set_is_refused(bad_in):
+    ids = ["523456789012345678", "623456789012345678", "533456789012345678", "633456789012345678"]
+    labels = ["x", "y", "x", "y"]
+    labels[0 if bad_in == "train" else 2] = "z"
+    ds = Dataset(
+        records=tuple(Record(id=i, text="t", label=lab) for i, lab in zip(ids, labels)),
+        label_set=LabelSet.of("x", "y"),
+    )
+    split = Split(train_ids=tuple(ids[:2]), dev_ids=(), test_ids=tuple(ids[2:]))
+    with pytest.raises(UnknownLabelError, match="'z'"):
+        run_id_leak_test(ds, split, k=3, config=FAST)
+
+
+def _reports_digest(reports):
+    blob = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _order_sensitive_probe():
+    """Reports on a split whose test labels first occur in reverse label-set
+    order, with counts that make the baseline's float mean depend on the
+    order its per-class terms are summed in."""
+    train_counts = {"a": 3, "b": 2, "c": 5, "d": 2}
+    test_counts = {"d": 7, "c": 8, "b": 8, "a": 8}
+    labels = [
+        lab for counts in (train_counts, test_counts) for lab, n in counts.items() for _ in range(n)
+    ]
+    rows = [
+        {"id": str(523456789012345678 + 7919 * i), "text": "t", "label": lab}
+        for i, lab in enumerate(labels)
+    ]
+    ids = tuple(row["id"] for row in rows)
+    n_train = sum(train_counts.values())
+    split = Split(train_ids=ids[:n_train], dev_ids=(), test_ids=ids[n_train:])
+    ds = build_dataset(rows, labels=["a", "b", "c", "d"])
+    reports = [run_id_leak_test(ds, split, k=k, config=FAST) for k in (2, 3)]
+    reordered = dict(reversed(test_counts.items()))
+    assert baseline_expected_macro_f1(train_counts, reordered) != reports[0].baseline_macro_f1
+    return reports
+
+
+# SHA-256 of the reports' sort_keys JSON, pinned from the record-level probe
+# that fitted on label strings; any change to patterns, bootstrap draws,
+# votes, confusion counts or the baseline's summation order changes them
+REPORT_DIGESTS = {
+    "baseline-order": "61da8d82b383fe4129dacd09d792b92895771bc69103f7419e49547928967a97",
+    "suite-leaky": "693903b6bb8af5d0cbf2a5823a663a38eee11cfde69d5d5e8d48eabd6206cf70",
+    "suite-control": "446a76ab18048e89f3810300e60a8538daf74e6bd5bdefc5280291c81a516304",
+    "short-ids": "da56eb0c133fe2b1cb229f0ec56307baa9928bf5c5fd641d1abeb3f0c58e58b7",
+    "absent-ids": "9947286e2086cb14790232e17fbf97afb5ba3fe22aff13995e031a006e1d315b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+def test_probe_reports_are_pinned(request, case):
+    if case.startswith("suite-"):
+        dataset = request.getfixturevalue(case.removeprefix("suite-"))
+        reports = run_id_leak_suite(dataset, k_values=(2, 3), n_splits=2, config=FAST)
+    elif case == "baseline-order":
+        reports = _order_sensitive_probe()
+    elif case == "short-ids":
+        ds = build_dataset(SHORT_ID_ROWS, labels=["x", "y"])
+        reports = [run_id_leak_test(ds, SHORT_ID_SPLIT, k=3, config=FAST)]
+    else:
+        leaky = request.getfixturevalue("leaky")
+        split = _split(leaky)
+        absent = Split(
+            train_ids=split.train_ids[:5] + ("999999999999999999",) + split.train_ids[5:],
+            dev_ids=split.dev_ids,
+            test_ids=("999999999999999998",) + split.test_ids,
+            spec=split.spec,
+        )
+        reports = [run_id_leak_test(leaky, absent, k=k, config=FAST) for k in (2, 3)]
+        assert [r.n_train for r in reports] == [len(split.train_ids)] * 2
+    assert _reports_digest(reports) == REPORT_DIGESTS[case]
 
 
 def test_leakage_score_formula():
