@@ -163,13 +163,27 @@ class Manifest:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Manifest":
+        """Read a manifest file: a JSON object with a non-empty ``labels``
+        list of strings and an optional ``fields`` object of strings.
+
+        Raises:
+            SchemaError: naming the file, if it is not such an object.
+        """
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "labels" not in raw or not raw["labels"]:
-            raise SchemaError(f"manifest {path} has no labels")
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"manifest {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise SchemaError(f"manifest {path} must be a JSON object")
+        labels, fields = raw.get("labels"), raw.get("fields", {})
+        if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
+            raise SchemaError(f"manifest {path}: labels must be a non-empty list of strings")
+        if not isinstance(fields, dict) or not all(isinstance(v, str) for v in fields.values()):
+            raise SchemaError(f"manifest {path}: fields must be an object of strings")
         return cls(
-            labels=tuple(raw["labels"]),
-            fields=dict(raw.get("fields", {})),
+            labels=tuple(labels),
+            fields=dict(fields),
             name=raw.get("name", ""),
             source_notes=raw.get("source_notes", ""),
         )

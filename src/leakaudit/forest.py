@@ -459,9 +459,6 @@ class ForestModel:
         # argmax takes the first maximum: vote ties go to the lowest label index
         return np.argmax(votes, axis=1)[inverse.reshape(-1)]
 
-    def predict(self, X) -> list[str]:
-        return [self.label_set.labels[i] for i in self.predict_index(X)]
-
     def to_json_str(self) -> str:
         payload = {
             "format_version": FORMAT_VERSION,

@@ -6,9 +6,11 @@ accuracy above the stratified-random baseline means the label is readable
 off the clock: classes were collected in different time windows and a
 model can exploit that instead of content.
 
-A run works on dataset rows and label positions: one dict maps the split's
-ids to rows, one ``digit_features`` call parses them, and the forest fits
-and predicts once per distinct digit pattern.
+Every probe runs through ``run_id_leak_suite``. It maps each split's train
+and test ids to dataset rows once, and for each distinct k parses every
+dataset id once into a pattern table: the distinct k-digit prefixes and
+each row's pattern (-1 for an id shorter than k). Each (split, k) run fits
+on the table's train patterns and predicts each table pattern once.
 
 The probe's score is normalized headroom above chance,
 ``(macro - baseline) / (1 - baseline)``, clamped at 0, so 0.0 reads as
@@ -17,7 +19,6 @@ The probe's score is normalized headroom above chance,
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from .data import Dataset
 from .errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
 from .forest import ForestConfig, baseline_expected_macro_f1, fit_rows
 from .metrics import ConfusionMatrix, result_from_matrix
-from .splits import Split, SplitSpec, random_split
+from .splits import Split, SplitSpec, make_split
 
 
 # leak-score cutpoints of the human-readable verdict
@@ -126,33 +127,32 @@ def run_id_leak_test(
         AllIdsTooShortError: if a partition loses every id to the k-digit
             requirement.
         UnknownLabelError: if a kept record's label is outside the label set.
+        ValueError: if k < 1 or any dataset id, in the split or not, is not
+            a string of ASCII digits.
     """
-    config = config or ForestConfig()
-    label_set = dataset.label_set
-    row_of_id = {r.id: row for row, r in enumerate(dataset.records)}
-    train = [row_of_id[i] for i in split.train_ids if i in row_of_id]
-    test = [row_of_id[i] for i in split.test_ids if i in row_of_id]
-    if not train or not test:
-        raise EmptySplitError(f"need non-empty train and test (got {len(train)}/{len(test)})")
+    return run_id_leak_suite(dataset, (k,), split=split, config=config)[0]
 
-    rows = np.array(train + test)
-    digits, kept = digit_features([dataset.records[row].id for row in rows.tolist()], k)
-    n_train = bisect_left(kept, len(train))  # kept ascends, so train comes first
-    if n_train == 0 or n_train == len(kept):
-        raise AllIdsTooShortError(f"every id in a partition is shorter than {k} digits")
+
+def _probe(dataset, name, rows, n_listed, k, table, pattern_of, config) -> IdLeakReport:
+    """One (split, k) run: ``rows`` are the split's train then test dataset
+    rows, the first ``n_listed`` of them train."""
+    kept = pattern_of[rows] >= 0
+    n_train = int(np.count_nonzero(kept[:n_listed]))
     rows = rows[kept]
+    if n_train == 0 or n_train == len(rows):
+        raise AllIdsTooShortError(f"every id in a partition is shorter than {k} digits")
+    label_set = dataset.label_set
     labels = dataset.label_index[rows]
     if np.any(labels < 0):
         bad = dataset.records[rows[np.argmax(labels < 0)]].label
         raise UnknownLabelError(f"label {bad!r} not in {label_set.labels}")
 
-    patterns, pattern_of = np.unique(digits, axis=0, return_inverse=True)
-    pattern_of = pattern_of.reshape(-1)
+    patterns = pattern_of[rows]
     y, gold = labels[:n_train], labels[n_train:]
     model = fit_rows(
-        patterns, pattern_of[:n_train], y, label_set, config, config.n_trees, config.bootstrap
+        table, patterns[:n_train], y, label_set, config, config.n_trees, config.bootstrap
     )
-    predicted = model.predict_index(patterns)[pattern_of[n_train:]]
+    predicted = model.predict_index(table)[patterns[n_train:]]
     result = result_from_matrix(ConfusionMatrix.from_positions(gold, predicted, label_set))
 
     # Counter keeps first-occurrence order, which fixes the order the
@@ -171,11 +171,21 @@ def run_id_leak_test(
         leakage_score=score,
         verdict=verdict(score),
         n_train=n_train,
-        n_test=len(kept) - n_train,
-        excluded_short_ids=len(train) + len(test) - len(kept),
-        split_name=split.name(),
+        n_test=len(rows) - n_train,
+        excluded_short_ids=len(kept) - len(rows),
+        split_name=name,
         config=config,
     )
+
+
+def _pattern_table(ids: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct k-digit prefixes of ``ids`` in ``np.unique(axis=0)``
+    order, and each id's row in that table (-1 for an id shorter than k)."""
+    digits, kept = digit_features(ids, k)
+    table, inverse = np.unique(digits, axis=0, return_inverse=True)
+    pattern_of = np.full(len(ids), -1, dtype=np.int64)
+    pattern_of[kept] = inverse.reshape(-1)
+    return table, pattern_of
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -194,25 +204,35 @@ def run_id_leak_suite(
 
     With a canonical split given, one report per k on that split. Without
     one, generates n_splits fresh stratified 70/10/20 splits (seeded
-    substreams of ``seed``) and reports every (split, k) pair, so
-    downstream summaries can quote mean and spread instead of one
-    arbitrary partition's luck.
+    substreams of ``seed``) and reports every (split, k) pair, split
+    first, so downstream summaries can quote mean and spread instead of
+    one arbitrary partition's luck.
+
+    Raises:
+        The errors of ``run_id_leak_test``: a ValueError for a k < 1 or any
+        dataset id that is not ASCII digits, then those of the first run.
     """
-    reports: list[IdLeakReport] = []
-    if split is not None:
-        for k in k_values:
-            reports.append(run_id_leak_test(dataset, split, k, config))
-        return reports
-    for i in range(n_splits):
-        spec = SplitSpec(
-            ratios=(0.7, 0.1, 0.2),
-            seed=_derived_seed(seed, i),
-            stratify=True,
-            name=f"probe-split-{i}",
+    config = config or ForestConfig()
+    splits = [split]
+    if split is None:
+        specs = (
+            SplitSpec(ratios=(0.7, 0.1, 0.2), seed=_derived_seed(seed, i), stratify=True,
+                      name=f"probe-split-{i}")
+            for i in range(n_splits)
         )
-        generated = random_split(dataset, spec)
+        splits = (make_split(dataset, spec) for spec in specs)
+    ids = [r.id for r in dataset.records]
+    row_of_id = {rid: row for row, rid in enumerate(ids)}
+    tables = {k: _pattern_table(ids, k) for k in dict.fromkeys(k_values)}
+    reports = []
+    for each in splits:
+        train = [row_of_id[i] for i in each.train_ids if i in row_of_id]
+        test = [row_of_id[i] for i in each.test_ids if i in row_of_id]
+        if not train or not test:
+            raise EmptySplitError(f"need non-empty train and test (got {len(train)}/{len(test)})")
+        rows = np.array(train + test, dtype=np.int64)
         for k in k_values:
-            reports.append(run_id_leak_test(dataset, generated, k, config))
+            reports.append(_probe(dataset, each.name(), rows, len(train), k, *tables[k], config))
     return reports
 
 

@@ -25,7 +25,7 @@ from .data import Dataset, Record
 from .errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
 from .idleak import IdLeakReport, run_id_leak_test
 from .snowflake import timestamp_histogram
-from .splits import SplitSpec, random_split
+from .splits import SplitSpec, make_split
 
 DAY_MS = 86_400_000
 DEFAULT_WINDOW_MS = 7 * DAY_MS
@@ -143,7 +143,7 @@ def _tv_per_label(dataset: Dataset, anchor_label: str) -> dict[str, float]:
 def _leak_probe(dataset: Dataset, seed: int) -> IdLeakReport:
     """The k=3 id probe with default forest settings on one 70/10/20 split."""
     spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed, stratify=True)
-    return run_id_leak_test(dataset, random_split(dataset, spec), k=3)
+    return run_id_leak_test(dataset, make_split(dataset, spec), k=3)
 
 
 def time_rebalance(

@@ -217,18 +217,6 @@ def _shuffled_parts(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> list
     return [rows[part] for part in parts]
 
 
-def random_split(dataset: Dataset, spec: SplitSpec) -> Split:
-    """Seeded (optionally stratified) partition of every record by the
-    spec's ratios; the spec's filters, holdout and grouping are not applied
-    here (``make_split`` applies them).
-
-    Raises:
-        EmptyInputError: on an empty dataset.
-        RatioError: on malformed ratios or a missing seed.
-    """
-    return _random(dataset, np.arange(len(dataset)), spec.validated())
-
-
 def _random(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
     if len(rows) == 0:
         raise EmptyInputError("cannot split an empty dataset")
@@ -422,7 +410,9 @@ def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
     counted in provenance["missing_ids"].
 
     Raises:
-        SplitFileError: malformed file or overlapping partitions.
+        SplitFileError: malformed file (an id that is not a string or an
+            int, a spec that is not an object or null, a provenance that
+            is not an object) or overlapping partitions.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -433,6 +423,13 @@ def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
     for key in ("train_ids", "dev_ids", "test_ids"):
         if not isinstance(raw.get(key), list):
             raise SplitFileError(f"{path}: missing or non-list {key}")
+        for rid in raw[key]:
+            if isinstance(rid, bool) or not isinstance(rid, (str, int)):
+                raise SplitFileError(f"{path}: {key} holds {rid!r}, not a string or integer id")
+    if raw.get("spec") is not None and not isinstance(raw["spec"], dict):
+        raise SplitFileError(f"{path}: spec must be an object or null")
+    if not isinstance(raw.get("provenance", {}), dict):
+        raise SplitFileError(f"{path}: provenance must be an object")
 
     parts = [[str(x) for x in raw[key]] for key in ("train_ids", "dev_ids", "test_ids")]
     seen: set[str] = set()

@@ -35,7 +35,8 @@ def _partition(records, label_set, ratios, rng, stratify):
 
 
 def random_split_ids(dataset, ratios, seed, stratify):
-    """(train, dev, test) id tuples of ``random_split``."""
+    """(train, dev, test) id tuples of ``make_split`` with a spec that has
+    no filters, holdout or grouping."""
     records = dataset.records
     parts = _partition(records, dataset.label_set, ratios, _rng(seed), stratify)
     return tuple(tuple(records[i].id for i in part) for part in parts)

@@ -208,6 +208,23 @@ def test_audit_usage_errors(env, capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"provenance": None}, {"spec": 5}, {"test_ids": [None]}],
+    ids=["provenance-null", "spec-number", "id-null"],
+)
+def test_audit_rejects_malformed_split_file(env, capsys, tmp_path, bad):
+    split_path = tmp_path / "split.json"
+    payload = {"train_ids": ["1"], "dev_ids": [], "test_ids": ["2"], **bad}
+    split_path.write_text(json.dumps(payload), encoding="utf-8")
+    bundle_path = tmp_path / "bundle.json"
+    assert main(["audit", str(env["leaky"]), "--labels", LABELS, "--split", str(split_path),
+                 "--json", str(bundle_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {split_path}: ") and err.count("\n") == 1
+    assert not bundle_path.exists()
+
+
 def test_split_deterministic_and_schema(env, capsys):
     out1 = env["root"] / "split-a.json"
     out2 = env["root"] / "split-b.json"
@@ -589,6 +606,14 @@ def test_inspect_cli(env, capsys):
     assert info["n_undecodable_ids"] == 0
     assert info["n_violations"] == 0
     assert info["min_timestamp_ms"] < info["max_timestamp_ms"]
+
+
+def test_inspect_rejects_malformed_manifest(env, capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"labels": ["true"], "fields": {"id": ["x"]}}', encoding="utf-8")
+    assert main(["inspect", str(env["leaky"]), "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {manifest}: ") and err.count("\n") == 1
 
 
 def test_module_entrypoint():

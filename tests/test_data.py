@@ -1,6 +1,7 @@
 """Loaders, the JSONL saver, validation, and the core model."""
 
 import json
+import re
 
 import pytest
 
@@ -149,6 +150,26 @@ def test_manifest_from_json_file(tmp_path):
     assert m.labels == ("x", "y")
     assert m.source_key("id") == "tid"
     assert m.source_key("text") == "text"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        "5",
+        '["x", "y"]',
+        "{}",
+        '{"labels": []}',
+        '{"labels": "true"}',
+        '{"labels": ["x", 2]}',
+        '{"labels": ["x"], "fields": ["id"]}',
+        '{"labels": ["x"], "fields": {"id": ["x"]}}',
+    ],
+)
+def test_manifest_from_json_file_rejects_malformed(tmp_path, content):
+    path = write(tmp_path / "m.json", content)
+    with pytest.raises(SchemaError, match=f"manifest {re.escape(str(path))}"):
+        Manifest.from_json_file(path)
 
 
 def test_jsonl_round_trip(tmp_path):

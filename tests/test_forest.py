@@ -47,6 +47,10 @@ def _plain_config(max_depth=None, min_samples_split=2, min_samples_leaf=1):
     )
 
 
+def _predicted_labels(model, X):
+    return [model.label_set.labels[i] for i in model.predict_index(X)]
+
+
 def test_depth_one_split_at_midpoint():
     X = [[1], [2], [7], [8]]
     y = ["a", "a", "b", "b"]
@@ -57,7 +61,7 @@ def test_depth_one_split_at_midpoint():
     # one split, two leaves: depth 1
     assert tree.left[0] == 1 and tree.right[0] == 2
     assert tree.feature[1:].tolist() == [-1, -1]
-    assert model.predict([[0], [4], [5], [9]]) == ["a", "a", "b", "b"]
+    assert _predicted_labels(model, [[0], [4], [5], [9]]) == ["a", "a", "b", "b"]
 
 
 def test_identical_rows_become_one_leaf():
@@ -65,10 +69,10 @@ def test_identical_rows_become_one_leaf():
     tree = model.trees[0]
     assert tree.n_nodes == 1 and tree.feature[0] == -1
     assert tree.counts[0] == [2, 1]
-    assert model.predict([[3]]) == ["a"]
+    assert _predicted_labels(model, [[3]]) == ["a"]
     # 1-1 tie on a forced leaf goes to the lower label index
     tie = fit_tree([[3], [3]], ["a", "b"], _plain_config())
-    assert tie.predict([[3]]) == ["a"]
+    assert _predicted_labels(tie, [[3]]) == ["a"]
 
 
 def test_tie_breaks_lowest_feature_then_threshold():
@@ -312,7 +316,7 @@ def test_vote_ties_go_to_lowest_label_index():
         trees=[leaf([1, 0]), leaf([0, 1])],
         n_features=1,
     )
-    assert model.predict([[0]]) == ["a"]
+    assert _predicted_labels(model, [[0]]) == ["a"]
 
 
 def test_input_validation():
@@ -342,19 +346,19 @@ def test_input_validation():
             fit_tree(bad, ["a", "b", "b"])
     model = fit_tree([[1.0], [2.0], [3.0]], ["a", "b", "b"])
     assert model.trees[0].threshold[0] == 1.5
-    assert model.predict(np.array([[True], [False]])) == ["a", "a"]
-    assert model.predict(np.array([[2], [3]], dtype=np.uint8)) == ["b", "b"]
+    assert _predicted_labels(model, np.array([[True], [False]])) == ["a", "a"]
+    assert _predicted_labels(model, np.array([[2], [3]], dtype=np.uint8)) == ["b", "b"]
     for bad, message in not_integers:
         with pytest.raises(ValueError, match=message):
-            model.predict(bad)
+            model.predict_index(bad)
     with pytest.raises(ValueError, match="too large"):
         fit_tree([[-(2**63)]], ["a"])
 
     model = fit_tree([[1], [2]], ["a", "b"])
     with pytest.raises(WidthMismatchError):
-        model.predict([[1, 2]])
+        model.predict_index([[1, 2]])
     with pytest.raises(EmptyInputError):
-        model.predict(np.zeros((0, 1), dtype=np.int64))
+        model.predict_index(np.zeros((0, 1), dtype=np.int64))
 
     for bad in (
         dict(n_trees=0),

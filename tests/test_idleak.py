@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leakaudit.idleak as idleak_module
 from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
 from leakaudit.data import Dataset, Record
 from leakaudit.errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
@@ -26,13 +27,13 @@ from leakaudit.idleak import (
     summarize_id_leak_suite,
     verdict,
 )
-from leakaudit.splits import Split, random_split
+from leakaudit.splits import Split, make_split
 
 FAST = ForestConfig(n_trees=20, seed=0)
 
 
 def _split(dataset, seed=0):
-    return random_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed))
+    return make_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed))
 
 
 def test_leaky_dataset_scores_severe(leaky):
@@ -149,6 +150,48 @@ def test_label_outside_label_set_is_refused(bad_in):
         run_id_leak_test(ds, split, k=3, config=FAST)
 
 
+def test_non_digit_id_outside_the_split_is_refused():
+    # the probe parses every dataset id once per k, not only the split's
+    ids = ["523456789012345678", "623456789012345678", "533456789012345678", "633456789012345678"]
+    records = [Record(id=i, text="t", label=lab) for i, lab in zip(ids, "xyxy")]
+    ds = Dataset(
+        records=tuple(records) + (Record(id="12a", text="t", label="x"),),
+        label_set=LabelSet.of("x", "y"),
+    )
+    split = Split(train_ids=tuple(ids[:2]), dev_ids=(), test_ids=tuple(ids[2:]))
+    with pytest.raises(ValueError, match="ASCII digits"):
+        run_id_leak_test(ds, split, k=3, config=FAST)
+
+
+def test_suite_parses_ids_once_per_k(leaky, monkeypatch):
+    calls = []
+    original = idleak_module.digit_features
+
+    def counted(ids, k):
+        calls.append(k)
+        return original(ids, k)
+
+    monkeypatch.setattr(idleak_module, "digit_features", counted)
+    reports = run_id_leak_suite(leaky, k_values=(2, 3), n_splits=3, config=FAST)
+    assert len(reports) == 6
+    assert calls == [2, 3]
+
+
+def _mixed_length_id(i):
+    if i % 11 == 0:
+        return str(i % 9 + 1)
+    if i % 7 == 0:
+        return str(10 + i)
+    return str(5 * 10**17 + 13 * 10**14 * i)
+
+
+# 70 records in three labels; 7 one-digit and 9 two-digit ids among
+# 18-digit ones, so every generated split loses ids at k=2 and at k=3
+MIXED_LENGTH_ROWS = [
+    {"id": _mixed_length_id(i), "text": "t", "label": "xyz"[i * 5 // 7 % 3]} for i in range(70)
+]
+
+
 def _reports_digest(reports):
     blob = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -178,20 +221,26 @@ def _order_sensitive_probe():
 
 
 # SHA-256 of the reports' sort_keys JSON, pinned from the record-level probe
-# that fitted on label strings; any change to patterns, bootstrap draws,
+# that fitted on label strings (suite-mixed-lengths from the probe that
+# parsed each run's ids on its own); any change to patterns, bootstrap draws,
 # votes, confusion counts or the baseline's summation order changes them
 REPORT_DIGESTS = {
     "baseline-order": "61da8d82b383fe4129dacd09d792b92895771bc69103f7419e49547928967a97",
     "suite-leaky": "693903b6bb8af5d0cbf2a5823a663a38eee11cfde69d5d5e8d48eabd6206cf70",
     "suite-control": "446a76ab18048e89f3810300e60a8538daf74e6bd5bdefc5280291c81a516304",
     "short-ids": "da56eb0c133fe2b1cb229f0ec56307baa9928bf5c5fd641d1abeb3f0c58e58b7",
+    "suite-mixed-lengths": "a77243d1dc4b4f15ee03a6b13d5dfca641b254ce54597feb65c849c93125b359",
     "absent-ids": "9947286e2086cb14790232e17fbf97afb5ba3fe22aff13995e031a006e1d315b",
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
 def test_probe_reports_are_pinned(request, case):
-    if case.startswith("suite-"):
+    if case == "suite-mixed-lengths":
+        ds = build_dataset(MIXED_LENGTH_ROWS, labels=["x", "y", "z"])
+        reports = run_id_leak_suite(ds, k_values=(2, 3), n_splits=2, config=FAST)
+        assert all(r.excluded_short_ids > 0 for r in reports)
+    elif case.startswith("suite-"):
         dataset = request.getfixturevalue(case.removeprefix("suite-"))
         reports = run_id_leak_suite(dataset, k_values=(2, 3), n_splits=2, config=FAST)
     elif case == "baseline-order":

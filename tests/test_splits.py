@@ -5,6 +5,7 @@ event invariants, quota subsampling, split files, and the preset registry.
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -41,7 +42,6 @@ from leakaudit.splits import (
     get_preset,
     import_split,
     largest_remainder,
-    random_split,
 )
 
 PRESET_NAMES = {
@@ -93,7 +93,7 @@ def test_largest_remainder_within_one_of_exact():
 def test_random_split_sizes_disjoint_deterministic(tmp_path):
     ds = _balanced()
     spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=3)
-    split = random_split(ds, spec)
+    split = make_split(ds, spec)
     assert split.sizes() == (70, 10, 20)
     assert split.all_ids() == {r.id for r in ds.records}
     assert not set(split.train_ids) & set(split.test_ids)
@@ -107,17 +107,17 @@ def test_random_split_sizes_disjoint_deterministic(tmp_path):
         assert by_label == {"a": want, "b": want}
 
     p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    export_split(random_split(ds, spec), p1)
-    export_split(random_split(ds, spec), p2)
+    export_split(make_split(ds, spec), p1)
+    export_split(make_split(ds, spec), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-    other = random_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=4))
+    other = make_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=4))
     assert other.train_ids != split.train_ids
 
 
 def test_unstratified_split_sizes():
     ds = _balanced(30)
-    split = random_split(ds, SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0, stratify=False))
+    split = make_split(ds, SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0, stratify=False))
     assert split.sizes() == (30, 15, 15)
     assert split.all_ids() == {r.id for r in ds.records}
 
@@ -125,15 +125,15 @@ def test_unstratified_split_sizes():
 def test_split_validation_errors():
     ds = _balanced(5)
     with pytest.raises(RatioError):
-        random_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2)))  # no seed
+        make_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2)))  # no seed
     with pytest.raises(RatioError):
-        random_split(ds, SplitSpec(ratios=(0.7, 0.4, 0.2), seed=0))
+        make_split(ds, SplitSpec(ratios=(0.7, 0.4, 0.2), seed=0))
     with pytest.raises(RatioError):
-        random_split(ds, SplitSpec(ratios=(0.9, -0.1, 0.2), seed=0))
+        make_split(ds, SplitSpec(ratios=(0.9, -0.1, 0.2), seed=0))
     with pytest.raises(RatioError):
-        random_split(ds, SplitSpec(ratios=(0.5, 0.5), seed=0))  # type: ignore[arg-type]
+        make_split(ds, SplitSpec(ratios=(0.5, 0.5), seed=0))  # type: ignore[arg-type]
     with pytest.raises(EmptyInputError):
-        random_split(
+        make_split(
             Dataset(records=(), label_set=ds.label_set), SplitSpec(seed=0)
         )
     with pytest.raises(RatioError):
@@ -367,7 +367,7 @@ def test_make_split_runs_stages():
 
 def test_export_import_round_trip(tmp_path):
     ds = _balanced()
-    split = random_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=8, name="rt"))
+    split = make_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=8, name="rt"))
     path = tmp_path / "split.json"
     export_split(split, path)
     back = import_split(path, ds)
@@ -422,7 +422,7 @@ def _datasets(draw, min_size=0):
     stratify=st.booleans(),
 )
 def test_random_split_matches_per_label_oracle(ds, ratios, seed, stratify):
-    split = random_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify))
+    split = make_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify))
     want = _oracle_splits.random_split_ids(ds, ratios, seed, stratify)
     assert (split.train_ids, split.dev_ids, split.test_ids) == want
 
@@ -452,7 +452,7 @@ def test_label_outside_the_set_is_dropped_only_when_stratified():
     )
     ds = Dataset(records=records, label_set=LabelSet.of("a", "b"))
     for stratify, want in ((True, 9), (False, 10)):
-        split = random_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=stratify))
+        split = make_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=stratify))
         assert sum(split.sizes()) == want
         assert ("1003" in split.all_ids()) is not stratify
 
@@ -465,7 +465,7 @@ def test_label_outside_the_set_is_dropped_only_when_stratified():
     stratify=st.booleans(),
 )
 def test_export_import_round_trip_property(ds, ratios, seed, stratify):
-    split = random_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify, name="p"))
+    split = make_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify, name="p"))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
         export_split(split, first)
@@ -498,6 +498,24 @@ def test_import_split_rejects_bad_files(tmp_path):
         import_split(overlap)
     with pytest.raises(SplitFileError):
         SplitSpec.from_json_dict({"ratios": [1, 0, 0], "mystery_knob": 1})
+
+    ids = {"train_ids": [1], "dev_ids": [], "test_ids": ["2"]}
+    typed = tmp_path / "typed.json"
+    typed.write_text(json.dumps({**ids, "spec": None}), encoding="utf-8")
+    assert import_split(typed).train_ids == ("1",)  # int ids are read losslessly
+    for bad in (
+        {"spec": 5},
+        {"spec": ["ratios"]},
+        {"provenance": None},
+        {"provenance": [1]},
+        {"train_ids": [1, None]},
+        {"test_ids": [True]},
+        {"dev_ids": [1.5]},
+        {"dev_ids": [["3"]]},
+    ):
+        typed.write_text(json.dumps({**ids, **bad}), encoding="utf-8")
+        with pytest.raises(SplitFileError, match=f"^{re.escape(str(typed))}: "):
+            import_split(typed)
 
 
 def test_presets_registry():
