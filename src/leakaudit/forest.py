@@ -20,22 +20,30 @@ arrays); anything else is refused, never truncated.
 
 Feature matrices here are tiny-alphabet ordinal ints (digit positions of
 ids), which makes duplicate rows the common case. The fit core,
-``fit_rows``, takes the distinct rows, each training row's index into them
-and its label position; one 1-D unique of ``row * n_labels + label``
-collapses them into weighted patterns, and trees grow on the patterns.
-Weighted CART on multiplicities is arithmetically identical to unweighted
-CART on the duplicated rows, and million-row inputs collapse to a few
-hundred patterns.
+``fit_rows``, takes the distinct rows and one or more training sets, each
+given as every training row's index into them and its label position. One
+1-D unique of ``row * n_labels + label`` over all the sets collapses them
+into weighted patterns, and trees grow on the patterns. Weighted CART on
+multiplicities is arithmetically identical to unweighted CART on the
+duplicated rows, and million-row inputs collapse to a few hundred patterns.
 
-All trees of a fit grow in lockstep (``_LockstepGrower``). Each feature
-column is rank-coded once. A step takes the next node in preorder from
-every tree, counts the (node, feature, present value, label) weights of
-all those nodes with one sort and one bincount, scores every boundary
-together, and partitions every split node's patterns with one stable
-sort. The counts are sparse, so a step's work follows the rows times the
-features it evaluates, never a column's number of distinct values. Since
-each tree still visits its nodes in preorder and draws from its own
-substream, the trees are exactly those a node-by-node recursion grows.
+Tree t of every forest draws from the substream ``_tree_rng(seed, t)``:
+first its bootstrap draw, then one feature order per split-candidate node
+in preorder. Forests fitted together on sets of one size therefore make
+the same draw and read the same orders, so ``fit_rows`` makes each draw
+once and shares each order stream, and every forest equals the one fitted
+on its set alone.
+
+All trees of a fit grow in lockstep (``_LockstepGrower``), those of
+several forests too, in groups of bounded size. Each feature column is
+rank-coded once. A step takes the next node in preorder from every tree,
+counts the (node, feature, present value, label) weights of all those
+nodes with one sort and one bincount, scores every boundary together, and
+partitions every split node's patterns with one stable sort. The counts
+are sparse, so a step's work follows the rows times the features it
+evaluates, never a column's number of distinct values. Since each tree
+still visits its nodes in preorder and reads its own substream, the trees
+are exactly those a node-by-node recursion grows.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -109,45 +118,34 @@ class ForestConfig:
         }
 
 
-@dataclass
 class DecisionTree:
     """One CART tree as parallel node arrays (node 0 is the root).
 
     Internal nodes: feature >= 0, threshold, left/right child indices.
-    Leaves: feature == -1 and a class-count vector; leaf_class caches the
-    majority label index (ties toward the lowest index).
+    Leaves: feature == -1. ``counts`` holds one class-count row per leaf, in
+    node order; leaf_class caches each leaf's majority label index (ties
+    toward the lowest index) and is -1 at internal nodes.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    counts: list
-    leaf_class: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        leaf_class = np.full(len(self.feature), -1, dtype=np.int64)
-        leaves = [i for i, c in enumerate(self.counts) if c is not None]
-        if leaves:
-            # argmax takes the first maximum: ties go to the lowest label index
-            leaf_class[leaves] = np.argmax([self.counts[i] for i in leaves], axis=1)
-        self.leaf_class = leaf_class
+    def __init__(self, feature, threshold, left, right, counts):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.leaf_counts = np.asarray(counts, dtype=np.int64)
+        self.leaf_class = np.full(len(self.feature), -1, dtype=np.int64)
+        # argmax takes the first maximum: ties go to the lowest label index
+        self.leaf_class[self.feature < 0] = np.argmax(self.leaf_counts, axis=1)
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict_index(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = np.nonzero(feat >= 0)[0]
-            if active.size == 0:
-                break
-            cur = node[active]
-            go_left = X[active, feat[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.leaf_class[node]
+    @property
+    def counts(self) -> list:
+        """Each node's class counts as a list, None for an internal node."""
+        rows = iter(self.leaf_counts.tolist())
+        return [None if f >= 0 else next(rows) for f in self.feature.tolist()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,7 +153,7 @@ class DecisionTree:
             "threshold": self.threshold.tolist(),
             "left": self.left.tolist(),
             "right": self.right.tolist(),
-            "counts": [None if c is None else [int(x) for x in c] for c in self.counts],
+            "counts": self.counts,
         }
 
 
@@ -181,6 +179,48 @@ def _as_feature_matrix(X) -> np.ndarray:
 
 
 _BATCH_CELLS = 1 << 18  # (pattern, feature) cells one split search sorts at most
+_GROUP_ENTRIES = 1 << 18  # alive (tree, pattern) entries one lockstep group holds at most
+_PREDICT_CELLS = 1 << 15  # nodes, and (row, tree) cells, one prediction walk holds at most
+
+
+class _OrderStream:
+    """The feature orders of one tree substream, read by every tree that
+    starts from the same generator state: each reader's j-th order is the
+    j-th permutation drawn. An order is kept only while some reader still
+    growing has not read it."""
+
+    def __init__(self, rng: np.random.Generator, n_features: int, readers):
+        self.rng = rng
+        self.n_features = n_features
+        self.read = dict.fromkeys(readers, 0)  # orders each reader has read
+        self.kept: deque = deque()
+        self.first = 0  # stream position of kept[0]
+
+    def next(self, reader) -> np.ndarray:
+        j = self.read[reader]
+        self.read[reader] = j + 1
+        if j == self.first + len(self.kept):
+            # the reader furthest on draws; a lone reader keeps nothing
+            order = self.rng.permutation(self.n_features)
+            if len(self.read) == 1:
+                self.first += 1
+            else:
+                self.kept.append(order)
+            return order
+        order = self.kept[j - self.first]
+        if j == self.first:
+            self._trim()
+        return order
+
+    def finish(self, reader) -> None:
+        del self.read[reader]
+        self._trim()
+
+    def _trim(self) -> None:
+        lowest = min(self.read.values(), default=self.first + len(self.kept))
+        for _ in range(lowest - self.first):
+            self.kept.popleft()
+        self.first = lowest
 
 
 class _LockstepGrower:
@@ -191,14 +231,17 @@ class _LockstepGrower:
     node in preorder from every tree's stack, searches all their splits in
     one batch and partitions the split ranges in place, so the per-node
     Python cost of a recursive builder becomes a per-step cost shared by
-    all trees. Each tree draws from its own RNG in its own preorder, so a
-    tree does not depend on how many others grow beside it.
+    all trees. Each tree reads its feature orders from its own stream in its
+    own preorder, so a tree does not depend on how many others grow beside
+    it.
     """
 
-    def __init__(self, pat_X, pat_y, n_labels, config, rngs, weights):
+    def __init__(self, pat_X, pat_y, n_labels, config, alive, orders):
+        """alive[i] is tree i's (pattern indices, weights) over its nonzero
+        weights in pattern order; orders[i] is the _OrderStream it reads."""
         self.K = n_labels
         self.config = config
-        self.rngs = rngs
+        self.orders = orders
         n_features = pat_X.shape[1]
         self.n_features = n_features
         self.max_eval = config.resolve_max_features(n_features)
@@ -217,14 +260,13 @@ class _LockstepGrower:
         self.n_codes = offset
         self.value_of = np.concatenate(distinct)
         self.feature_of = np.repeat(np.arange(n_features), [len(v) for v in distinct])
-        alive = [np.flatnonzero(w) for w in weights]
-        self.flat_pat = np.concatenate(alive)
-        self.flat_w = np.concatenate([w[a] for w, a in zip(weights, alive)])
-        self.root_ends = np.cumsum([len(a) for a in alive])
+        self.flat_pat = np.concatenate([pat for pat, _ in alive])
+        self.flat_w = np.concatenate([w for _, w in alive])
+        self.root_ends = np.cumsum([len(pat) for pat, _ in alive])
 
     def grow(self) -> list[DecisionTree]:
         K, config = self.K, self.config
-        n_trees = len(self.rngs)
+        n_trees = len(self.orders)
         starts = np.concatenate([[0], self.root_ends[:-1]])
         root_w = np.zeros((n_trees, K), dtype=np.int64)
         tree_of = np.repeat(np.arange(n_trees), self.root_ends - starts)
@@ -235,8 +277,11 @@ class _LockstepGrower:
             for t, (start, end) in enumerate(zip(starts.tolist(), self.root_ends.tolist()))
         ]
         # typed arrays, not lists of int objects: every tree's nodes stay in
-        # memory until the last tree finishes
-        nodes = [(array("q"), array("d"), array("q"), array("q"), []) for _ in range(n_trees)]
+        # memory until the last tree finishes. Class counts are kept for
+        # leaves only, K per leaf.
+        nodes = [
+            (array("q"), array("d"), array("q"), array("q"), array("q")) for _ in range(n_trees)
+        ]
 
         while True:
             live = [t for t in range(n_trees) if stacks[t]]
@@ -255,26 +300,29 @@ class _LockstepGrower:
             left_w = np.zeros_like(label_w)
             cand = np.flatnonzero(open_)
             if cand.size:
-                # one feature order per split candidate, drawn in its tree's preorder
+                # one feature order per split candidate, read in its tree's preorder
                 perms = (
-                    np.array([self.rngs[live[j]].permutation(self.n_features) for j in cand])
+                    np.array([self.orders[live[j]].next(live[j]) for j in cand.tolist()])
                     if self.subsample
                     else None
                 )
-                for lo, hi in self._batches(cand, bounds):
-                    batch = cand[lo:hi]
+                # batches of at most _BATCH_CELLS (pattern, feature) cells, a
+                # larger node alone, bound the memory of the batch's sort
+                cells = (bounds[cand, 1] - bounds[cand, 0]) * self.n_features
+                for part in _chunks(cells.tolist(), _BATCH_CELLS):
+                    batch = cand[part]
                     found = self._split(
                         bounds[batch, 0],
                         bounds[batch, 1],
                         label_w[batch],
-                        None if perms is None else perms[lo:hi],
+                        None if perms is None else perms[part],
                     )
                     split_feat[batch], split_thr[batch], n_left[batch], left_w[batch] = found
 
             right_w = label_w - left_w
             split_feat = split_feat.tolist()
             for j, (t, (start, end, depth, parent, is_right, _)) in enumerate(zip(live, popped)):
-                feature, threshold, left, right, counts = nodes[t]
+                feature, threshold, left, right, leaf_counts = nodes[t]
                 node = len(feature)
                 if parent >= 0:
                     (right if is_right else left)[parent] = node
@@ -283,38 +331,27 @@ class _LockstepGrower:
                 feature.append(split_feat[j])
                 if split_feat[j] < 0:
                     threshold.append(0.0)
-                    counts.append(label_w[j].tolist())
+                    leaf_counts.extend(label_w[j].tolist())
+                    if not stacks[t]:
+                        self.orders[t].finish(t)
                     continue
                 threshold.append(float(split_thr[j]))
-                counts.append(None)
                 mid = start + int(n_left[j])
                 # right pushed first so the left child is popped next: preorder ids
                 stacks[t].append((mid, end, depth + 1, node, True, right_w[j]))
                 stacks[t].append((start, mid, depth + 1, node, False, left_w[j]))
 
+        # numpy views of the typed arrays, not copies
         return [
             DecisionTree(
-                feature=np.asarray(feature, dtype=np.int64),
-                threshold=np.asarray(threshold, dtype=np.float64),
-                left=np.asarray(left, dtype=np.int64),
-                right=np.asarray(right, dtype=np.int64),
-                counts=counts,
+                np.frombuffer(feature, dtype=np.int64),
+                np.frombuffer(threshold, dtype=np.float64),
+                np.frombuffer(left, dtype=np.int64),
+                np.frombuffer(right, dtype=np.int64),
+                np.frombuffer(leaf_counts, dtype=np.int64).reshape(-1, K),
             )
-            for feature, threshold, left, right, counts in nodes
+            for feature, threshold, left, right, leaf_counts in nodes
         ]
-
-    def _batches(self, cand: np.ndarray, bounds: np.ndarray):
-        """Cut the candidates into runs of at most _BATCH_CELLS cells, as
-        (lo, hi) positions in cand; a single larger node runs alone. This
-        bounds the memory of the batch's sort."""
-        cells = ((bounds[cand, 1] - bounds[cand, 0]) * self.n_features).tolist()
-        lo, acc = 0, 0
-        for i, size in enumerate(cells):
-            if acc and acc + size > _BATCH_CELLS:
-                yield lo, i
-                lo, acc = i, 0
-            acc += size
-        yield lo, len(cells)
 
     def _split(self, starts, ends, label_w, perms):
         """Best split of each node [starts[i], ends[i]) and its partition.
@@ -452,10 +489,41 @@ class ForestModel:
         # digit-prefix matrices repeat rows heavily: run the trees on each
         # distinct row once and gather the votes back
         distinct, inverse = np.unique(X, axis=0, return_inverse=True)
-        votes = np.zeros((len(distinct), len(self.label_set)), dtype=np.int64)
-        rows = np.arange(len(distinct))
-        for tree in self.trees:
-            votes[rows, tree.predict_index(distinct)] += 1
+        K, width = len(self.label_set), distinct.shape[1]
+        flat = distinct.ravel()
+        votes = np.zeros((len(distinct), K), dtype=np.int64)
+        for part in _chunks([tree.n_nodes for tree in self.trees], _PREDICT_CELLS):
+            trees = self.trees[part]
+            # the chunk's nodes in one set of arrays, child links shifted by
+            # each tree's first node; a leaf's links are never followed
+            sizes = [tree.n_nodes for tree in trees]
+            roots = np.cumsum(sizes) - sizes
+            shift = np.repeat(roots, sizes)
+            feature = np.concatenate([tree.feature for tree in trees])
+            threshold = np.concatenate([tree.threshold for tree in trees])
+            left = np.concatenate([tree.left for tree in trees]) + shift
+            right = np.concatenate([tree.right for tree in trees]) + shift
+            leaf_class = np.concatenate([tree.leaf_class for tree in trees])
+            step = max(1, _PREDICT_CELLS // len(trees))
+            for lo in range(0, len(distinct), step):
+                hi = min(lo + step, len(distinct))
+                rows = np.arange(lo, hi)
+                # cell t * len(rows) + r walks row rows[r] down tree t: each
+                # tree's cells sit together, which keeps its nodes in cache
+                node = np.repeat(roots, len(rows))
+                row_start = np.tile(rows * width, len(trees))
+                cells = np.arange(len(node))
+                while cells.size:
+                    cur = node[cells]
+                    feat = feature[cur]
+                    inner = feat >= 0
+                    cells, cur, feat = cells[inner], cur[inner], feat[inner]
+                    go_left = flat[row_start[cells] + feat] <= threshold[cur]
+                    node[cells] = np.where(go_left, left[cur], right[cur])
+                row = np.tile(rows - lo, len(trees))
+                votes[lo:hi] += np.bincount(
+                    row * K + leaf_class[node], minlength=len(rows) * K
+                ).reshape(-1, K)
         # argmax takes the first maximum: vote ties go to the lowest label index
         return np.argmax(votes, axis=1)[inverse.reshape(-1)]
 
@@ -493,25 +561,85 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     )
 
 
-def fit_rows(rows, row_of, y_idx, label_set, config, n_trees: int, bootstrap: bool) -> ForestModel:
-    """Fit on training rows ``rows[row_of]`` with label positions y_idx.
-    ``rows`` are distinct int64 rows in ``np.unique(axis=0)`` order, so the
-    patterns sort as a 2-d unique of (row, label) would. Nothing is checked."""
+def fit_rows(
+    rows, sets, label_set, config, n_trees: int, bootstrap: bool
+) -> Iterator[ForestModel]:
+    """Fit one forest per training set, all on the distinct rows ``rows``,
+    and yield them in set order.
+
+    Each set is a pair (row_of, y_idx): its training rows ``rows[row_of]``
+    and their label positions. ``rows`` are distinct int64 rows in
+    ``np.unique(axis=0)`` order, so the patterns sort as a 2-d unique of
+    (row, label) would. Forests grow together in groups of at most
+    ``_GROUP_ENTRIES`` alive (tree, pattern) entries, a forest alone when
+    it is larger. Within a group, tree t of the sets of each size makes one
+    bootstrap draw and reads one feature-order stream, both from
+    ``_tree_rng(config.seed, t)``, so each forest equals the one fitted on
+    its set alone. A group's forests are yielded once it has grown, and
+    none is held after the next is asked for, so a caller that lets each
+    go before taking the next holds at most one group. Nothing is checked.
+    """
     K = len(label_set)
-    keys, inverse, counts = np.unique(row_of * K + y_idx, return_inverse=True, return_counts=True)
-    rngs = [_tree_rng(config.seed, t) for t in range(n_trees)]
-    if bootstrap:
-        # each substream makes its bootstrap draw before any feature order
-        n = len(row_of)
-        weights = [
-            np.bincount(inverse[rng.integers(0, n, size=n)], minlength=len(keys)) for rng in rngs
-        ]
-    else:
-        weights = [counts] * n_trees
-    grower = _LockstepGrower(rows[keys // K], keys % K, K, config, rngs, weights)
-    return ForestModel(
-        config=config, label_set=label_set, trees=grower.grow(), n_features=rows.shape[1]
-    )
+    codes = [row_of * K + y_idx for row_of, y_idx in sets]
+    keys, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    inverses = np.split(inverse.reshape(-1), np.cumsum([len(c) for c in codes])[:-1])
+    del codes, inverse
+    counts = [np.bincount(inv, minlength=len(keys)) for inv in inverses]
+    pat_X, pat_y = rows[keys // K], keys % K
+
+    entries = [n_trees * int(np.count_nonzero(c)) for c in counts]
+    for group in _chunks(entries, _GROUP_ENTRIES):
+        # the grower copies the alive entries into its flat arrays, and the
+        # per-tree arrays are freed before growth starts
+        trees = _LockstepGrower(
+            pat_X, pat_y, K, config,
+            *_tree_copies(inverses[group], counts[group], config.seed, n_trees, bootstrap,
+                          rows.shape[1]),
+        ).grow()
+        for _ in range(group.stop - group.start):
+            yield ForestModel(
+                config=config, label_set=label_set, trees=trees[:n_trees], n_features=rows.shape[1]
+            )
+            del trees[:n_trees]
+
+
+def _tree_copies(inverses, counts, seed, n_trees, bootstrap, n_features):
+    """Every tree of every set's forest, set-major: its alive patterns and
+    weights, and the order stream it reads.
+
+    Tree t of all sets of one size shares one substream: one bootstrap
+    draw, from which each set's weights are counted and compressed at
+    once, and one order stream. Without bootstrap, size plays no part."""
+    members: dict[int | None, list[int]] = {}
+    for i, inverse in enumerate(inverses):
+        members.setdefault(len(inverse) if bootstrap else None, []).append(i)
+    alive = [None] * (len(inverses) * n_trees)
+    orders = [None] * len(alive)
+    for t in range(n_trees):
+        for n, same in members.items():
+            rng = _tree_rng(seed, t)
+            draw = None if n is None else rng.integers(0, n, size=n)
+            stream = _OrderStream(rng, n_features, [i * n_trees + t for i in same])
+            for i in same:
+                w = counts[i]
+                if draw is not None:
+                    w = np.bincount(inverses[i][draw], minlength=len(w))
+                nonzero = np.flatnonzero(w)
+                alive[i * n_trees + t] = (nonzero, w[nonzero])
+                orders[i * n_trees + t] = stream
+    return alive, orders
+
+
+def _chunks(sizes: list[int], budget: int):
+    """Cut consecutive items into slices whose sizes sum to at most
+    ``budget``; a larger item forms a slice alone."""
+    lo, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > budget:
+            yield slice(lo, i)
+            lo, total = i, 0
+        total += size
+    yield slice(lo, len(sizes))
 
 
 def fit_tree(
@@ -523,9 +651,10 @@ def fit_tree(
     Returned as a one-tree ForestModel, keeping config, so predict and
     serialize are uniform.
     """
-    return fit_rows(
-        *_prepare(X, y, label_set), config or ForestConfig(), n_trees=1, bootstrap=False
-    )
+    rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
+    return next(fit_rows(
+        rows, [(row_of, y_idx)], label_set, config or ForestConfig(), n_trees=1, bootstrap=False
+    ))
 
 
 def fit_forest(
@@ -534,7 +663,10 @@ def fit_forest(
     """Fit a voting forest; tree t draws its RNG substream from
     (config.seed, t), so no tree depends on the trees fitted beside it."""
     config = config or ForestConfig()
-    return fit_rows(*_prepare(X, y, label_set), config, config.n_trees, config.bootstrap)
+    rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
+    return next(
+        fit_rows(rows, [(row_of, y_idx)], label_set, config, config.n_trees, config.bootstrap)
+    )
 
 
 # --- stratified random baseline -------------------------------------------

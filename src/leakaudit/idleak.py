@@ -9,8 +9,12 @@ model can exploit that instead of content.
 Every probe runs through ``run_id_leak_suite``. It maps each split's train
 and test ids to dataset rows once, and for each distinct k parses every
 dataset id once into a pattern table: the distinct k-digit prefixes and
-each row's pattern (-1 for an id shorter than k). Each (split, k) run fits
-on the table's train patterns and predicts each table pattern once.
+each row's pattern (-1 for an id shorter than k). Every run is checked
+before any forest grows, so errors come in report order. Then, for each
+k, one ``fit_rows`` call fits the forests of all splits together on the
+table's train patterns (stratified splits share their size, so they share
+each tree's bootstrap draw and feature orders), and each (split, k) run
+predicts each table pattern once with its forest.
 
 The probe's score is normalized headroom above chance,
 ``(macro - baseline) / (1 - baseline)``, clamped at 0, so 0.0 reads as
@@ -19,7 +23,6 @@ The probe's score is normalized headroom above chance,
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,35 +136,39 @@ def run_id_leak_test(
     return run_id_leak_suite(dataset, (k,), split=split, config=config)[0]
 
 
-def _probe(dataset, name, rows, n_listed, k, table, pattern_of, config) -> IdLeakReport:
-    """One (split, k) run: ``rows`` are the split's train then test dataset
-    rows, the first ``n_listed`` of them train."""
+def _kept(dataset, rows, n_listed, k, pattern_of):
+    """The patterns and label positions of a run's rows with a k-digit
+    prefix, and how many of them are train. ``rows`` are the split's train
+    then test dataset rows, the first ``n_listed`` of them train."""
     kept = pattern_of[rows] >= 0
     n_train = int(np.count_nonzero(kept[:n_listed]))
-    rows = rows[kept]
-    if n_train == 0 or n_train == len(rows):
+    kept_rows = rows[kept]
+    if n_train == 0 or n_train == len(kept_rows):
         raise AllIdsTooShortError(f"every id in a partition is shorter than {k} digits")
-    label_set = dataset.label_set
-    labels = dataset.label_index[rows]
+    labels = dataset.label_index[kept_rows]
     if np.any(labels < 0):
-        bad = dataset.records[rows[np.argmax(labels < 0)]].label
-        raise UnknownLabelError(f"label {bad!r} not in {label_set.labels}")
+        bad = dataset.records[kept_rows[np.argmax(labels < 0)]].label
+        raise UnknownLabelError(f"label {bad!r} not in {dataset.label_set.labels}")
+    return pattern_of[kept_rows], labels, n_train
 
-    patterns = pattern_of[rows]
+
+def _label_counts(positions: np.ndarray, names) -> dict[str, int]:
+    """Count of each label present, keyed by name in first-occurrence order.
+    That order fixes the order the baseline's mean sums in, down to the
+    last bit."""
+    present, first = np.unique(positions, return_index=True)
+    counts = np.bincount(positions, minlength=len(names))
+    return {names[i]: int(counts[i]) for i in present[np.argsort(first)].tolist()}
+
+
+def _report(name, k, model, table, patterns, labels, n_train, n_listed, label_set, config):
+    """Score one (split, k) run's model on its test rows."""
     y, gold = labels[:n_train], labels[n_train:]
-    model = fit_rows(
-        table, patterns[:n_train], y, label_set, config, config.n_trees, config.bootstrap
-    )
     predicted = model.predict_index(table)[patterns[n_train:]]
     result = result_from_matrix(ConfusionMatrix.from_positions(gold, predicted, label_set))
-
-    # Counter keeps first-occurrence order, which fixes the order the
-    # baseline's mean sums in, down to the last bit.
-    names = label_set.labels
     baseline = baseline_expected_macro_f1(
-        Counter(names[i] for i in y.tolist()), Counter(names[i] for i in gold.tolist())
+        _label_counts(y, label_set.labels), _label_counts(gold, label_set.labels)
     )
-
     score = leakage_score(result.macro_f1, baseline)
     return IdLeakReport(
         k=k,
@@ -171,8 +178,8 @@ def _probe(dataset, name, rows, n_listed, k, table, pattern_of, config) -> IdLea
         leakage_score=score,
         verdict=verdict(score),
         n_train=n_train,
-        n_test=len(rows) - n_train,
-        excluded_short_ids=len(kept) - len(rows),
+        n_test=len(labels) - n_train,
+        excluded_short_ids=n_listed - len(labels),
         split_name=name,
         config=config,
     )
@@ -224,7 +231,8 @@ def run_id_leak_suite(
     ids = [r.id for r in dataset.records]
     row_of_id = {rid: row for row, rid in enumerate(ids)}
     tables = {k: _pattern_table(ids, k) for k in dict.fromkeys(k_values)}
-    reports = []
+    # every run is checked, in report order, before any forest is fitted
+    runs = []
     for each in splits:
         train = [row_of_id[i] for i in each.train_ids if i in row_of_id]
         test = [row_of_id[i] for i in each.test_ids if i in row_of_id]
@@ -232,8 +240,26 @@ def run_id_leak_suite(
             raise EmptySplitError(f"need non-empty train and test (got {len(train)}/{len(test)})")
         rows = np.array(train + test, dtype=np.int64)
         for k in k_values:
-            reports.append(_probe(dataset, each.name(), rows, len(train), k, *tables[k], config))
-    return reports
+            _kept(dataset, rows, len(train), k, tables[k][1])
+        runs.append((each.name(), rows, len(train)))
+
+    by_k = {k: _probe_k(dataset, runs, k, *tables[k], config) for k in tables}
+    return [by_k[k][i] for i in range(len(runs)) for k in k_values]
+
+
+def _probe_k(dataset, runs, k, table, pattern_of, config) -> list[IdLeakReport]:
+    """Every run at one k: one ``fit_rows`` call grows the forests of all
+    runs together, and each is scored on its run's test rows and let go
+    before the next is taken."""
+    kept = [_kept(dataset, rows, n_listed, k, pattern_of) for _, rows, n_listed in runs]
+    models = fit_rows(
+        table, [(patterns[:n], labels[:n]) for patterns, labels, n in kept],
+        dataset.label_set, config, config.n_trees, config.bootstrap,
+    )
+    return [
+        _report(name, k, next(models), table, *run, len(rows), dataset.label_set, config)
+        for (name, rows, _), run in zip(runs, kept)
+    ]
 
 
 def summarize_id_leak_suite(reports) -> dict[int, dict]:

@@ -411,8 +411,10 @@ def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
 
     Raises:
         SplitFileError: malformed file (an id that is not a string or an
-            int, a spec that is not an object or null, a provenance that
-            is not an object) or overlapping partitions.
+            int, a spec that is not an object or null or that fails
+            ``SplitSpec.from_json_dict`` or ``validated``, a provenance that
+            is not an object) or overlapping partitions; the message starts
+            with the path.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -451,7 +453,10 @@ def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
 
     spec = None
     if raw.get("spec") is not None:
-        spec = SplitSpec.from_json_dict(raw["spec"])
+        try:
+            spec = SplitSpec.from_json_dict(raw["spec"]).validated()
+        except (SplitFileError, RatioError) as exc:
+            raise SplitFileError(f"{path}: {exc}") from exc
     return Split(
         train_ids=tuple(parts[0]),
         dev_ids=tuple(parts[1]),

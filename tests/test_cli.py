@@ -210,8 +210,14 @@ def test_audit_usage_errors(env, capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"provenance": None}, {"spec": 5}, {"test_ids": [None]}],
-    ids=["provenance-null", "spec-number", "id-null"],
+    [
+        {"provenance": None},
+        {"spec": 5},
+        {"test_ids": [None]},
+        {"spec": {"mystery": 1}},
+        {"spec": {"ratios": [0.5, 0.5, 0.5]}},
+    ],
+    ids=["provenance-null", "spec-number", "id-null", "spec-unknown-field", "spec-bad-ratios"],
 )
 def test_audit_rejects_malformed_split_file(env, capsys, tmp_path, bad):
     split_path = tmp_path / "split.json"

@@ -2,8 +2,11 @@
 
 The centerpiece is a randomized structural comparison against the
 Fraction-exact reference in _oracle_forest, for single trees and for the
-bootstrapped, feature-subsampled trees of a forest; the rest pins model
-digests, determinism, distinct-row prediction, and the baseline formulas.
+bootstrapped, feature-subsampled trees of a forest. Forests fitted together
+by one ``fit_rows`` call must equal each fitted alone, and the forest-wide
+prediction walk must vote as every tree walked on its own; the rest pins
+model digests, determinism, distinct-row prediction, and the baseline
+formulas.
 """
 
 import hashlib
@@ -11,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leakaudit.forest as forest_module
 from _oracle_forest import oracle_predict, oracle_tree
@@ -30,6 +35,7 @@ from leakaudit.forest import (
     baseline_expected_macro_f1,
     baseline_macro_f1_monte_carlo,
     fit_forest,
+    fit_rows,
     fit_tree,
 )
 from leakaudit.idleak import digit_features
@@ -300,6 +306,44 @@ def test_predict_on_repeated_rows_matches_row_by_row_loop():
     assert len(set(got.tolist())) > 1
 
 
+def _per_tree_prediction(model, X):
+    """Reference: each tree walks every row on its own, then the votes are
+    summed and ties go to the lowest label index."""
+    votes = np.zeros((len(X), len(model.label_set)), dtype=np.int64)
+    for tree in model.trees:
+        node = np.zeros(len(X), dtype=np.int64)
+        while True:
+            feat = tree.feature[node]
+            active = np.flatnonzero(feat >= 0)
+            if active.size == 0:
+                break
+            cur = node[active]
+            go_left = X[active, feat[active]] <= tree.threshold[cur]
+            node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        votes[np.arange(len(X)), tree.leaf_class[node]] += 1
+    return np.argmax(votes, axis=1)
+
+
+@pytest.mark.parametrize("cells", [1, 40, None], ids=["row-chunks", "small-chunks", "default"])
+def test_forest_wide_predict_matches_per_tree_walk(monkeypatch, cells):
+    if cells is not None:
+        # small budgets cut the trees and the rows into many chunks; a budget
+        # of 1 walks each tree over one distinct row at a time
+        monkeypatch.setattr(forest_module, "_PREDICT_CELLS", cells)
+    rng = np.random.default_rng(23)
+    for case in range(12):
+        X, y = _digit_training_set(100 + case, n=int(rng.integers(20, 300)))
+        config = ForestConfig(
+            n_trees=int(rng.integers(1, 13)),
+            max_depth=[None, 1, 3][case % 3],
+            bootstrap=case % 2 == 0,
+            seed=case,
+        )
+        model = fit_forest(X, y, config)
+        Xq = rng.integers(0, 10, size=(int(rng.integers(1, 200)), 4))
+        assert model.predict_index(Xq).tolist() == _per_tree_prediction(model, Xq).tolist()
+
+
 def test_vote_ties_go_to_lowest_label_index():
     def leaf(counts):
         return DecisionTree(
@@ -407,3 +451,64 @@ def test_baseline_monte_carlo_agrees_with_closed_form():
     with pytest.raises(EmptyDistributionError):
         baseline_macro_f1_monte_carlo(train, {"a": 0})
 
+
+
+@pytest.mark.parametrize("group_entries", [1, 2**62], ids=["one-forest-groups", "one-group"])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 4),
+    n_labels=st.integers(2, 3),
+    sizes=st.lists(st.sampled_from([3, 8, 8, 21]), min_size=1, max_size=4),
+    n_trees=st.integers(1, 4),
+    max_features=st.sampled_from(["sqrt", 1, 2, "all"]),
+    bootstrap=st.booleans(),
+    max_depth=st.sampled_from([None, 1, 3]),
+    min_samples_leaf=st.integers(1, 2),
+)
+def test_forests_fitted_together_equal_each_fitted_alone(
+    group_entries, seed, n_features, n_labels, sizes, n_trees, max_features, bootstrap,
+    max_depth, min_samples_leaf,
+):
+    # sizes repeat, so sets share bootstrap draws and order streams, and
+    # also differ, so some sets draw alone
+    rng = np.random.default_rng(seed)
+    rows = np.unique(rng.integers(0, 4, size=(12, n_features)), axis=0)
+    sets = [
+        (rng.integers(0, len(rows), size=n), rng.integers(0, n_labels, size=n)) for n in sizes
+    ]
+    label_set = LabelSet.of(*"abc"[:n_labels])
+    config = ForestConfig(
+        n_trees=n_trees,
+        max_features=max_features,
+        bootstrap=bootstrap,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "_GROUP_ENTRIES", group_entries)
+        together = list(fit_rows(rows, sets, label_set, config, n_trees, bootstrap))
+    alone = [next(fit_rows(rows, [each], label_set, config, n_trees, bootstrap)) for each in sets]
+    assert [m.to_json_str() for m in together] == [m.to_json_str() for m in alone]
+
+
+def test_group_budget_bounds_the_forests_grown_together(monkeypatch):
+    # 4 sets of 30 rows, 5 trees each: at most 5 * 30 alive entries per forest
+    rng = np.random.default_rng(31)
+    rows = np.unique(rng.integers(0, 10, size=(60, 2)), axis=0)
+    sets = [(rng.integers(0, len(rows), size=30), rng.integers(0, 2, size=30)) for _ in range(4)]
+    grown = []
+    grower = forest_module._LockstepGrower
+
+    def counted(*args):
+        grown.append(len(args[5]))
+        return grower(*args)
+
+    monkeypatch.setattr(forest_module, "_LockstepGrower", counted)
+    config = ForestConfig(n_trees=5, seed=2)
+    for budget, trees_per_grower in ((1, [5, 5, 5, 5]), (2 * 5 * 30, [10, 10]), (2**62, [20])):
+        grown.clear()
+        monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", budget)
+        list(fit_rows(rows, sets, LabelSet.of("a", "b"), config, 5, True))
+        assert grown == trees_per_grower

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leakaudit.forest as forest_module
 import leakaudit.idleak as idleak_module
 from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
 from leakaudit.data import Dataset, Record
@@ -175,6 +176,30 @@ def test_suite_parses_ids_once_per_k(leaky, monkeypatch):
     reports = run_id_leak_suite(leaky, k_values=(2, 3), n_splits=3, config=FAST)
     assert len(reports) == 6
     assert calls == [2, 3]
+
+
+def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):
+    growers, substreams = [], []
+    grower = forest_module._LockstepGrower
+    tree_rng = forest_module._tree_rng
+
+    def counted_grower(*args):
+        growers.append(args)
+        return grower(*args)
+
+    def counted_rng(seed, t):
+        substreams.append(t)
+        return tree_rng(seed, t)
+
+    monkeypatch.setattr(forest_module, "_LockstepGrower", counted_grower)
+    monkeypatch.setattr(forest_module, "_tree_rng", counted_rng)
+    reports = run_id_leak_suite(leaky, k_values=(2, 3), n_splits=5, config=FAST)
+    # every stratified split has the same n_train, so the 5 forests of a k
+    # share each tree's bootstrap draw and feature-order stream
+    assert len({r.n_train for r in reports}) == 1
+    assert len(reports) == 10
+    assert len(growers) == 2
+    assert sorted(substreams) == sorted(list(range(20)) * 2)
 
 
 def _mixed_length_id(i):
