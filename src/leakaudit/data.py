@@ -6,6 +6,12 @@ number); ``validate`` is the opposite, a total checker that reports rule
 violations as data and never raises, so programmatically built datasets can
 be linted before use.
 
+Every loader builds its records in one pass: the manifest is resolved once
+per file (``_record_builder``), each JSONL line is decoded once, and each id
+is parsed once, its timestamp coming from the parsed value. Duplicate ids
+are checked after the whole file is built, so a bad line anywhere is
+reported before a duplicate.
+
 File formats:
   JSONL - one object per line: {"id", "text", "label"} required,
           {"event", "article_id", "reply_count"} optional.
@@ -20,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .snowflake import parse_id, try_decode_timestamp
+from .snowflake import parse_id, timestamp_of
 
 CANONICAL_FIELDS = ("id", "text", "label", "event", "article_id", "reply_count")
 REQUIRED_FIELDS = ("id", "text", "label")
@@ -195,15 +201,15 @@ class Manifest:
         return self.fields.get(canonical, canonical)
 
 
-def _check_id(id_str: object, line: int) -> str:
+def _check_id(id_value: object, line: int) -> tuple[str, int]:
+    """The id as a canonical string, and its parsed value."""
     # JSON writers commonly emit big ids as numbers; accept ints losslessly.
-    if isinstance(id_str, int) and not isinstance(id_str, bool):
-        id_str = str(id_str)
+    if isinstance(id_value, int) and not isinstance(id_value, bool):
+        id_value = str(id_value)
     try:
-        parse_id(id_str)
+        return id_value, parse_id(id_value)
     except IdParseError as exc:
         raise RecordParseError(str(exc), line) from None
-    return id_str
 
 
 def _parse_reply_count(value: object, line: int) -> int | None:
@@ -218,39 +224,51 @@ def _parse_reply_count(value: object, line: int) -> int | None:
     return count
 
 
-def _build_record(raw: Mapping[str, object], manifest: Manifest, line: int) -> Record:
-    values: dict[str, object] = {}
-    for canonical in CANONICAL_FIELDS:
-        key = manifest.source_key(canonical)
-        value = raw.get(key)
-        if value is None and canonical in REQUIRED_FIELDS:
-            raise RecordParseError(f"missing required field {key!r}", line)
-        values[canonical] = value
+def _record_builder(manifest: Manifest) -> Callable[[Mapping[str, object], int], Record]:
+    """One file's record builder. The manifest's source keys, mapped-key set
+    and labels are resolved here, once per file.
 
-    id_str = _check_id(values["id"], line)
-    text = values["text"]
-    if not isinstance(text, str):
-        raise RecordParseError(f"text is not a string: {text!r}", line)
-    label = values["label"]
-    if label not in manifest.labels:
-        raise UnknownLabelError(
-            f"line {line}: label {label!r} not in manifest labels {list(manifest.labels)}"
+    A record is checked in a fixed order, and the first broken rule raises:
+    missing id, text, label; id syntax; text type; label membership;
+    reply_count. Duplicate ids are left to ``_assemble``.
+    """
+    keys = tuple(manifest.source_key(canonical) for canonical in CANONICAL_FIELDS)
+    id_key, text_key, label_key, event_key, article_key, reply_key = keys
+    mapped_keys = frozenset(keys)
+    labels = manifest.labels
+
+    def build(raw: Mapping[str, object], line: int) -> Record:
+        id_value = raw.get(id_key)
+        if id_value is None:
+            raise RecordParseError(f"missing required field {id_key!r}", line)
+        text = raw.get(text_key)
+        if text is None:
+            raise RecordParseError(f"missing required field {text_key!r}", line)
+        label = raw.get(label_key)
+        if label is None:
+            raise RecordParseError(f"missing required field {label_key!r}", line)
+        id_str, id_int = _check_id(id_value, line)
+        if not isinstance(text, str):
+            raise RecordParseError(f"text is not a string: {text!r}", line)
+        if label not in labels:
+            raise UnknownLabelError(
+                f"line {line}: label {label!r} not in manifest labels {list(labels)}"
+            )
+        extra = {k: v for k, v in raw.items() if k not in mapped_keys}
+        event = raw.get(event_key)
+        article_id = raw.get(article_key)
+        return Record(
+            id=id_str,
+            text=text,
+            label=str(label),
+            event=str(event) if event not in (None, "") else None,
+            article_id=str(article_id) if article_id not in (None, "") else None,
+            reply_count=_parse_reply_count(raw.get(reply_key), line),
+            timestamp_ms=timestamp_of(id_int),
+            extra=extra,
         )
 
-    mapped_keys = {manifest.source_key(c) for c in CANONICAL_FIELDS}
-    extra = {k: v for k, v in raw.items() if k not in mapped_keys}
-    event = values["event"]
-    article_id = values["article_id"]
-    return Record(
-        id=id_str,
-        text=text,
-        label=str(label),
-        event=str(event) if event not in (None, "") else None,
-        article_id=str(article_id) if article_id not in (None, "") else None,
-        reply_count=_parse_reply_count(values["reply_count"], line),
-        timestamp_ms=try_decode_timestamp(id_str),
-        extra=extra,
-    )
+    return build
 
 
 def _assemble(records: list[Record], manifest: Manifest, lines: list[int], name: str) -> Dataset:
@@ -269,21 +287,36 @@ def _assemble(records: list[Record], manifest: Manifest, lines: list[int], name:
     )
 
 
+# json.loads(line) runs a JSONDecoder's scanner between two regex skips of
+# blanks. A line that is exactly one JSON value and its newline needs no
+# skip, so the loader calls the scanner directly and leaves every other line
+# (blank, padded, trailing data, not JSON) to json.loads and its errors.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def load_jsonl(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
     """Load a JSONL dataset strictly; line numbers are 1-based in errors."""
+    build = _record_builder(manifest)
     records: list[Record] = []
     lines: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(f"invalid JSON: {exc}", line_no) from None
+                raw, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            n = len(line)
+            if end != n and (end != n - 1 or line[end] != "\n"):
+                # blanks around the value, trailing data, or no value at all
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordParseError(f"invalid JSON: {exc}", line_no) from None
             if not isinstance(raw, dict):
                 raise RecordParseError("line is not a JSON object", line_no)
-            records.append(_build_record(raw, manifest, line_no))
+            records.append(build(raw, line_no))
             lines.append(line_no)
     return _assemble(records, manifest, lines, name or Path(path).stem)
 
@@ -308,17 +341,19 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
                     f"{path}: manifest maps {canonical!r} to missing column "
                     f"{manifest.fields[canonical]!r}"
                 )
+        build = _record_builder(manifest)
         for row_no, row in enumerate(reader, start=2):
             raw = {k: v for k, v in row.items() if k is not None}
             if None in row.values() or row.get(None):
                 raise RecordParseError("row width does not match header", row_no)
-            records.append(_build_record(raw, manifest, row_no))
+            records.append(build(raw, row_no))
             lines.append(row_no)
     return _assemble(records, manifest, lines, name or Path(path).stem)
 
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Write canonical JSONL (stable key order, extras preserved)."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for r in dataset.records:
             row: dict[str, object] = {"id": r.id, "text": r.text, "label": r.label}
@@ -329,7 +364,7 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
             if r.reply_count is not None:
                 row["reply_count"] = r.reply_count
             row.update(r.extra)
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def validate(dataset: Dataset) -> list[Violation]:
@@ -383,5 +418,6 @@ def build_dataset(
     rows out as JSONL and loading them back.
     """
     manifest = Manifest(labels=tuple(labels), name=name)
-    records = [_build_record(row, manifest, line) for line, row in enumerate(rows, start=1)]
+    build = _record_builder(manifest)
+    records = [build(row, line) for line, row in enumerate(rows, start=1)]
     return _assemble(records, manifest, list(range(1, len(records) + 1)), name)

@@ -203,6 +203,11 @@ def time_rebalance(
     tv_before = _tv_per_label(dataset, anchor_label)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64)))
+    # one draw per non-anchor record, in record order: the same stream as
+    # drawing them one at a time
+    targets = iter(
+        anchor_ts[rng.integers(0, len(anchor_ts), size=len(dataset) - n_anchor)].tolist()
+    )
     replaced_per_label = {label: 0 for label in dataset.label_set if label != anchor_label}
     rejected_per_label = {label: 0 for label in dataset.label_set if label != anchor_label}
     deltas: list[int] = []
@@ -211,7 +216,7 @@ def time_rebalance(
         if r.label == anchor_label:
             new_records.append(r)
             continue
-        target = int(anchor_ts[rng.integers(0, len(anchor_ts))])
+        target = next(targets)
         candidate = alive[r.label].take_nearest(target, window_ms)
         if candidate is None:
             rejected_per_label[r.label] += 1
@@ -220,6 +225,7 @@ def time_rebalance(
         replaced_per_label[r.label] += 1
         deltas.append(abs(int(candidate.timestamp_ms) - target))
         new_records.append(candidate)
+    del targets  # the iterator holds every target until dropped; free them before the probe
 
     rebalanced = Dataset(
         records=tuple(new_records),

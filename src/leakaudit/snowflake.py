@@ -10,6 +10,10 @@ consequences drive everything else in this package: ids sort by creation
 time, and the leading decimal digits of an id are a coarse clock. Ids from
 the sequential era (before the scheme) have a zero timestamp field and are
 rejected rather than decoded to nonsense.
+
+``parse_id`` is the one id rule and ``timestamp_of`` the one decoding rule,
+on an already parsed value; the loaders parse each id once and decode that
+value, and ``decode_timestamp`` composes the two.
 """
 
 from __future__ import annotations
@@ -44,31 +48,36 @@ def parse_id(id_str: str) -> int:
     return value
 
 
-def decode_timestamp(id_str: str) -> int:
-    """Decode the creation time of a snowflake id, in unix milliseconds.
+def timestamp_of(value: int) -> int | None:
+    """Creation time, in unix milliseconds, of a parsed id value; None when
+    its timestamp field is zero (a sequential-era id).
 
     The largest id decodes to ``(MAX_ID >> 22) + TWITTER_EPOCH_MS``, in
     the year 2080, so every nonzero timestamp field is a plausible time.
+    """
+    offset = value >> TIMESTAMP_SHIFT
+    return offset + TWITTER_EPOCH_MS if offset else None
+
+
+def decode_timestamp(id_str: str) -> int:
+    """Decode the creation time of a snowflake id, in unix milliseconds.
 
     Raises:
         IdParseError: if the id is not a canonical decimal string.
         PreSnowflakeIdError: if the timestamp field is zero (sequential-era
             id).
     """
-    offset = parse_id(id_str) >> TIMESTAMP_SHIFT
-    if offset == 0:
+    timestamp = timestamp_of(parse_id(id_str))
+    if timestamp is None:
         raise PreSnowflakeIdError(
             f"id {id_str} has a zero timestamp field (pre-snowflake id)"
         )
-    return offset + TWITTER_EPOCH_MS
+    return timestamp
 
 
 def try_decode_timestamp(id_str: str) -> int | None:
     """decode_timestamp, but None instead of PreSnowflakeIdError."""
-    try:
-        return decode_timestamp(id_str)
-    except PreSnowflakeIdError:
-        return None
+    return timestamp_of(parse_id(id_str))
 
 
 @dataclass(frozen=True)

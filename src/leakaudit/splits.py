@@ -152,9 +152,6 @@ class Split:
                 out[rid] = part
         return out
 
-    def all_ids(self) -> set[str]:
-        return set(self.train_ids) | set(self.dev_ids) | set(self.test_ids)
-
 
 def _rng(seed: int | None) -> np.random.Generator:
     if seed is None:

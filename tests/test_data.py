@@ -1,12 +1,25 @@
 """Loaders, the JSONL saver, validation, and the core model."""
 
+import csv
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakaudit import LabelSet, Manifest, build_dataset, load_jsonl
-from leakaudit.data import Dataset, Record, label_distribution, load_csv, save_jsonl, validate
+from leakaudit.data import (
+    CANONICAL_FIELDS,
+    Dataset,
+    Record,
+    label_distribution,
+    load_csv,
+    save_jsonl,
+    validate,
+)
 from leakaudit.errors import (
     DuplicateIdError,
     RecordParseError,
@@ -59,20 +72,95 @@ def test_load_jsonl_basic(tmp_path):
     assert ds.name == "d"
 
 
-@pytest.mark.parametrize(
-    "line,error",
-    [
-        ('{"id": "1", "text": "x"}', RecordParseError),  # missing label
-        ('{"id": "1", "text": "x", "label": "nope"}', UnknownLabelError),
-        ('{"id": "01", "text": "x", "label": "real"}', RecordParseError),
-        ('{"id": "0", "text": "x", "label": "real"}', RecordParseError),
-        ('{"id": "x1", "text": "x", "label": "real"}', RecordParseError),
-        ('{"id": "1", "text": 5, "label": "real"}', RecordParseError),
-        ('{"id": "1", "text": "x", "label": "real", "reply_count": -1}', RecordParseError),
-        ("not json", RecordParseError),
-        ("[1, 2]", RecordParseError),
-    ],
-)
+# each bad second line and the full error it raises
+BAD_LINES = {
+    '{"id": "1", "text": "x"}': (
+        RecordParseError,
+        "line 2: missing required field 'label'",
+    ),
+    '{"id": "1", "text": "x", "label": "nope"}': (
+        UnknownLabelError,
+        "line 2: label 'nope' not in manifest labels ['real', 'fake']",
+    ),
+    '{"id": "01", "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id has a leading zero: '01'",
+    ),
+    '{"id": "0", "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id outside [1, 2**63 - 1]: '0'",
+    ),
+    '{"id": "x1", "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id is not a decimal string: 'x1'",
+    ),
+    '{"id": "1", "text": 5, "label": "real"}': (
+        RecordParseError,
+        "line 2: text is not a string: 5",
+    ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": -1}': (
+        RecordParseError,
+        "line 2: reply_count is negative: -1",
+    ),
+    "not json": (
+        RecordParseError,
+        "line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "[1, 2]": (RecordParseError, "line 2: line is not a JSON object"),
+    '{"id": "1", "text": "x", "label": "real"} trailing': (
+        RecordParseError,
+        "line 2: invalid JSON: Extra data: line 1 column 43 (char 42)",
+    ),
+    '{"id": "1", "text": "x", "label": "real"}{"id": "2"}': (
+        RecordParseError,
+        "line 2: invalid JSON: Extra data: line 1 column 42 (char 41)",
+    ),
+    '{"id": }': (
+        RecordParseError,
+        "line 2: invalid JSON: Expecting value: line 1 column 8 (char 7)",
+    ),
+    '{"id": "1", "text": "x", "label": "real"': (
+        RecordParseError,
+        "line 2: invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 41)",
+    ),
+    '﻿{"id": "1", "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)",
+    ),
+    '"just a string"': (RecordParseError, "line 2: line is not a JSON object"),
+    '{"text": "x", "label": "nope"}': (
+        RecordParseError,
+        "line 2: missing required field 'id'",
+    ),
+    '{"id": true, "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id is not a decimal string: True",
+    ),
+    '{"id": 1.5, "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id is not a decimal string: 1.5",
+    ),
+    '{"id": -5, "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id is not a decimal string: '-5'",
+    ),
+    '{"id": 9223372036854775808, "text": "x", "label": "real"}': (
+        RecordParseError,
+        "line 2: id outside [1, 2**63 - 1]: '9223372036854775808'",
+    ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": "many"}': (
+        RecordParseError,
+        "line 2: reply_count is not an integer: 'many'",
+    ),
+    '{"id": "1", "text": "x", "label": ["real"]}': (
+        UnknownLabelError,
+        "line 2: label ['real'] not in manifest labels ['real', 'fake']",
+    ),
+}
+
+
+@pytest.mark.parametrize("line,error", [(line, error) for line, (error, _) in BAD_LINES.items()])
 def test_load_jsonl_rejects_bad_lines(tmp_path, line, error):
     path = write(
         tmp_path / "bad.jsonl",
@@ -80,7 +168,79 @@ def test_load_jsonl_rejects_bad_lines(tmp_path, line, error):
     )
     with pytest.raises(error) as exc:
         load_jsonl(path, MANIFEST)
-    assert "2" in str(exc.value)  # the offending line number
+    assert type(exc.value) is error
+    assert str(exc.value) == BAD_LINES[line][1]
+
+
+def test_load_jsonl_rejects_one_trailing_character_on_the_last_line(tmp_path):
+    path = tmp_path / "tail.jsonl"
+    path.write_bytes(
+        b'{"id": "7", "text": "fine", "label": "real"}\n'
+        b'{"id": "1", "text": "x", "label": "real"}x'
+    )
+    with pytest.raises(RecordParseError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 2: invalid JSON: Extra data: line 1 column 42 (char 41)"
+
+
+@pytest.mark.parametrize(
+    "line,error,message",
+    [
+        ('{"label": "real"}', RecordParseError, "missing required field 'id'"),
+        ('{"id": "1", "label": "nope"}', RecordParseError, "missing required field 'text'"),
+        ('{"id": "x", "text": "t"}', RecordParseError, "missing required field 'label'"),
+        (
+            '{"id": "x", "text": 5, "label": "real"}',
+            RecordParseError,
+            "id is not a decimal string: 'x'",
+        ),
+        ('{"id": "1", "text": 5, "label": "nope"}', RecordParseError, "text is not a string: 5"),
+        (
+            '{"id": "1", "text": "t", "label": "nope", "reply_count": -1}',
+            UnknownLabelError,
+            "label 'nope' not in manifest labels ['real', 'fake']",
+        ),
+    ],
+)
+def test_load_jsonl_reports_the_first_broken_rule_of_a_record(tmp_path, line, error, message):
+    # missing fields, id, text type, label, reply_count: in that order
+    path = write(tmp_path / "order.jsonl", line + "\n")
+    with pytest.raises(error) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 1: " + message
+
+
+def test_load_jsonl_accepts_padded_lines_and_int_ids(tmp_path):
+    path = tmp_path / "padded.jsonl"
+    path.write_bytes(
+        b'  {"id": "11", "text": "leading blanks", "label": "real"}\n'
+        b'{"id": "12", "text": "crlf", "label": "fake"}\r\n'
+        b" \t \n"
+        b'{"id": 4211941866, "text": "int id", "label": "real"}  \n'
+        b'{"id": "13", "text": "no final newline", "label": "real"}'
+    )
+    ds = load_jsonl(path, MANIFEST)
+    assert [(r.id, r.text, r.label) for r in ds.records] == [
+        ("11", "leading blanks", "real"),
+        ("12", "crlf", "fake"),
+        ("4211941866", "int id", "real"),
+        ("13", "no final newline", "real"),
+    ]
+    assert [r.timestamp_ms for r in ds.records] == [None, None, 1288834975661, None]
+
+
+def test_load_jsonl_reports_a_bad_line_before_an_earlier_duplicate(tmp_path):
+    # every line is built and checked before ids are compared
+    path = write(
+        tmp_path / "order.jsonl",
+        '{"id": "5", "text": "a", "label": "real"}\n'
+        '{"id": "5", "text": "b", "label": "fake"}\n'
+        '{"id": "6", "text": "c", "label": "real"}\n'
+        '{"id": "7", "text": "d", "label": "nope"}\n',
+    )
+    with pytest.raises(UnknownLabelError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 4: label 'nope' not in manifest labels ['real', 'fake']"
 
 
 def test_load_jsonl_duplicate_id(tmp_path):
@@ -89,8 +249,9 @@ def test_load_jsonl_duplicate_id(tmp_path):
         '{"id": "5", "text": "a", "label": "real"}\n'
         '{"id": "5", "text": "b", "label": "fake"}\n',
     )
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError) as exc:
         load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 2: id 5 already seen on line 1"
 
 
 def test_load_csv_rfc4180(tmp_path):
@@ -105,6 +266,44 @@ def test_load_csv_rfc4180(tmp_path):
     assert ds.records[0].reply_count is None
     assert ds.records[1].text == "line one\nline two"
     assert ds.records[1].reply_count == 7
+
+
+@pytest.mark.parametrize(
+    "content,error,message",
+    [
+        ("id,text\n1,abc\n", SchemaError, "{path}: missing required column 'label'"),
+        ("", SchemaError, "{path}: empty file, no header row"),
+        ("id,text,label\n1,abc\n", RecordParseError, "line 2: row width does not match header"),
+        (
+            "id,text,label\n1,abc,real,extra\n",
+            RecordParseError,
+            "line 2: row width does not match header",
+        ),
+        ("id,text,label\n01,abc,real\n", RecordParseError, "line 2: id has a leading zero: '01'"),
+        ("id,text,label\n,a,real\n", RecordParseError, "line 2: id is not a decimal string: ''"),
+        (
+            "id,text,label\n1,abc,nope\n",
+            UnknownLabelError,
+            "line 2: label 'nope' not in manifest labels ['real', 'fake']",
+        ),
+        (
+            "id,text,label,reply_count\n1,abc,real,x\n",
+            RecordParseError,
+            "line 2: reply_count is not an integer: 'x'",
+        ),
+        (
+            "id,text,label\n5,a,real\n5,b,fake\n",
+            DuplicateIdError,
+            "line 3: id 5 already seen on line 2",
+        ),
+    ],
+)
+def test_load_csv_error_text(tmp_path, content, error, message):
+    path = write(tmp_path / "bad.csv", content)
+    with pytest.raises(error) as exc:
+        load_csv(path, MANIFEST)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(path=path)
 
 
 def test_load_csv_field_mapping(tmp_path):
@@ -193,6 +392,88 @@ def test_jsonl_round_trip(tmp_path):
 
     save_jsonl(again, tmp_path / "rt2.jsonl")
     assert (tmp_path / "rt2.jsonl").read_bytes() == out.read_bytes()
+
+
+# ids from the sequential era (zero timestamp field) and from the snowflake era
+_ids = st.one_of(st.integers(1, 2**22 - 1), st.integers(2**22, 2**63 - 1))
+_texts = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+_optional_text = st.one_of(st.none(), _texts)
+_extra_keys = st.text(min_size=1, max_size=8).filter(
+    lambda key: key not in CANONICAL_FIELDS and "\x00" not in key
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _rows(draw, extra_values):
+    ids = draw(st.lists(_ids, max_size=12, unique=True))
+    extra_keys = draw(st.lists(_extra_keys, max_size=3, unique=True))
+    rows = []
+    for value in ids:
+        row = {
+            "id": draw(st.sampled_from((value, str(value)))),
+            "text": draw(_texts),
+            "label": draw(st.sampled_from(("real", "fake", "satire"))),
+            "event": draw(_optional_text),
+            "article_id": draw(_optional_text),
+            "reply_count": draw(st.one_of(st.none(), st.integers(0, 2**40))),
+        }
+        for key in extra_keys:
+            row[key] = draw(extra_values)
+        rows.append(row)
+    return rows
+
+
+ROUND_TRIP_LABELS = ("real", "fake", "satire")
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows(_json_values))
+def test_jsonl_load_save_round_trip_property(rows):
+    built = build_dataset(rows, labels=ROUND_TRIP_LABELS, name="rt")
+    with tempfile.TemporaryDirectory() as tmp:
+        first = Path(tmp) / "rt.jsonl"
+        save_jsonl(built, first)
+        loaded = load_jsonl(first, Manifest(labels=ROUND_TRIP_LABELS), name="rt")
+        second = Path(tmp) / "rt2.jsonl"
+        save_jsonl(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert loaded.records == built.records
+    assert validate(built) == []
+    assert validate(loaded) == []
+    for row, record in zip(rows, loaded.records):
+        assert record.id == str(row["id"])
+        assert record.event == (row["event"] or None)
+        assert record.reply_count == row["reply_count"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows(_texts))
+def test_csv_load_round_trip_property(rows):
+    # a CSV cell is a string, and an empty cell reads as an absent field
+    cells = [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
+    header = list(cells[0]) if cells else list(CANONICAL_FIELDS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=header)
+            writer.writeheader()
+            writer.writerows(cells)
+        loaded = load_csv(path, Manifest(labels=ROUND_TRIP_LABELS))
+        save_jsonl(loaded, Path(tmp) / "rt.jsonl")
+        again = load_jsonl(Path(tmp) / "rt.jsonl", Manifest(labels=ROUND_TRIP_LABELS))
+    assert loaded.records == build_dataset(cells, labels=ROUND_TRIP_LABELS).records
+    assert again.records == loaded.records
+    assert validate(loaded) == []
+    assert validate(again) == []
+    for row, record in zip(rows, loaded.records):
+        assert record.id == str(row["id"])
+        assert record.reply_count == row["reply_count"]
+        assert record.event == (row["event"] or None)
 
 
 def test_load_csv_keeps_extra_columns(tmp_path):

@@ -6,15 +6,17 @@ predicting labels and every non-anchor daily histogram must sit close to
 the anchor's.
 """
 
+import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakaudit import build_dataset, time_rebalance
-from leakaudit.data import Record, label_distribution
+from leakaudit.data import Record, label_distribution, save_jsonl
 from leakaudit.errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
 from leakaudit.rebalance import _AlivePool
 
@@ -92,6 +94,46 @@ def test_rebalance_is_deterministic(leaky, pool):
     assert rep1.to_json_dict() == rep2.to_json_dict()
     out3, _ = time_rebalance(leaky, pool, ANCHOR, seed=10, measure_leak=False)
     assert [r.id for r in out3.records] != [r.id for r in out1.records]
+
+
+# SHA-256 of the rebalanced JSONL and of the report JSON as the CLI writes
+# it, for the leaky and pool fixtures; pinned from the per-record draw loop
+REBALANCE_DIGESTS = {
+    (0, True): (
+        "d5a0807739dc0d85c26cf4fb59e7390050bcc2f6cbf1acf297dbf3648240513d",
+        "8264083c3088c189de7b5412fcde1c63ef63753197fe6273460705cd0c280260",
+    ),
+    (9, False): (
+        "3d324105f4319dd88188241597d42e4ee9c25c3c9112df112ae908704f0f327a",
+        "417707f2c97e2b6c0391935b5119d5e50bb0f33bf9b06650e386736601cddcb5",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,measure_leak", sorted(REBALANCE_DIGESTS))
+def test_rebalance_outputs_are_pinned(leaky, pool, rebalanced, tmp_path, seed, measure_leak):
+    if (seed, measure_leak) == (0, True):
+        out, report = rebalanced
+    else:
+        out, report = time_rebalance(leaky, pool, ANCHOR, seed=seed, measure_leak=measure_leak)
+    save_jsonl(out, tmp_path / "rebalanced.jsonl")
+    report_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2, ensure_ascii=False)
+    digests = (
+        hashlib.sha256((tmp_path / "rebalanced.jsonl").read_bytes()).hexdigest(),
+        hashlib.sha256((report_text + "\n").encode("utf-8")).hexdigest(),
+    )
+    assert digests == REBALANCE_DIGESTS[seed, measure_leak]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500, 2**16 + 1, 2**31 - 1, 2**32, 2**32 + 1, 2**40])
+def test_one_sized_draw_equals_single_draws(n):
+    # rebalance draws every target index in one call; the pinned outputs
+    # rest on numpy giving the same stream as one draw per record
+    for seed in range(5):
+        singles = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        expected = [int(singles.integers(0, n)) for _ in range(300)]
+        batch = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert batch.integers(0, n, size=300).tolist() == expected
 
 
 def _ts_id(ts_ms, low=1):

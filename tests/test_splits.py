@@ -60,6 +60,10 @@ PRESET_NAMES = {
 }
 
 
+def _all_ids(split):
+    return set(split.train_ids) | set(split.dev_ids) | set(split.test_ids)
+
+
 def _balanced(n_per_label=50, labels=("a", "b")):
     rows = []
     i = 0
@@ -95,7 +99,7 @@ def test_random_split_sizes_disjoint_deterministic(tmp_path):
     spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=3)
     split = make_split(ds, spec)
     assert split.sizes() == (70, 10, 20)
-    assert split.all_ids() == {r.id for r in ds.records}
+    assert _all_ids(split) == {r.id for r in ds.records}
     assert not set(split.train_ids) & set(split.test_ids)
     assert not set(split.train_ids) & set(split.dev_ids)
     # stratified: each label contributes exactly 35/5/10
@@ -119,7 +123,7 @@ def test_unstratified_split_sizes():
     ds = _balanced(30)
     split = make_split(ds, SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0, stratify=False))
     assert split.sizes() == (30, 15, 15)
-    assert split.all_ids() == {r.id for r in ds.records}
+    assert _all_ids(split) == {r.id for r in ds.records}
 
 
 def test_split_validation_errors():
@@ -327,8 +331,8 @@ def test_label_filter():
     ds = _balanced(10, labels=("a", "b", "c"))
     by_id = ds.by_id()
     out = make_split(ds, SplitSpec(seed=0, label_filter=("c", "a")))
-    assert all(by_id[rid].label in ("a", "c") for rid in out.all_ids())
-    assert len(out.all_ids()) == 20
+    assert all(by_id[rid].label in ("a", "c") for rid in _all_ids(out))
+    assert len(_all_ids(out)) == 20
     assert out.provenance["stages"]["label_filter"]["n_after"] == 20
     # filtering to the full label set changes nothing but the provenance
     identity = make_split(ds, SplitSpec(seed=0, label_filter=("a", "b", "c")))
@@ -359,7 +363,7 @@ def test_make_split_runs_stages():
     assert stages["event_filter"]["n_after"] == 60
     assert stages["label_filter"]["n_after"] == 60
     by_id = ds.by_id()
-    assert all(by_id[rid].event in ("storm", "quake") for rid in split.all_ids())
+    assert all(by_id[rid].event in ("storm", "quake") for rid in _all_ids(split))
 
     with pytest.raises(UnknownEventError):
         make_split(ds, SplitSpec(seed=0, event_filter=("storm", "eclipse")))
@@ -382,7 +386,7 @@ def test_export_import_round_trip(tmp_path):
     smaller = Dataset(records=only_a, label_set=ds.label_set)
     partial = import_split(path, smaller)
     assert partial.provenance["missing_ids"] == 50
-    assert all(rid in {r.id for r in smaller.records} for rid in partial.all_ids())
+    assert all(rid in {r.id for r in smaller.records} for rid in _all_ids(partial))
 
     # re-export is byte-identical
     path2 = tmp_path / "split2.json"
@@ -454,7 +458,7 @@ def test_label_outside_the_set_is_dropped_only_when_stratified():
     for stratify, want in ((True, 9), (False, 10)):
         split = make_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=stratify))
         assert sum(split.sizes()) == want
-        assert ("1003" in split.all_ids()) is not stratify
+        assert ("1003" in _all_ids(split)) is not stratify
 
 
 @settings(max_examples=100, deadline=None)
@@ -533,9 +537,9 @@ def test_presets_registry():
 def test_preset_split_on_synthetic_data(leaky):
     split = preset_split(leaky, "pheme9-tf", seed=3)
     by_id = leaky.by_id()
-    labels = {by_id[rid].label for rid in split.all_ids()}
+    labels = {by_id[rid].label for rid in _all_ids(split)}
     assert labels == {"true", "false"}
-    n = len(split.all_ids())
+    n = len(_all_ids(split))
     assert n == 1000  # 500 true + 500 false
     assert split.sizes() == (700, 100, 200)
 
@@ -606,6 +610,6 @@ def test_split_accessors():
     assert split.name() == "named"
     assert split.sizes() == (2, 1, 1)
     assert split.partition_of() == {"1": "train", "2": "train", "3": "dev", "4": "test"}
-    assert split.all_ids() == {"1", "2", "3", "4"}
+    assert _all_ids(split) == {"1", "2", "3", "4"}
     anon = Split(train_ids=(), dev_ids=(), test_ids=(), provenance={"generator": "import_split"})
     assert anon.name() == "import_split"
