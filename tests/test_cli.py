@@ -4,6 +4,7 @@ Every emitted JSON artifact is validated against the schema shipped in
 leakaudit/schemas/, so the schemas are part of the tested contract.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import leakaudit
 from leakaudit import Manifest, dedup, load_jsonl
 from leakaudit.cli import main, parse_window
-from leakaudit.data import label_distribution, save_jsonl
+from leakaudit.data import build_dataset, label_distribution, save_jsonl
 
 LABELS = "true,false,unverified,non-rumor"
 SCHEMA_DIR = Path(leakaudit.__file__).parent / "schemas"
@@ -629,3 +630,97 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("leakaudit ")
+
+
+# --- pinned outputs -----------------------------------------------------------
+#
+# SHA-256 of the files the commands write, pinned before splits became
+# dataset positions: the split representation must not change a byte.
+PINNED = {
+    "audit-generated": "0eb18492967747ec46e87c550b8d1d620cb6930449b57a7ceb7de5d88b3ec8fa",
+    "split": "040ef6ae4032947311614ab1f12611a566b72e5ddd5f8af5aa1a5fbf2858c6ea",
+    "split-duplicated": "4d31d04f28af2b94b3c35b1e5bf3cc54a8f793059378551ef0a4d6e464ab538b",
+    "audit-duplicated": "2eea8e1a779e0f985958ed5983628b4818935482b7a7093ad82c12374e155e4c",
+    "eval": "e526471a06568261b7322104dc34b9dec63122bd95ee87371af81ebf58bfb5ed",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_audit_bundle_with_generated_splits_is_pinned(env, capsys):
+    bundle_path = env["root"] / "bundle-pinned.json"
+    assert main([
+        "audit", str(env["leaky"]), "--labels", LABELS,
+        "--k", "2,3", "--n-splits", "2", "--json", str(bundle_path),
+    ]) == 2
+    capsys.readouterr()
+    assert _sha256(bundle_path) == PINNED["audit-generated"]
+
+
+@pytest.fixture(scope="module")
+def duplicated(env, leaky):
+    """The leaky corpus with 30 planted families, each an original text, an
+    exact copy and a near copy (one of 20 tokens changed), spread over the
+    corpus so a random split puts members in different partitions."""
+    rows = [{"id": r.id, "text": r.text, "label": r.label} for r in leaky.records]
+    for family in range(30):
+        words = [f"f{family}w{j}" for j in range(20)]
+        for copy, at in enumerate(range(family * 61, len(rows), 677)[:3]):
+            text = words if copy < 2 else words[:-1] + ["edited"]
+            rows[at]["text"] = " ".join(text)
+    path = env["root"] / "duplicated.jsonl"
+    save_jsonl(build_dataset(rows, labels=leaky.label_set.labels, name="duplicated"), path)
+    return path
+
+
+def test_split_file_is_pinned(env, capsys):
+    split_path = env["root"] / "split-pinned.json"
+    assert main([
+        "split", str(env["leaky"]), "--labels", LABELS, "--seed", "23", "--out", str(split_path),
+    ]) == 0
+    capsys.readouterr()
+    assert _sha256(split_path) == PINNED["split"]
+
+
+def test_audit_bundle_with_split_and_contamination_is_pinned(env, duplicated, capsys):
+    split_path = env["root"] / "split-duplicated.json"
+    assert main([
+        "split", str(duplicated), "--labels", LABELS, "--seed", "4", "--out", str(split_path),
+    ]) == 0
+    bundle_path = env["root"] / "bundle-duplicated.json"
+    assert main([
+        "audit", str(duplicated), "--labels", LABELS, "--split", str(split_path),
+        "--k", "2,3", "--json", str(bundle_path),
+    ]) == 2
+    capsys.readouterr()
+    worst = read_json(bundle_path)["contamination"]["worst"]
+    assert {p["kind"] for p in worst} == {"exact", "near"}
+    assert {p["partition"] for p in worst} == {"dev", "test"}
+    assert _sha256(split_path) == PINNED["split-duplicated"]
+    assert _sha256(bundle_path) == PINNED["audit-duplicated"]
+
+
+def test_eval_json_is_pinned(env, leaky, capsys):
+    split_path = env["root"] / "eval-split-pinned.json"
+    assert main([
+        "split", str(env["leaky"]), "--labels", LABELS, "--seed", "29", "--out", str(split_path),
+    ]) == 0
+    labels = leaky.label_set.labels
+    gold = {r.id: r.label for r in leaky.records}
+    # every seventh prediction takes the next label; the last 15 test ids
+    # have none
+    wrong = {
+        rid: labels[(labels.index(gold[rid]) + 1) % len(labels)] if i % 7 == 0 else gold[rid]
+        for i, rid in enumerate(gold)
+    }
+    pred_path = env["root"] / "pinned.csv"
+    _write_predictions(pred_path, read_json(split_path), wrong, drop=15)
+    result_path = env["root"] / "eval-pinned.json"
+    assert main([
+        "eval", str(env["leaky"]), "--labels", LABELS,
+        "--split", str(split_path), "--pred", str(pred_path), "--json", str(result_path),
+    ]) == 0
+    capsys.readouterr()
+    assert _sha256(result_path) == PINNED["eval"]
