@@ -51,9 +51,9 @@ with tempfile.TemporaryDirectory() as tmp:
     spec = json.loads(a.read_text())["spec"]
     print("spec on disk:", {k: spec[k] for k in ("name", "seed", "ratios")})
 
-# score a deliberately mediocre prediction mapping on the test ids
-by_id = dataset.by_id()
-gold = {rid: by_id[rid].label for rid in split.test_ids}
+# score a deliberately mediocre prediction mapping on the test ids; a
+# split holds positions in its dataset, and test_ids names them
+gold = {rid: dataset.records[i].label for rid, i in zip(split.test_ids, split.test)}
 preds = {}
 for rid in split.test_ids:
     if rng.random() < 0.1:

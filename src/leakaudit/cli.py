@@ -309,7 +309,7 @@ def cmd_eval(args) -> int:
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     split = import_split(args.split, dataset)
-    result = evaluate_prediction_file(dataset, split.test_ids, args.pred, missing=args.missing)
+    result = evaluate_prediction_file(dataset, split.test, args.pred, missing=args.missing)
     print(f"evaluated {result.n_scored} predictions "
           f"({result.n_missing} missing, mode {result.missing_mode})")
     print(f"macro-F1 {result.macro_f1:.4f}  accuracy {result.accuracy:.4f}")

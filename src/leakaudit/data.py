@@ -322,7 +322,8 @@ def load_jsonl(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
 
 
 def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
-    """Load an RFC 4180 CSV dataset with a header row."""
+    """Load an RFC 4180 CSV dataset with a header row; errors give the line
+    a row starts on, 1-based."""
     records: list[Record] = []
     lines: list[int] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -342,12 +343,15 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
                     f"{manifest.fields[canonical]!r}"
                 )
         build = _record_builder(manifest)
-        for row_no, row in enumerate(reader, start=2):
+        # a quoted field may span lines: a row starts after the last line read
+        line = reader.line_num + 1
+        for row in reader:
             raw = {k: v for k, v in row.items() if k is not None}
             if None in row.values() or row.get(None):
-                raise RecordParseError("row width does not match header", row_no)
-            records.append(build(raw, row_no))
-            lines.append(row_no)
+                raise RecordParseError("row width does not match header", line)
+            records.append(build(raw, line))
+            lines.append(line)
+            line = reader.line_num + 1
     return _assemble(records, manifest, lines, name or Path(path).stem)
 
 

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .splits import Split
+from .splits import PARTITIONS, Split
 from .textleak import strip_urls
 
 NUM_PERMUTATIONS = 128
@@ -173,15 +173,17 @@ class Contamination:
 
 @dataclass
 class _NodeIndex:
-    """Distinct normalized texts (nodes), their record ids and shingles.
+    """Distinct normalized texts (nodes), their dataset rows and shingles.
 
+    node_records lists each node's dataset rows in dataset order; record
+    ids are read off the rows only where clusters and pairs are built.
     keys holds node * len(hashes) + shingle id for each distinct shingle
     of each node, sorted, so node i's shingles are keys[starts[i] :
     starts[i + 1]] and one binary search tells whether a node has a given
     shingle. hashes maps a shingle id to its 64-bit hash.
     """
 
-    node_records: list[list[str]]  # record ids per node
+    node_records: list[list[int]]
     keys: np.ndarray
     starts: np.ndarray
     hashes: np.ndarray
@@ -190,9 +192,9 @@ class _NodeIndex:
 
 def _build_nodes(dataset: Dataset) -> _NodeIndex:
     node_of_text: dict[str, int] = {}
-    node_records: list[list[str]] = []
+    node_records: list[list[int]] = []
     skipped = 0
-    for record in dataset.records:
+    for row, record in enumerate(dataset.records):
         normalized = normalize_text(record.text)
         if not normalized:
             skipped += 1
@@ -201,7 +203,7 @@ def _build_nodes(dataset: Dataset) -> _NodeIndex:
         if node is None:
             node = node_of_text[normalized] = len(node_records)
             node_records.append([])
-        node_records[node].append(record.id)
+        node_records[node].append(row)
 
     texts = list(node_of_text)
     lengths = np.fromiter((t.count(" ") + 1 for t in texts), dtype=np.int64, count=len(texts))
@@ -345,20 +347,16 @@ def _components(
     return [g for g in groups if len(g) > 1]
 
 
-def _sorted_ids(ids: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(ids, key=int))
-
-
 @dataclass(frozen=True)
 class DuplicateScan:
     """Duplicate clusters plus the bookkeeping the audit report wants.
 
-    index (the distinct normalized texts with their record ids and
-    shingles) and buckets (the LSH buckets of two or more nodes, as
-    (bucket, node) rows) let ``contamination`` check a split without a
-    second build. The scan keeps no list of verified edges: it verifies a
-    candidate pair only when the pair would join two components, so most
-    candidate pairs are never verified.
+    dataset (the one scanned), index (its distinct normalized texts with
+    their rows and shingles) and buckets (the LSH buckets of two or more
+    nodes, as (bucket, node) rows) let ``contamination`` check a split of
+    that dataset without a second build. The scan keeps no list of verified
+    edges: it verifies a candidate pair only when the pair would join two
+    components, so most candidate pairs are never verified.
     """
 
     clusters: tuple[DuplicateCluster, ...]
@@ -369,6 +367,7 @@ class DuplicateScan:
     n_records_in_exact: int
     n_records_in_near: int
     jaccard_threshold: float
+    dataset: Dataset = field(repr=False, compare=False)
     index: _NodeIndex = field(repr=False, compare=False)
     buckets: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
@@ -379,23 +378,24 @@ class DuplicateScan:
         pairs per verified node pair. Only the candidate node pairs with
         train records on one side and dev/test records on the other are
         verified, and only the pairs that can reach ``worst`` are built.
+
+        Raises:
+            ValueError: if the split was made from another dataset than the
+                one scanned.
         """
-        part_of = split.partition_of()
-        records = self.index.node_records
+        if split.dataset is not self.dataset:
+            raise ValueError("the split was made from another dataset than the one scanned")
+        # one partition code per dataset row: 0 train, 1 dev, 2 test, -1 none
+        row_part = np.full(len(self.dataset), -1, dtype=np.int8)
+        for p, rows in enumerate((split.train, split.dev, split.test)):
+            row_part[rows] = p
+        node_records = self.index.node_records
+        n = len(node_records)
+        node_of = np.repeat(np.arange(n), np.fromiter(map(len, node_records), np.int64, count=n))
+        rows = np.fromiter(chain.from_iterable(node_records), np.int64, count=len(node_of))
+        n_train = np.bincount(node_of[row_part[rows] == 0], minlength=n)
+        n_other = np.bincount(node_of[row_part[rows] > 0], minlength=n)
         bucket, member = self.buckets
-        n = len(records)
-        train: dict[int, list[str]] = {}
-        other: dict[int, list[tuple[str, str]]] = {}
-        n_train = np.zeros(n, dtype=np.int64)
-        n_other = np.zeros(n, dtype=np.int64)
-        for node in {*member.tolist(), *(i for i, ids in enumerate(records) if len(ids) > 1)}:
-            train[node] = [rid for rid in records[node] if part_of.get(rid) == "train"]
-            other[node] = [
-                (rid, part_of[rid])
-                for rid in records[node]
-                if part_of.get(rid) in ("dev", "test")
-            ]
-            n_train[node], n_other[node] = len(train[node]), len(other[node])
 
         # candidate node pairs (x, y), x != y, with train records in x and
         # dev/test records in y, from each train row against its bucket's
@@ -437,11 +437,17 @@ class DuplicateScan:
             nth = min(int(np.searchsorted(reach, WORST_PAIRS)), len(live) - 1)
             cut = src_jaccard[by_jaccard[nth]]
         offered = []
+        records, codes = self.dataset.records, row_part.tolist()
         for s in live[src_jaccard[live] >= cut].tolist():
             j = float(src_jaccard[s])
             kind = "exact" if s < len(exact) else "near"
-            t_ids = sorted(train[int(src_train[s])], key=int)
-            o_ids = sorted(other[int(src_other[s])], key=lambda p: int(p[0]))
+            t_rows = node_records[int(src_train[s])]
+            o_rows = node_records[int(src_other[s])]
+            t_ids = sorted((records[r].id for r in t_rows if codes[r] == 0), key=int)
+            o_ids = sorted(
+                ((records[r].id, PARTITIONS[codes[r]]) for r in o_rows if codes[r] > 0),
+                key=lambda p: int(p[0]),
+            )
             for k in range(min(WORST_PAIRS, len(t_ids) * len(o_ids))):
                 t_id, (o_id, part) = t_ids[k // len(o_ids)], o_ids[k % len(o_ids)]
                 offered.append((-j, int(t_id), int(o_id), t_id, o_id, part, kind))
@@ -468,42 +474,32 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
 
     index = _build_nodes(dataset)
     buckets = _lsh_buckets(index)
-    clusters: list[DuplicateCluster] = []
+    records = dataset.records
 
-    for records in index.node_records:
-        if len(records) >= 2:
-            members = _sorted_ids(records)
-            clusters.append(
-                DuplicateCluster(
-                    kind="exact",
-                    member_ids=members,
-                    representative_id=members[0],
-                    min_jaccard_to_representative=1.0,
-                )
-            )
+    def members(nodes) -> list[tuple[str, int]]:
+        """(id, node) of each record of ``nodes``, in numeric id order; the
+        first is the representative."""
+        owned = ((records[r].id, node) for node in nodes for r in index.node_records[node])
+        return sorted(owned, key=lambda pair: int(pair[0]))
 
+    def cluster(kind: str, owned: list[tuple[str, int]], min_jaccard: float) -> DuplicateCluster:
+        return DuplicateCluster(kind, tuple(rid for rid, _ in owned), owned[0][0], min_jaccard)
+
+    clusters = [
+        cluster("exact", members([node]), 1.0)
+        for node, rows in enumerate(index.node_records)
+        if len(rows) > 1
+    ]
     components = _components(index, buckets, jaccard_threshold)
-    near_members, rep_nodes = [], []
-    for nodes in components:
-        members = _sorted_ids(rid for node in nodes.tolist() for rid in index.node_records[node])
-        near_members.append(members)
-        rep_nodes.append(next(n for n in nodes.tolist() if members[0] in index.node_records[n]))
     if components:
+        near = [members(nodes.tolist()) for nodes in components]
         # each component's nodes against its representative's node, which
         # scores 1.0 against itself like the exact clusters
         sizes = np.array([len(nodes) for nodes in components])
-        jaccard = _jaccard(index, np.repeat(rep_nodes, sizes), np.concatenate(components))
+        rep_nodes = np.repeat([owned[0][1] for owned in near], sizes)
+        jaccard = _jaccard(index, rep_nodes, np.concatenate(components))
         min_jaccard = np.minimum.reduceat(jaccard, np.cumsum(sizes) - sizes).tolist()
-        for members, min_j in zip(near_members, min_jaccard):
-            clusters.append(
-                DuplicateCluster(
-                    kind="near",
-                    member_ids=members,
-                    representative_id=members[0],
-                    min_jaccard_to_representative=min_j,
-                )
-            )
-
+        clusters += [cluster("near", owned, j) for owned, j in zip(near, min_jaccard)]
     clusters.sort(key=lambda c: (c.kind, int(c.representative_id)))
     exact = [c for c in clusters if c.kind == "exact"]
     near = [c for c in clusters if c.kind == "near"]
@@ -516,6 +512,7 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
         n_records_in_exact=sum(c.size for c in exact),
         n_records_in_near=sum(c.size for c in near),
         jaccard_threshold=jaccard_threshold,
+        dataset=dataset,
         index=index,
         buckets=buckets,
     )

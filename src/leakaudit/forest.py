@@ -561,11 +561,9 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     )
 
 
-def fit_rows(
-    rows, sets, label_set, config, n_trees: int, bootstrap: bool
-) -> Iterator[ForestModel]:
-    """Fit one forest per training set, all on the distinct rows ``rows``,
-    and yield them in set order.
+def fit_rows(rows, sets, label_set, config: ForestConfig) -> Iterator[ForestModel]:
+    """Fit one forest of ``config.n_trees`` trees per training set, all on
+    the distinct rows ``rows``, and yield them in set order.
 
     Each set is a pair (row_of, y_idx): its training rows ``rows[row_of]``
     and their label positions. ``rows`` are distinct int64 rows in
@@ -579,7 +577,7 @@ def fit_rows(
     none is held after the next is asked for, so a caller that lets each
     go before taking the next holds at most one group. Nothing is checked.
     """
-    K = len(label_set)
+    K, n_trees = len(label_set), config.n_trees
     codes = [row_of * K + y_idx for row_of, y_idx in sets]
     keys, inverse = np.unique(np.concatenate(codes), return_inverse=True)
     inverses = np.split(inverse.reshape(-1), np.cumsum([len(c) for c in codes])[:-1])
@@ -593,8 +591,7 @@ def fit_rows(
         # per-tree arrays are freed before growth starts
         trees = _LockstepGrower(
             pat_X, pat_y, K, config,
-            *_tree_copies(inverses[group], counts[group], config.seed, n_trees, bootstrap,
-                          rows.shape[1]),
+            *_tree_copies(inverses[group], counts[group], config, rows.shape[1]),
         ).grow()
         for _ in range(group.stop - group.start):
             yield ForestModel(
@@ -603,21 +600,22 @@ def fit_rows(
             del trees[:n_trees]
 
 
-def _tree_copies(inverses, counts, seed, n_trees, bootstrap, n_features):
+def _tree_copies(inverses, counts, config, n_features):
     """Every tree of every set's forest, set-major: its alive patterns and
     weights, and the order stream it reads.
 
     Tree t of all sets of one size shares one substream: one bootstrap
     draw, from which each set's weights are counted and compressed at
     once, and one order stream. Without bootstrap, size plays no part."""
+    n_trees = config.n_trees
     members: dict[int | None, list[int]] = {}
     for i, inverse in enumerate(inverses):
-        members.setdefault(len(inverse) if bootstrap else None, []).append(i)
+        members.setdefault(len(inverse) if config.bootstrap else None, []).append(i)
     alive = [None] * (len(inverses) * n_trees)
     orders = [None] * len(alive)
     for t in range(n_trees):
         for n, same in members.items():
-            rng = _tree_rng(seed, t)
+            rng = _tree_rng(config.seed, t)
             draw = None if n is None else rng.integers(0, n, size=n)
             stream = _OrderStream(rng, n_features, [i * n_trees + t for i in same])
             for i in same:
@@ -642,21 +640,6 @@ def _chunks(sizes: list[int], budget: int):
     yield slice(lo, len(sizes))
 
 
-def fit_tree(
-    X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
-) -> ForestModel:
-    """Fit a single deterministic tree (no bootstrap) on all rows, whatever
-    config.n_trees and config.bootstrap say.
-
-    Returned as a one-tree ForestModel, keeping config, so predict and
-    serialize are uniform.
-    """
-    rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
-    return next(fit_rows(
-        rows, [(row_of, y_idx)], label_set, config or ForestConfig(), n_trees=1, bootstrap=False
-    ))
-
-
 def fit_forest(
     X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
 ) -> ForestModel:
@@ -664,9 +647,7 @@ def fit_forest(
     (config.seed, t), so no tree depends on the trees fitted beside it."""
     config = config or ForestConfig()
     rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
-    return next(
-        fit_rows(rows, [(row_of, y_idx)], label_set, config, config.n_trees, config.bootstrap)
-    )
+    return next(fit_rows(rows, [(row_of, y_idx)], label_set, config))
 
 
 # --- stratified random baseline -------------------------------------------
@@ -691,8 +672,8 @@ def baseline_expected_macro_f1(
     precision -> q_c (test rate) and recall -> p_c (train prediction
     rate), so F1_c = 2*p_c*q_c / (p_c + q_c); macro averages over classes
     present in the test distribution. This is the large-sample limit; a
-    single finite draw scatters around it (see
-    baseline_macro_f1_monte_carlo).
+    single finite draw scatters around it (the tests check the limit
+    against a Monte Carlo mean over simulated draws).
     """
     p = _normalize(dict(train_dist), "train")
     q = _normalize(dict(test_dist), "test")
@@ -705,52 +686,3 @@ def baseline_expected_macro_f1(
     if not f1s:
         raise EmptyDistributionError("test distribution has no mass")
     return float(np.mean(f1s))
-
-
-def baseline_macro_f1_monte_carlo(
-    train_dist: Mapping[str, float],
-    test_counts: Mapping[str, int],
-    n_draws: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Mean macro-F1 over n_draws simulated stratified-random prediction
-    files against a fixed gold multiset (integer test counts).
-
-    Converges to baseline_expected_macro_f1 as the gold set grows; on
-    small test sets the mean sits slightly off the closed form, which is
-    exactly the finite-sample wobble this mode exists to quantify.
-    """
-    labels = sorted(set(train_dist) | set(test_counts))
-    k = len(labels)
-    probs = np.zeros(k, dtype=np.float64)
-    train_norm = _normalize(dict(train_dist), "train")
-    for i, lab in enumerate(labels):
-        probs[i] = train_norm.get(lab, 0.0)
-    gold_counts = np.array([int(test_counts.get(lab, 0)) for lab in labels], dtype=np.int64)
-    if gold_counts.sum() <= 0:
-        raise EmptyDistributionError("test counts sum to zero")
-    gold = np.repeat(np.arange(k), gold_counts)
-    n = len(gold)
-    present = gold_counts > 0
-
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64)))
-
-    chunk = max(1, min(n_draws, 4_000_000 // max(n, 1)))
-    macro_sum = 0.0
-    done = 0
-    while done < n_draws:
-        m = min(chunk, n_draws - done)
-        preds = np.searchsorted(cum, rng.random((m, n)), side="right")
-        code = preds * k + gold[None, :]
-        flat = code + (np.arange(m) * k * k)[:, None]
-        conf = np.bincount(flat.ravel(), minlength=m * k * k).reshape(m, k, k)
-        tp = conf[:, np.arange(k), np.arange(k)].astype(np.float64)
-        pred_tot = conf.sum(axis=2).astype(np.float64)
-        denom = pred_tot + gold_counts[None, :].astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f1 = np.where(denom > 0, 2.0 * tp / denom, 0.0)
-        macro_sum += float(f1[:, present].mean(axis=1).sum())
-        done += m
-    return macro_sum / n_draws

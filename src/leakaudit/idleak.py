@@ -6,8 +6,8 @@ accuracy above the stratified-random baseline means the label is readable
 off the clock: classes were collected in different time windows and a
 model can exploit that instead of content.
 
-Every probe runs through ``run_id_leak_suite``. It maps each split's train
-and test ids to dataset rows once, and for each distinct k parses every
+Every probe runs through ``run_id_leak_suite``. It reads each split's train
+and test dataset positions directly, and for each distinct k parses every
 dataset id once into a pattern table: the distinct k-digit prefixes and
 each row's pattern (-1 for an id shorter than k). Every run is checked
 before any forest grows, so errors come in report order. Then, for each
@@ -130,8 +130,8 @@ def run_id_leak_test(
         AllIdsTooShortError: if a partition loses every id to the k-digit
             requirement.
         UnknownLabelError: if a kept record's label is outside the label set.
-        ValueError: if k < 1 or any dataset id, in the split or not, is not
-            a string of ASCII digits.
+        ValueError: for a split of another dataset, k < 1, or a dataset id,
+            in the split or not, that is not a string of ASCII digits.
     """
     return run_id_leak_suite(dataset, (k,), split=split, config=config)[0]
 
@@ -216,9 +216,11 @@ def run_id_leak_suite(
     one arbitrary partition's luck.
 
     Raises:
-        The errors of ``run_id_leak_test``: a ValueError for a k < 1 or any
-        dataset id that is not ASCII digits, then those of the first run.
+        The errors of ``run_id_leak_test``: its ValueErrors first, then
+        those of the first run.
     """
+    if split is not None and split.dataset is not dataset:
+        raise ValueError("the split was made from another dataset")
     config = config or ForestConfig()
     splits = [split]
     if split is None:
@@ -229,19 +231,17 @@ def run_id_leak_suite(
         )
         splits = (make_split(dataset, spec) for spec in specs)
     ids = [r.id for r in dataset.records]
-    row_of_id = {rid: row for row, rid in enumerate(ids)}
     tables = {k: _pattern_table(ids, k) for k in dict.fromkeys(k_values)}
     # every run is checked, in report order, before any forest is fitted
     runs = []
     for each in splits:
-        train = [row_of_id[i] for i in each.train_ids if i in row_of_id]
-        test = [row_of_id[i] for i in each.test_ids if i in row_of_id]
-        if not train or not test:
-            raise EmptySplitError(f"need non-empty train and test (got {len(train)}/{len(test)})")
-        rows = np.array(train + test, dtype=np.int64)
+        n_train, n_test = len(each.train), len(each.test)
+        if not n_train or not n_test:
+            raise EmptySplitError(f"need non-empty train and test (got {n_train}/{n_test})")
+        rows = np.concatenate((each.train, each.test))
         for k in k_values:
-            _kept(dataset, rows, len(train), k, tables[k][1])
-        runs.append((each.name(), rows, len(train)))
+            _kept(dataset, rows, n_train, k, tables[k][1])
+        runs.append((each.name(), rows, n_train))
 
     by_k = {k: _probe_k(dataset, runs, k, *tables[k], config) for k in tables}
     return [by_k[k][i] for i in range(len(runs)) for k in k_values]
@@ -254,7 +254,7 @@ def _probe_k(dataset, runs, k, table, pattern_of, config) -> list[IdLeakReport]:
     kept = [_kept(dataset, rows, n_listed, k, pattern_of) for _, rows, n_listed in runs]
     models = fit_rows(
         table, [(patterns[:n], labels[:n]) for patterns, labels, n in kept],
-        dataset.label_set, config, config.n_trees, config.bootstrap,
+        dataset.label_set, config,
     )
     return [
         _report(name, k, next(models), table, *run, len(rows), dataset.label_set, config)

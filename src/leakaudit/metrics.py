@@ -262,19 +262,20 @@ def read_prediction_file(path: str | Path) -> dict[str, str]:
 
 def evaluate_prediction_file(
     dataset: Dataset,
-    test_ids: Sequence[str],
+    test: np.ndarray,
     path: str | Path,
     missing: str = "wrong",
 ) -> EvalResult:
-    """Score a prediction file against a dataset's test partition.
+    """Score a prediction file against the records at dataset positions
+    ``test``, a split's test partition.
 
     Raises:
         UnknownLabelError: if the file predicts a label outside the
             dataset's label set.
-        EmptyInputError: if no test id is present in the dataset.
+        EmptyInputError: if ``test`` is empty.
     """
-    by_id = dataset.by_id()
-    gold = {rid: by_id[rid].label for rid in test_ids if rid in by_id}
+    records = dataset.records
+    gold = {records[i].id: records[i].label for i in test.tolist()}
     preds = read_prediction_file(path)
     for rid, label in preds.items():
         if label not in dataset.label_set:

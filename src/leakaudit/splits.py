@@ -7,6 +7,10 @@ byte-identical exported split files. A spec's filters narrow one list of
 dataset positions; one allocator then partitions that list. Stratified
 allocation uses the largest-remainder method, so every per-label partition
 size is within one record of the exact proportion.
+
+A ``Split`` belongs to the dataset it was made from and holds positions in
+it; ids are read off them only to write a split file, and mapped back to
+positions once when one is read.
 """
 
 from __future__ import annotations
@@ -127,15 +131,34 @@ class SplitSpec:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
-    """Three disjoint id tuples plus how they came to be."""
+    """Three disjoint read-only int64 arrays of positions in ``dataset``,
+    plus how they came to be. Each is in split order (the allocator's
+    shuffled order, or file order when imported), which the forest's
+    bootstrap draw reads. A split has no value equality."""
 
-    train_ids: tuple[str, ...]
-    dev_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
+    dataset: Dataset = field(repr=False)
+    train: np.ndarray
+    dev: np.ndarray
+    test: np.ndarray
     spec: SplitSpec | None = None
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for part in PARTITIONS:
+            rows = np.array(getattr(self, part), dtype=np.int64)
+            rows.flags.writeable = False
+            object.__setattr__(self, part, rows)
+
+    def _ids(self, rows: np.ndarray) -> tuple[str, ...]:
+        records = self.dataset.records
+        return tuple(records[i].id for i in rows.tolist())
+
+    # the ids at each partition's positions, in split order
+    train_ids = property(lambda self: self._ids(self.train))
+    dev_ids = property(lambda self: self._ids(self.dev))
+    test_ids = property(lambda self: self._ids(self.test))
 
     def name(self) -> str:
         if self.spec is not None and self.spec.name:
@@ -143,14 +166,7 @@ class Split:
         return str(self.provenance.get("generator", ""))
 
     def sizes(self) -> tuple[int, int, int]:
-        return (len(self.train_ids), len(self.dev_ids), len(self.test_ids))
-
-    def partition_of(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for part, ids in zip(PARTITIONS, (self.train_ids, self.dev_ids, self.test_ids)):
-            for rid in ids:
-                out[rid] = part
-        return out
+        return (len(self.train), len(self.dev), len(self.test))
 
 
 def _rng(seed: int | None) -> np.random.Generator:
@@ -197,15 +213,6 @@ def _partition_indices(
     return tuple(np.concatenate(chunk) for chunk in chunks)  # type: ignore[return-value]
 
 
-def _split(
-    dataset: Dataset, parts: Sequence[np.ndarray], spec: SplitSpec, provenance: dict
-) -> Split:
-    """A Split of three arrays of dataset positions."""
-    records = dataset.records
-    train, dev, test = (tuple(records[i].id for i in part.tolist()) for part in parts)
-    return Split(train_ids=train, dev_ids=dev, test_ids=test, spec=spec, provenance=provenance)
-
-
 def _shuffled_parts(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
     """(train, dev, test) positions of ``rows`` under the spec's ratios."""
     labels = dataset.label_index[rows]
@@ -223,7 +230,7 @@ def _random(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
         "n_records": len(rows),
         "stratified": spec.stratify,
     }
-    return _split(dataset, _shuffled_parts(dataset, rows, spec), spec, provenance)
+    return Split(dataset, *_shuffled_parts(dataset, rows, spec), spec, provenance)
 
 
 def _holdout(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
@@ -239,7 +246,7 @@ def _holdout(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
         "holdout_event": spec.holdout_event,
         "n_holdout_records": int(held.sum()),
     }
-    return _split(dataset, (train, dev, rows[held]), spec, provenance)
+    return Split(dataset, train, dev, rows[held], spec, provenance)
 
 
 def _group(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
@@ -285,7 +292,7 @@ def _group(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
         provenance["warning"] = (
             f"only {len(keys)} group(s): some partitions are necessarily empty"
         )
-    return _split(dataset, [rows[part_of_row == p] for p in range(3)], spec, provenance)
+    return Split(dataset, *(rows[part_of_row == p] for p in range(3)), spec, provenance)
 
 
 def _filter_rows(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, dict[str, object]]:
@@ -402,9 +409,10 @@ def export_split(split: Split, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
-    """Read a split file; ids absent from the dataset are dropped and
-    counted in provenance["missing_ids"].
+def import_split(path: str | Path, dataset: Dataset) -> Split:
+    """Read a split file as positions in ``dataset``, each partition in file
+    order; ids absent from the dataset are dropped and counted in
+    provenance["missing_ids"].
 
     Raises:
         SplitFileError: malformed file (an id that is not a string or an
@@ -438,15 +446,11 @@ def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
                 raise SplitFileError(f"{path}: id {rid} appears in more than one partition")
             seen.add(rid)
 
+    row_of = {r.id: row for row, r in enumerate(dataset.records)}
+    rows = [[row_of[rid] for rid in ids if rid in row_of] for ids in parts]
     provenance = dict(raw.get("provenance", {}))
     provenance.setdefault("generator", "import_split")
-    missing = 0
-    if dataset is not None:
-        known = {r.id for r in dataset.records}
-        kept = [[rid for rid in ids if rid in known] for ids in parts]
-        missing = sum(len(ids) for ids in parts) - sum(len(ids) for ids in kept)
-        parts = kept
-    provenance["missing_ids"] = missing
+    provenance["missing_ids"] = len(seen) - sum(map(len, rows))
 
     spec = None
     if raw.get("spec") is not None:
@@ -454,13 +458,7 @@ def import_split(path: str | Path, dataset: Dataset | None = None) -> Split:
             spec = SplitSpec.from_json_dict(raw["spec"]).validated()
         except (SplitFileError, RatioError) as exc:
             raise SplitFileError(f"{path}: {exc}") from exc
-    return Split(
-        train_ids=tuple(parts[0]),
-        dev_ids=tuple(parts[1]),
-        test_ids=tuple(parts[2]),
-        spec=spec,
-        provenance=provenance,
-    )
+    return Split(dataset, *rows, spec=spec, provenance=provenance)
 
 
 # --- preset registry --------------------------------------------------------

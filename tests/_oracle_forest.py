@@ -1,13 +1,43 @@
-"""Exact-arithmetic reference CART used to cross-check the fast trainer.
+"""Exact-arithmetic reference CART used to cross-check the fast trainer,
+and the fits only the tests use.
 
-Pure-Python, Fraction-based, O(n^2)-ish and proud of it. It implements the
-same contract as the production builder (midpoint thresholds, weighted
-Gini, ties to the lowest feature index then lowest threshold, preorder
-node layout with left children first) from entirely different code, so
-structural equality between the two is strong evidence of correctness.
+``oracle_tree`` is pure-Python, Fraction-based, O(n^2)-ish and proud of
+it. It implements the same contract as the production builder (midpoint
+thresholds, weighted Gini, ties to the lowest feature index then lowest
+threshold, preorder node layout with left children first) from entirely
+different code, so structural equality between the two is strong evidence
+of correctness.
+
+``fit_tree`` fits one production tree without bootstrap, the tree the
+oracle must match, and ``baseline_macro_f1_monte_carlo`` simulates the
+stratified-random baseline whose limit ``baseline_expected_macro_f1``
+gives in closed form.
 """
 
+from dataclasses import replace
 from fractions import Fraction
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from leakaudit import LabelSet
+from leakaudit.errors import EmptyDistributionError
+from leakaudit.forest import ForestConfig, ForestModel, _normalize, _prepare, fit_rows
+
+
+def fit_tree(
+    X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
+) -> ForestModel:
+    """Fit a single deterministic tree (no bootstrap) on all rows, whatever
+    config.n_trees and config.bootstrap say.
+
+    Returned as a one-tree ForestModel, keeping config, so predict and
+    serialize are uniform.
+    """
+    config = config or ForestConfig()
+    rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
+    one_tree = replace(config, n_trees=1, bootstrap=False)
+    return replace(next(fit_rows(rows, [(row_of, y_idx)], label_set, one_tree)), config=config)
 
 
 def oracle_tree(
@@ -122,3 +152,52 @@ def oracle_predict(tree, row):
         node = left[node] if row[feature[node]] <= threshold[node] else right[node]
     tally = counts[node]
     return max(range(len(tally)), key=lambda i: (tally[i], -i))
+
+
+def baseline_macro_f1_monte_carlo(
+    train_dist: Mapping[str, float],
+    test_counts: Mapping[str, int],
+    n_draws: int = 1000,
+    seed: int = 0,
+) -> float:
+    """Mean macro-F1 over n_draws simulated stratified-random prediction
+    files against a fixed gold multiset (integer test counts).
+
+    Converges to baseline_expected_macro_f1 as the gold set grows; on
+    small test sets the mean sits slightly off the closed form, which is
+    exactly the finite-sample wobble this mode exists to quantify.
+    """
+    labels = sorted(set(train_dist) | set(test_counts))
+    k = len(labels)
+    probs = np.zeros(k, dtype=np.float64)
+    train_norm = _normalize(dict(train_dist), "train")
+    for i, lab in enumerate(labels):
+        probs[i] = train_norm.get(lab, 0.0)
+    gold_counts = np.array([int(test_counts.get(lab, 0)) for lab in labels], dtype=np.int64)
+    if gold_counts.sum() <= 0:
+        raise EmptyDistributionError("test counts sum to zero")
+    gold = np.repeat(np.arange(k), gold_counts)
+    n = len(gold)
+    present = gold_counts > 0
+
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64)))
+
+    chunk = max(1, min(n_draws, 4_000_000 // max(n, 1)))
+    macro_sum = 0.0
+    done = 0
+    while done < n_draws:
+        m = min(chunk, n_draws - done)
+        preds = np.searchsorted(cum, rng.random((m, n)), side="right")
+        code = preds * k + gold[None, :]
+        flat = code + (np.arange(m) * k * k)[:, None]
+        conf = np.bincount(flat.ravel(), minlength=m * k * k).reshape(m, k, k)
+        tp = conf[:, np.arange(k), np.arange(k)].astype(np.float64)
+        pred_tot = conf.sum(axis=2).astype(np.float64)
+        denom = pred_tot + gold_counts[None, :].astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f1 = np.where(denom > 0, 2.0 * tp / denom, 0.0)
+        macro_sum += float(f1[:, present].mean(axis=1).sum())
+        done += m
+    return macro_sum / n_draws

@@ -1,15 +1,25 @@
-"""Record-by-record reference for the random and event-holdout splits.
+"""Record-by-record reference for the random and event-holdout splits, and
+``split_of``, which builds a split from the ids a test names.
 
-This is the per-label algorithm the array version in ``leakaudit.splits``
-replaced: it compares label strings record by record, once per label, and
-forks on ``stratify``. Both consume the seeded generator the same way (one
-permutation of the partitioned records), so for the same seed they must
-give the same id tuples.
+The reference is the per-label algorithm the array version in
+``leakaudit.splits`` replaced: it compares label strings record by record,
+once per label, and forks on ``stratify``. Both consume the seeded
+generator the same way (one permutation of the partitioned records), so for
+the same seed they must give the same id tuples.
 """
 
 import numpy as np
 
-from leakaudit.splits import largest_remainder
+from leakaudit.splits import Split, largest_remainder
+
+
+def split_of(dataset, train_ids=(), dev_ids=(), test_ids=(), spec=None, provenance=None):
+    """The Split of ``dataset`` whose partitions hold the records with the
+    given ids, in the order given; an id absent from the dataset raises
+    KeyError."""
+    row_of = {r.id: row for row, r in enumerate(dataset.records)}
+    parts = [[row_of[rid] for rid in ids] for ids in (train_ids, dev_ids, test_ids)]
+    return Split(dataset, *parts, spec=spec, provenance=dict(provenance or {}))
 
 
 def _rng(seed):

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracle_forest import oracle_predict, oracle_tree
+from _oracle_forest import baseline_macro_f1_monte_carlo, fit_tree, oracle_predict, oracle_tree
 from leakaudit import (
     LabelSet,
     Manifest,
@@ -52,12 +52,7 @@ from leakaudit import (
 )
 from leakaudit.cli import main as cli_main
 from leakaudit.data import Dataset, Record, save_jsonl
-from leakaudit.forest import (
-    ForestConfig,
-    baseline_expected_macro_f1,
-    baseline_macro_f1_monte_carlo,
-    fit_tree,
-)
+from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.splits import get_preset
 from test_metrics import brute_force_eval
 

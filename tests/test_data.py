@@ -296,6 +296,22 @@ def test_load_csv_rfc4180(tmp_path):
             DuplicateIdError,
             "line 3: id 5 already seen on line 2",
         ),
+        # errors name the line a row starts on, after texts that span lines
+        (
+            'id,text,label\n1,"a\nb\nc",real\n2,ok,real\n3,ok,bogus\n',
+            UnknownLabelError,
+            "line 6: label 'bogus' not in manifest labels ['real', 'fake']",
+        ),
+        (
+            'id,text,label\n1,"two\nlines",real\n1,dup,real\n',
+            DuplicateIdError,
+            "line 4: id 1 already seen on line 2",
+        ),
+        (
+            'id,text,label\n1,"two\nlines",real\n2,"x\ny",real,extra\n',
+            RecordParseError,
+            "line 4: row width does not match header",
+        ),
     ],
 )
 def test_load_csv_error_text(tmp_path, content, error, message):

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leakaudit import SplitSpec, build_dataset, scan_duplicates
+from _oracle_splits import split_of
+from leakaudit import SplitSpec, build_dataset, make_split, scan_duplicates
 from leakaudit.dedup import WORST_PAIRS, normalize_text, shingle_hashes
-from leakaudit.splits import Split
+from leakaudit.splits import PARTITIONS
 
 
 def test_normalize_text():
@@ -224,11 +225,9 @@ def test_clusters_match_brute_force_graph():
     assert got_near == want_near
 
 
-def _split_of(part_of):
-    return Split(
-        train_ids=tuple(rid for rid, part in part_of.items() if part == "train"),
-        dev_ids=tuple(rid for rid, part in part_of.items() if part == "dev"),
-        test_ids=tuple(rid for rid, part in part_of.items() if part == "test"),
+def _split_of(dataset, part_of):
+    return split_of(
+        dataset, *([rid for rid, part in part_of.items() if part == p] for p in PARTITIONS)
     )
 
 
@@ -261,7 +260,8 @@ def test_contamination_matches_brute_force(seed):
     part_of = {r["id"]: part for r, part in zip(rows, parts)}
 
     want = _brute_force_contamination(rows, part_of, 0.8)
-    leaks = scan_duplicates(build_dataset(rows, labels=["a"])).contamination(_split_of(part_of))
+    ds = build_dataset(rows, labels=["a"])
+    leaks = scan_duplicates(ds).contamination(_split_of(ds, part_of))
     assert {"exact", "near"} <= {p[4] for p in want}
     assert _report(leaks) == (len(want), want[:WORST_PAIRS])
     if seed == 5:
@@ -305,7 +305,8 @@ def test_scan_and_contamination_match_brute_force(records, threshold):
         rid = str(37 * i * i + 5)  # 5, 42, 153, ...: string order is not numeric order
         rows.append({"id": rid, "text": text, "label": "a"})
         part_of[rid] = part
-    scan = scan_duplicates(build_dataset(rows, labels=["a"]), jaccard_threshold=threshold)
+    ds = build_dataset(rows, labels=["a"])
+    scan = scan_duplicates(ds, jaccard_threshold=threshold)
 
     want_exact, want_near = _brute_force_components(rows, threshold)
     assert {frozenset(c.member_ids) for c in scan.clusters if c.kind == "exact"} == want_exact
@@ -320,7 +321,7 @@ def test_scan_and_contamination_match_brute_force(records, threshold):
         )
 
     want = _brute_force_contamination(rows, part_of, threshold)
-    assert _report(scan.contamination(_split_of(part_of))) == (len(want), want[:WORST_PAIRS])
+    assert _report(scan.contamination(_split_of(ds, part_of))) == (len(want), want[:WORST_PAIRS])
 
 
 def test_near_copy_family_scans_in_bounded_time():
@@ -361,7 +362,8 @@ def test_cross_split_contamination():
         {"id": "7", "text": _words(20, offset=100), "label": "x"},     # train, exact of 2
     ]
     ds = build_dataset(rows, labels=["x"])
-    split = Split(
+    split = split_of(
+        ds,
         train_ids=("1", "2", "3", "7"),
         dev_ids=("5",),
         test_ids=("4", "6"),
@@ -377,6 +379,13 @@ def test_cross_split_contamination():
     assert pairs[0].jaccard == 1.0
     assert pairs[1].jaccard == pytest.approx(25 / 31)
     # train-train duplicate (2, 7) must not be reported
+
+
+def test_contamination_refuses_a_split_of_another_dataset(leaky, control):
+    # same ids and texts in the same order, but another dataset object
+    split = make_split(leaky, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=0))
+    with pytest.raises(ValueError, match="another dataset"):
+        scan_duplicates(control).contamination(split)
 
 
 def test_scan_parameter_validation(leaky):

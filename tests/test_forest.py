@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakaudit.forest as forest_module
-from _oracle_forest import oracle_predict, oracle_tree
+from _oracle_forest import baseline_macro_f1_monte_carlo, fit_tree, oracle_predict, oracle_tree
 from leakaudit import LabelSet
 from leakaudit.errors import (
     EmptyDistributionError,
@@ -33,10 +33,8 @@ from leakaudit.forest import (
     ForestModel,
     _tree_rng,
     baseline_expected_macro_f1,
-    baseline_macro_f1_monte_carlo,
     fit_forest,
     fit_rows,
-    fit_tree,
 )
 from leakaudit.idleak import digit_features
 
@@ -488,8 +486,8 @@ def test_forests_fitted_together_equal_each_fitted_alone(
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(forest_module, "_GROUP_ENTRIES", group_entries)
-        together = list(fit_rows(rows, sets, label_set, config, n_trees, bootstrap))
-    alone = [next(fit_rows(rows, [each], label_set, config, n_trees, bootstrap)) for each in sets]
+        together = list(fit_rows(rows, sets, label_set, config))
+    alone = [next(fit_rows(rows, [each], label_set, config)) for each in sets]
     assert [m.to_json_str() for m in together] == [m.to_json_str() for m in alone]
 
 
@@ -510,5 +508,5 @@ def test_group_budget_bounds_the_forests_grown_together(monkeypatch):
     for budget, trees_per_grower in ((1, [5, 5, 5, 5]), (2 * 5 * 30, [10, 10]), (2**62, [20])):
         grown.clear()
         monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", budget)
-        list(fit_rows(rows, sets, LabelSet.of("a", "b"), config, 5, True))
+        list(fit_rows(rows, sets, LabelSet.of("a", "b"), config))
         assert grown == trees_per_grower

@@ -7,6 +7,7 @@ else identical. The probe must say "severe" on one and "none" on the
 other.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import leakaudit.forest as forest_module
 import leakaudit.idleak as idleak_module
+from _oracle_splits import split_of
 from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
 from leakaudit.data import Dataset, Record
 from leakaudit.errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
@@ -28,7 +30,7 @@ from leakaudit.idleak import (
     summarize_id_leak_suite,
     verdict,
 )
-from leakaudit.splits import Split, make_split
+from leakaudit.splits import export_split, import_split, make_split
 
 FAST = ForestConfig(n_trees=20, seed=0)
 
@@ -109,32 +111,38 @@ SHORT_ID_ROWS = [
     {"id": "633456789012345678", "text": "f", "label": "y"},
 ]
 SHORT_ID_SPEC = SplitSpec(ratios=(0.5, 0.0, 0.5), seed=1)
-SHORT_ID_SPLIT = Split(
+SHORT_ID_DATASET = build_dataset(SHORT_ID_ROWS, labels=["x", "y"])
+SHORT_ID_SPLIT = split_of(
+    SHORT_ID_DATASET,
     train_ids=("51", "523456789012345678", "623456789012345678", "62"),
-    dev_ids=(),
     test_ids=("533456789012345678", "633456789012345678"),
     spec=SHORT_ID_SPEC,
 )
 
 
 def test_short_ids_excluded_and_counted():
-    ds = build_dataset(SHORT_ID_ROWS, labels=["x", "y"])
+    ds = SHORT_ID_DATASET
     spec = SHORT_ID_SPEC
     report = run_id_leak_test(ds, SHORT_ID_SPLIT, k=3, config=FAST)
     assert report.excluded_short_ids == 2
     assert report.n_train == 2 and report.n_test == 2
 
-    all_short = Split(
-        train_ids=("51", "62"),
-        dev_ids=(),
-        test_ids=("533456789012345678",),
-        spec=spec,
-    )
+    all_short = split_of(ds, train_ids=("51", "62"), test_ids=("533456789012345678",), spec=spec)
     with pytest.raises(AllIdsTooShortError):
         run_id_leak_test(ds, all_short, k=3, config=FAST)
 
     with pytest.raises(EmptySplitError):
-        run_id_leak_test(ds, Split(train_ids=("51",), dev_ids=(), test_ids=(), spec=spec), k=1)
+        run_id_leak_test(ds, split_of(ds, train_ids=("51",), spec=spec), k=1)
+
+
+def test_split_of_another_dataset_is_refused(leaky, control):
+    # same ids and records in the same order, but another dataset object:
+    # a split indexes the dataset it was made from
+    split = _split(leaky)
+    with pytest.raises(ValueError, match="another dataset"):
+        run_id_leak_test(control, split, k=3, config=FAST)
+    with pytest.raises(ValueError, match="another dataset"):
+        run_id_leak_suite(control, (2, 3), split=split, config=FAST)
 
 
 @pytest.mark.parametrize("bad_in", ["train", "test"])
@@ -146,7 +154,7 @@ def test_label_outside_label_set_is_refused(bad_in):
         records=tuple(Record(id=i, text="t", label=lab) for i, lab in zip(ids, labels)),
         label_set=LabelSet.of("x", "y"),
     )
-    split = Split(train_ids=tuple(ids[:2]), dev_ids=(), test_ids=tuple(ids[2:]))
+    split = split_of(ds, train_ids=ids[:2], test_ids=ids[2:])
     with pytest.raises(UnknownLabelError, match="'z'"):
         run_id_leak_test(ds, split, k=3, config=FAST)
 
@@ -159,7 +167,7 @@ def test_non_digit_id_outside_the_split_is_refused():
         records=tuple(records) + (Record(id="12a", text="t", label="x"),),
         label_set=LabelSet.of("x", "y"),
     )
-    split = Split(train_ids=tuple(ids[:2]), dev_ids=(), test_ids=tuple(ids[2:]))
+    split = split_of(ds, train_ids=ids[:2], test_ids=ids[2:])
     with pytest.raises(ValueError, match="ASCII digits"):
         run_id_leak_test(ds, split, k=3, config=FAST)
 
@@ -237,8 +245,8 @@ def _order_sensitive_probe():
     ]
     ids = tuple(row["id"] for row in rows)
     n_train = sum(train_counts.values())
-    split = Split(train_ids=ids[:n_train], dev_ids=(), test_ids=ids[n_train:])
     ds = build_dataset(rows, labels=["a", "b", "c", "d"])
+    split = split_of(ds, train_ids=ids[:n_train], test_ids=ids[n_train:])
     reports = [run_id_leak_test(ds, split, k=k, config=FAST) for k in (2, 3)]
     reordered = dict(reversed(test_counts.items()))
     assert baseline_expected_macro_f1(train_counts, reordered) != reports[0].baseline_macro_f1
@@ -271,18 +279,25 @@ def test_probe_reports_are_pinned(request, case):
     elif case == "baseline-order":
         reports = _order_sensitive_probe()
     elif case == "short-ids":
-        ds = build_dataset(SHORT_ID_ROWS, labels=["x", "y"])
-        reports = [run_id_leak_test(ds, SHORT_ID_SPLIT, k=3, config=FAST)]
+        reports = [run_id_leak_test(SHORT_ID_DATASET, SHORT_ID_SPLIT, k=3, config=FAST)]
     else:
-        leaky = request.getfixturevalue("leaky")
+        # a split file listing ids the dataset lacks: import drops them
+        leaky, tmp_path = request.getfixturevalue("leaky"), request.getfixturevalue("tmp_path")
         split = _split(leaky)
-        absent = Split(
-            train_ids=split.train_ids[:5] + ("999999999999999999",) + split.train_ids[5:],
-            dev_ids=split.dev_ids,
-            test_ids=("999999999999999998",) + split.test_ids,
-            spec=split.spec,
-        )
-        reports = [run_id_leak_test(leaky, absent, k=k, config=FAST) for k in (2, 3)]
+        path = tmp_path / "absent.json"
+        export_split(split, path)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["train_ids"].insert(5, "999999999999999999")
+        raw["test_ids"].insert(0, "999999999999999998")
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        absent = import_split(path, leaky)
+        assert absent.provenance["missing_ids"] == 2
+        assert absent.name() == "random_split"
+        # pinned from a split built in memory, which had no name
+        reports = [
+            dataclasses.replace(run_id_leak_test(leaky, absent, k=k, config=FAST), split_name="")
+            for k in (2, 3)
+        ]
         assert [r.n_train for r in reports] == [len(split.train_ids)] * 2
     assert _reports_digest(reports) == REPORT_DIGESTS[case]
 

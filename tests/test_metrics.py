@@ -245,16 +245,17 @@ def test_evaluate_prediction_file(tmp_path):
     )
     p = tmp_path / "preds.csv"
     p.write_text("id,label\n1,a\n2,b\n3,b\n4,b\n", encoding="utf-8")
-    res = evaluate_prediction_file(ds, ["1", "2", "3", "4"], p)
+    res = evaluate_prediction_file(ds, np.arange(4), p)
     assert abs(res.macro_f1 - 11 / 15) < 1e-12
-    # test ids absent from the dataset are skipped, not errors
-    res2 = evaluate_prediction_file(ds, ["1", "2", "3", "4", "777"], p)
-    assert res2.macro_f1 == res.macro_f1
+    # only the records at the test positions are scored: id 3 (right)
+    # and id 2 (wrong)
+    res2 = evaluate_prediction_file(ds, np.array([2, 1]), p)
+    assert res2.n_scored == 2 and res2.accuracy == 0.5
 
     alien = tmp_path / "alien.csv"
     alien.write_text("id,label\n1,z\n", encoding="utf-8")
     with pytest.raises(UnknownLabelError):
-        evaluate_prediction_file(ds, ["1"], alien)
+        evaluate_prediction_file(ds, np.array([0]), alien)
 
 
 def test_aggregate_article_votes():

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracle_splits
 import _synth
+from _oracle_splits import split_of
 from leakaudit import (
     LabelSet,
     SplitSpec,
@@ -29,6 +30,7 @@ from leakaudit.data import Dataset, Record
 from leakaudit.errors import (
     EmptyInputError,
     InsufficientRecordsError,
+    LeakAuditError,
     MissingGroupFieldError,
     RatioError,
     SplitFileError,
@@ -38,7 +40,7 @@ from leakaudit.errors import (
 )
 from leakaudit.splits import (
     CONFIG_DIR_ENV,
-    Split,
+    PARTITIONS,
     get_preset,
     import_split,
     largest_remainder,
@@ -62,6 +64,11 @@ PRESET_NAMES = {
 
 def _all_ids(split):
     return set(split.train_ids) | set(split.dev_ids) | set(split.test_ids)
+
+
+def _partition_of(split):
+    ids = (split.train_ids, split.dev_ids, split.test_ids)
+    return {rid: part for part, each in zip(PARTITIONS, ids) for rid in each}
 
 
 def _balanced(n_per_label=50, labels=("a", "b")):
@@ -174,7 +181,7 @@ def test_group_split_keeps_groups_whole():
     ds = _grouped_dataset()
     spec = SplitSpec(ratios=(0.6, 0.2, 0.2), seed=1, group_by="article_id")
     split = make_split(ds, spec)
-    part_of = split.partition_of()
+    part_of = _partition_of(split)
     by_id = ds.by_id()
     group_parts = {}
     for rid, part in part_of.items():
@@ -195,7 +202,7 @@ def test_group_split_excludes_conflicting():
     split = make_split(ds, spec)
     assert split.provenance["excluded_conflicting_groups"] == ["g9"]
     by_id = ds.by_id()
-    assert all(by_id[rid].article_id != "g9" for rid in split.partition_of())
+    assert all(by_id[rid].article_id != "g9" for rid in _all_ids(split))
     # 9 groups at (0.6, 0.2, 0.2): exact (5.4, 1.8, 1.8) -> 5/2/2 groups
     assert split.sizes() == (20, 8, 8)
 
@@ -461,52 +468,99 @@ def test_label_outside_the_set_is_dropped_only_when_stratified():
         assert ("1003" in _all_ids(split)) is not stratify
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    ds=_datasets(min_size=1),
-    ratios=RATIOS,
-    seed=st.integers(0, 2**64 - 1),
-    stratify=st.booleans(),
-)
-def test_export_import_round_trip_property(ds, ratios, seed, stratify):
-    split = make_split(ds, SplitSpec(ratios=ratios, seed=seed, stratify=stratify, name="p"))
+@st.composite
+def _specs(draw, ds):
+    """A random, group, event-holdout or quota spec for ``ds``."""
+    kind = draw(st.sampled_from(["random", "group", "holdout", "quotas"]))
+    spec = SplitSpec(
+        ratios=draw(RATIOS), seed=draw(st.integers(0, 2**64 - 1)), stratify=draw(st.booleans()),
+        name="p",
+    )
+    if kind == "group":
+        return dataclasses.replace(
+            spec, group_by="event", exclude_conflicting_groups=draw(st.booleans())
+        )
+    if kind == "holdout":
+        dev = draw(st.sampled_from([0.0, 0.1, 0.5]))
+        return dataclasses.replace(spec, ratios=(1.0 - dev, dev, 0.0), holdout_event="storm")
+    if kind == "quotas":
+        have = [sum(r.label == lab for r in ds.records) for lab in ds.label_set]
+        quotas = {lab: draw(st.integers(0, n)) for lab, n in zip(ds.label_set, have)}
+        if any(quotas.values()):
+            return dataclasses.replace(spec, quotas=quotas)
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ds=_datasets(min_size=1))
+def test_export_import_round_trip_property(data, ds):
+    spec = data.draw(_specs(ds))
+    try:
+        split = make_split(ds, spec)
+    except LeakAuditError:  # no storm event, no group, too few records
+        assume(False)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
         export_split(split, first)
         back = import_split(first, ds)
         export_split(back, second)
         again = import_split(second, ds)
-    assert back == dataclasses.replace(split, provenance={**split.provenance, "missing_ids": 0})
-    assert again == back
+    for each in (back, again):
+        assert each.dataset is ds
+        for part in PARTITIONS:
+            got, want = getattr(each, part), getattr(split, part)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == want.tolist()
+        assert each.spec == split.spec
+        assert each.provenance == {**split.provenance, "missing_ids": 0}
+
+
+def test_import_split_keeps_present_ids_in_file_order(tmp_path):
+    ds = build_dataset(
+        [{"id": str(i), "text": "t", "label": "a"} for i in range(1, 6)], labels=["a"]
+    )
+    path = tmp_path / "split.json"
+    path.write_text(
+        json.dumps({"train_ids": ["5", "999", "2"], "dev_ids": ["4"], "test_ids": ["888", "1"]}),
+        encoding="utf-8",
+    )
+    split = import_split(path, ds)
+    assert (split.train.tolist(), split.dev.tolist(), split.test.tolist()) == ([4, 1], [3], [0])
+    assert split.train_ids == ("5", "2")
+    assert split.provenance == {"generator": "import_split", "missing_ids": 2}
 
 
 def test_import_split_rejects_bad_files(tmp_path):
+    ds = build_dataset(
+        [{"id": "1", "text": "t", "label": "a"}, {"id": "2", "text": "t", "label": "a"}],
+        labels=["a"],
+    )
     bad = tmp_path / "bad.json"
     bad.write_text("not json", encoding="utf-8")
     with pytest.raises(SplitFileError):
-        import_split(bad)
+        import_split(bad, ds)
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(SplitFileError):
-        import_split(arr)
+        import_split(arr, ds)
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"train_ids": ["1"], "dev_ids": []}), encoding="utf-8")
     with pytest.raises(SplitFileError):
-        import_split(missing)
+        import_split(missing, ds)
     overlap = tmp_path / "overlap.json"
     overlap.write_text(
         json.dumps({"train_ids": ["1"], "dev_ids": ["1"], "test_ids": []}),
         encoding="utf-8",
     )
     with pytest.raises(SplitFileError):
-        import_split(overlap)
+        import_split(overlap, ds)
     with pytest.raises(SplitFileError):
         SplitSpec.from_json_dict({"ratios": [1, 0, 0], "mystery_knob": 1})
 
     ids = {"train_ids": [1], "dev_ids": [], "test_ids": ["2"]}
     typed = tmp_path / "typed.json"
     typed.write_text(json.dumps({**ids, "spec": None}), encoding="utf-8")
-    assert import_split(typed).train_ids == ("1",)  # int ids are read losslessly
+    assert import_split(typed, ds).train_ids == ("1",)  # int ids are read losslessly
     for bad in (
         {"spec": 5},
         {"spec": ["ratios"]},
@@ -519,7 +573,7 @@ def test_import_split_rejects_bad_files(tmp_path):
     ):
         typed.write_text(json.dumps({**ids, **bad}), encoding="utf-8")
         with pytest.raises(SplitFileError, match=f"^{re.escape(str(typed))}: "):
-            import_split(typed)
+            import_split(typed, ds)
 
 
 def test_presets_registry():
@@ -605,11 +659,16 @@ def test_user_preset_dir_merges(tmp_path, monkeypatch):
 
 
 def test_split_accessors():
+    ds = build_dataset(
+        [{"id": str(i), "text": "t", "label": "a"} for i in range(1, 5)], labels=["a"]
+    )
     spec = SplitSpec(ratios=(0.5, 0.25, 0.25), seed=0, name="named")
-    split = Split(train_ids=("1", "2"), dev_ids=("3",), test_ids=("4",), spec=spec)
+    split = split_of(ds, train_ids=("2", "1"), dev_ids=("3",), test_ids=("4",), spec=spec)
     assert split.name() == "named"
     assert split.sizes() == (2, 1, 1)
-    assert split.partition_of() == {"1": "train", "2": "train", "3": "dev", "4": "test"}
-    assert _all_ids(split) == {"1", "2", "3", "4"}
-    anon = Split(train_ids=(), dev_ids=(), test_ids=(), provenance={"generator": "import_split"})
+    assert split.train.tolist() == [1, 0]
+    assert (split.train_ids, split.dev_ids, split.test_ids) == (("2", "1"), ("3",), ("4",))
+    for part in (split.train, split.dev, split.test):
+        assert part.dtype == np.int64 and not part.flags.writeable
+    anon = split_of(ds, provenance={"generator": "import_split"})
     assert anon.name() == "import_split"
