@@ -387,8 +387,8 @@ class DuplicateScan:
             raise ValueError("the split was made from another dataset than the one scanned")
         # one partition code per dataset row: 0 train, 1 dev, 2 test, -1 none
         row_part = np.full(len(self.dataset), -1, dtype=np.int8)
-        for p, rows in enumerate((split.train, split.dev, split.test)):
-            row_part[rows] = p
+        for p, positions in enumerate((split.train, split.dev, split.test)):
+            row_part[positions] = p
         node_records = self.index.node_records
         n = len(node_records)
         node_of = np.repeat(np.arange(n), np.fromiter(map(len, node_records), np.int64, count=n))
@@ -492,14 +492,14 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
     ]
     components = _components(index, buckets, jaccard_threshold)
     if components:
-        near = [members(nodes.tolist()) for nodes in components]
+        near_members = [members(nodes.tolist()) for nodes in components]
         # each component's nodes against its representative's node, which
         # scores 1.0 against itself like the exact clusters
         sizes = np.array([len(nodes) for nodes in components])
-        rep_nodes = np.repeat([owned[0][1] for owned in near], sizes)
+        rep_nodes = np.repeat([owned[0][1] for owned in near_members], sizes)
         jaccard = _jaccard(index, rep_nodes, np.concatenate(components))
         min_jaccard = np.minimum.reduceat(jaccard, np.cumsum(sizes) - sizes).tolist()
-        clusters += [cluster("near", owned, j) for owned, j in zip(near, min_jaccard)]
+        clusters += [cluster("near", owned, j) for owned, j in zip(near_members, min_jaccard)]
     clusters.sort(key=lambda c: (c.kind, int(c.representative_id)))
     exact = [c for c in clusters if c.kind == "exact"]
     near = [c for c in clusters if c.kind == "near"]
