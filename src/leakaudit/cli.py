@@ -110,6 +110,8 @@ def _k_values(raw: str) -> list[int]:
         raise UsageError(f"--k needs comma-separated integers, got {raw!r}") from None
     if not k_values or min(k_values) < 1:
         raise UsageError(f"--k needs prefix lengths >= 1, got {raw!r}")
+    if len(set(k_values)) < len(k_values):
+        raise UsageError(f"--k repeats a prefix length, got {raw!r}")
     return k_values
 
 

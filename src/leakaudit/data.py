@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -321,16 +321,27 @@ def load_jsonl(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
     return _assemble(records, manifest, lines, name or Path(path).stem)
 
 
+def csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row of an open CSV file, header included, and the
+    1-based line it starts on (a quoted field may span lines)."""
+    reader = csv.reader(fh)
+    start = 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
     """Load an RFC 4180 CSV dataset with a header row; errors give the line
     a row starts on, 1-based."""
     records: list[Record] = []
     lines: list[int] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        rows = csv_rows(fh)
+        _, header = next(rows, (0, None))
+        if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
-        header = set(reader.fieldnames)
         for canonical in REQUIRED_FIELDS:
             if manifest.source_key(canonical) not in header:
                 raise SchemaError(
@@ -343,15 +354,11 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
                     f"{manifest.fields[canonical]!r}"
                 )
         build = _record_builder(manifest)
-        # a quoted field may span lines: a row starts after the last line read
-        line = reader.line_num + 1
-        for row in reader:
-            raw = {k: v for k, v in row.items() if k is not None}
-            if None in row.values() or row.get(None):
+        for line, row in rows:
+            if len(row) != len(header):
                 raise RecordParseError("row width does not match header", line)
-            records.append(build(raw, line))
+            records.append(build(dict(zip(header, row)), line))
             lines.append(line)
-            line = reader.line_num + 1
     return _assemble(records, manifest, lines, name or Path(path).stem)
 
 

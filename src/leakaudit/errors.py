@@ -63,14 +63,6 @@ class EmptyInputError(LeakAuditError):
     """Training or evaluation input contains no rows."""
 
 
-class RaggedRowsError(LeakAuditError):
-    """Feature rows do not all have the same width."""
-
-
-class WidthMismatchError(LeakAuditError):
-    """Prediction rows have a different width than the training rows."""
-
-
 class EmptyDistributionError(LeakAuditError):
     """A label distribution sums to zero."""
 

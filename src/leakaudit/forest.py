@@ -15,13 +15,11 @@ float rounding or library version:
     one seed through per-tree substreams, so a forest is a pure function
     of (X, y, config) and serializes to byte-identical JSON across runs.
 
-Feature values must be exact integers (integer, bool or integral float
-arrays); anything else is refused, never truncated.
-
-Feature matrices here are tiny-alphabet ordinal ints (digit positions of
-ids), which makes duplicate rows the common case. The fit core,
-``fit_rows``, takes the distinct rows and one or more training sets, each
-given as every training row's index into them and its label position. One
+The forest reads the id probe's pattern tables only, and nothing here
+checks them: ``fit_rows`` and ``ForestModel.predict_index`` take distinct
+int64 rows, the k-digit id prefixes of a table. Prefixes repeat heavily,
+so ``fit_rows`` takes one or more training sets, each given as every
+training row's index into the distinct rows and its label position. One
 1-D unique of ``row * n_labels + label`` over all the sets collapses them
 into weighted patterns, and trees grow on the patterns. Weighted CART on
 multiplicities is arithmetically identical to unweighted CART on the
@@ -52,23 +50,15 @@ import json
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .data import LabelSet
-from .errors import (
-    EmptyDistributionError,
-    EmptyInputError,
-    RaggedRowsError,
-    UnknownLabelError,
-    WidthMismatchError,
-)
+from .errors import EmptyDistributionError
 
 FORMAT_VERSION = 1
-# float64 midpoints and comparisons are exact below this magnitude
-_MAX_FEATURE_MAGNITUDE = 2**52
 
 
 @dataclass(frozen=True)
@@ -118,69 +108,9 @@ class ForestConfig:
         }
 
 
-class DecisionTree:
-    """One CART tree as parallel node arrays (node 0 is the root).
-
-    Internal nodes: feature >= 0, threshold, left/right child indices.
-    Leaves: feature == -1. ``counts`` holds one class-count row per leaf, in
-    node order; leaf_class caches each leaf's majority label index (ties
-    toward the lowest index) and is -1 at internal nodes.
-    """
-
-    def __init__(self, feature, threshold, left, right, counts):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.leaf_counts = np.asarray(counts, dtype=np.int64)
-        self.leaf_class = np.full(len(self.feature), -1, dtype=np.int64)
-        # argmax takes the first maximum: ties go to the lowest label index
-        self.leaf_class[self.feature < 0] = np.argmax(self.leaf_counts, axis=1)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    @property
-    def counts(self) -> list:
-        """Each node's class counts as a list, None for an internal node."""
-        rows = iter(self.leaf_counts.tolist())
-        return [None if f >= 0 else next(rows) for f in self.feature.tolist()]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "counts": self.counts,
-        }
-
-
-def _as_feature_matrix(X) -> np.ndarray:
-    try:
-        arr = np.asarray(X)
-    except ValueError:
-        raise RaggedRowsError("feature rows have unequal widths") from None
-    if arr.dtype == object:
-        raise RaggedRowsError("feature rows have unequal widths")
-    if arr.ndim != 2:
-        raise RaggedRowsError(f"expected a 2-d feature matrix, got ndim={arr.ndim}")
-    if arr.dtype.kind == "f":
-        if not np.isfinite(arr).all():
-            raise ValueError("feature values must be integers, got NaN or infinity")
-        if (arr != np.floor(arr)).any():
-            raise ValueError("feature values must be integers, got a fractional float")
-    elif arr.dtype.kind not in "biu":
-        raise ValueError(f"feature values must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.max() >= _MAX_FEATURE_MAGNITUDE or arr.min() <= -_MAX_FEATURE_MAGNITUDE):
-        raise ValueError("feature values too large for exact threshold arithmetic")
-    return arr.astype(np.int64, copy=False)
-
-
 _BATCH_CELLS = 1 << 18  # (pattern, feature) cells one split search sorts at most
 _GROUP_ENTRIES = 1 << 18  # alive (tree, pattern) entries one lockstep group holds at most
-_PREDICT_CELLS = 1 << 15  # nodes, and (row, tree) cells, one prediction walk holds at most
+_PREDICT_CELLS = 1 << 15  # (row, tree) cells one prediction walk holds at most
 
 
 class _OrderStream:
@@ -264,7 +194,10 @@ class _LockstepGrower:
         self.flat_w = np.concatenate([w for _, w in alive])
         self.root_ends = np.cumsum([len(pat) for pat, _ in alive])
 
-    def grow(self) -> list[DecisionTree]:
+    def grow(self) -> list[tuple]:
+        """Grow every tree; return the ForestModel node arrays of each
+        forest, tree i being tree ``i % config.n_trees`` of forest
+        ``i // config.n_trees``."""
         K, config = self.K, self.config
         n_trees = len(self.orders)
         starts = np.concatenate([[0], self.root_ends[:-1]])
@@ -279,8 +212,9 @@ class _LockstepGrower:
         # typed arrays, not lists of int objects: every tree's nodes stay in
         # memory until the last tree finishes. Class counts are kept for
         # leaves only, K per leaf.
-        nodes = [
-            (array("q"), array("d"), array("q"), array("q"), array("q")) for _ in range(n_trees)
+        tables = [
+            (array("q"), array("d"), array("q"), array("q"), array("q"))
+            for _ in range(n_trees // config.n_trees)
         ]
 
         while True:
@@ -322,7 +256,7 @@ class _LockstepGrower:
             right_w = label_w - left_w
             split_feat = split_feat.tolist()
             for j, (t, (start, end, depth, parent, is_right, _)) in enumerate(zip(live, popped)):
-                feature, threshold, left, right, leaf_counts = nodes[t]
+                feature, threshold, left, right, leaf_counts = tables[t // config.n_trees]
                 node = len(feature)
                 if parent >= 0:
                     (right if is_right else left)[parent] = node
@@ -337,20 +271,23 @@ class _LockstepGrower:
                     continue
                 threshold.append(float(split_thr[j]))
                 mid = start + int(n_left[j])
-                # right pushed first so the left child is popped next: preorder ids
+                # right pushed first so the left child is popped next: each
+                # tree appends its nodes in preorder
                 stacks[t].append((mid, end, depth + 1, node, True, right_w[j]))
                 stacks[t].append((start, mid, depth + 1, node, False, left_w[j]))
 
+        # the first step makes every tree's root, in tree order; the rest are
         # numpy views of the typed arrays, not copies
         return [
-            DecisionTree(
+            (
+                np.arange(config.n_trees),
                 np.frombuffer(feature, dtype=np.int64),
                 np.frombuffer(threshold, dtype=np.float64),
                 np.frombuffer(left, dtype=np.int64),
                 np.frombuffer(right, dtype=np.int64),
                 np.frombuffer(leaf_counts, dtype=np.int64).reshape(-1, K),
             )
-            for feature, threshold, left, right, leaf_counts in nodes
+            for feature, threshold, left, right, leaf_counts in tables
         ]
 
     def _split(self, starts, ends, label_w, perms):
@@ -469,90 +406,90 @@ class _LockstepGrower:
         return split_feat, split_thr, n_left, left_w
 
 
-@dataclass
+@dataclass(eq=False)
 class ForestModel:
-    """A trained forest: trees + the label vocabulary they vote over."""
+    """A trained forest: one node table for all its trees, whose votes are
+    label-set positions. Tree t starts at node ``roots[t]``. An internal
+    node has feature >= 0, a threshold and child nodes; a leaf has feature
+    and child links -1, a row of ``leaf_counts`` (one per leaf, in node
+    order) and its majority label in ``leaf_class`` (-1 elsewhere)."""
 
     config: ForestConfig
     label_set: LabelSet
-    trees: list[DecisionTree]
     n_features: int
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_counts: np.ndarray
+    leaf_class: np.ndarray = field(init=False)
 
-    def predict_index(self, X) -> np.ndarray:
-        X = _as_feature_matrix(X)
-        if len(X) == 0:
-            raise EmptyInputError("no rows to predict")
-        if X.shape[1] != self.n_features:
-            raise WidthMismatchError(
-                f"model expects {self.n_features} features, got {X.shape[1]}"
-            )
-        # digit-prefix matrices repeat rows heavily: run the trees on each
-        # distinct row once and gather the votes back
-        distinct, inverse = np.unique(X, axis=0, return_inverse=True)
-        K, width = len(self.label_set), distinct.shape[1]
-        flat = distinct.ravel()
-        votes = np.zeros((len(distinct), K), dtype=np.int64)
-        for part in _chunks([tree.n_nodes for tree in self.trees], _PREDICT_CELLS):
-            trees = self.trees[part]
-            # the chunk's nodes in one set of arrays, child links shifted by
-            # each tree's first node; a leaf's links are never followed
-            sizes = [tree.n_nodes for tree in trees]
-            roots = np.cumsum(sizes) - sizes
-            shift = np.repeat(roots, sizes)
-            feature = np.concatenate([tree.feature for tree in trees])
-            threshold = np.concatenate([tree.threshold for tree in trees])
-            left = np.concatenate([tree.left for tree in trees]) + shift
-            right = np.concatenate([tree.right for tree in trees]) + shift
-            leaf_class = np.concatenate([tree.leaf_class for tree in trees])
-            step = max(1, _PREDICT_CELLS // len(trees))
-            for lo in range(0, len(distinct), step):
-                hi = min(lo + step, len(distinct))
-                rows = np.arange(lo, hi)
-                # cell t * len(rows) + r walks row rows[r] down tree t: each
-                # tree's cells sit together, which keeps its nodes in cache
-                node = np.repeat(roots, len(rows))
-                row_start = np.tile(rows * width, len(trees))
-                cells = np.arange(len(node))
-                while cells.size:
-                    cur = node[cells]
-                    feat = feature[cur]
-                    inner = feat >= 0
-                    cells, cur, feat = cells[inner], cur[inner], feat[inner]
-                    go_left = flat[row_start[cells] + feat] <= threshold[cur]
-                    node[cells] = np.where(go_left, left[cur], right[cur])
-                row = np.tile(rows - lo, len(trees))
-                votes[lo:hi] += np.bincount(
-                    row * K + leaf_class[node], minlength=len(rows) * K
-                ).reshape(-1, K)
-        # argmax takes the first maximum: vote ties go to the lowest label index
-        return np.argmax(votes, axis=1)[inverse.reshape(-1)]
+    def __post_init__(self):
+        self.leaf_class = np.full(len(self.feature), -1, dtype=np.int64)
+        # argmax takes the first maximum: ties go to the lowest label index
+        self.leaf_class[self.feature < 0] = np.argmax(self.leaf_counts, axis=1)
+
+    def predict_index(self, rows: np.ndarray) -> np.ndarray:
+        """The forest's vote for each row of ``rows``, distinct int64 rows
+        of ``n_features`` columns, as a label-set position. Nothing is
+        checked."""
+        K, width, n_trees = len(self.label_set), rows.shape[1], len(self.roots)
+        flat = rows.ravel()
+        predicted = np.empty(len(rows), dtype=np.int64)
+        step = max(1, _PREDICT_CELLS // n_trees)
+        for lo in range(0, len(rows), step):
+            at = np.arange(lo, min(lo + step, len(rows)))
+            # cell t * len(at) + r walks row at[r] down tree t: each tree's
+            # cells sit together, which keeps its nodes in cache
+            node = np.repeat(self.roots, len(at))
+            row_start = np.tile(at * width, n_trees)
+            cells = np.arange(len(node))
+            while cells.size:
+                cur = node[cells]
+                feat = self.feature[cur]
+                inner = feat >= 0
+                cells, cur, feat = cells[inner], cur[inner], feat[inner]
+                go_left = flat[row_start[cells] + feat] <= self.threshold[cur]
+                node[cells] = np.where(go_left, self.left[cur], self.right[cur])
+            row = np.tile(at - lo, n_trees)
+            votes = np.bincount(row * K + self.leaf_class[node], minlength=len(at) * K)
+            # argmax takes the first maximum: vote ties go to the lowest label index
+            predicted[lo : lo + len(at)] = np.argmax(votes.reshape(-1, K), axis=1)
+        return predicted
 
     def to_json_str(self) -> str:
+        """The model as canonical JSON: each tree's nodes in preorder from
+        0, with class counts at leaves and null at internal nodes."""
+        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
+        leaf_rows = iter(self.leaf_counts.tolist())
+        columns = {
+            "feature": feature,
+            "threshold": self.threshold.tolist(),
+            "counts": [None if f >= 0 else next(leaf_rows) for f in feature],
+        }
+        trees = []
+        for root in self.roots.tolist():
+            # a walk from the root, left child first, lists the tree in preorder
+            nodes, stack = [], [root]
+            while stack:
+                nodes.append(stack.pop())
+                if feature[nodes[-1]] >= 0:
+                    stack += (right[nodes[-1]], left[nodes[-1]])
+            local = {node: i for i, node in enumerate(nodes)} | {-1: -1}
+            tree = {name: [column[n] for n in nodes] for name, column in columns.items()}
+            tree["left"] = [local[left[n]] for n in nodes]
+            tree["right"] = [local[right[n]] for n in nodes]
+            trees.append(tree)
         payload = {
             "format_version": FORMAT_VERSION,
             "kind": "forest",
             "config": self.config.to_json_dict(),
             "labels": list(self.label_set),
             "n_features": self.n_features,
-            "trees": [t.to_json_dict() for t in self.trees],
+            "trees": trees,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _prepare(X, y: Sequence[str], label_set: LabelSet | None):
-    X = _as_feature_matrix(X)
-    if len(X) == 0 or X.shape[1] == 0:
-        raise EmptyInputError("training input is empty")
-    if len(X) != len(y):
-        raise ValueError(f"{len(X)} rows vs {len(y)} labels")
-    if label_set is None:
-        label_set = LabelSet(tuple(sorted(set(y))))
-    y_idx = label_set.encode(y)
-    outside = np.flatnonzero(y_idx < 0)
-    if outside.size:
-        raise UnknownLabelError(f"label {y[int(outside[0])]!r} not in {label_set.labels}")
-    rows, row_of = np.unique(X, axis=0, return_inverse=True)
-    return rows, row_of.reshape(-1), y_idx, label_set
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -577,7 +514,7 @@ def fit_rows(rows, sets, label_set, config: ForestConfig) -> Iterator[ForestMode
     none is held after the next is asked for, so a caller that lets each
     go before taking the next holds at most one group. Nothing is checked.
     """
-    K, n_trees = len(label_set), config.n_trees
+    K = len(label_set)
     codes = [row_of * K + y_idx for row_of, y_idx in sets]
     keys, inverse = np.unique(np.concatenate(codes), return_inverse=True)
     inverses = np.split(inverse.reshape(-1), np.cumsum([len(c) for c in codes])[:-1])
@@ -585,19 +522,16 @@ def fit_rows(rows, sets, label_set, config: ForestConfig) -> Iterator[ForestMode
     counts = [np.bincount(inv, minlength=len(keys)) for inv in inverses]
     pat_X, pat_y = rows[keys // K], keys % K
 
-    entries = [n_trees * int(np.count_nonzero(c)) for c in counts]
+    entries = [config.n_trees * int(np.count_nonzero(c)) for c in counts]
     for group in _chunks(entries, _GROUP_ENTRIES):
         # the grower copies the alive entries into its flat arrays, and the
         # per-tree arrays are freed before growth starts
-        trees = _LockstepGrower(
+        tables = _LockstepGrower(
             pat_X, pat_y, K, config,
             *_tree_copies(inverses[group], counts[group], config, rows.shape[1]),
         ).grow()
-        for _ in range(group.stop - group.start):
-            yield ForestModel(
-                config=config, label_set=label_set, trees=trees[:n_trees], n_features=rows.shape[1]
-            )
-            del trees[:n_trees]
+        while tables:  # popped as yielded: a forest the caller lets go is freed
+            yield ForestModel(config, label_set, rows.shape[1], *tables.pop(0))
 
 
 def _tree_copies(inverses, counts, config, n_features):
@@ -638,16 +572,6 @@ def _chunks(sizes: list[int], budget: int):
             lo, total = i, 0
         total += size
     yield slice(lo, len(sizes))
-
-
-def fit_forest(
-    X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
-) -> ForestModel:
-    """Fit a voting forest; tree t draws its RNG substream from
-    (config.seed, t), so no tree depends on the trees fitted beside it."""
-    config = config or ForestConfig()
-    rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
-    return next(fit_rows(rows, [(row_of, y_idx)], label_set, config))
 
 
 # --- stratified random baseline -------------------------------------------

@@ -216,9 +216,12 @@ def run_id_leak_suite(
     one arbitrary partition's luck.
 
     Raises:
+        ValueError: if a k repeats.
         The errors of ``run_id_leak_test``: its ValueErrors first, then
         those of the first run.
     """
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"k values repeat: {list(k_values)}")
     if split is not None and split.dataset is not dataset:
         raise ValueError("the split was made from another dataset")
     config = config or ForestConfig()
@@ -231,7 +234,7 @@ def run_id_leak_suite(
         )
         splits = (make_split(dataset, spec) for spec in specs)
     ids = [r.id for r in dataset.records]
-    tables = {k: _pattern_table(ids, k) for k in dict.fromkeys(k_values)}
+    tables = {k: _pattern_table(ids, k) for k in k_values}
     # every run is checked, in report order, before any forest is fitted
     runs = []
     for each in splits:

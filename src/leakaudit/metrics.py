@@ -12,7 +12,6 @@ Conventions, fixed once here and used by every report in the package:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, LabelSet
+from .data import Dataset, LabelSet, csv_rows
 from .errors import EmptyInputError, PredictionFileError, UnknownLabelError
 
 MISSING_MODES = ("wrong", "exclude")
@@ -223,7 +222,9 @@ def evaluate(
 
 
 def read_prediction_file(path: str | Path) -> dict[str, str]:
-    """Read id -> label predictions from .csv (header: id,label) or .jsonl.
+    """Read id -> label predictions from .csv (header: id,label) or .jsonl,
+    whose ids are strings or integers (read as decimal strings) and labels
+    strings.
 
     Raises:
         PredictionFileError: on malformed content, with the line number.
@@ -232,11 +233,13 @@ def read_prediction_file(path: str | Path) -> dict[str, str]:
     preds: dict[str, str] = {}
     if path.suffix.lower() == ".csv":
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
+            rows = csv_rows(fh)
+            _, header = next(rows, (0, []))
+            if not {"id", "label"} <= set(header):
                 raise PredictionFileError(f"{path}: header must contain id,label columns")
-            for line_no, row in enumerate(reader, start=2):
-                rid, label = row.get("id"), row.get("label")
+            for line_no, row in rows:
+                raw = dict(zip(header, row))
+                rid, label = raw.get("id"), raw.get("label")
                 if not rid or label is None:
                     raise PredictionFileError("row missing id or label", line_no)
                 if rid in preds:
@@ -253,10 +256,15 @@ def read_prediction_file(path: str | Path) -> dict[str, str]:
                     raise PredictionFileError(f"invalid JSON: {exc}", line_no) from None
                 if not isinstance(raw, dict) or "id" not in raw or "label" not in raw:
                     raise PredictionFileError("object must have id and label", line_no)
-                rid = str(raw["id"])
+                rid, label = raw["id"], raw["label"]
+                if isinstance(rid, bool) or not isinstance(rid, (str, int)):
+                    raise PredictionFileError(f"id {rid!r} is not a string or integer", line_no)
+                if not isinstance(label, str):
+                    raise PredictionFileError(f"label {label!r} is not a string", line_no)
+                rid = str(rid)
                 if rid in preds:
                     raise PredictionFileError(f"duplicate prediction for id {rid}", line_no)
-                preds[rid] = str(raw["label"])
+                preds[rid] = label
     return preds
 
 

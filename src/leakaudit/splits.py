@@ -412,7 +412,8 @@ def export_split(split: Split, path: str | Path) -> None:
 def import_split(path: str | Path, dataset: Dataset) -> Split:
     """Read a split file as positions in ``dataset``, each partition in file
     order; ids absent from the dataset are dropped and counted in
-    provenance["missing_ids"].
+    provenance["missing_ids"], which is set only when some were dropped, so
+    a re-exported file matches the one read.
 
     Raises:
         SplitFileError: malformed file (an id that is not a string or an
@@ -450,7 +451,9 @@ def import_split(path: str | Path, dataset: Dataset) -> Split:
     rows = [[row_of[rid] for rid in ids if rid in row_of] for ids in parts]
     provenance = dict(raw.get("provenance", {}))
     provenance.setdefault("generator", "import_split")
-    provenance["missing_ids"] = len(seen) - sum(map(len, rows))
+    missing = len(seen) - sum(map(len, rows))
+    if missing:
+        provenance["missing_ids"] = missing
 
     spec = None
     if raw.get("spec") is not None:

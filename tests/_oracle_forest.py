@@ -8,21 +8,37 @@ threshold, preorder node layout with left children first) from entirely
 different code, so structural equality between the two is strong evidence
 of correctness.
 
-``fit_tree`` fits one production tree without bootstrap, the tree the
-oracle must match, and ``baseline_macro_f1_monte_carlo`` simulates the
-stratified-random baseline whose limit ``baseline_expected_macro_f1``
-gives in closed form.
+``fit_forest`` and ``fit_tree`` fit production models on any integer
+feature matrix, building the distinct-row table the production fit takes.
+``trees_of`` reads a model's trees back from its JSON, in
+``oracle_tree``'s preorder layout. ``baseline_macro_f1_monte_carlo``
+simulates the stratified-random baseline whose limit
+``baseline_expected_macro_f1`` gives in closed form.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from leakaudit import LabelSet
 from leakaudit.errors import EmptyDistributionError
-from leakaudit.forest import ForestConfig, ForestModel, _normalize, _prepare, fit_rows
+from leakaudit.forest import ForestConfig, ForestModel, _normalize, fit_rows
+
+
+def fit_forest(
+    X, y: Sequence[str], config: ForestConfig | None = None, label_set: LabelSet | None = None
+) -> ForestModel:
+    """Fit a voting forest on an integer feature matrix and its labels (the
+    sorted labels of y when no label set is given), through the distinct
+    rows and the training set over them that ``fit_rows`` takes."""
+    label_set = label_set or LabelSet(tuple(sorted(set(y))))
+    rows, row_of = np.unique(np.asarray(X, dtype=np.int64), axis=0, return_inverse=True)
+    sets = [(row_of.reshape(-1), label_set.encode(y))]
+    return next(fit_rows(rows, sets, label_set, config or ForestConfig()))
 
 
 def fit_tree(
@@ -35,9 +51,44 @@ def fit_tree(
     serialize are uniform.
     """
     config = config or ForestConfig()
-    rows, row_of, y_idx, label_set = _prepare(X, y, label_set)
     one_tree = replace(config, n_trees=1, bootstrap=False)
-    return replace(next(fit_rows(rows, [(row_of, y_idx)], label_set, one_tree)), config=config)
+    return replace(fit_forest(X, y, one_tree, label_set), config=config)
+
+
+@dataclass(frozen=True)
+class Tree:
+    """One tree as parallel node arrays in preorder (node 0 is the root).
+    ``counts`` holds each node's class counts, None at an internal node;
+    ``leaf_class`` the majority label index at a leaf (ties toward the
+    lowest index), -1 at an internal node."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: list
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.feature)
+
+    @cached_property
+    def leaf_class(self) -> np.ndarray:
+        return np.array([-1 if c is None else int(np.argmax(c)) for c in self.counts])
+
+
+def trees_of(model: ForestModel) -> list[Tree]:
+    """The model's trees, read from ``to_json_str()``."""
+    return [
+        Tree(
+            feature=np.array(tree["feature"], dtype=np.int64),
+            threshold=np.array(tree["threshold"], dtype=np.float64),
+            left=np.array(tree["left"], dtype=np.int64),
+            right=np.array(tree["right"], dtype=np.int64),
+            counts=tree["counts"],
+        )
+        for tree in json.loads(model.to_json_str())["trees"]
+    ]
 
 
 def oracle_tree(

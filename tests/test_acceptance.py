@@ -31,7 +31,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracle_forest import baseline_macro_f1_monte_carlo, fit_tree, oracle_predict, oracle_tree
+from _oracle_forest import (
+    baseline_macro_f1_monte_carlo,
+    fit_tree,
+    oracle_predict,
+    oracle_tree,
+    trees_of,
+)
 from leakaudit import (
     LabelSet,
     Manifest,
@@ -249,7 +255,7 @@ def test_criterion_08_forest_matches_exact_oracle():
             seed=0,
         )
         model = fit_tree(rows, y, config, label_set=LabelSet.of(*labels_pool[:k]))
-        tree = model.trees[0]
+        tree = trees_of(model)[0]
         want = oracle_tree(
             rows, y_idx, k, max_depth=max_depth, min_samples_split=mss, min_samples_leaf=msl
         )

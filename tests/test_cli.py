@@ -189,6 +189,8 @@ def test_audit_usage_errors(env, capsys):
         (["--k", "abc"], "--k"),
         (["--k", "0"], "--k"),
         (["--k", ","], "--k"),
+        (["--k", "3,3"], "--k"),
+        (["--k", "2,3,2"], "--k"),
         (["--n-splits", "0"], "--n-splits"),
         (["--fail-over=-1"], "--fail-over"),
         (["--fail-over", "nan"], "--fail-over"),

@@ -312,6 +312,17 @@ def test_load_csv_rfc4180(tmp_path):
             RecordParseError,
             "line 4: row width does not match header",
         ),
+        # and after blank lines, which hold no row
+        (
+            "id,text,label\n1,a,real\n\n2,b,bogus\n",
+            UnknownLabelError,
+            "line 4: label 'bogus' not in manifest labels ['real', 'fake']",
+        ),
+        (
+            "id,text,label\n\n\n1,a,real\n\n1,b,real\n",
+            DuplicateIdError,
+            "line 6: id 1 already seen on line 4",
+        ),
     ],
 )
 def test_load_csv_error_text(tmp_path, content, error, message):

