@@ -542,6 +542,7 @@ def test_rebalance_cli(env, capsys):
     assert report["window_ms"] == 604_800_000
     assert report["leak_before"]["leakage_score"] > 0.4
     assert report["leak_after"]["leakage_score"] < 0.15
+    assert _sha256(report_path) == PINNED["rebalance-report"]
 
     manifest = Manifest(labels=tuple(LABELS.split(",")))
     rebuilt = load_jsonl(out_path, manifest)
@@ -615,6 +616,7 @@ def test_inspect_cli(env, capsys):
     assert info["n_undecodable_ids"] == 0
     assert info["n_violations"] == 0
     assert info["min_timestamp_ms"] < info["max_timestamp_ms"]
+    assert _sha256(json_path) == PINNED["inspect"]
 
 
 def test_inspect_rejects_malformed_manifest(env, capsys, tmp_path):
@@ -638,12 +640,16 @@ def test_module_entrypoint():
 #
 # SHA-256 of the files the commands write, pinned before splits became
 # dataset positions: the split representation must not change a byte.
+# "inspect" and "rebalance-report" were pinned before the fingerprint's
+# n_violations became a constant and the reports' serializers became asdict.
 PINNED = {
     "audit-generated": "0eb18492967747ec46e87c550b8d1d620cb6930449b57a7ceb7de5d88b3ec8fa",
     "split": "040ef6ae4032947311614ab1f12611a566b72e5ddd5f8af5aa1a5fbf2858c6ea",
     "split-duplicated": "4d31d04f28af2b94b3c35b1e5bf3cc54a8f793059378551ef0a4d6e464ab538b",
     "audit-duplicated": "2eea8e1a779e0f985958ed5983628b4818935482b7a7093ad82c12374e155e4c",
     "eval": "e526471a06568261b7322104dc34b9dec63122bd95ee87371af81ebf58bfb5ed",
+    "inspect": "7aa9f9ef20b1644e5c0e023f75e787b13d767cbda0282426d2deada82a4f7755",
+    "rebalance-report": "a7d1a7f7e20ccc340b78d432bfc69ed30de12eb7efaa1a1055391a4b8a29bb38",
 }
 
 
