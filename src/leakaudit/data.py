@@ -1,10 +1,8 @@
 """Core data model: records, label sets, datasets, and file loaders.
 
 A Dataset is an ordered, immutable collection of labeled records with unique
-ids. Loaders are strict (malformed input raises, with the offending line
-number); ``validate`` is the opposite, a total checker that reports rule
-violations as data and never raises, so programmatically built datasets can
-be linted before use.
+ids. The loaders are the one record checker: malformed input raises, with
+the offending line number, so every loaded dataset keeps the record rules.
 
 Every loader builds its records in one pass: the manifest is resolved once
 per file (``_record_builder``), each JSONL line is decoded once, and each id
@@ -112,9 +110,9 @@ class Record:
 class Dataset:
     """Immutable ordered collection of records plus its label vocabulary.
 
-    Construction is permissive (so ``validate`` has something to check);
-    the loaders below enforce id uniqueness, label membership, and id
-    syntax strictly and raise on the first violation.
+    Construction checks nothing; the loaders below and ``build_dataset``
+    enforce id syntax and uniqueness, label membership, text type and
+    reply_count strictly and raise on the first violation.
     """
 
     records: tuple[Record, ...]
@@ -125,9 +123,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_id(self) -> dict[str, Record]:
-        return {r.id: r for r in self.records}
-
     @cached_property
     def label_index(self) -> np.ndarray:
         """Each record's label-set position (-1 outside the set), read-only.
@@ -137,15 +132,6 @@ class Dataset:
         index = self.label_set.encode(r.label for r in self.records)
         index.flags.writeable = False
         return index
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding: which record, which rule, what happened."""
-
-    record_id: str
-    rule: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -376,39 +362,6 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
                 row["reply_count"] = r.reply_count
             row.update(r.extra)
             fh.write(encode(row) + "\n")
-
-
-def validate(dataset: Dataset) -> list[Violation]:
-    """Total rule checker: returns violations, never raises.
-
-    Rules: id syntax and range, duplicate ids, label membership,
-    non-negative reply_count, text is a string.
-    """
-    violations: list[Violation] = []
-    seen: set[str] = set()
-    for r in dataset.records:
-        rid = r.id if isinstance(r.id, str) else repr(r.id)
-        try:
-            parse_id(r.id)
-        except IdParseError as exc:
-            violations.append(Violation(rid, exc.rule, str(exc)))
-        if isinstance(r.id, str):
-            if r.id in seen:
-                violations.append(Violation(rid, "duplicate-id", f"id {r.id} occurs more than once"))
-            seen.add(r.id)
-        if r.label not in dataset.label_set:
-            violations.append(
-                Violation(rid, "unknown-label", f"label {r.label!r} not in label set")
-            )
-        if r.reply_count is not None and (
-            not isinstance(r.reply_count, int) or r.reply_count < 0
-        ):
-            violations.append(
-                Violation(rid, "negative-reply-count", f"reply_count is {r.reply_count!r}")
-            )
-        if not isinstance(r.text, str):
-            violations.append(Violation(rid, "text-type", f"text is {type(r.text).__name__}"))
-    return violations
 
 
 def label_distribution(dataset: Dataset) -> dict[str, int]:

@@ -38,15 +38,7 @@ class UnknownLabelError(LeakAuditError):
 
 
 class IdParseError(LeakAuditError):
-    """An id is not a canonical decimal string in [1, 2**63 - 1].
-
-    ``rule`` names the broken rule: "id-syntax", "id-range" or
-    "id-leading-zero".
-    """
-
-    def __init__(self, message: str, rule: str = "id-syntax"):
-        self.rule = rule
-        super().__init__(message)
+    """An id is not a canonical decimal string in [1, 2**63 - 1]."""
 
 
 # --- snowflake decoding ---------------------------------------------------

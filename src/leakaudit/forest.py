@@ -50,7 +50,7 @@ import json
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -95,17 +95,6 @@ class ForestConfig:
         if self.max_features == "all":
             return n_features
         return min(int(self.max_features), n_features)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-        }
 
 
 _BATCH_CELLS = 1 << 18  # (pattern, feature) cells one split search sorts at most
@@ -484,7 +473,7 @@ class ForestModel:
         payload = {
             "format_version": FORMAT_VERSION,
             "kind": "forest",
-            "config": self.config.to_json_dict(),
+            "config": asdict(self.config),
             "labels": list(self.label_set),
             "n_features": self.n_features,
             "trees": trees,

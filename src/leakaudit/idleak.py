@@ -23,7 +23,7 @@ The probe's score is normalized headroom above chance,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,19 +68,7 @@ class IdLeakReport:
     config: ForestConfig = field(default_factory=ForestConfig)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "per_class_f1": dict(self.per_class_f1),
-            "macro_f1": self.macro_f1,
-            "baseline_macro_f1": self.baseline_macro_f1,
-            "leakage_score": self.leakage_score,
-            "verdict": self.verdict,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "excluded_short_ids": self.excluded_short_ids,
-            "split_name": self.split_name,
-            "config": self.config.to_json_dict(),
-        }
+        return asdict(self)
 
 
 def digit_features(ids, k: int):
@@ -237,31 +225,31 @@ def run_id_leak_suite(
     tables = {k: _pattern_table(ids, k) for k in k_values}
     # every run is checked, in report order, before any forest is fitted
     runs = []
+    kept = {k: [] for k in k_values}
     for each in splits:
         n_train, n_test = len(each.train), len(each.test)
         if not n_train or not n_test:
             raise EmptySplitError(f"need non-empty train and test (got {n_train}/{n_test})")
         rows = np.concatenate((each.train, each.test))
         for k in k_values:
-            _kept(dataset, rows, n_train, k, tables[k][1])
-        runs.append((each.name(), rows, n_train))
+            kept[k].append(_kept(dataset, rows, n_train, k, tables[k][1]))
+        runs.append((each.name(), len(rows)))
 
-    by_k = {k: _probe_k(dataset, runs, k, *tables[k], config) for k in tables}
+    by_k = {k: _probe_k(dataset, runs, kept.pop(k), k, tables[k][0], config) for k in k_values}
     return [by_k[k][i] for i in range(len(runs)) for k in k_values]
 
 
-def _probe_k(dataset, runs, k, table, pattern_of, config) -> list[IdLeakReport]:
-    """Every run at one k: one ``fit_rows`` call grows the forests of all
-    runs together, and each is scored on its run's test rows and let go
-    before the next is taken."""
-    kept = [_kept(dataset, rows, n_listed, k, pattern_of) for _, rows, n_listed in runs]
+def _probe_k(dataset, runs, kept, k, table, config) -> list[IdLeakReport]:
+    """Every run at one k, given each run's ``_kept`` result: one
+    ``fit_rows`` call grows the forests of all runs together, and each is
+    scored on its run's test rows and let go before the next is taken."""
     models = fit_rows(
         table, [(patterns[:n], labels[:n]) for patterns, labels, n in kept],
         dataset.label_set, config,
     )
     return [
-        _report(name, k, next(models), table, *run, len(rows), dataset.label_set, config)
-        for (name, rows, _), run in zip(runs, kept)
+        _report(name, k, next(models), table, *run, n_listed, dataset.label_set, config)
+        for (name, n_listed), run in zip(runs, kept)
     ]
 
 

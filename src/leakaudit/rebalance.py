@@ -17,7 +17,7 @@ and the anchor's, before and after.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,23 +52,7 @@ class RebalanceReport:
     tv_after: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "anchor_label": self.anchor_label,
-            "window_ms": self.window_ms,
-            "n_records": self.n_records,
-            "n_anchor": self.n_anchor,
-            "n_replaced": self.n_replaced,
-            "n_rejected": self.n_rejected,
-            "replaced_per_label": dict(self.replaced_per_label),
-            "rejected_per_label": dict(self.rejected_per_label),
-            "pool_id_collisions": self.pool_id_collisions,
-            "mean_abs_delta_ms": self.mean_abs_delta_ms,
-            "max_abs_delta_ms": self.max_abs_delta_ms,
-            "leak_before": None if self.leak_before is None else self.leak_before.to_json_dict(),
-            "leak_after": None if self.leak_after is None else self.leak_after.to_json_dict(),
-            "tv_before": dict(self.tv_before),
-            "tv_after": dict(self.tv_after),
-        }
+        return asdict(self)
 
 
 class _AlivePool:

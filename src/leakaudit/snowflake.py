@@ -33,18 +33,18 @@ def parse_id(id_str: str) -> int:
 
     Accepts exactly the strings that render back identically: ASCII digits
     only, no leading zeros, value in [1, 2**63 - 1]. This is the one id
-    rule; the loaders and ``validate`` both apply it.
+    rule; the loaders apply it to every id they read.
 
     Raises:
-        IdParseError: for anything else, with the broken rule in ``rule``.
+        IdParseError: for anything else, naming the broken rule.
     """
     if not isinstance(id_str, str) or not (id_str.isascii() and id_str.isdigit()):
-        raise IdParseError(f"id is not a decimal string: {id_str!r}", "id-syntax")
+        raise IdParseError(f"id is not a decimal string: {id_str!r}")
     value = int(id_str)
     if not 1 <= value <= MAX_ID:
-        raise IdParseError(f"id outside [1, 2**63 - 1]: {id_str!r}", "id-range")
+        raise IdParseError(f"id outside [1, 2**63 - 1]: {id_str!r}")
     if id_str[0] == "0":
-        raise IdParseError(f"id has a leading zero: {id_str!r}", "id-leading-zero")
+        raise IdParseError(f"id has a leading zero: {id_str!r}")
     return value
 
 

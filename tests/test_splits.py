@@ -66,6 +66,11 @@ def _all_ids(split):
     return set(split.train_ids) | set(split.dev_ids) | set(split.test_ids)
 
 
+def _records(split, parts=PARTITIONS):
+    """The split's records in the named partitions, read at its positions."""
+    return [split.dataset.records[i] for part in parts for i in getattr(split, part)]
+
+
 def _partition_of(split):
     ids = (split.train_ids, split.dev_ids, split.test_ids)
     return {rid: part for part, each in zip(PARTITIONS, ids) for rid in each}
@@ -110,11 +115,10 @@ def test_random_split_sizes_disjoint_deterministic(tmp_path):
     assert not set(split.train_ids) & set(split.test_ids)
     assert not set(split.train_ids) & set(split.dev_ids)
     # stratified: each label contributes exactly 35/5/10
-    for part, want in zip((split.train_ids, split.dev_ids, split.test_ids), (35, 5, 10)):
+    for part, want in zip(PARTITIONS, (35, 5, 10)):
         by_label = {}
-        by_id = ds.by_id()
-        for rid in part:
-            by_label[by_id[rid].label] = by_label.get(by_id[rid].label, 0) + 1
+        for r in _records(split, (part,)):
+            by_label[r.label] = by_label.get(r.label, 0) + 1
         assert by_label == {"a": want, "b": want}
 
     p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
@@ -182,10 +186,10 @@ def test_group_split_keeps_groups_whole():
     spec = SplitSpec(ratios=(0.6, 0.2, 0.2), seed=1, group_by="article_id")
     split = make_split(ds, spec)
     part_of = _partition_of(split)
-    by_id = ds.by_id()
+    article_of = {r.id: r.article_id for r in ds.records}
     group_parts = {}
     for rid, part in part_of.items():
-        group_parts.setdefault(by_id[rid].article_id, set()).add(part)
+        group_parts.setdefault(article_of[rid], set()).add(part)
     assert all(len(parts) == 1 for parts in group_parts.values())
     # 10 groups at (0.6, 0.2, 0.2) -> 6/2/2 groups -> 24/8/8 records
     assert split.sizes() == (24, 8, 8)
@@ -201,8 +205,7 @@ def test_group_split_excludes_conflicting():
     )
     split = make_split(ds, spec)
     assert split.provenance["excluded_conflicting_groups"] == ["g9"]
-    by_id = ds.by_id()
-    assert all(by_id[rid].article_id != "g9" for rid in _all_ids(split))
+    assert all(r.article_id != "g9" for r in _records(split))
     # 9 groups at (0.6, 0.2, 0.2): exact (5.4, 1.8, 1.8) -> 5/2/2 groups
     assert split.sizes() == (20, 8, 8)
 
@@ -260,10 +263,9 @@ def _event_dataset():
 def test_event_holdout_split():
     ds = _event_dataset()
     split = make_split(ds, SplitSpec(ratios=(0.9, 0.1, 0.0), seed=2, holdout_event="flood"))
-    by_id = ds.by_id()
     assert len(split.test_ids) == 20
-    assert all(by_id[rid].event == "flood" for rid in split.test_ids)
-    assert all(by_id[rid].event != "flood" for rid in split.train_ids + split.dev_ids)
+    assert all(r.event == "flood" for r in _records(split, ("test",)))
+    assert all(r.event != "flood" for r in _records(split, ("train", "dev")))
     assert split.sizes() == (54, 6, 20)
     assert split.provenance["n_holdout_records"] == 20
 
@@ -298,11 +300,10 @@ def _quota_split(ds, quotas, min_reply_count=None, seed=0, **fields):
 
 def test_quota_subsample():
     ds = _reply_dataset()
-    by_id = ds.by_id()
     out = _quota_split(ds, {"a": 6, "b": 4})
     dist = {}
-    for rid in out.train_ids:
-        dist[by_id[rid].label] = dist.get(by_id[rid].label, 0) + 1
+    for r in _records(out, ("train",)):
+        dist[r.label] = dist.get(r.label, 0) + 1
     assert dist == {"a": 6, "b": 4}
     assert out.provenance["stages"]["quota_subsample"]["n_after"] == 10
     # determinism
@@ -311,8 +312,8 @@ def test_quota_subsample():
 
     filtered = _quota_split(ds, {"a": 5}, min_reply_count=3, seed=1)
     assert len(filtered.train_ids) == 5
-    assert all((by_id[rid].reply_count or 0) >= 3 for rid in filtered.train_ids)
-    assert all(by_id[rid].label == "a" for rid in filtered.train_ids)
+    assert all((r.reply_count or 0) >= 3 for r in _records(filtered, ("train",)))
+    assert all(r.label == "a" for r in _records(filtered, ("train",)))
 
     with pytest.raises(InsufficientRecordsError) as err:
         _quota_split(ds, {"b": 99})
@@ -336,9 +337,8 @@ def test_quota_subsample():
 
 def test_label_filter():
     ds = _balanced(10, labels=("a", "b", "c"))
-    by_id = ds.by_id()
     out = make_split(ds, SplitSpec(seed=0, label_filter=("c", "a")))
-    assert all(by_id[rid].label in ("a", "c") for rid in _all_ids(out))
+    assert all(r.label in ("a", "c") for r in _records(out))
     assert len(_all_ids(out)) == 20
     assert out.provenance["stages"]["label_filter"]["n_after"] == 20
     # filtering to the full label set changes nothing but the provenance
@@ -369,8 +369,7 @@ def test_make_split_runs_stages():
     stages = split.provenance["stages"]
     assert stages["event_filter"]["n_after"] == 60
     assert stages["label_filter"]["n_after"] == 60
-    by_id = ds.by_id()
-    assert all(by_id[rid].event in ("storm", "quake") for rid in _all_ids(split))
+    assert all(r.event in ("storm", "quake") for r in _records(split))
 
     with pytest.raises(UnknownEventError):
         make_split(ds, SplitSpec(seed=0, event_filter=("storm", "eclipse")))
@@ -592,8 +591,7 @@ def test_presets_registry():
 
 def test_preset_split_on_synthetic_data(leaky):
     split = preset_split(leaky, "pheme9-tf", seed=3)
-    by_id = leaky.by_id()
-    labels = {by_id[rid].label for rid in _all_ids(split)}
+    labels = {r.label for r in _records(split)}
     assert labels == {"true", "false"}
     n = len(_all_ids(split))
     assert n == 1000  # 500 true + 500 false
