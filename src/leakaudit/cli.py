@@ -26,7 +26,7 @@ from .data import Dataset, Manifest, label_distribution, load_csv, load_jsonl, s
 from .dedup import scan_duplicates
 from .errors import LeakAuditError
 from .forest import ForestConfig
-from .idleak import run_id_leak_suite, summarize_id_leak_suite
+from .idleak import probe_splits, run_id_leak_suite, summarize_id_leak_suite
 from .metrics import (
     MISSING_MODES,
     aggregate_article_votes,
@@ -73,9 +73,11 @@ def parse_window(raw: str) -> int:
 
 
 def _manifest_from_args(args) -> Manifest:
-    if getattr(args, "manifest", None):
+    if args.manifest and args.labels is not None:
+        raise UsageError("--labels applies only without --manifest")
+    if args.manifest:
         return Manifest.from_json_file(args.manifest)
-    if getattr(args, "labels", None):
+    if args.labels:
         return Manifest(labels=tuple(_comma_list(args.labels)))
     raise UsageError("provide --manifest FILE or --labels a,b,c")
 
@@ -123,12 +125,18 @@ def _k_values(raw: str) -> list[int]:
 
 def cmd_audit(args) -> int:
     k_values = _k_values(args.k)
-    if args.n_splits < 1:
-        raise UsageError(f"--n-splits must be >= 1, got {args.n_splits}")
+    if args.split and args.n_splits is not None:
+        raise UsageError("--n-splits applies only without --split")
+    if args.skip_duplicates and args.jaccard is not None:
+        raise UsageError("--jaccard applies only without --skip-duplicates")
+    n_splits = 5 if args.n_splits is None else args.n_splits
+    jaccard = 0.8 if args.jaccard is None else args.jaccard
+    if n_splits < 1:
+        raise UsageError(f"--n-splits must be >= 1, got {n_splits}")
     if not args.fail_over >= 0.0:  # also rejects nan
         raise UsageError(f"--fail-over must be >= 0, got {args.fail_over}")
-    if not 0.0 < args.jaccard <= 1.0:  # also rejects nan
-        raise UsageError(f"--jaccard must be in (0, 1], got {args.jaccard}")
+    if not 0.0 < jaccard <= 1.0:  # also rejects nan
+        raise UsageError(f"--jaccard must be in (0, 1], got {jaccard}")
     if args.min_df < 1:
         raise UsageError(f"--min-df must be >= 1, got {args.min_df}")
     if args.top_tokens < 0:
@@ -138,21 +146,15 @@ def cmd_audit(args) -> int:
     config = ForestConfig(seed=args.seed)
 
     split = import_split(args.split, dataset) if args.split else None
-    reports = run_id_leak_suite(
-        dataset,
-        k_values=k_values,
-        split=split,
-        n_splits=args.n_splits,
-        seed=args.seed,
-        config=config,
-    )
+    splits = [split] if split else probe_splits(dataset, n_splits, args.seed)
+    reports = run_id_leak_suite(splits, k_values, config)
     summary = summarize_id_leak_suite(reports)
 
     worst = max(r.leakage_score for r in reports)
     gate_failed = worst >= args.fail_over
 
     print(f"dataset: {dataset.name} ({len(dataset)} records)")
-    print(f"id-leak probe ({'canonical split' if split else f'{args.n_splits} generated splits'}):")
+    print(f"id-leak probe ({'canonical split' if split else f'{n_splits} generated splits'}):")
     for k, row in summary.items():
         print(
             f"  k={k}: macro-F1 {row['macro_f1_mean']:.3f} +/- {row['macro_f1_std']:.3f} "
@@ -171,12 +173,12 @@ def cmd_audit(args) -> int:
 
     duplicates = None
     if not args.skip_duplicates:
-        duplicates = scan_duplicates(dataset, jaccard_threshold=args.jaccard)
+        duplicates = scan_duplicates(dataset, jaccard_threshold=jaccard)
         print(
             f"duplicates: {duplicates.n_exact_clusters} exact clusters "
             f"({duplicates.n_records_in_exact} records), "
             f"{duplicates.n_near_clusters} near clusters "
-            f"({duplicates.n_records_in_near} records) at J>={args.jaccard}"
+            f"({duplicates.n_records_in_near} records) at J>={jaccard}"
         )
 
     contamination = None
@@ -438,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", help="canonical split file to audit against")
     p.add_argument("--k", default="2,3", help="comma-separated digit-prefix lengths")
     p.add_argument("--seed", type=int, default=0, help="seed for generated splits and forests")
-    p.add_argument("--n-splits", type=int, default=5, help="splits to generate when no --split")
+    p.add_argument("--n-splits", type=int, help="splits to generate when no --split (default 5)")
     p.add_argument("--fail-over", type=float, default=0.15,
                    help="exit 2 when any leak score (in [0, 1]) reaches this; "
                    "above 1 never fails")
     p.add_argument("--min-df", type=int, default=5, help="token document-frequency floor")
     p.add_argument("--top-tokens", type=int, default=25, help="tokens to show/emit")
-    p.add_argument("--jaccard", type=float, default=0.8, help="near-duplicate threshold")
+    p.add_argument("--jaccard", type=float, help="near-duplicate threshold (default 0.8)")
     p.add_argument("--skip-duplicates", action="store_true",
                    help="skip the duplicate/contamination scans")
     p.add_argument("--json", help="write the audit bundle as JSON to this path")

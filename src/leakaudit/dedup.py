@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -110,20 +110,6 @@ def _shingle_array(token_hashes: np.ndarray, lengths: np.ndarray) -> tuple[np.nd
     for k in range(SHINGLE_SIZE):
         hashes = np.where(size > k, _mix(hashes ^ padded[first + k]), hashes)
     return hashes, owner
-
-
-def shingle_hashes(tokens: Sequence[str]) -> list[int]:
-    """Sorted distinct 64-bit hashes of the token n-gram shingles.
-
-    Texts shorter than the shingle size degenerate to one whole-text
-    shingle, so very short tweets still compare (but only exact-ish token
-    matches reach Jaccard 1). Empty token lists give no shingles.
-    """
-    if not tokens:
-        return []
-    token_hashes = np.fromiter(map(_token_hash, tokens), dtype=np.uint64, count=len(tokens))
-    hashes, _ = _shingle_array(token_hashes, np.array([len(tokens)]))
-    return np.unique(hashes).tolist()
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ accuracy above the stratified-random baseline means the label is readable
 off the clock: classes were collected in different time windows and a
 model can exploit that instead of content.
 
-Every probe runs through ``run_id_leak_suite``. It reads each split's train
-and test dataset positions directly, and for each distinct k parses every
-dataset id once into a pattern table: the distinct k-digit prefixes and
-each row's pattern (-1 for an id shorter than k). Every run is checked
+The caller owns the splits: ``probe_splits`` makes the audit's generated
+ones, and ``run_id_leak_suite`` scores the splits it is given, so every
+other check can run on the same partitions. The suite reads each split's
+train and test dataset positions directly, and for each distinct k parses
+every dataset id once into a pattern table: the distinct k-digit prefixes
+and each row's pattern (-1 for an id shorter than k). Every run is checked
 before any forest grows, so errors come in report order. Then, for each
 k, one ``fit_rows`` call fits the forests of all splits together on the
 table's train patterns (stratified splits share their size, so they share
@@ -121,7 +123,9 @@ def run_id_leak_test(
         ValueError: for a split of another dataset, k < 1, or a dataset id,
             in the split or not, that is not a string of ASCII digits.
     """
-    return run_id_leak_suite(dataset, (k,), split=split, config=config)[0]
+    if split.dataset is not dataset:
+        raise ValueError("the split was made from another dataset")
+    return run_id_leak_suite([split], (k,), config)[0]
 
 
 def _kept(dataset, rows, n_listed, k, pattern_of):
@@ -187,40 +191,40 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed % 2**64, index]).generate_state(1, np.uint64)[0])
 
 
+def probe_splits(dataset: Dataset, n_splits: int = 5, seed: int = 0) -> list[Split]:
+    """The audit's generated splits: ``n_splits`` stratified 70/10/20
+    splits named ``probe-split-{i}``, each seeded by its own substream of
+    ``seed``, so summaries can quote mean and spread instead of one
+    arbitrary partition's luck."""
+    return [
+        make_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=_derived_seed(seed, i),
+                                      stratify=True, name=f"probe-split-{i}"))
+        for i in range(n_splits)
+    ]
+
+
 def run_id_leak_suite(
-    dataset: Dataset,
+    splits: list[Split],
     k_values=(2, 3),
-    split: Split | None = None,
-    n_splits: int = 5,
-    seed: int = 0,
     config: ForestConfig | None = None,
 ) -> list[IdLeakReport]:
-    """Probe at several prefix lengths.
-
-    With a canonical split given, one report per k on that split. Without
-    one, generates n_splits fresh stratified 70/10/20 splits (seeded
-    substreams of ``seed``) and reports every (split, k) pair, split
-    first, so downstream summaries can quote mean and spread instead of
-    one arbitrary partition's luck.
+    """Probe each split at several prefix lengths: one report per (split,
+    k) pair, split first.
 
     Raises:
-        ValueError: if a k repeats.
+        ValueError: if there is no split, the splits come from different
+            datasets, or a k repeats.
         The errors of ``run_id_leak_test``: its ValueErrors first, then
-        those of the first run.
+        those of the first run that fails.
     """
+    if not splits:
+        raise ValueError("no splits to probe")
+    dataset = splits[0].dataset
+    if any(each.dataset is not dataset for each in splits):
+        raise ValueError("the splits were made from different datasets")
     if len(set(k_values)) < len(k_values):
         raise ValueError(f"k values repeat: {list(k_values)}")
-    if split is not None and split.dataset is not dataset:
-        raise ValueError("the split was made from another dataset")
     config = config or ForestConfig()
-    splits = [split]
-    if split is None:
-        specs = (
-            SplitSpec(ratios=(0.7, 0.1, 0.2), seed=_derived_seed(seed, i), stratify=True,
-                      name=f"probe-split-{i}")
-            for i in range(n_splits)
-        )
-        splits = (make_split(dataset, spec) for spec in specs)
     ids = [r.id for r in dataset.records]
     tables = {k: _pattern_table(ids, k) for k in k_values}
     # every run is checked, in report order, before any forest is fitted

@@ -212,6 +212,56 @@ def test_audit_usage_errors(env, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--split", "SPLIT", "--n-splits", "9"], "--n-splits applies only without --split"),
+        (["--n-splits", "5", "--split", "SPLIT"], "--n-splits applies only without --split"),
+        (["--skip-duplicates", "--jaccard", "0.9"],
+         "--jaccard applies only without --skip-duplicates"),
+        (["--jaccard", "0.8", "--skip-duplicates"],
+         "--jaccard applies only without --skip-duplicates"),
+    ],
+    ids=["split-then-n-splits", "n-splits-then-split", "skip-then-jaccard", "jaccard-then-skip"],
+)
+def test_audit_refuses_a_flag_it_would_ignore(env, capsys, tmp_path, flags, message):
+    split_path = tmp_path / "split.json"
+    assert main(["split", str(env["leaky"]), "--labels", LABELS,
+                 "--seed", "1", "--out", str(split_path)]) == 0
+    capsys.readouterr()
+    bundle_path = tmp_path / "bundle.json"
+    flags = [str(split_path) if flag == "SPLIT" else flag for flag in flags]
+    assert main(["audit", str(env["leaky"]), "--labels", LABELS, *flags,
+                 "--json", str(bundle_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not bundle_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("audit", []),
+        ("split", ["--seed", "0", "--out", "OUT"]),
+        ("eval", ["--split", "SPLIT", "--pred", "PRED"]),
+        ("aggregate", ["--pred", "PRED", "--out", "OUT"]),
+        ("rebalance", ["--pool", "POOL", "--anchor-label", "non-rumor", "--seed", "0",
+                       "--out", "OUT"]),
+        ("inspect", []),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_labels_with_manifest_is_refused(env, capsys, tmp_path, command, flags):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"labels": LABELS.split(",")}), encoding="utf-8")
+    paths = {name: str(tmp_path / name.lower()) for name in ("SPLIT", "PRED", "OUT")}
+    paths["POOL"] = str(env["pool"])
+    flags = [paths.get(flag, flag) for flag in flags]
+    assert main([command, str(env["leaky"]), "--manifest", str(manifest),
+                 "--labels", "bogus,labels", *flags]) == 1
+    assert capsys.readouterr() == ("", "error: --labels applies only without --manifest\n")
+    assert sorted(tmp_path.iterdir()) == [manifest]
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"provenance": None},

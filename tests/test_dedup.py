@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from _oracle_splits import split_of
 from leakaudit import SplitSpec, build_dataset, make_split, scan_duplicates
-from leakaudit.dedup import WORST_PAIRS, normalize_text, shingle_hashes
+from leakaudit.dedup import WORST_PAIRS, _shingle_array, _token_hash, normalize_text
 from leakaudit.splits import PARTITIONS
 
 
@@ -28,29 +28,38 @@ def test_normalize_text():
     assert normalize_text("http://only.url") == ""
 
 
+def _shingles(tokens):
+    """Sorted distinct shingle hashes of one text; no tokens make no text."""
+    token_hashes = np.array([_token_hash(t) for t in tokens], dtype=np.uint64)
+    lengths = np.array([len(tokens)] if tokens else [], dtype=np.int64)
+    hashes, owner = _shingle_array(token_hashes, lengths)
+    assert not owner.any()
+    return sorted(set(hashes.tolist()))
+
+
 def test_shingle_hashes():
-    assert shingle_hashes([]) == []
-    one = shingle_hashes(["a", "b"])
+    assert _shingles([]) == []
+    one = _shingles(["a", "b"])
     assert len(one) == 1
-    assert shingle_hashes(["a", "b", "c"]) == shingle_hashes(["a", "b", "c"])
-    four = shingle_hashes(["a", "b", "c", "d"])
+    assert _shingles(["a", "b", "c"]) == _shingles(["a", "b", "c"])
+    four = _shingles(["a", "b", "c", "d"])
     assert len(four) == 2
     assert four == sorted(four)
     # repeated shingles collapse
-    rep = shingle_hashes(["x", "x", "x", "x"])
+    rep = _shingles(["x", "x", "x", "x"])
     assert len(rep) == 1
-    assert len(shingle_hashes(["x", "y", "z", "x", "y", "z"])) == 3
+    assert len(_shingles(["x", "y", "z", "x", "y", "z"])) == 3
     # a shingle is its tokens in order
-    assert shingle_hashes(["a", "b", "c"]) != shingle_hashes(["c", "b", "a"])
-    assert shingle_hashes(["a", "b", "c"]) != shingle_hashes(["a", "c", "b"])
-    assert shingle_hashes(["a", "b"]) != shingle_hashes(["b", "a"])
-    assert len(shingle_hashes(["a", "b", "a"])) == 1
-    assert len(shingle_hashes(["a", "b", "a", "b"])) == 2
+    assert _shingles(["a", "b", "c"]) != _shingles(["c", "b", "a"])
+    assert _shingles(["a", "b", "c"]) != _shingles(["a", "c", "b"])
+    assert _shingles(["a", "b"]) != _shingles(["b", "a"])
+    assert len(_shingles(["a", "b", "a"])) == 1
+    assert len(_shingles(["a", "b", "a", "b"])) == 2
     # a whole-text shingle is told apart by its length, and tokens stay whole
-    short = {*shingle_hashes(["a"]), *shingle_hashes(["a", "a"]), *shingle_hashes(["a", "a", "a"])}
+    short = {*_shingles(["a"]), *_shingles(["a", "a"]), *_shingles(["a", "a", "a"])}
     assert len(short) == 3
-    assert shingle_hashes(["ab"]) != shingle_hashes(["a", "b"])
-    assert shingle_hashes(["a", "bc", "d"]) != shingle_hashes(["ab", "c", "d"])
+    assert _shingles(["ab"]) != _shingles(["a", "b"])
+    assert _shingles(["a", "bc", "d"]) != _shingles(["ab", "c", "d"])
 
 
 def _words(n, offset=0):

@@ -26,6 +26,7 @@ from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.idleak import (
     digit_features,
     leakage_score,
+    probe_splits,
     run_id_leak_suite,
     summarize_id_leak_suite,
     verdict,
@@ -139,18 +140,36 @@ def test_split_of_another_dataset_is_refused(leaky, control):
     # same ids and records in the same order, but another dataset object:
     # a split indexes the dataset it was made from
     split = _split(leaky)
-    with pytest.raises(ValueError, match="another dataset"):
+    with pytest.raises(ValueError, match="^the split was made from another dataset$"):
         run_id_leak_test(control, split, k=3, config=FAST)
-    with pytest.raises(ValueError, match="another dataset"):
-        run_id_leak_suite(control, (2, 3), split=split, config=FAST)
+    with pytest.raises(ValueError, match="^the splits were made from different datasets$"):
+        run_id_leak_suite([split, _split(control)], (2, 3), config=FAST)
+
+
+def test_empty_split_list_is_refused():
+    with pytest.raises(ValueError, match="^no splits to probe$"):
+        run_id_leak_suite([], (2, 3), config=FAST)
+
+
+def test_probe_splits_names_and_sizes(leaky):
+    splits = probe_splits(leaky, n_splits=3, seed=5)
+    assert [s.name() for s in splits] == ["probe-split-0", "probe-split-1", "probe-split-2"]
+    assert all(s.dataset is leaky for s in splits)
+    # stratified 70/10/20 of 2000 records in four labels of 500
+    assert [s.sizes() for s in splits] == [(1400, 200, 400)] * 3
+    assert len({tuple(s.test) for s in splits}) == 3
+    assert [s.train_ids for s in probe_splits(leaky, n_splits=3, seed=5)] == [
+        s.train_ids for s in splits
+    ]
+    assert probe_splits(leaky, n_splits=0) == []
 
 
 def test_repeated_k_is_refused(leaky):
     # a repeated k would report each of its runs twice and shrink the spread
     with pytest.raises(ValueError, match="repeat"):
-        run_id_leak_suite(leaky, (3, 3), n_splits=1, config=FAST)
+        run_id_leak_suite(probe_splits(leaky, n_splits=1), (3, 3), config=FAST)
     with pytest.raises(ValueError, match="repeat"):
-        run_id_leak_suite(leaky, (2, 3, 2), split=_split(leaky), config=FAST)
+        run_id_leak_suite([_split(leaky)], (2, 3, 2), config=FAST)
 
 
 @pytest.mark.parametrize("bad_in", ["train", "test"])
@@ -189,7 +208,7 @@ def test_suite_parses_ids_once_per_k(leaky, monkeypatch):
         return original(ids, k)
 
     monkeypatch.setattr(idleak_module, "digit_features", counted)
-    reports = run_id_leak_suite(leaky, k_values=(2, 3), n_splits=3, config=FAST)
+    reports = run_id_leak_suite(probe_splits(leaky, n_splits=3), k_values=(2, 3), config=FAST)
     assert len(reports) == 6
     assert calls == [2, 3]
 
@@ -209,7 +228,7 @@ def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):
 
     monkeypatch.setattr(forest_module, "_LockstepGrower", counted_grower)
     monkeypatch.setattr(forest_module, "_tree_rng", counted_rng)
-    reports = run_id_leak_suite(leaky, k_values=(2, 3), n_splits=5, config=FAST)
+    reports = run_id_leak_suite(probe_splits(leaky, n_splits=5), k_values=(2, 3), config=FAST)
     # every stratified split has the same n_train, so the 5 forests of a k
     # share each tree's bootstrap draw and feature-order stream
     assert len({r.n_train for r in reports}) == 1
@@ -279,11 +298,11 @@ REPORT_DIGESTS = {
 def test_probe_reports_are_pinned(request, case):
     if case == "suite-mixed-lengths":
         ds = build_dataset(MIXED_LENGTH_ROWS, labels=["x", "y", "z"])
-        reports = run_id_leak_suite(ds, k_values=(2, 3), n_splits=2, config=FAST)
+        reports = run_id_leak_suite(probe_splits(ds, n_splits=2), k_values=(2, 3), config=FAST)
         assert all(r.excluded_short_ids > 0 for r in reports)
     elif case.startswith("suite-"):
         dataset = request.getfixturevalue(case.removeprefix("suite-"))
-        reports = run_id_leak_suite(dataset, k_values=(2, 3), n_splits=2, config=FAST)
+        reports = run_id_leak_suite(probe_splits(dataset, n_splits=2), k_values=(2, 3), config=FAST)
     elif case == "baseline-order":
         reports = _order_sensitive_probe()
     elif case == "short-ids":
@@ -328,15 +347,14 @@ def test_verdict_thresholds():
 
 def test_suite_on_canonical_split(leaky):
     split = _split(leaky)
-    reports = run_id_leak_suite(leaky, k_values=(2, 3), split=split, config=FAST)
+    reports = run_id_leak_suite([split], k_values=(2, 3), config=FAST)
     assert [r.k for r in reports] == [2, 3]
     assert all(r.split_name == split.name() for r in reports)
 
 
 def test_suite_generated_splits_deterministic(leaky):
-    kwargs = dict(k_values=(3,), n_splits=3, seed=5, config=FAST)
-    first = run_id_leak_suite(leaky, **kwargs)
-    second = run_id_leak_suite(leaky, **kwargs)
+    first = run_id_leak_suite(probe_splits(leaky, n_splits=3, seed=5), (3,), FAST)
+    second = run_id_leak_suite(probe_splits(leaky, n_splits=3, seed=5), (3,), FAST)
     assert len(first) == 3
     assert [r.to_json_dict() for r in first] == [r.to_json_dict() for r in second]
     # distinct generated splits, not one split three times
@@ -346,7 +364,7 @@ def test_suite_generated_splits_deterministic(leaky):
 
 
 def test_summarize_suite(leaky, control):
-    reports = run_id_leak_suite(leaky, k_values=(3,), n_splits=3, seed=2, config=FAST)
+    reports = run_id_leak_suite(probe_splits(leaky, n_splits=3, seed=2), k_values=(3,), config=FAST)
     summary = summarize_id_leak_suite(reports)
     assert set(summary) == {3}
     entry = summary[3]
@@ -361,7 +379,8 @@ def test_summarize_suite(leaky, control):
     single = summarize_id_leak_suite(reports[:1])
     assert single[3]["macro_f1_std"] == 0.0 and single[3]["n_runs"] == 1
 
-    control_reports = run_id_leak_suite(control, k_values=(3,), n_splits=3, seed=2, config=FAST)
+    control_splits = probe_splits(control, n_splits=3, seed=2)
+    control_reports = run_id_leak_suite(control_splits, k_values=(3,), config=FAST)
     control_summary = summarize_id_leak_suite(control_reports)
     assert control_summary[3]["verdict"] == "none"
 
