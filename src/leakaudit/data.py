@@ -118,7 +118,6 @@ class Dataset:
     records: tuple[Record, ...]
     label_set: LabelSet
     name: str = ""
-    source_notes: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -145,8 +144,6 @@ class Manifest:
 
     labels: tuple[str, ...]
     fields: Mapping[str, str] = field(default_factory=dict)
-    name: str = ""
-    source_notes: str = ""
 
     def __post_init__(self):
         unknown = set(self.fields) - set(CANONICAL_FIELDS)
@@ -156,7 +153,8 @@ class Manifest:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Manifest":
         """Read a manifest file: a JSON object with a non-empty ``labels``
-        list of strings and an optional ``fields`` object of strings.
+        list of strings and an optional ``fields`` object of strings. Any
+        other key is ignored.
 
         Raises:
             SchemaError: naming the file, if it is not such an object.
@@ -173,12 +171,7 @@ class Manifest:
             raise SchemaError(f"manifest {path}: labels must be a non-empty list of strings")
         if not isinstance(fields, dict) or not all(isinstance(v, str) for v in fields.values()):
             raise SchemaError(f"manifest {path}: fields must be an object of strings")
-        return cls(
-            labels=tuple(labels),
-            fields=dict(fields),
-            name=raw.get("name", ""),
-            source_notes=raw.get("source_notes", ""),
-        )
+        return cls(labels=tuple(labels), fields=dict(fields))
 
     def label_set(self) -> LabelSet:
         return LabelSet(self.labels)
@@ -265,12 +258,7 @@ def _assemble(records: list[Record], manifest: Manifest, lines: list[int], name:
                 f"id {record.id} already seen on line {seen[record.id]}", line
             )
         seen[record.id] = line
-    return Dataset(
-        records=tuple(records),
-        label_set=manifest.label_set(),
-        name=name or manifest.name,
-        source_notes=manifest.source_notes,
-    )
+    return Dataset(records=tuple(records), label_set=manifest.label_set(), name=name)
 
 
 # json.loads(line) runs a JSONDecoder's scanner between two regex skips of
@@ -381,7 +369,7 @@ def build_dataset(
     Convenience for tests and synthetic corpora; equivalent to writing the
     rows out as JSONL and loading them back.
     """
-    manifest = Manifest(labels=tuple(labels), name=name)
+    manifest = Manifest(labels=tuple(labels))
     build = _record_builder(manifest)
     records = [build(row, line) for line, row in enumerate(rows, start=1)]
     return _assemble(records, manifest, list(range(1, len(records) + 1)), name)

@@ -9,9 +9,10 @@ model can exploit that instead of content.
 The caller owns the splits: ``probe_splits`` makes the audit's generated
 ones, and ``run_id_leak_suite`` scores the splits it is given, so every
 other check can run on the same partitions. The suite reads each split's
-train and test dataset positions directly, and for each distinct k parses
-every dataset id once into a pattern table: the distinct k-digit prefixes
-and each row's pattern (-1 for an id shorter than k). Every run is checked
+train and test dataset positions directly. It reads the id column once,
+as one fixed-width byte view checked for digits once, and gives each k a
+pattern table from that view: the distinct k-digit prefixes, sorted, and
+each row's pattern (-1 for an id shorter than k). Every run is checked
 before any forest grows, so errors come in report order. Then, for each
 k, one ``fit_rows`` call fits the forests of all splits together on the
 table's train patterns (stratified splits share their size, so they share
@@ -71,29 +72,6 @@ class IdLeakReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def digit_features(ids, k: int):
-    """The first k digits of each id as one int64 feature row, and the list
-    of positions kept. Ids shorter than k digits are excluded.
-
-    This is the one digit rule: each id's ASCII bytes minus ``ord('0')``.
-
-    Raises:
-        ValueError: if k < 1 or an id is not a string of ASCII digits.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ids = list(ids)
-    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    width = max(k, int(lengths.max(initial=0)))
-    # a non-ASCII id fails here with UnicodeEncodeError, a ValueError
-    raw = np.array(ids, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    digits = raw - np.uint8(ord("0"))  # bytes below '0' wrap above 9
-    if np.any((digits > 9) & (np.arange(width) < lengths[:, None])):
-        raise ValueError("ids must be strings of ASCII digits")
-    kept = np.flatnonzero(lengths >= k)
-    return digits[kept, :k].astype(np.int64), kept.tolist()
 
 
 def leakage_score(macro_f1: float, baseline_macro_f1: float) -> float:
@@ -177,14 +155,42 @@ def _report(name, k, model, table, patterns, labels, n_train, n_listed, label_se
     )
 
 
-def _pattern_table(ids: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct k-digit prefixes of ``ids`` in ``np.unique(axis=0)``
-    order, and each id's row in that table (-1 for an id shorter than k)."""
-    digits, kept = digit_features(ids, k)
-    table, inverse = np.unique(digits, axis=0, return_inverse=True)
-    pattern_of = np.full(len(ids), -1, dtype=np.int64)
-    pattern_of[kept] = inverse.reshape(-1)
-    return table, pattern_of
+def _pattern_tables(ids: list[str], k_values) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Each k's pattern table: the distinct k-digit prefixes of ``ids`` as
+    int64 digit rows in ascending order, and each id's row in that table
+    (-1 for an id shorter than k).
+
+    This is the one digit rule: all ids become one fixed-width byte view,
+    checked once, and each digit is its byte minus ``ord('0')``. Each k
+    keys the long-enough ids by their first k bytes, so the key is exact
+    at any length, and bytes of one length sort as their digit rows do.
+
+    Raises:
+        ValueError: if a k is below 1 or repeats, or an id is not a string
+            of ASCII digits (a non-ASCII id raises UnicodeEncodeError).
+    """
+    for k in k_values:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"k values repeat: {list(k_values)}")
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    width = max(max(k_values, default=1), int(lengths.max(initial=0)))
+    # a non-ASCII id fails here with UnicodeEncodeError, a ValueError
+    raw = np.array(ids, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    # bytes below '0' wrap above 9
+    if np.any((raw - np.uint8(ord("0")) > 9) & (np.arange(width) < lengths[:, None])):
+        raise ValueError("ids must be strings of ASCII digits")
+    tables = {}
+    for k in k_values:
+        kept = np.flatnonzero(lengths >= k)
+        keys = raw[kept, :k].view(f"S{k}").reshape(-1)  # indexing copies in C order
+        prefixes, inverse = np.unique(keys, return_inverse=True)
+        table = prefixes.view(np.uint8).reshape(-1, k).astype(np.int64) - ord("0")
+        pattern_of = np.full(len(ids), -1, dtype=np.int64)
+        pattern_of[kept] = inverse
+        tables[k] = table, pattern_of
+    return tables
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -212,21 +218,21 @@ def run_id_leak_suite(
     k) pair, split first.
 
     Raises:
-        ValueError: if there is no split, the splits come from different
-            datasets, or a k repeats.
-        The errors of ``run_id_leak_test``: its ValueErrors first, then
-        those of the first run that fails.
+        ValueError: before any run is checked, in this order: there is no
+            split; the splits come from different datasets; a k is below
+            1; a k repeats; a dataset id, in a split or not, is not a
+            string of ASCII digits (UnicodeEncodeError, a ValueError, for
+            a non-ASCII one).
+        The errors of the first run that fails: EmptySplitError,
+        AllIdsTooShortError or UnknownLabelError.
     """
     if not splits:
         raise ValueError("no splits to probe")
     dataset = splits[0].dataset
     if any(each.dataset is not dataset for each in splits):
         raise ValueError("the splits were made from different datasets")
-    if len(set(k_values)) < len(k_values):
-        raise ValueError(f"k values repeat: {list(k_values)}")
     config = config or ForestConfig()
-    ids = [r.id for r in dataset.records]
-    tables = {k: _pattern_table(ids, k) for k in k_values}
+    tables = _pattern_tables([r.id for r in dataset.records], k_values)
     # every run is checked, in report order, before any forest is fitted
     runs = []
     kept = {k: [] for k in k_values}

@@ -25,7 +25,7 @@ from .data import Dataset, Record
 from .errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
 from .idleak import IdLeakReport, run_id_leak_test
 from .snowflake import timestamp_histogram
-from .splits import SplitSpec, make_split
+from .splits import SplitSpec, _rng, make_split
 
 DAY_MS = 86_400_000
 DEFAULT_WINDOW_MS = 7 * DAY_MS
@@ -186,7 +186,7 @@ def time_rebalance(
         leak_before = _leak_probe(dataset, seed)
     tv_before = _tv_per_label(dataset, anchor_label)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed % 2**64)))
+    rng = _rng(seed)
     # one draw per non-anchor record, in record order: the same stream as
     # drawing them one at a time
     targets = iter(
@@ -215,7 +215,6 @@ def time_rebalance(
         records=tuple(new_records),
         label_set=dataset.label_set,
         name=f"{dataset.name}-rebalanced" if dataset.name else "rebalanced",
-        source_notes=dataset.source_notes,
     )
     if measure_leak:
         leak_after = _leak_probe(rebalanced, seed)

@@ -419,8 +419,8 @@ def import_split(path: str | Path, dataset: Dataset) -> Split:
         SplitFileError: malformed file (an id that is not a string or an
             int, a spec that is not an object or null or that fails
             ``SplitSpec.from_json_dict`` or ``validated``, a provenance that
-            is not an object) or overlapping partitions; the message starts
-            with the path.
+            is not an object) or an id listed twice, in one partition or in
+            two, which it names; the message starts with the path.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -428,7 +428,8 @@ def import_split(path: str | Path, dataset: Dataset) -> Split:
         raise SplitFileError(f"cannot read split file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise SplitFileError(f"{path}: split file must be a JSON object")
-    for key in ("train_ids", "dev_ids", "test_ids"):
+    keys = ("train_ids", "dev_ids", "test_ids")
+    for key in keys:
         if not isinstance(raw.get(key), list):
             raise SplitFileError(f"{path}: missing or non-list {key}")
         for rid in raw[key]:
@@ -439,13 +440,15 @@ def import_split(path: str | Path, dataset: Dataset) -> Split:
     if not isinstance(raw.get("provenance", {}), dict):
         raise SplitFileError(f"{path}: provenance must be an object")
 
-    parts = [[str(x) for x in raw[key]] for key in ("train_ids", "dev_ids", "test_ids")]
-    seen: set[str] = set()
-    for ids in parts:
+    parts = [[str(x) for x in raw[key]] for key in keys]
+    seen: dict[str, str] = {}  # id -> the partition that lists it
+    for key, ids in zip(keys, parts):
         for rid in ids:
             if rid in seen:
-                raise SplitFileError(f"{path}: id {rid} appears in more than one partition")
-            seen.add(rid)
+                first = seen[rid]
+                where = f"more than once in {key}" if first == key else f"in both {first} and {key}"
+                raise SplitFileError(f"{path}: id {rid} appears {where}")
+            seen[rid] = key
 
     row_of = {r.id: row for row, r in enumerate(dataset.records)}
     rows = [[row_of[rid] for rid in ids if rid in row_of] for ids in parts]

@@ -369,13 +369,27 @@ def test_manifest_rejects_unknown_canonical_field():
 def test_manifest_from_json_file(tmp_path):
     path = write(
         tmp_path / "m.json",
-        json.dumps({"name": "demo", "labels": ["x", "y"], "fields": {"id": "tid"}}),
+        json.dumps({"labels": ["x", "y"], "fields": {"id": "tid"}}),
     )
     m = Manifest.from_json_file(path)
-    assert m.name == "demo"
     assert m.labels == ("x", "y")
     assert m.source_key("id") == "tid"
     assert m.source_key("text") == "text"
+
+
+def test_manifest_file_ignores_other_keys(tmp_path):
+    # keys other than labels and fields are ignored, "name" too: the
+    # loader names the dataset after its file
+    path = write(
+        tmp_path / "m.json",
+        json.dumps(
+            {"name": "demo", "source_notes": "n", "mystery": 1, "labels": ["real", "fake"]}
+        ),
+    )
+    m = Manifest.from_json_file(path)
+    assert m == Manifest(labels=("real", "fake"))
+    data = write(tmp_path / "corpus.jsonl", '{"id": "1", "text": "t", "label": "real"}\n')
+    assert load_jsonl(data, m).name == "corpus"
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from leakaudit.forest import (
     baseline_expected_macro_f1,
     fit_rows,
 )
-from leakaudit.idleak import digit_features
+from leakaudit.idleak import _pattern_tables
 
 
 def _plain_config(max_depth=None, min_samples_split=2, min_samples_leaf=1):
@@ -191,8 +191,9 @@ def test_bootstrapped_subsampled_forest_trees_match_exact_oracle():
 
 
 def _digits_and_labels(dataset, k):
-    X, kept = digit_features([r.id for r in dataset.records], k=k)
-    return X, [dataset.records[i].label for i in kept]
+    table, pattern_of = _pattern_tables([r.id for r in dataset.records], (k,))[k]
+    kept = np.flatnonzero(pattern_of >= 0)
+    return table[pattern_of[kept]], [dataset.records[i].label for i in kept.tolist()]
 
 
 # SHA-256 of to_json_str(), pinned from the recursive per-node trainer that

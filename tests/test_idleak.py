@@ -24,7 +24,7 @@ from leakaudit.data import Dataset, Record
 from leakaudit.errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
 from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.idleak import (
-    digit_features,
+    _pattern_tables,
     leakage_score,
     probe_splits,
     run_id_leak_suite,
@@ -58,49 +58,82 @@ def test_control_dataset_scores_none(control):
     assert report.leakage_score < 0.05
 
 
-def test_digit_features_basic():
-    X, kept = digit_features(["12345", "99", "54321"], k=3)
-    assert X.tolist() == [[1, 2, 3], [5, 4, 3]]
-    assert kept == [0, 2]
-    X1, kept1 = digit_features(["7", "88"], k=1)
-    assert X1.tolist() == [[7], [8]] and kept1 == [0, 1]
-    X0, kept0 = digit_features(["12"], k=5)
-    assert X0.shape == (0, 5) and kept0 == []
+def test_pattern_tables_basic():
+    table, pattern_of = _pattern_tables(["12345", "99", "54321"], (3,))[3]
+    assert table.tolist() == [[1, 2, 3], [5, 4, 3]]
+    assert pattern_of.tolist() == [0, -1, 1]
+    tables = _pattern_tables(["88", "7", "80"], (1, 2))
+    assert [(t.tolist(), p.tolist()) for t, p in tables.values()] == [
+        ([[7], [8]], [1, 0, 1]),
+        ([[8, 0], [8, 8]], [1, -1, 0]),
+    ]
+    table, pattern_of = _pattern_tables(["12"], (5,))[5]
+    assert table.shape == (0, 5) and pattern_of.tolist() == [-1]
 
 
-def _digit_rows_by_character(ids, k):
-    rows, kept = [], []
-    for i, id_str in enumerate(ids):
-        if len(id_str) >= k:
-            rows.append([int(c) for c in id_str[:k]])
-            kept.append(i)
-    return rows, kept
+def _pattern_tables_by_character(ids, k):
+    """The per-character oracle: a dict from each prefix to its row, in
+    sorted order, and each id's row or -1."""
+    row_of = {p: i for i, p in enumerate(sorted({i[:k] for i in ids if len(i) >= k}))}
+    table = [[int(c) for c in prefix] for prefix in row_of]
+    return table, [row_of[i[:k]] if len(i) >= k else -1 for i in ids]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     ids=st.lists(
-        st.one_of(st.integers(1, 2**63 - 1), st.integers(1, 999)).map(str), max_size=30
+        st.one_of(
+            st.integers(1, 2**63 - 1).map(str),
+            st.integers(1, 999).map(str),
+            # hand-built ids past int64: 19 to 25 digits
+            st.integers(10**18, 10**25 - 1).map(str),
+        ),
+        max_size=30,
     ),
-    k=st.integers(1, 20),
+    k_values=st.lists(st.integers(1, 27), min_size=1, max_size=4, unique=True),
 )
-def test_digit_features_matches_per_character_loop(ids, k):
-    X, kept = digit_features(ids, k)
-    rows, want_kept = _digit_rows_by_character(ids, k)
-    assert X.dtype == np.int64 and X.shape == (len(want_kept), k)
-    assert X.tolist() == rows
-    assert kept == want_kept
+def test_pattern_tables_match_per_character_oracle(ids, k_values):
+    tables = _pattern_tables(ids, tuple(k_values))
+    assert list(tables) == k_values
+    for k, (table, pattern_of) in tables.items():
+        want_table, want_pattern_of = _pattern_tables_by_character(ids, k)
+        assert table.dtype == np.int64 and table.shape == (len(want_table), k)
+        assert table.tolist() == want_table
+        assert pattern_of.dtype == np.int64 and pattern_of.tolist() == want_pattern_of
 
 
-def test_digit_features_rejects_bad_k_and_non_digit_ids():
-    with pytest.raises(ValueError):
-        digit_features(["123"], 0)
-    for bad in ("12a", "1 2", "\u0661\u0662\u0663", "1\x002"):
-        with pytest.raises(ValueError):
-            digit_features(["456", bad], 1)
+def test_pattern_tables_error_text():
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        _pattern_tables(["123"], (2, 0))
+    with pytest.raises(ValueError, match=r"^k values repeat: \[2, 3, 2\]$"):
+        _pattern_tables(["123"], (2, 3, 2))
     # a non-digit id is an error even when it is too short to be kept
-    with pytest.raises(ValueError):
-        digit_features(["456", "a"], 3)
+    for bad in ("12a", "1 2", "1\x002", "12\x00", "/", ":"):
+        with pytest.raises(ValueError, match="^ids must be strings of ASCII digits$"):
+            _pattern_tables(["456", bad], (3,))
+    with pytest.raises(UnicodeEncodeError):
+        _pattern_tables(["456", "\u0661\u0662\u0663"], (1,))
+
+
+def test_suite_errors_come_in_order_before_any_run_is_checked():
+    # every check below fails at once: k 0 repeats, an id is not digits,
+    # and the split's train is empty
+    ids = ["523456789012345678", "623456789012345678"]
+    ds = Dataset(
+        records=tuple(Record(id=i, text="t", label="x") for i in ids + ["12a"]),
+        label_set=LabelSet.of("x"),
+    )
+    split = split_of(ds, test_ids=ids)
+    for k_values, message in (
+        ((0, 0), r"^k must be >= 1, got 0$"),
+        ((3, 3), r"^k values repeat: \[3, 3\]$"),
+        ((3,), "^ids must be strings of ASCII digits$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_id_leak_suite([split], k_values, config=FAST)
+    ok = Dataset(records=ds.records[:2], label_set=ds.label_set)
+    with pytest.raises(EmptySplitError, match=r"^need non-empty train and test \(got 0/2\)$"):
+        run_id_leak_suite([split_of(ok, test_ids=ids)], (3,), config=FAST)
 
 
 SHORT_ID_ROWS = [
@@ -187,7 +220,7 @@ def test_label_outside_label_set_is_refused(bad_in):
 
 
 def test_non_digit_id_outside_the_split_is_refused():
-    # the probe parses every dataset id once per k, not only the split's
+    # the probe checks every dataset id, not only the split's
     ids = ["523456789012345678", "623456789012345678", "533456789012345678", "633456789012345678"]
     records = [Record(id=i, text="t", label=lab) for i, lab in zip(ids, "xyxy")]
     ds = Dataset(
@@ -199,18 +232,18 @@ def test_non_digit_id_outside_the_split_is_refused():
         run_id_leak_test(ds, split, k=3, config=FAST)
 
 
-def test_suite_parses_ids_once_per_k(leaky, monkeypatch):
+def test_suite_builds_the_byte_view_once(leaky, monkeypatch):
     calls = []
-    original = idleak_module.digit_features
+    original = idleak_module._pattern_tables
 
-    def counted(ids, k):
-        calls.append(k)
-        return original(ids, k)
+    def counted(ids, k_values):
+        calls.append((list(ids), tuple(k_values)))
+        return original(ids, k_values)
 
-    monkeypatch.setattr(idleak_module, "digit_features", counted)
+    monkeypatch.setattr(idleak_module, "_pattern_tables", counted)
     reports = run_id_leak_suite(probe_splits(leaky, n_splits=3), k_values=(2, 3), config=FAST)
     assert len(reports) == 6
-    assert calls == [2, 3]
+    assert calls == [([r.id for r in leaky.records], (2, 3))]
 
 
 def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):

@@ -577,6 +577,29 @@ def test_import_split_rejects_bad_files(tmp_path):
             import_split(typed, ds)
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ({"train_ids": ["1", "2", "1"]}, "id 1 appears more than once in train_ids"),
+        ({"test_ids": ["2", 2]}, "id 2 appears more than once in test_ids"),
+        ({"train_ids": ["1"], "test_ids": ["2", 1]}, "id 1 appears in both train_ids and test_ids"),
+        ({"dev_ids": ["2"], "test_ids": ["2"]}, "id 2 appears in both dev_ids and test_ids"),
+    ],
+)
+def test_import_split_names_the_partitions_of_a_repeated_id(tmp_path, parts, message):
+    ds = build_dataset(
+        [{"id": "1", "text": "t", "label": "a"}, {"id": "2", "text": "t", "label": "a"}],
+        labels=["a"],
+    )
+    path = tmp_path / "repeat.json"
+    path.write_text(
+        json.dumps({"train_ids": [], "dev_ids": [], "test_ids": [], **parts}), encoding="utf-8"
+    )
+    with pytest.raises(SplitFileError) as exc:
+        import_split(path, ds)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_presets_registry():
     registry = load_presets()
     assert set(registry) == PRESET_NAMES
