@@ -692,11 +692,15 @@ def test_module_entrypoint():
 # dataset positions: the split representation must not change a byte.
 # "inspect" and "rebalance-report" were pinned before the fingerprint's
 # n_violations became a constant and the reports' serializers became asdict.
+# The "-stdout" entries are what ``audit`` prints without --json, keyword
+# lines included, pinned before the keyword scan moved to one count table.
 PINNED = {
     "audit-generated": "0eb18492967747ec46e87c550b8d1d620cb6930449b57a7ceb7de5d88b3ec8fa",
     "split": "040ef6ae4032947311614ab1f12611a566b72e5ddd5f8af5aa1a5fbf2858c6ea",
     "split-duplicated": "4d31d04f28af2b94b3c35b1e5bf3cc54a8f793059378551ef0a4d6e464ab538b",
     "audit-duplicated": "2eea8e1a779e0f985958ed5983628b4818935482b7a7093ad82c12374e155e4c",
+    "audit-generated-stdout": "23d13cf9bcb80689733c1903876e8608c76dcd8a9092c3ca2b8076922f95b0d3",
+    "audit-duplicated-stdout": "b09dc27d55a4d7385515d71e03d9b2946434a90bd6562f966a7c72a6921a1c4c",
     "eval": "e526471a06568261b7322104dc34b9dec63122bd95ee87371af81ebf58bfb5ed",
     "inspect": "7aa9f9ef20b1644e5c0e023f75e787b13d767cbda0282426d2deada82a4f7755",
     "rebalance-report": "a7d1a7f7e20ccc340b78d432bfc69ed30de12eb7efaa1a1055391a4b8a29bb38",
@@ -707,12 +711,17 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _stdout_sha256(argv, capsys):
+    capsys.readouterr()
+    main(argv)
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 def test_audit_bundle_with_generated_splits_is_pinned(env, capsys):
+    argv = ["audit", str(env["leaky"]), "--labels", LABELS, "--k", "2,3", "--n-splits", "2"]
+    assert _stdout_sha256(argv, capsys) == PINNED["audit-generated-stdout"]
     bundle_path = env["root"] / "bundle-pinned.json"
-    assert main([
-        "audit", str(env["leaky"]), "--labels", LABELS,
-        "--k", "2,3", "--n-splits", "2", "--json", str(bundle_path),
-    ]) == 2
+    assert main(argv + ["--json", str(bundle_path)]) == 2
     capsys.readouterr()
     assert _sha256(bundle_path) == PINNED["audit-generated"]
 
@@ -747,11 +756,10 @@ def test_audit_bundle_with_split_and_contamination_is_pinned(env, duplicated, ca
     assert main([
         "split", str(duplicated), "--labels", LABELS, "--seed", "4", "--out", str(split_path),
     ]) == 0
+    argv = ["audit", str(duplicated), "--labels", LABELS, "--split", str(split_path), "--k", "2,3"]
+    assert _stdout_sha256(argv, capsys) == PINNED["audit-duplicated-stdout"]
     bundle_path = env["root"] / "bundle-duplicated.json"
-    assert main([
-        "audit", str(duplicated), "--labels", LABELS, "--split", str(split_path),
-        "--k", "2,3", "--json", str(bundle_path),
-    ]) == 2
+    assert main(argv + ["--json", str(bundle_path)]) == 2
     capsys.readouterr()
     worst = read_json(bundle_path)["contamination"]["worst"]
     assert {p["kind"] for p in worst} == {"exact", "near"}
