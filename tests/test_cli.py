@@ -6,6 +6,7 @@ leakaudit/schemas/, so the schemas are part of the tested contract.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,37 @@ def test_audit_without_json_writes_no_file(env, tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "[FAIL] worst id-leak score" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_audit_keyword_lines_ignore_a_label_no_record_carries(env, capsys):
+    def keyword_lines(labels):
+        assert main(["audit", str(env["leaky"]), "--labels", labels,
+                     "--k", "2", "--n-splits", "1", "--skip-duplicates"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(out) if line.startswith("keyword scan:"))
+        return out[start:next(i for i, line in enumerate(out) if line.startswith("["))]
+
+    lines = keyword_lines(LABELS)
+    assert len(lines) == 26
+    assert keyword_lines(LABELS + ",satire") == lines
+    assert keyword_lines("satire," + LABELS) == lines
+
+
+def test_audit_bundle_does_not_depend_on_the_hash_seed(env, tmp_path):
+    # the children import the package these tests import
+    src = str(Path(leakaudit.__file__).resolve().parents[1])
+    bundles = []
+    for hash_seed in ("0", "1"):
+        bundle_path = tmp_path / f"bundle-{hash_seed}.json"
+        environ = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakaudit", "audit", str(env["leaky"]), "--labels", LABELS,
+             "--k", "2", "--n-splits", "1", "--json", str(bundle_path)],
+            env=environ, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        bundles.append(bundle_path.read_bytes())
+    assert bundles[0] == bundles[1]
 
 
 def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
