@@ -5,6 +5,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -13,19 +14,23 @@ from hypothesis import strategies as st
 from leakaudit import LabelSet, Manifest, build_dataset, load_jsonl
 from leakaudit.data import (
     CANONICAL_FIELDS,
+    CHUNK_SIZE,
     Dataset,
     Record,
+    _chunk_builder,
+    _record_builder,
     label_distribution,
     load_csv,
     save_jsonl,
 )
 from leakaudit.errors import (
     DuplicateIdError,
+    LeakAuditError,
     RecordParseError,
     SchemaError,
     UnknownLabelError,
 )
-from leakaudit.snowflake import parse_id
+from leakaudit.snowflake import MAX_ID, parse_id
 
 MANIFEST = Manifest(labels=("real", "fake"))
 
@@ -157,6 +162,26 @@ BAD_LINES = {
         UnknownLabelError,
         "line 2: label ['real'] not in manifest labels ['real', 'fake']",
     ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": Infinity}': (
+        RecordParseError,
+        "line 2: reply_count is not an integer: inf",
+    ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": 1e400}': (
+        RecordParseError,
+        "line 2: reply_count is not an integer: inf",
+    ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": NaN}': (
+        RecordParseError,
+        "line 2: reply_count is not an integer: nan",
+    ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": true}': (
+        RecordParseError,
+        "line 2: reply_count is not an integer: True",
+    ),
+    '{"id": "1", "text": "x", "label": "real", "reply_count": 3.7}': (
+        RecordParseError,
+        "line 2: reply_count is not an integer: 3.7",
+    ),
 }
 
 
@@ -170,6 +195,19 @@ def test_load_jsonl_rejects_bad_lines(tmp_path, line, error):
         load_jsonl(path, MANIFEST)
     assert type(exc.value) is error
     assert str(exc.value) == BAD_LINES[line][1]
+
+
+def test_load_jsonl_accepts_integral_reply_counts(tmp_path):
+    path = write(
+        tmp_path / "replies.jsonl",
+        "".join(
+            f'{{"id": "{i}", "text": "x", "label": "real", "reply_count": {value}}}\n'
+            for i, value in enumerate(["7", "3.0", '"12"', "0", "1e3", "null", '""'], start=1)
+        ),
+    )
+    counts = [r.reply_count for r in load_jsonl(path, MANIFEST).records]
+    assert counts == [7, 3, 12, 0, 1000, None, None]
+    assert all(type(c) is int for c in counts[:5])
 
 
 def test_load_jsonl_rejects_one_trailing_character_on_the_last_line(tmp_path):
@@ -241,6 +279,81 @@ def test_load_jsonl_reports_a_bad_line_before_an_earlier_duplicate(tmp_path):
     with pytest.raises(UnknownLabelError) as exc:
         load_jsonl(path, MANIFEST)
     assert str(exc.value) == "line 4: label 'nope' not in manifest labels ['real', 'fake']"
+
+
+def _plain_lines(n, start=1):
+    return [json.dumps({"id": str(start + i), "text": "t", "label": "real"}) for i in range(n)]
+
+
+def test_load_jsonl_reports_a_bad_record_at_a_chunk_end_before_the_next_json_error(tmp_path):
+    # the bad record ends one chunk, the unreadable line opens the next
+    bad = '{"id": "01", "text": "t", "label": "real"}'
+    lines = _plain_lines(CHUNK_SIZE - 1) + [bad, "not json"]
+    path = write(tmp_path / "edge.jsonl", "\n".join(lines) + "\n")
+    with pytest.raises(RecordParseError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == f"line {CHUNK_SIZE}: id has a leading zero: '01'"
+
+
+def test_load_jsonl_reports_a_bad_record_before_a_later_json_error_in_its_chunk(tmp_path):
+    lines = _plain_lines(3) + ['{"id": "9", "text": "t", "label": "nope"}'] + _plain_lines(5, 10)
+    path = write(tmp_path / "mixed.jsonl", "\n".join(lines + ["[1, 2]", "not json"]) + "\n")
+    with pytest.raises(UnknownLabelError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 4: label 'nope' not in manifest labels ['real', 'fake']"
+
+
+def test_load_jsonl_reports_a_json_error_after_full_chunks(tmp_path):
+    lines = _plain_lines(2 * CHUNK_SIZE + 1) + ["not json"]
+    path = write(tmp_path / "late.jsonl", "\n".join(lines) + "\n")
+    with pytest.raises(RecordParseError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == (
+        f"line {2 * CHUNK_SIZE + 2}: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    )
+
+
+def test_load_jsonl_finds_duplicates_across_chunks(tmp_path):
+    lines = _plain_lines(CHUNK_SIZE + 5) + [json.dumps({"id": "3", "text": "t", "label": "fake"})]
+    path = write(tmp_path / "dup.jsonl", "\n".join(lines) + "\n")
+    with pytest.raises(DuplicateIdError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == f"line {CHUNK_SIZE + 6}: id 3 already seen on line 3"
+
+
+def test_loaded_records_are_immutable(tmp_path):
+    path = write(
+        tmp_path / "d.jsonl",
+        '{"id": "4211941865", "text": "plain", "label": "real"}\n'
+        '{"id": "4211941866", "text": "extra", "label": "fake", "lang": "en"}\n',
+    )
+    plain, extra = load_jsonl(path, MANIFEST).records
+    with pytest.raises(AttributeError):
+        plain.text = "changed"
+    with pytest.raises(AttributeError):
+        extra.timestamp_ms = 0
+    with pytest.raises(TypeError):
+        extra.extra["lang"] = "de"
+    # records without extras share the default's one empty read-only mapping
+    assert plain.extra is Record(id="1", text="t", label="real").extra
+    assert plain.extra == {} and isinstance(plain.extra, MappingProxyType)
+    assert plain == Record("4211941865", "plain", "real", timestamp_ms=1288834975661)
+
+
+def test_loaders_skip_a_leading_byte_order_mark(tmp_path):
+    bom = "\ufeff"
+    jsonl = write(tmp_path / "bom.jsonl", bom + '{"id": "1", "text": "t", "label": "real"}\n')
+    assert [r.id for r in load_jsonl(jsonl, MANIFEST).records] == ["1"]
+    csv_path = tmp_path / "bom.csv"
+    csv_path.write_bytes((bom + "id,text,label\r\n1,t,real\r\n").encode("utf-8"))
+    assert [r.id for r in load_csv(csv_path, MANIFEST).records] == ["1"]
+    manifest = write(tmp_path / "m.json", bom + json.dumps({"labels": ["real", "fake"]}))
+    assert Manifest.from_json_file(manifest) == MANIFEST
+    # a byte order mark anywhere else is data, and fails as it did
+    later = write(tmp_path / "later.csv", "id,text,label\n" + bom + "1,t,real\n")
+    with pytest.raises(RecordParseError) as exc:
+        load_csv(later, MANIFEST)
+    assert str(exc.value) == "line 2: id is not a decimal string: '\\ufeff1'"
 
 
 def test_load_jsonl_duplicate_id(tmp_path):
@@ -331,6 +444,15 @@ def test_load_csv_error_text(tmp_path, content, error, message):
         load_csv(path, MANIFEST)
     assert type(exc.value) is error
     assert str(exc.value) == message.format(path=path)
+
+
+def test_load_csv_reports_a_bad_row_before_a_later_unreadable_row(tmp_path):
+    # a field over the csv module's size limit cannot be read at all
+    too_long = "x" * (csv.field_size_limit() + 1)
+    path = write(tmp_path / "big.csv", f"id,text,label\n1,a,nope\n2,{too_long},real\n")
+    with pytest.raises(UnknownLabelError) as exc:
+        load_csv(path, MANIFEST)
+    assert str(exc.value) == "line 2: label 'nope' not in manifest labels ['real', 'fake']"
 
 
 def test_load_csv_field_mapping(tmp_path):
@@ -527,6 +649,98 @@ def test_csv_load_round_trip_property(rows):
         assert record.id == str(row["id"])
         assert record.reply_count == row["reply_count"]
         assert record.event == (row["event"] or None)
+
+
+# Manifests for the chunk builder property: the default keys, renamed keys,
+# an optional field read from a required column, and two required fields
+# read from one column.
+_CHUNK_MANIFESTS = (
+    MANIFEST,
+    Manifest(labels=("real", "fake"), fields={"id": "tweet_id", "text": "body"}),
+    Manifest(labels=("real", "fake"), fields={"event": "text"}),
+    Manifest(labels=("real", "fake"), fields={"text": "id"}),
+)
+_good_ids = st.integers(1, MAX_ID).map(str)
+_good_labels = st.sampled_from(("real", "fake"))
+# each fault gives one required field a value that is not plain
+_FAULTS = {
+    "long id": (
+        "id",
+        st.integers(10**17, 10**20).map(str) | st.integers(MAX_ID - 2**12, MAX_ID + 2**12).map(str),
+    ),
+    "leading zero": ("id", st.integers(0, 10**17).map(lambda value: "0" + str(value))),
+    "odd id": (
+        "id",
+        st.text("0123456789٣１", max_size=21)  # with non-ASCII digits
+        | st.sampled_from(["", "٣", "+5", "-5", " 5", "5 ", "1_000", "12\x00", "\x00"]),
+    ),
+    "id type": ("id", st.integers(-5, 2**64) | st.booleans() | st.floats() | st.none()),
+    "text": ("text", st.integers() | st.none() | st.just(["t"])),
+    "label": (
+        "label",
+        st.sampled_from(("satire", "", "REAL")) | st.just(["real"]) | st.just({"real": 1})
+        | st.integers(),
+    ),
+}
+_reply_counts = st.one_of(
+    st.none(),
+    st.integers(-3, 2**40),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(["", "12", " 7", "x", "٣", "-1"]),
+)
+
+
+@st.composite
+def _chunk_rows(draw, manifest):
+    """Raw rows for ``manifest``. Each row starts plain, and most get one
+    fault: an id, text or label that is not plain, a missing required
+    field, or a mapping that is not a dict. Optional fields and an extra
+    key come and go."""
+    keys = dict(zip(CANONICAL_FIELDS, map(manifest.source_key, CANONICAL_FIELDS)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = {keys["id"]: draw(_good_ids), keys["text"]: draw(_texts),
+               keys["label"]: draw(_good_labels)}
+        fault = draw(st.sampled_from(("none", *_FAULTS, "missing", "mapping")))
+        if fault in _FAULTS:
+            field, values = _FAULTS[fault]
+            row[keys[field]] = draw(values)
+        elif fault == "missing":
+            del row[keys[draw(st.sampled_from(("id", "text", "label")))]]
+        for key, values in (
+            (keys["event"], _optional_text),
+            (keys["article_id"], _optional_text),
+            (keys["reply_count"], _reply_counts),
+            ("note", _json_values),
+        ):
+            if draw(st.integers(0, 7)) == 0:
+                row[key] = draw(values)
+        rows.append(MappingProxyType(row) if fault == "mapping" else row)
+    return rows
+
+
+def _outcome(build):
+    """The records ``build()`` gives, or the type and text of its error."""
+    try:
+        return build()
+    except LeakAuditError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_chunk_builder_matches_the_record_builder(data):
+    manifest = data.draw(st.sampled_from(_CHUNK_MANIFESTS))
+    chunk = list(enumerate(data.draw(_chunk_rows(manifest)), start=1))
+    build = _record_builder(manifest)
+    expected = _outcome(lambda: [build(raw, line) for line, raw in chunk])
+    got = _outcome(lambda: _chunk_builder(manifest)(chunk))
+    assert got == expected
+    if isinstance(got, list):
+        assert [[type(value) for value in r] for r in got] == [
+            [type(value) for value in r] for r in expected
+        ]
 
 
 def test_load_csv_keeps_extra_columns(tmp_path):
