@@ -28,7 +28,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -43,7 +42,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .snowflake import MAX_ID, TIMESTAMP_SHIFT, TWITTER_EPOCH_MS, parse_id, timestamp_of
+from .snowflake import parse_id, parse_ids, timestamp_of, timestamps_of
 
 CANONICAL_FIELDS = ("id", "text", "label", "event", "article_id", "reply_count")
 REQUIRED_FIELDS = ("id", "text", "label")
@@ -104,8 +103,10 @@ class Record(NamedTuple):
     ``timestamp_ms`` is derived from the id at load time (None when the id
     carries no snowflake timestamp); it is never read from the input file.
     ``extra`` holds source columns outside the canonical schema so loaders
-    round-trip without loss. The loaders give it as a read-only mapping,
-    and its default is one shared, empty, read-only mapping.
+    round-trip without loss: a dict of the record's own, or the default,
+    one shared, empty, read-only mapping. The own dict is not wrapped
+    read-only: a wrapper is one more object per record for the cyclic
+    garbage collector to scan.
     """
 
     id: str
@@ -210,7 +211,7 @@ def _parse_reply_count(value: object, line: int) -> int | None:
         raise RecordParseError(f"reply_count is not an integer: {value!r}", line)
     try:
         count = int(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise RecordParseError(f"reply_count is not an integer: {value!r}", line) from None
     if count < 0:
         raise RecordParseError(f"reply_count is negative: {count}", line)
@@ -258,36 +259,10 @@ def _record_builder(manifest: Manifest) -> Callable[[Mapping[str, object], int],
             article_id=str(article_id) if article_id not in (None, "") else None,
             reply_count=_parse_reply_count(raw.get(reply_key), line),
             timestamp_ms=timestamp_of(id_int),
-            extra=MappingProxyType(extra) if extra else _NO_EXTRA,
+            extra=extra if extra else _NO_EXTRA,
         )
 
     return build
-
-
-# a plain id has at most this many digits, so its value is exact in uint64
-_ID_DIGITS = 19
-_PLACE_VALUES = 10 ** np.arange(_ID_DIGITS - 1, -1, -1, dtype=np.uint64)
-
-
-def _plain_ids(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Which of ``ids``, ASCII strings of 1 to 19 characters, are canonical
-    ids, and each one's value (meaningless where it is not).
-
-    The ids are zero-filled on the left into one fixed-width byte view, so
-    each row reads as the digits of a 19-digit number; a sign, which
-    ``str.zfill`` moves to the front, fails the digit check.
-    """
-    width = _ID_DIGITS
-    view = np.frombuffer("".join(map(str.zfill, ids, repeat(width))).encode("ascii"), np.uint8)
-    digits = view.reshape(-1, width) - np.uint8(ord("0"))  # bytes below '0' wrap above 9
-    first = width - np.fromiter(map(len, ids), np.int64, len(ids))
-    values = digits @ _PLACE_VALUES
-    plain = (
-        np.all(digits <= 9, axis=1)
-        & (digits[np.arange(len(ids)), first] != 0)
-        & (values <= MAX_ID)
-    )
-    return plain, values
 
 
 # A chunk's raw rows are alive together, so a bigger chunk raises peak
@@ -304,9 +279,8 @@ def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
 
     Column checks over the chunk mark its plain rows: a dict with exactly
     the required keys, a ``str`` text, a ``str`` label in the manifest, and
-    an id that is a ``str`` of 1 to 19 ASCII digits, no leading zero, at
-    most 2**63 - 1 (``_plain_ids``). A plain row is built with one
-    ``tuple.__new__``, its timestamp taken from one vectorized shift of the
+    a ``str`` id that ``parse_ids`` accepts. A plain row is built with one
+    ``tuple.__new__``, its timestamp taken from ``timestamps_of`` over the
     chunk's id values. Every other row goes through the record builder,
     which raises on the first broken rule; plain rows never raise, so the
     first bad line of the chunk is the one reported.
@@ -327,20 +301,18 @@ def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
         ] if fast else []
         rows = [
             row for row in keyed
-            if type(row[1]) is str and 0 < len(row[1]) <= _ID_DIGITS and row[1].isascii()
-            and type(row[2]) is str and type(row[3]) is str and row[3] in labels
+            if type(row[1]) is str and type(row[2]) is str and type(row[3]) is str
+            and row[3] in labels
         ]
         records: list[Record | None] = [None] * len(chunk)
         if rows:
-            plain, values = _plain_ids([row[1] for row in rows])
-            offsets = (values >> np.uint64(TIMESTAMP_SHIFT)).astype(np.int64)
-            stamps = (offsets + TWITTER_EPOCH_MS).tolist()
-            for (i, id_str, text, label), is_plain, offset, stamp in zip(
-                rows, plain.tolist(), offsets.tolist(), stamps
+            plain, values = parse_ids([row[1] for row in rows])
+            for (i, id_str, text, label), is_plain, stamp in zip(
+                rows, plain.tolist(), timestamps_of(values)
             ):
                 if is_plain:
                     records[i] = new(Record, (
-                        id_str, text, label, None, None, None, stamp if offset else None, _NO_EXTRA,
+                        id_str, text, label, None, None, None, stamp, _NO_EXTRA,
                     ))
         for i, record in enumerate(records):
             if record is None:

@@ -11,14 +11,19 @@ time, and the leading decimal digits of an id are a coarse clock. Ids from
 the sequential era (before the scheme) have a zero timestamp field and are
 rejected rather than decoded to nonsense.
 
-``parse_id`` is the one id rule and ``timestamp_of`` the one decoding rule,
-on an already parsed value; the loaders parse each id once and decode that
-value, and ``decode_timestamp`` composes the two.
+The id rule and the decoding rule live here only. ``parse_id`` and
+``timestamp_of`` apply them to one value; ``parse_ids`` and
+``timestamps_of`` apply them to a column at once, for the loaders' plain
+rows. The loaders parse each id once and decode that value, and
+``decode_timestamp`` composes the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .errors import IdParseError, PreSnowflakeIdError
 
@@ -26,6 +31,9 @@ TWITTER_EPOCH_MS = 1288834974657
 # worker (10 bits) and sequence (12 bits) sit below the timestamp field
 TIMESTAMP_SHIFT = 22
 MAX_ID = 2**63 - 1
+# MAX_ID has 19 digits, so a canonical id's value is exact in uint64
+_ID_DIGITS = len(str(MAX_ID))
+_PLACE_VALUES = 10 ** np.arange(_ID_DIGITS - 1, -1, -1, dtype=np.uint64)
 
 
 def parse_id(id_str: str) -> int:
@@ -48,6 +56,33 @@ def parse_id(id_str: str) -> int:
     return value
 
 
+def parse_ids(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``parse_id`` over a list of strings at once: a bool mask of the ids
+    it accepts, and each accepted id's value as uint64 (meaningless where
+    the mask is False).
+
+    The ids are zero-filled on the left into one fixed-width byte view, so
+    each row reads as the digits of a 19-digit number. A sign, which
+    ``str.zfill`` moves to the front, and a non-ASCII character, encoded as
+    ``?``, fail the digit check; an empty id, or one longer than 19
+    characters, reads as zeros and fails the leading-digit check.
+    """
+    width = _ID_DIGITS
+    lengths = np.fromiter(map(len, ids), np.int64, len(ids))
+    if lengths.max(initial=0) > width:
+        ids = [s if len(s) <= width else "" for s in ids]
+    text = "".join(map(str.zfill, ids, repeat(width))).encode("ascii", "replace")
+    digits = np.frombuffer(text, np.uint8).reshape(-1, width) - np.uint8(ord("0"))  # bytes below '0' wrap above 9
+    first = width - np.clip(lengths, 1, width)
+    values = digits @ _PLACE_VALUES
+    accepted = (
+        np.all(digits <= 9, axis=1)
+        & (digits[np.arange(len(ids)), first] != 0)
+        & (values <= MAX_ID)
+    )
+    return accepted, values
+
+
 def timestamp_of(value: int) -> int | None:
     """Creation time, in unix milliseconds, of a parsed id value; None when
     its timestamp field is zero (a sequential-era id).
@@ -57,6 +92,13 @@ def timestamp_of(value: int) -> int | None:
     """
     offset = value >> TIMESTAMP_SHIFT
     return offset + TWITTER_EPOCH_MS if offset else None
+
+
+def timestamps_of(values: np.ndarray) -> list[int | None]:
+    """``timestamp_of`` over an array of parsed id values at once."""
+    offsets = (values >> np.uint64(TIMESTAMP_SHIFT)).astype(np.int64)
+    stamps = (offsets + TWITTER_EPOCH_MS).tolist()
+    return [stamp if offset else None for offset, stamp in zip(offsets.tolist(), stamps)]
 
 
 def decode_timestamp(id_str: str) -> int:

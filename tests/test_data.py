@@ -332,11 +332,12 @@ def test_loaded_records_are_immutable(tmp_path):
         plain.text = "changed"
     with pytest.raises(AttributeError):
         extra.timestamp_ms = 0
-    with pytest.raises(TypeError):
-        extra.extra["lang"] = "de"
+    assert extra.extra == {"lang": "en"}
     # records without extras share the default's one empty read-only mapping
     assert plain.extra is Record(id="1", text="t", label="real").extra
     assert plain.extra == {} and isinstance(plain.extra, MappingProxyType)
+    with pytest.raises(TypeError):
+        plain.extra["lang"] = "de"
     assert plain == Record("4211941865", "plain", "real", timestamp_ms=1288834975661)
 
 
@@ -660,7 +661,8 @@ _CHUNK_MANIFESTS = (
     Manifest(labels=("real", "fake"), fields={"event": "text"}),
     Manifest(labels=("real", "fake"), fields={"text": "id"}),
 )
-_good_ids = st.integers(1, MAX_ID).map(str)
+# small ids have a zero timestamp field
+_good_ids = (st.integers(1, 1 << 23) | st.integers(1, MAX_ID)).map(str)
 _good_labels = st.sampled_from(("real", "fake"))
 # each fault gives one required field a value that is not plain
 _FAULTS = {

@@ -5,6 +5,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leakaudit import (
     TWITTER_EPOCH_MS,
@@ -14,7 +16,7 @@ from leakaudit import (
     try_decode_timestamp,
 )
 from leakaudit.errors import IdParseError, PreSnowflakeIdError, RecordParseError
-from leakaudit.snowflake import parse_id
+from leakaudit.snowflake import MAX_ID, parse_id, parse_ids, timestamp_of, timestamps_of
 
 from _synth import snowflake_id
 
@@ -61,6 +63,32 @@ def test_parse_id_rejects_non_canonical(bad):
 def test_parse_id_accepts_bounds():
     assert parse_id("1") == 1
     assert parse_id(str(2**63 - 1)) == 2**63 - 1
+
+
+# ids near the rule's edges: digits that may lead with zeros, 18 to 20 digit
+# values around MAX_ID, signs and blanks, non-ASCII digits and lone surrogates
+_ID_STRINGS = st.one_of(
+    st.text(alphabet="0123456789", max_size=21),
+    st.integers(-1, 3 * MAX_ID).map(str),
+    st.integers(MAX_ID - 10**4, MAX_ID + 10**4).map(str),
+    st.integers(0, 1 << 23).map(str),
+    st.text(alphabet="0123456789 +-.e\u0663\u00b2\ud800", max_size=21),
+    st.text(max_size=21),
+)
+
+
+@given(st.lists(_ID_STRINGS, max_size=40))
+def test_parse_ids_and_timestamps_of_match_the_scalar_rules(ids):
+    accepted, values = parse_ids(ids)
+    stamps = timestamps_of(values)
+    for id_str, ok, value, stamp in zip(ids, accepted.tolist(), values.tolist(), stamps):
+        try:
+            want = parse_id(id_str)
+        except IdParseError:
+            assert not ok, id_str
+            continue
+        assert ok, id_str
+        assert (value, stamp) == (want, timestamp_of(want))
 
 
 def test_decode_random_ids():
