@@ -39,17 +39,17 @@ counts the (node, feature, present value, label) weights of all those
 nodes with one sort and one bincount, scores every boundary together, and
 partitions every split node's patterns with one stable sort. The counts
 are sparse, so a step's work follows the rows times the features it
-evaluates, never a column's number of distinct values. Since each tree
-still visits its nodes in preorder and reads its own substream, the trees
-are exactly those a node-by-node recursion grows.
+evaluates, never a column's number of distinct values. The trees' stacks,
+the node tables and the order streams are arrays too, each updated once
+per step for all trees, and each stream draws its orders in doubling
+blocks. Since each tree still visits its nodes in preorder and reads its
+own substream, the trees are exactly those a node-by-node recursion grows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping
 
@@ -75,19 +75,17 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if isinstance(self.max_features, str):
-            if self.max_features not in ("sqrt", "all"):
-                raise ValueError(f"max_features must be 'sqrt', 'all', or an int")
-        elif self.max_features < 1:
-            raise ValueError(f"max_features must be >= 1, got {self.max_features}")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        for name, lowest, also in (
+            ("n_trees", 1, ""), ("max_depth", 1, " or None"),
+            ("max_features", 1, ", 'sqrt' or 'all'"),
+            ("min_samples_split", 2, ""), ("min_samples_leaf", 1, ""),
+        ):
+            value = getattr(self, name)
+            if value in {"max_depth": (None,), "max_features": ("sqrt", "all")}.get(name, ()):
+                continue
+            # a bool would read as 0 or 1, and a numpy integer would not serialize
+            if type(value) is not int or value < lowest:
+                raise ValueError(f"{name} must be an int >= {lowest}{also}, got {value!r}")
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -100,184 +98,151 @@ class ForestConfig:
 _BATCH_CELLS = 1 << 18  # (pattern, feature) cells one split search sorts at most
 _GROUP_ENTRIES = 1 << 18  # alive (tree, pattern) entries one lockstep group holds at most
 _PREDICT_CELLS = 1 << 15  # (row, tree) cells one prediction walk holds at most
+_FIRST_BLOCK = 32  # feature orders a stream draws first; each later block doubles it
 
-
-class _OrderStream:
-    """The feature orders of one tree substream, read by every tree that
-    starts from the same generator state: each reader's j-th order is the
-    j-th permutation drawn. An order is kept only while some reader still
-    growing has not read it."""
-
-    def __init__(self, rng: np.random.Generator, n_features: int, readers):
-        self.rng = rng
-        self.n_features = n_features
-        self.read = dict.fromkeys(readers, 0)  # orders each reader has read
-        self.kept: deque = deque()
-        self.first = 0  # stream position of kept[0]
-
-    def next(self, reader) -> np.ndarray:
-        j = self.read[reader]
-        self.read[reader] = j + 1
-        if j == self.first + len(self.kept):
-            # the reader furthest on draws; a lone reader keeps nothing
-            order = self.rng.permutation(self.n_features)
-            if len(self.read) == 1:
-                self.first += 1
-            else:
-                self.kept.append(order)
-            return order
-        order = self.kept[j - self.first]
-        if j == self.first:
-            self._trim()
-        return order
-
-    def finish(self, reader) -> None:
-        del self.read[reader]
-        self._trim()
-
-    def _trim(self) -> None:
-        lowest = min(self.read.values(), default=self.first + len(self.kept))
-        for _ in range(lowest - self.first):
-            self.kept.popleft()
-        self.first = lowest
+# a pending node's fields: pattern range, depth, the parent's child cell its id
+# goes to (-1 at a root), the pending node below it on its stack, label weights
+_START, _END, _DEPTH, _LINK, _BELOW, _W = range(6)
 
 
 class _LockstepGrower:
     """Grows a list of trees on the same patterns, one node per tree per step.
 
     Every tree's alive patterns (nonzero weight) sit in one flat array, and
-    each pending node owns a contiguous range of it. A step pops the next
-    node in preorder from every tree's stack, searches all their splits in
-    one batch and partitions the split ranges in place, so the per-node
-    Python cost of a recursive builder becomes a per-step cost shared by
-    all trees. Each tree reads its feature orders from its own stream in its
-    own preorder, so a tree does not depend on how many others grow beside
-    it.
+    each pending node owns a contiguous range of it. All bookkeeping is
+    array state, updated once per step for every tree: a tree's stack is
+    its ``top`` pending node plus a below link per pending node, in a table
+    whose columns are reused. A step pops every tree's top with one gather,
+    searches all their splits in one batch, partitions the split ranges in
+    place, numbers each forest's popped nodes on from its last into its row
+    of the node tables, which are its ForestModel arrays, and pushes the
+    (right, left) children of every split node at once.
+
+    Each stream draws its feature orders in blocks that double, the next
+    when a reader reaches its end; a tree's split candidates read its
+    stream's orders in turn, so no tree depends on the others beside it.
     """
 
-    def __init__(self, pat_X, pat_y, n_labels, config, alive, orders):
-        """alive[i] is tree i's (pattern indices, weights) over its nonzero
-        weights in pattern order; orders[i] is the _OrderStream it reads."""
+    def __init__(self, pat_X, pat_y, n_labels, config, flat_pat, flat_w, sizes, streams, stream_of):
+        """Tree i's alive patterns, in pattern order, and their weights are
+        the i-th run of ``sizes[i]`` entries of flat_pat and flat_w; it reads
+        the orders of the generator streams[stream_of[i]]."""
         self.K = n_labels
         self.config = config
-        self.orders = orders
         n_features = pat_X.shape[1]
         self.n_features = n_features
         self.max_eval = config.resolve_max_features(n_features)
         self.subsample = self.max_eval < n_features
         self.pat_y = pat_y
-        # rank codes: column f's distinct values get the consecutive codes
-        # offset_f .. offset_f + n_distinct_f - 1 in ascending value order
-        self.codes = np.empty(pat_X.shape, dtype=np.int64)
-        distinct = []
-        offset = 0
-        for f in range(n_features):
-            values, rank = np.unique(pat_X[:, f], return_inverse=True)
-            self.codes[:, f] = rank.reshape(-1) + offset
-            distinct.append(values)
-            offset += len(values)
-        self.n_codes = offset
-        self.value_of = np.concatenate(distinct)
-        self.feature_of = np.repeat(np.arange(n_features), [len(v) for v in distinct])
-        self.flat_pat = np.concatenate([pat for pat, _ in alive])
-        self.flat_w = np.concatenate([w for _, w in alive])
-        self.root_ends = np.cumsum([len(pat) for pat, _ in alive])
+        # rank codes: the distinct (column, value) pairs in ascending order,
+        # so column f's distinct values get consecutive codes by value
+        cells = np.stack((np.tile(np.arange(n_features), len(pat_X)), pat_X.reshape(-1)), 1)
+        pairs, rank = np.unique(cells, axis=0, return_inverse=True)
+        self.codes, self.n_codes = rank.reshape(pat_X.shape), len(pairs)
+        self.feature_of, self.value_of = pairs[:, 0], pairs[:, 1]
+        self.flat_pat, self.flat_w, self.sizes = flat_pat, flat_w, sizes
+        self.streams, self.stream_of = streams, stream_of
+        # orders[s, j] is stream s's j-th order; read[i] counts tree i's reads
+        self.orders = np.empty((len(streams), 0, n_features), dtype=np.min_scalar_type(n_features))
+        self.drawn = np.zeros(len(streams), dtype=np.int64)
+        self.read = np.zeros(len(sizes), dtype=np.int64)
 
     def grow(self) -> list[tuple]:
         """Grow every tree; return the ForestModel node arrays of each
         forest, tree i being tree ``i % config.n_trees`` of forest
         ``i // config.n_trees``."""
         K, config = self.K, self.config
-        n_trees = len(self.orders)
-        starts = np.concatenate([[0], self.root_ends[:-1]])
-        root_w = np.zeros((n_trees, K), dtype=np.int64)
-        tree_of = np.repeat(np.arange(n_trees), self.root_ends - starts)
-        np.add.at(root_w, (tree_of, self.pat_y[self.flat_pat]), self.flat_w)
-        # a pending node: (start, end, depth, parent node, is right child, label weights)
-        stacks = [
-            [(start, end, 0, -1, False, root_w[t])]
-            for t, (start, end) in enumerate(zip(starts.tolist(), self.root_ends.tolist()))
-        ]
-        # typed arrays, not lists of int objects: every tree's nodes stay in
-        # memory until the last tree finishes. Class counts are kept for
-        # leaves only, K per leaf.
-        tables = [
-            (array("q"), array("d"), array("q"), array("q"), array("q"))
-            for _ in range(n_trees // config.n_trees)
-        ]
+        n_trees, n_forests = len(self.sizes), len(self.sizes) // config.n_trees
+        ends = np.cumsum(self.sizes)
+        pending = np.zeros((_W + K, n_trees), dtype=np.int64)  # one column per pending node
+        pending[_START], pending[_END] = ends - self.sizes, ends
+        pending[_LINK] = pending[_BELOW] = -1
+        codes = np.repeat(np.arange(n_trees) * K, self.sizes) + self.pat_y[self.flat_pat]
+        pending[_W:] = np.bincount(codes, self.flat_w, n_trees * K).reshape(-1, K).T
+        top, live, free = np.arange(n_trees), np.arange(n_trees), np.empty(0, np.int64)
+        # row f of each table holds forest f's nodes, numbered from 0 as
+        # popped (its roots first, in tree order), or its leaves' counts;
+        # the capacities double as they fill, and features and node ids fit
+        # int32
+        feature, threshold = np.empty((n_forests, 0), np.int32), np.empty((n_forests, 0))
+        children = np.empty((n_forests, 0, 2), np.int32)
+        leaf_counts = np.empty((n_forests, 0, K), np.int64)
+        n_nodes, n_leaves = np.zeros(n_forests, np.int64), np.zeros(n_forests, np.int64)
 
-        while True:
-            live = [t for t in range(n_trees) if stacks[t]]
-            if not live:
-                break
-            popped = [stacks[t].pop() for t in live]
-            bounds = np.array([p[:3] for p in popped], dtype=np.int64)
-            label_w = np.array([p[5] for p in popped], dtype=np.int64)
+        while live.size:
+            slot = top[live]
+            popped = pending[:, slot]
+            top[live] = popped[_BELOW]
+            label_w = popped[_W:].T
             n = label_w.sum(axis=1)
             open_ = ((label_w > 0).sum(axis=1) > 1) & (n >= config.min_samples_split)
             if config.max_depth is not None:
-                open_ &= bounds[:, 2] < config.max_depth
-            split_feat = np.full(len(popped), -1, dtype=np.int64)
-            split_thr = np.zeros(len(popped), dtype=np.float64)
-            n_left = np.zeros(len(popped), dtype=np.int64)
-            left_w = np.zeros_like(label_w)
+                open_ &= popped[_DEPTH] < config.max_depth
+            split_feat, split_thr = np.full(len(live), -1, np.int64), np.zeros(len(live))
+            n_left, left_w = np.zeros(len(live), np.int64), np.zeros_like(label_w)
             cand = np.flatnonzero(open_)
             if cand.size:
-                # one feature order per split candidate, read in its tree's preorder
-                perms = (
-                    np.array([self.orders[live[j]].next(live[j]) for j in cand.tolist()])
-                    if self.subsample
-                    else None
-                )
+                perms = self._orders(live[cand]) if self.subsample else None
                 # batches of at most _BATCH_CELLS (pattern, feature) cells, a
                 # larger node alone, bound the memory of the batch's sort
-                cells = (bounds[cand, 1] - bounds[cand, 0]) * self.n_features
-                for part in _chunks(cells.tolist(), _BATCH_CELLS):
+                cells = (popped[_END, cand] - popped[_START, cand]) * self.n_features
+                for part in _chunks(cells, _BATCH_CELLS):
                     batch = cand[part]
-                    found = self._split(
-                        bounds[batch, 0],
-                        bounds[batch, 1],
-                        label_w[batch],
-                        None if perms is None else perms[part],
-                    )
+                    found = self._split(popped[_START, batch], popped[_END, batch], label_w[batch],
+                                        None if perms is None else perms[part])
                     split_feat[batch], split_thr[batch], n_left[batch], left_w[batch] = found
 
-            right_w = label_w - left_w
-            split_feat = split_feat.tolist()
-            for j, (t, (start, end, depth, parent, is_right, _)) in enumerate(zip(live, popped)):
-                feature, threshold, left, right, leaf_counts = tables[t // config.n_trees]
-                node = len(feature)
-                if parent >= 0:
-                    (right if is_right else left)[parent] = node
-                left.append(-1)
-                right.append(-1)
-                feature.append(split_feat[j])
-                if split_feat[j] < 0:
-                    threshold.append(0.0)
-                    leaf_counts.extend(label_w[j].tolist())
-                    if not stacks[t]:
-                        self.orders[t].finish(t)
-                    continue
-                threshold.append(float(split_thr[j]))
-                mid = start + int(n_left[j])
-                # right pushed first so the left child is popped next: each
-                # tree appends its nodes in preorder
-                stacks[t].append((mid, end, depth + 1, node, True, right_w[j]))
-                stacks[t].append((start, mid, depth + 1, node, False, left_w[j]))
+            forest, leaf = live // config.n_trees, split_feat < 0
+            node = _number(n_nodes, forest)
+            most = n_nodes.max()
+            feature, threshold, children = (_room(a, most) for a in (feature, threshold, children))
+            feature[forest, node], threshold[forest, node] = split_feat, split_thr
+            children[forest, node] = -1
+            linked = np.flatnonzero(popped[_LINK] >= 0)
+            children.reshape(n_forests, -1)[forest[linked], popped[_LINK, linked]] = node[linked]
+            leaf_row = _number(n_leaves, forest[leaf])
+            leaf_counts = _room(leaf_counts, n_leaves.max())
+            leaf_counts[forest[leaf], leaf_row] = label_w[leaf]
 
-        # the first step makes every tree's root, in tree order; the rest are
-        # numpy views of the typed arrays, not copies
+            # a split node's column becomes its right child, and a free
+            # column its left child, which its tree pops next
+            split = np.flatnonzero(~leaf)
+            free = np.concatenate((free, slot[leaf]))
+            if free.size < split.size:
+                grown = _room(pending, pending.shape[1] + split.size - free.size)
+                free = np.concatenate((free, np.arange(pending.shape[1], grown.shape[1])))
+                pending = grown
+            right_col, left_col, free = slot[split], free[: split.size], free[split.size :]
+            right = popped[:, split]
+            right[_DEPTH] += 1
+            left = right.copy()
+            left[_END] = right[_START] = right[_START] + n_left[split]
+            left[_LINK], right[_LINK] = 2 * node[split], 2 * node[split] + 1
+            left[_BELOW] = right_col
+            left[_W:] = left_w[split].T
+            right[_W:] -= left_w[split].T
+            pending[:, right_col], pending[:, left_col] = right, left
+            top[live[split]] = left_col
+            live = live[top[live] >= 0]
+
         return [
-            (
-                np.arange(config.n_trees),
-                np.frombuffer(feature, dtype=np.int64),
-                np.frombuffer(threshold, dtype=np.float64),
-                np.frombuffer(left, dtype=np.int64),
-                np.frombuffer(right, dtype=np.int64),
-                np.frombuffer(leaf_counts, dtype=np.int64).reshape(-1, K),
-            )
-            for feature, threshold, left, right, leaf_counts in tables
+            (np.arange(config.n_trees), feature[f, :n], threshold[f, :n],
+             children[f, :n, 0], children[f, :n, 1], leaf_counts[f, :n_leaf])
+            for f, (n, n_leaf) in enumerate(zip(n_nodes.tolist(), n_leaves.tolist()))
         ]
+
+    def _orders(self, readers) -> np.ndarray:
+        """The next feature order of each of the distinct trees ``readers``."""
+        stream, j = self.stream_of[readers], self.read[readers]
+        for s in sorted(set(stream[j >= self.drawn[stream]].tolist())):
+            have = int(self.drawn[s])
+            more = have or _FIRST_BLOCK
+            self.orders = _room(self.orders, have + more)
+            block = _order_block(self.streams[s], self.n_features, more)
+            self.orders[s, have : have + more] = block
+            self.drawn[s] += more
+        self.read[readers] = j + 1
+        return self.orders[stream, j]
 
     def _split(self, starts, ends, label_w, perms):
         """Best split of each node [starts[i], ends[i]) and its partition.
@@ -292,12 +257,11 @@ class _LockstepGrower:
         is equivalent to maximizing sum(left_count_k^2)/n_left +
         sum(right_count_k^2)/n_right, which keeps everything integral.
         """
-        K = self.K
-        m = len(starts)
+        K, m = self.K, len(starts)
         lengths = ends - starts
         seg = np.repeat(np.arange(m), lengths)
         seg_first = np.cumsum(lengths) - lengths
-        idx = np.arange(len(seg)) + np.repeat(starts - seg_first, lengths)
+        idx = _ranges(starts, lengths)
         pat = self.flat_pat[idx]
         w = self.flat_w[idx]
         codes = self.codes[pat]
@@ -311,10 +275,12 @@ class _LockstepGrower:
             in_order &= np.cumsum(in_order, axis=1) <= self.max_eval
             evaluated[rows, perms] = in_order
 
-        # sparse histogram of the evaluated (pattern, feature) cells: one row
-        # per (node, feature, present value), sorted in that order, and one
-        # column per label
-        cell, cell_feat = np.nonzero(evaluated[seg])
+        # sparse histogram of the evaluated (pattern, feature) cells, a pair
+        # (node, feature) taking its node's rows: one row per (node, feature,
+        # present value), sorted in that order, and one column per label
+        pair_seg, pair_feat = np.nonzero(evaluated)
+        cell = _ranges(seg_first[pair_seg], lengths[pair_seg])
+        cell_feat = np.repeat(pair_feat, lengths[pair_seg])
         groups, inverse = np.unique(
             seg[cell] * self.n_codes + codes[cell, cell_feat], return_inverse=True
         )
@@ -513,54 +479,88 @@ def fit_rows(rows, sets, label_set, config: ForestConfig) -> Iterator[ForestMode
 
     entries = [config.n_trees * int(np.count_nonzero(c)) for c in counts]
     for group in _chunks(entries, _GROUP_ENTRIES):
-        # the grower copies the alive entries into its flat arrays, and the
-        # per-tree arrays are freed before growth starts
         tables = _LockstepGrower(
-            pat_X, pat_y, K, config,
-            *_tree_copies(inverses[group], counts[group], config, rows.shape[1]),
+            pat_X, pat_y, K, config, *_tree_copies(inverses[group], counts[group], config)
         ).grow()
-        while tables:  # popped as yielded: a forest the caller lets go is freed
+        while tables:  # popped as yielded, so letting each forest go frees the group's tables
             yield ForestModel(config, label_set, rows.shape[1], *tables.pop(0))
 
 
-def _tree_copies(inverses, counts, config, n_features):
+def _tree_copies(inverses, counts, config):
     """Every tree of every set's forest, set-major: its alive patterns and
-    weights, and the order stream it reads.
+    weights as runs of two flat arrays, each run's length, and the order
+    streams with the one each tree reads.
 
     Tree t of all sets of one size shares one substream: one bootstrap
-    draw, from which each set's weights are counted and compressed at
-    once, and one order stream. Without bootstrap, size plays no part."""
-    n_trees = config.n_trees
+    draw, from which one bincount counts every such set's weights, each
+    set's codes offset by the pattern count, and one order stream. Without
+    bootstrap, size plays no part."""
+    n_trees, n_patterns = config.n_trees, len(counts[0])
     members: dict[int | None, list[int]] = {}
     for i, inverse in enumerate(inverses):
         members.setdefault(len(inverse) if config.bootstrap else None, []).append(i)
-    alive = [None] * (len(inverses) * n_trees)
-    orders = [None] * len(alive)
-    for t in range(n_trees):
-        for n, same in members.items():
+    tree, pat, w, streams = [], [], [], []
+    stream_of = np.empty(len(inverses) * n_trees, dtype=np.int64)
+    for n, same in members.items():
+        same = np.array(same)
+        weights = np.concatenate([counts[i] for i in same])  # each tree's, without bootstrap
+        if n is not None:
+            coded = np.stack([inverses[i] + k * n_patterns for k, i in enumerate(same)])
+        for t in range(n_trees):
             rng = _tree_rng(config.seed, t)
-            draw = None if n is None else rng.integers(0, n, size=n)
-            stream = _OrderStream(rng, n_features, [i * n_trees + t for i in same])
-            for i in same:
-                w = counts[i]
-                if draw is not None:
-                    w = np.bincount(inverses[i][draw], minlength=len(w))
-                nonzero = np.flatnonzero(w)
-                alive[i * n_trees + t] = (nonzero, w[nonzero])
-                orders[i * n_trees + t] = stream
-    return alive, orders
+            if n is not None:
+                drawn = np.take(coded, rng.integers(0, n, size=n), axis=1).reshape(-1)
+                weights = np.bincount(drawn, minlength=len(same) * n_patterns)
+            alive = np.flatnonzero(weights)
+            at_set, at_pat = np.divmod(alive, n_patterns)
+            tree.append(same[at_set] * n_trees + t)
+            pat.append(at_pat)
+            w.append(weights[alive])
+            stream_of[same * n_trees + t] = len(streams)
+            streams.append(rng)
+    tree = np.concatenate(tree)
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=len(stream_of))
+    return np.concatenate(pat)[order], np.concatenate(w)[order], sizes, streams, stream_of
 
 
-def _chunks(sizes: list[int], budget: int):
+def _order_block(rng, n_features: int, m: int) -> np.ndarray:
+    """The next m feature orders of ``rng``: the permutations, and the
+    generator state after, of m calls of ``rng.permutation(n_features)``."""
+    ids = np.arange(n_features, dtype=np.min_scalar_type(n_features))
+    return rng.permuted(np.repeat(ids[None], m, axis=0), axis=1)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _number(counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Number each key's items in sorted ``keys`` on from ``counts[key]``; advance ``counts``."""
+    numbers = counts[keys] + np.arange(len(keys)) - np.searchsorted(keys, keys)
+    counts += np.bincount(keys, minlength=len(counts))
+    return numbers
+
+
+def _room(a: np.ndarray, need: int) -> np.ndarray:
+    """``a``, or if its axis 1 holds fewer than ``need``, a copy with twice the room or more."""
+    if need <= a.shape[1]:
+        return a
+    grown = np.empty((len(a), max(2 * a.shape[1], need)) + a.shape[2:], dtype=a.dtype)
+    grown[:, : a.shape[1]] = a
+    return grown
+
+
+def _chunks(sizes, budget: int):
     """Cut consecutive items into slices whose sizes sum to at most
     ``budget``; a larger item forms a slice alone."""
-    lo, total = 0, 0
-    for i, size in enumerate(sizes):
-        if i > lo and total + size > budget:
-            yield slice(lo, i)
-            lo, total = i, 0
-        total += size
-    yield slice(lo, len(sizes))
+    ends, lo = np.cumsum(sizes), 0
+    while lo < len(ends):
+        spent = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, spent + budget, side="right")), lo + 1)
+        yield slice(lo, hi)
+        lo = hi
 
 
 # --- stratified random baseline -------------------------------------------

@@ -232,7 +232,7 @@ def read_prediction_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     preds: dict[str, str] = {}
     if path.suffix.lower() == ".csv":
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = csv_rows(fh)
             _, header = next(rows, (0, []))
             if not {"id", "label"} <= set(header):
@@ -246,7 +246,7 @@ def read_prediction_file(path: str | Path) -> dict[str, str]:
                     raise PredictionFileError(f"duplicate prediction for id {rid}", line_no)
                 preds[rid] = label
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

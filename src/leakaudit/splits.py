@@ -423,7 +423,7 @@ def import_split(path: str | Path, dataset: Dataset) -> Split:
             two, which it names; the message starts with the path.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SplitFileError(f"cannot read split file {path}: {exc}") from None
     if not isinstance(raw, dict):
@@ -504,7 +504,7 @@ def _read_presets(source: Path) -> dict[str, dict]:
     """The name -> entry map of one presets file, each entry holding a
     "spec" object."""
     try:
-        raw = json.loads(source.read_text(encoding="utf-8"))
+        raw = json.loads(source.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise SplitFileError(f"{source}: not valid JSON: {exc}") from exc
     presets = raw.get("presets", {}) if isinstance(raw, dict) else None

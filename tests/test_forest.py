@@ -190,6 +190,57 @@ def test_bootstrapped_subsampled_forest_trees_match_exact_oracle():
             _assert_tree_matches(tree, want, f"case {case} tree {t}")
 
 
+@pytest.mark.parametrize("first_block", [1, 4, None], ids=["block-1", "block-4", "default"])
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+def test_deep_forests_read_past_the_first_order_block(monkeypatch, bootstrap, first_block):
+    # unbounded trees on a noisy 5-digit table have more split candidates
+    # than a stream's first blocks of orders hold; the sets of 160 rows
+    # share their streams, the set of 100 reads its own
+    if first_block is not None:
+        monkeypatch.setattr(forest_module, "_FIRST_BLOCK", first_block)
+    rng = np.random.default_rng(5)
+    rows = np.unique(rng.integers(0, 10, size=(240, 5)), axis=0)
+    sets = [
+        (rng.integers(0, len(rows), size=n), rng.integers(0, 3, size=n)) for n in (160, 100, 160)
+    ]
+    label_set = LabelSet.of("a", "b", "c")
+    config = ForestConfig(n_trees=3, max_depth=None, max_features=2, bootstrap=bootstrap, seed=11)
+    together = list(fit_rows(rows, sets, label_set, config))
+    alone = [next(fit_rows(rows, [each], label_set, config)) for each in sets]
+    assert [m.to_json_str() for m in together] == [m.to_json_str() for m in alone]
+    most_splits = 0
+    for (row_of, y_idx), model in zip(sets, together):
+        for t, tree in enumerate(trees_of(model)):
+            stream = _tree_rng(config.seed, t)
+            n = len(row_of)
+            weights = [1] * n
+            if bootstrap:
+                weights = np.bincount(stream.integers(0, n, size=n), minlength=n).tolist()
+            want = oracle_tree(
+                rows[row_of].tolist(),
+                y_idx.tolist(),
+                3,
+                weights=weights,
+                feature_order=lambda: stream.permutation(5).tolist(),
+                max_eval=2,
+            )
+            _assert_tree_matches(tree, want, f"set of {n}, tree {t}")
+            most_splits = max(most_splits, int(np.count_nonzero(tree.feature >= 0)))
+    assert most_splits > forest_module._FIRST_BLOCK
+
+
+@pytest.mark.parametrize("n_features", range(1, 7))
+def test_order_blocks_draw_as_sequential_permutations(n_features):
+    # each stream's feature orders come in blocks from Generator.permuted;
+    # a numpy that draws them otherwise than one permutation at a time fails
+    # here, naming the cause, before the pinned digests
+    blocked, single = _tree_rng(9, n_features), _tree_rng(9, n_features)
+    for m in (1, 3, 16, 5, 32, 2):
+        block = forest_module._order_block(blocked, n_features, m)
+        assert block.tolist() == [single.permutation(n_features).tolist() for _ in range(m)]
+        assert blocked.bit_generator.state == single.bit_generator.state
+
+
 def _digits_and_labels(dataset, k):
     table, pattern_of = _pattern_tables([r.id for r in dataset.records], (k,))[k]
     kept = np.flatnonzero(pattern_of >= 0)
@@ -361,16 +412,33 @@ def test_vote_ties_go_to_lowest_label_index():
 
 
 def test_input_validation():
-    for bad in (
-        dict(n_trees=0),
-        dict(max_depth=0),
-        dict(max_features="most"),
-        dict(max_features=0),
-        dict(min_samples_split=1),
-        dict(min_samples_leaf=0),
+    features = "max_features must be an int >= 1, 'sqrt' or 'all', got"
+    for bad, message in (
+        (dict(n_trees=0), "n_trees must be an int >= 1, got 0"),
+        (dict(n_trees=2.5), "n_trees must be an int >= 1, got 2.5"),
+        (dict(n_trees=True), "n_trees must be an int >= 1, got True"),
+        (dict(max_depth=0), "max_depth must be an int >= 1 or None, got 0"),
+        (dict(max_depth=True), "max_depth must be an int >= 1 or None, got True"),
+        (dict(max_depth=3.0), "max_depth must be an int >= 1 or None, got 3.0"),
+        (dict(max_features="most"), f"{features} 'most'"),
+        (dict(max_features=0), f"{features} 0"),
+        (dict(max_features=True), f"{features} True"),
+        (dict(max_features=1.5), f"{features} 1.5"),
+        (dict(min_samples_split=1), "min_samples_split must be an int >= 2, got 1"),
+        (dict(min_samples_split=2.5), "min_samples_split must be an int >= 2, got 2.5"),
+        (dict(min_samples_leaf=0), "min_samples_leaf must be an int >= 1, got 0"),
+        (dict(min_samples_leaf=False), "min_samples_leaf must be an int >= 1, got False"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             ForestConfig(**bad)
+        assert str(exc.value) == message, bad
+
+
+def test_config_refuses_numpy_integers():
+    # the model's JSON holds the config, and json cannot write a numpy integer
+    for name in ("n_trees", "max_depth", "max_features", "min_samples_split", "min_samples_leaf"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+            ForestConfig(**{name: np.int64(3)})
 
 
 def test_resolve_max_features():
@@ -459,7 +527,7 @@ def test_group_budget_bounds_the_forests_grown_together(monkeypatch):
     grower = forest_module._LockstepGrower
 
     def counted(*args):
-        grown.append(len(args[5]))
+        grown.append(len(args[6]))  # one alive-entry count per tree
         return grower(*args)
 
     monkeypatch.setattr(forest_module, "_LockstepGrower", counted)

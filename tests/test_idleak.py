@@ -267,6 +267,8 @@ def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):
     assert len({r.n_train for r in reports}) == 1
     assert len(reports) == 10
     assert len(growers) == 2
+    # each grower takes 100 trees' alive-entry counts and 20 order streams
+    assert [(len(args[6]), len(args[7])) for args in growers] == [(100, 20), (100, 20)]
     assert sorted(substreams) == sorted(list(range(20)) * 2)
 
 

@@ -262,6 +262,37 @@ def test_read_prediction_jsonl(tmp_path):
         assert str(err.value) == f"line 3: {message}"
 
 
+def test_read_prediction_csv_skips_a_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "preds.csv"
+    p.write_text("\ufeffid,label\n10,a\n", encoding="utf-8")
+    assert read_prediction_file(p) == {"10": "a"}
+
+
+def test_read_prediction_jsonl_skips_a_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "preds.jsonl"
+    p.write_text('\ufeff{"id": 10, "label": "a"}\n', encoding="utf-8")
+    assert read_prediction_file(p) == {"10": "a"}
+
+
+def test_prediction_files_fail_on_a_byte_order_mark_that_does_not_lead(tmp_path):
+    # a second mark makes the CSV header's first column "\ufeffid"
+    csv_path = tmp_path / "preds.csv"
+    csv_path.write_text("\ufeff\ufeffid,label\n10,a\n", encoding="utf-8")
+    with pytest.raises(PredictionFileError) as err:
+        read_prediction_file(csv_path)
+    assert str(err.value) == f"{csv_path}: header must contain id,label columns"
+    jsonl_path = tmp_path / "preds.jsonl"
+    jsonl_path.write_text(
+        '{"id": 10, "label": "a"}\n\ufeff{"id": 11, "label": "b"}\n', encoding="utf-8"
+    )
+    with pytest.raises(PredictionFileError) as err:
+        read_prediction_file(jsonl_path)
+    assert str(err.value) == (
+        "line 2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"
+    )
+
+
 def test_evaluate_prediction_file(tmp_path):
     ds = build_dataset(
         [

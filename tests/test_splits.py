@@ -577,6 +577,40 @@ def test_import_split_rejects_bad_files(tmp_path):
             import_split(typed, ds)
 
 
+def test_import_split_skips_a_leading_byte_order_mark(tmp_path):
+    ds = build_dataset(
+        [{"id": "1", "text": "t", "label": "a"}, {"id": "2", "text": "t", "label": "a"}],
+        labels=["a"],
+    )
+    path = tmp_path / "split.json"
+    body = json.dumps({"train_ids": ["1"], "dev_ids": [], "test_ids": ["2"]})
+    path.write_text("\ufeff" + body, encoding="utf-8")
+    assert import_split(path, ds).train_ids == ("1",)
+    # a second mark is not skipped: only a leading one is
+    path.write_text("\ufeff\ufeff" + body, encoding="utf-8")
+    with pytest.raises(SplitFileError) as exc:
+        import_split(path, ds)
+    assert str(exc.value) == (
+        f"cannot read split file {path}: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"
+    )
+
+
+def test_user_presets_skip_a_leading_byte_order_mark(tmp_path, monkeypatch):
+    user = {"presets": {"local-proto": {"spec": {"ratios": [0.8, 0.1, 0.1]}}}}
+    path = tmp_path / "presets.json"
+    path.write_text("\ufeff" + json.dumps(user), encoding="utf-8")
+    monkeypatch.setenv(CONFIG_DIR_ENV, str(tmp_path))
+    assert load_presets()["local-proto"]["spec"].ratios == (0.8, 0.1, 0.1)
+    path.write_text("\ufeff\ufeff" + json.dumps(user), encoding="utf-8")
+    with pytest.raises(SplitFileError) as exc:
+        load_presets()
+    assert str(exc.value) == (
+        f"{path}: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"
+    )
+
+
 @pytest.mark.parametrize(
     "parts, message",
     [
