@@ -39,11 +39,11 @@ counts the (node, feature, present value, label) weights of all those
 nodes with one sort and one bincount, scores every boundary together, and
 partitions every split node's patterns with one stable sort. The counts
 are sparse, so a step's work follows the rows times the features it
-evaluates, never a column's number of distinct values. The trees' stacks,
-the node tables and the order streams are arrays too, each updated once
-per step for all trees, and each stream draws its orders in doubling
-blocks. Since each tree still visits its nodes in preorder and reads its
-own substream, the trees are exactly those a node-by-node recursion grows.
+evaluates, never a column's number of distinct values. The stacks, node
+tables and order streams are arrays too, updated once per step for all
+trees, and each stream draws its orders in doubling blocks. Since each
+tree still visits its nodes in preorder and reads its own substream, the
+trees are exactly those a node-by-node recursion grows.
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class _LockstepGrower:
         """Tree i's alive patterns, in pattern order, and their weights are
         the i-th run of ``sizes[i]`` entries of flat_pat and flat_w; it reads
         the orders of the generator streams[stream_of[i]]."""
-        self.K = n_labels
-        self.config = config
+        self.K, self.config = n_labels, config
         n_features = pat_X.shape[1]
         self.n_features = n_features
         self.max_eval = config.resolve_max_features(n_features)
@@ -160,10 +159,9 @@ class _LockstepGrower:
         codes = np.repeat(np.arange(n_trees) * K, self.sizes) + self.pat_y[self.flat_pat]
         pending[_W:] = np.bincount(codes, self.flat_w, n_trees * K).reshape(-1, K).T
         top, live, free = np.arange(n_trees), np.arange(n_trees), np.empty(0, np.int64)
-        # row f of each table holds forest f's nodes, numbered from 0 as
-        # popped (its roots first, in tree order), or its leaves' counts;
-        # the capacities double as they fill, and features and node ids fit
-        # int32
+        # row f of each table holds forest f's nodes, numbered from 0 as popped
+        # (its roots first, in tree order), or its leaves' counts; capacities
+        # double as they fill; features and node ids fit int32
         feature, threshold = np.empty((n_forests, 0), np.int32), np.empty((n_forests, 0))
         children = np.empty((n_forests, 0, 2), np.int32)
         leaf_counts = np.empty((n_forests, 0, K), np.int64)
@@ -174,8 +172,7 @@ class _LockstepGrower:
             popped = pending[:, slot]
             top[live] = popped[_BELOW]
             label_w = popped[_W:].T
-            n = label_w.sum(axis=1)
-            open_ = ((label_w > 0).sum(axis=1) > 1) & (n >= config.min_samples_split)
+            open_ = ((label_w > 0).sum(1) > 1) & (label_w.sum(1) >= config.min_samples_split)
             if config.max_depth is not None:
                 open_ &= popped[_DEPTH] < config.max_depth
             split_feat, split_thr = np.full(len(live), -1, np.int64), np.zeros(len(live))
@@ -194,14 +191,15 @@ class _LockstepGrower:
 
             forest, leaf = live // config.n_trees, split_feat < 0
             node = _number(n_nodes, forest)
-            most = n_nodes.max()
-            feature, threshold, children = (_room(a, most) for a in (feature, threshold, children))
+            feature, threshold, children = (
+                _room(a, n_nodes.max(), n_nodes) for a in (feature, threshold, children)
+            )
             feature[forest, node], threshold[forest, node] = split_feat, split_thr
             children[forest, node] = -1
             linked = np.flatnonzero(popped[_LINK] >= 0)
             children.reshape(n_forests, -1)[forest[linked], popped[_LINK, linked]] = node[linked]
             leaf_row = _number(n_leaves, forest[leaf])
-            leaf_counts = _room(leaf_counts, n_leaves.max())
+            leaf_counts = _room(leaf_counts, n_leaves.max(), n_leaves)
             leaf_counts[forest[leaf], leaf_row] = label_w[leaf]
 
             # a split node's column becomes its right child, and a free
@@ -209,9 +207,9 @@ class _LockstepGrower:
             split = np.flatnonzero(~leaf)
             free = np.concatenate((free, slot[leaf]))
             if free.size < split.size:
-                grown = _room(pending, pending.shape[1] + split.size - free.size)
-                free = np.concatenate((free, np.arange(pending.shape[1], grown.shape[1])))
-                pending = grown
+                cols = pending.shape[1]
+                pending = _room(pending, cols + split.size - free.size, [cols] * len(pending))
+                free = np.concatenate((free, np.arange(cols, pending.shape[1])))
             right_col, left_col, free = slot[split], free[: split.size], free[split.size :]
             right = popped[:, split]
             right[_DEPTH] += 1
@@ -237,7 +235,7 @@ class _LockstepGrower:
         for s in sorted(set(stream[j >= self.drawn[stream]].tolist())):
             have = int(self.drawn[s])
             more = have or _FIRST_BLOCK
-            self.orders = _room(self.orders, have + more)
+            self.orders = _room(self.orders, have + more, self.drawn)
             block = _order_block(self.streams[s], self.n_features, more)
             self.orders[s, have : have + more] = block
             self.drawn[s] += more
@@ -543,12 +541,14 @@ def _number(counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return numbers
 
 
-def _room(a: np.ndarray, need: int) -> np.ndarray:
-    """``a``, or if its axis 1 holds fewer than ``need``, a copy with twice the room or more."""
+def _room(a: np.ndarray, need: int, used) -> np.ndarray:
+    """``a`` if its axis 1 holds ``need``, else a copy with at least twice the room, given
+    only the first ``used[i]`` cells of each row i, so room a row never uses stays untouched."""
     if need <= a.shape[1]:
         return a
     grown = np.empty((len(a), max(2 * a.shape[1], need)) + a.shape[2:], dtype=a.dtype)
-    grown[:, : a.shape[1]] = a
+    for i, n in enumerate(used):
+        grown[i, : min(n, a.shape[1])] = a[i, :n]
     return grown
 
 
