@@ -3,9 +3,10 @@
 Social datasets are full of retweets and light edits of the same post.
 If copies land on both sides of a train/test split, the test set stops
 measuring generalization. The scanner groups exact copies (after
-case/URL/whitespace normalization) and near copies (MinHash over word
-3-shingles, verified by true Jaccard); the same scan then checks a
-concrete split for cross-partition contamination.
+case/URL/whitespace normalization) and near copies (word 3-shingle sets
+at Jaccard >= 0.8, all found by an exact prefix filter and verified by
+true Jaccard); the same scan then checks a concrete split for
+cross-partition contamination.
 """
 
 import numpy as np

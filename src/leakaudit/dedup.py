@@ -2,11 +2,15 @@
 
 Exact duplicates are records with identical normalized text (lowercased,
 URLs stripped, whitespace collapsed; punctuation kept). Near duplicates
-are found with vectorized MinHash over word 3-shingles plus banded LSH
-(128 permutations in 32 bands of 4 rows), and a candidate pair counts
-only once its true shingle Jaccard is verified. The band shape makes the
-chance of missing a pair at Jaccard 0.85 about 6e-11, so recall is
-limited by verification, not by the sketch.
+are node pairs whose word 3-shingle sets have Jaccard >= t. Candidates
+come from a prefix filter (Chaudhuri, Ganti & Kaushik, ICDE 2006;
+Bayardo, Ma & Srikant, WWW 2007): with the shingles ordered globally by
+(document frequency, id), two sets with Jaccard >= t share a shingle
+among each set's first |x| - o(|x|) + 1, where o(n) is the least overlap
+with o / n >= t. So every pair at Jaccard >= t is a candidate, and a
+candidate counts only once its Jaccard is verified. o(n) is computed in
+float64 exactly as the verification divides, since ceil(t * n) can
+overshoot it and a prefix one shingle short would miss pairs.
 
 Clusters are connected components over verified pairs, with exact groups
 collapsed to one node first. Components chain, so a cluster can contain a
@@ -16,25 +20,24 @@ members against the representative to keep that visible.
 Every stage is a pass over arrays, and a candidate pair that cannot
 change an output is never verified:
 
-- each distinct token is hashed once; the token hashes of a shingle are
+- each distinct token gets a small id; the token ids of a shingle are
   combined in numpy by an order-sensitive, non-linear 64-bit mixer that
   also takes the shingle's length;
-- each band finds its multi-member buckets with one sort, so singleton
-  buckets cost nothing;
+- the prefix rows of all nodes are cut from one sort, and a prefix
+  shingle that only one node holds makes no bucket;
 - the scan verifies a candidate pair only when it would join two
   components, and ``DuplicateScan.contamination`` only pairs with train
   records on one side and dev/test records on the other;
 - pairs are verified in bounded batches, by binary search in one sorted
   array of (node, shingle) keys.
 
-Everything is deterministic: permutation constants come from a fixed
-internal seed, and token hashes are 64-bit blake2b digests, which depend
-neither on the process nor on the record order.
+Token ids follow the order in which tokens first appear, so shingle ids
+and prefixes depend on the record order; the candidates always include
+every pair at Jaccard >= t, so the outputs do not.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -45,13 +48,8 @@ from .data import Dataset
 from .splits import PARTITIONS, Split
 from .textleak import strip_urls
 
-NUM_PERMUTATIONS = 128
-LSH_BANDS = 32
-LSH_ROWS = NUM_PERMUTATIONS // LSH_BANDS
 SHINGLE_SIZE = 3
 WORST_PAIRS = 25  # contamination pairs that are built in full
-_PERM_SEED = 0x5EEDED
-_BAND_MIX = np.uint64(0x9E3779B97F4A7C15)
 _BATCH = 1 << 18  # shingle lookups or pairs one verification or expansion pass holds at most
 
 
@@ -61,15 +59,11 @@ def normalize_text(text: str) -> str:
     return " ".join(strip_urls(text.lower()).split())
 
 
-def _token_hash(token: str) -> int:
-    return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
-
-
-class _TokenHashes(dict):
-    """token -> _token_hash(token), hashing each distinct token once."""
+class _TokenIds(dict):
+    """token -> a small id, in order of first appearance."""
 
     def __missing__(self, token: str) -> int:
-        value = self[token] = _token_hash(token)
+        value = self[token] = len(self)
         return value
 
 
@@ -92,10 +86,10 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
-def _shingle_array(token_hashes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shingle_array(token_ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The hash of every shingle of some texts, and the text it belongs to.
 
-    The texts' tokens lie end to end in token_hashes, lengths[i] >= 1 of
+    The texts' token ids lie end to end in token_ids, lengths[i] >= 1 of
     them for text i. A text shorter than SHINGLE_SIZE is one whole-text
     shingle. A shingle's hash starts from its length and mixes in its
     tokens in order, so "a b c" and "c b a" differ, and a two-token text
@@ -105,7 +99,7 @@ def _shingle_array(token_hashes: np.ndarray, lengths: np.ndarray) -> tuple[np.nd
     owner = np.repeat(np.arange(len(lengths)), per_text)
     first = _ragged_arange(np.cumsum(lengths) - lengths, per_text)
     size = np.minimum(lengths, SHINGLE_SIZE)[owner]
-    padded = np.concatenate((token_hashes, np.zeros(SHINGLE_SIZE - 1, dtype=np.uint64)))
+    padded = np.concatenate((token_ids, np.zeros(SHINGLE_SIZE - 1, dtype=np.uint64)))
     hashes = _mix(size.astype(np.uint64))
     for k in range(SHINGLE_SIZE):
         hashes = np.where(size > k, _mix(hashes ^ padded[first + k]), hashes)
@@ -193,12 +187,12 @@ def _build_nodes(dataset: Dataset) -> _NodeIndex:
 
     texts = list(node_of_text)
     lengths = np.fromiter((t.count(" ") + 1 for t in texts), dtype=np.int64, count=len(texts))
-    token_hashes = np.fromiter(
-        map(_TokenHashes().__getitem__, chain.from_iterable(map(str.split, texts))),
+    token_ids = np.fromiter(
+        map(_TokenIds().__getitem__, chain.from_iterable(map(str.split, texts))),
         dtype=np.uint64,
         count=int(lengths.sum()),
     )
-    shingles, owner = _shingle_array(token_hashes, lengths)
+    shingles, owner = _shingle_array(token_ids, lengths)
     hashes, shingle_ids = np.unique(shingles, return_inverse=True)
     keys = _sorted_unique(owner * len(hashes) + shingle_ids)
     starts = np.searchsorted(keys, np.arange(len(texts) + 1) * len(hashes))
@@ -237,43 +231,46 @@ def _jaccard(index: _NodeIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (size_a + size_b - inter)
 
 
-def _lsh_buckets(index: _NodeIndex) -> tuple[np.ndarray, np.ndarray]:
-    """The LSH buckets with two or more nodes, as rows (bucket, node).
+def _min_overlap(sizes: np.ndarray, threshold: float) -> np.ndarray:
+    """o(n) for each set size n: the least overlap o with o / n >= threshold
+    in float64. A pair that _jaccard passes overlaps in o(n) or more for
+    either set's size n: its overlap over n is at least its Jaccard, and
+    float division keeps that order. ceil(threshold * n) can be one off
+    either way; one step down and one step up correct it."""
+    overlap = np.ceil(sizes * threshold)
+    overlap -= (overlap - 1) / sizes >= threshold
+    overlap += overlap / sizes < threshold
+    return overlap.astype(np.int64)
 
-    A bucket's rows are adjacent, in bucket order, and ordered by pivot
-    priority: nodes that share buckets with more nodes first, so the post
-    that a family of near copies was edited from leads its buckets. Each
-    band's MinHash rows are computed, keyed and sorted on their own, so the
-    signature matrix is never held whole.
+
+def _prefix_buckets(index: _NodeIndex, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix-filter buckets with two or more nodes, as rows (bucket,
+    node).
+
+    Shingles are ranked by (document frequency, shingle id), and a node's
+    prefix is its first size - o(size) + 1 shingles in rank order. Two
+    nodes at Jaccard >= threshold share a prefix shingle, so each shingle
+    in two or more prefixes is a bucket, numbered by its rank. A bucket's
+    rows are adjacent, in bucket order, and ordered by pivot priority:
+    nodes that share buckets with more nodes first, so the post that a
+    family of near copies was edited from leads its buckets.
     """
     n = len(index.starts) - 1
     if n < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_PERM_SEED)))
-    # multiply-shift family: odd multiplier, arbitrary offset, mod 2**64
-    mul = rng.integers(0, 2**63, size=NUM_PERMUTATIONS, dtype=np.uint64)
-    mul = (mul << np.uint64(1)) | np.uint64(1)
-    add = rng.integers(0, 2**64, size=NUM_PERMUTATIONS, dtype=np.uint64)
-    values = index.hashes[index.keys % len(index.hashes)]
-    segments = index.starts[:-1]
-    buckets, nodes, n_buckets = [], [], 0
-    for band in range(LSH_BANDS):
-        key = np.zeros(n, dtype=np.uint64)
-        for p in range(band * LSH_ROWS, (band + 1) * LSH_ROWS):
-            # uint64 wraparound is the point
-            row = np.minimum.reduceat(mul[p] * values + add[p], segments)
-            key = (key ^ row) * _BAND_MIX + np.uint64(band)
-        ordered = np.sort(key)
-        shared_keys = _sorted_unique(ordered[1:][ordered[1:] == ordered[:-1]])
-        if len(shared_keys):
-            bucket = np.minimum(np.searchsorted(shared_keys, key), len(shared_keys) - 1)
-            shared = np.flatnonzero(shared_keys[bucket] == key)
-            buckets.append(bucket[shared] + n_buckets)
-            nodes.append(shared)
-            n_buckets += len(shared_keys)
-    if not buckets:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    bucket, node = np.concatenate(buckets), np.concatenate(nodes)
+    n_shingles = len(index.hashes)
+    shingle = index.keys % n_shingles
+    by_rank = np.argsort(np.bincount(shingle, minlength=n_shingles), kind="stable")
+    rank = np.empty(n_shingles, dtype=np.int64)
+    rank[by_rank] = np.arange(n_shingles)
+    # node * n_shingles + rank, sorted: each node's shingles, rarest first
+    ranked = np.sort(index.keys - shingle + rank[shingle])
+    sizes = np.diff(index.starts)
+    prefix_end = index.starts[:-1] + sizes - _min_overlap(sizes, threshold) + 1
+    in_prefix = np.arange(len(ranked)) < np.repeat(prefix_end, sizes)
+    node, bucket = np.divmod(ranked[in_prefix], n_shingles)
+    shared = np.bincount(bucket, minlength=n_shingles)[bucket] > 1
+    bucket, node = bucket[shared], node[shared]
     size = np.bincount(bucket)
     degree = np.bincount(node, weights=size[bucket] - 1, minlength=n)
     order = np.lexsort((node, -degree[node], bucket))
@@ -338,11 +335,11 @@ class DuplicateScan:
     """Duplicate clusters plus the bookkeeping the audit report wants.
 
     dataset (the one scanned), index (its distinct normalized texts with
-    their rows and shingles) and buckets (the LSH buckets of two or more
-    nodes, as (bucket, node) rows) let ``contamination`` check a split of
-    that dataset without a second build. The scan keeps no list of verified
-    edges: it verifies a candidate pair only when the pair would join two
-    components, so most candidate pairs are never verified.
+    their rows and shingles) and buckets (the prefix-filter buckets of two
+    or more nodes, as (bucket, node) rows) let ``contamination`` check a
+    split of that dataset without a second build. The scan keeps no list
+    of verified edges: it verifies a candidate pair only when the pair
+    would join two components, so most candidate pairs are never verified.
     """
 
     clusters: tuple[DuplicateCluster, ...]
@@ -448,18 +445,18 @@ class DuplicateScan:
 def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> DuplicateScan:
     """Full duplicate scan: exact clusters, near clusters, and counts.
 
-    The returned scan keeps the node index and LSH buckets it was built
-    from, so ``scan.contamination(split)`` checks a split without a second
-    build.
+    The returned scan keeps the node index and prefix-filter buckets it
+    was built from, so ``scan.contamination(split)`` checks a split
+    without a second build.
 
     Raises:
-        ValueError: if the threshold is outside (0, 1].
+        ValueError: if the threshold is a bool or outside (0, 1].
     """
-    if not 0.0 < jaccard_threshold <= 1.0:
-        raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
+    if isinstance(jaccard_threshold, bool) or not 0.0 < jaccard_threshold <= 1.0:
+        raise ValueError(f"jaccard_threshold must be a number in (0, 1], got {jaccard_threshold}")
 
     index = _build_nodes(dataset)
-    buckets = _lsh_buckets(index)
+    buckets = _prefix_buckets(index, jaccard_threshold)
     records = dataset.records
 
     def members(nodes) -> list[tuple[str, int]]:

@@ -190,7 +190,7 @@ def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
     split_path = env["root"] / "once.json"
     assert main(["split", str(env["leaky"]), "--labels", LABELS,
                  "--seed", "3", "--out", str(split_path)]) == 0
-    calls = {"_build_nodes": 0, "_lsh_buckets": 0}
+    calls = {"_build_nodes": 0, "_prefix_buckets": 0}
     for name in calls:
         original = getattr(dedup, name)
 
@@ -203,7 +203,7 @@ def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
     assert main(["audit", str(env["leaky"]), "--labels", LABELS, "--split", str(split_path),
                  "--k", "2", "--json", str(bundle_path)]) == 2
     assert read_json(bundle_path)["contamination"] is not None
-    assert calls == {"_build_nodes": 1, "_lsh_buckets": 1}
+    assert calls == {"_build_nodes": 1, "_prefix_buckets": 1}
 
 
 def test_audit_usage_errors(env, capsys):

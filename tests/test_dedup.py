@@ -7,6 +7,7 @@ duplicate graph with set arithmetic and compare components and
 cross-split pairs.
 """
 
+import math
 import time
 
 import numpy as np
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 
 from _oracle_splits import split_of
 from leakaudit import SplitSpec, build_dataset, make_split, scan_duplicates
-from leakaudit.dedup import WORST_PAIRS, _shingle_array, _token_hash, normalize_text
+from leakaudit import dedup
+from leakaudit.dedup import (
+    WORST_PAIRS,
+    _min_overlap,
+    _NodeIndex,
+    _prefix_buckets,
+    _shingle_array,
+    _TokenIds,
+    normalize_text,
+)
 from leakaudit.splits import PARTITIONS
 
 
@@ -28,11 +38,14 @@ def test_normalize_text():
     assert normalize_text("http://only.url") == ""
 
 
+_TOKEN_IDS = _TokenIds()  # one id per token across every call of _shingles
+
+
 def _shingles(tokens):
     """Sorted distinct shingle hashes of one text; no tokens make no text."""
-    token_hashes = np.array([_token_hash(t) for t in tokens], dtype=np.uint64)
+    token_ids = np.fromiter(map(_TOKEN_IDS.__getitem__, tokens), np.uint64, count=len(tokens))
     lengths = np.array([len(tokens)] if tokens else [], dtype=np.int64)
-    hashes, owner = _shingle_array(token_hashes, lengths)
+    hashes, owner = _shingle_array(token_ids, lengths)
     assert not owner.any()
     return sorted(set(hashes.tolist()))
 
@@ -291,7 +304,7 @@ _RECORDS = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(records=_RECORDS, threshold=st.sampled_from([0.8, 1.0]))
+@given(records=_RECORDS, threshold=st.sampled_from([0.14, 0.7, 0.8, 1.0]))
 @example(
     records=[
         ([], False, "train"),  # no tokens
@@ -331,6 +344,111 @@ def test_scan_and_contamination_match_brute_force(records, threshold):
 
     want = _brute_force_contamination(rows, part_of, threshold)
     assert _report(scan.contamination(_split_of(ds, part_of))) == (len(want), want[:WORST_PAIRS])
+
+
+def test_min_overlap_matches_the_float_test():
+    sizes = np.arange(1, 200)
+    overshoots = 0
+    for k in range(1, 101):
+        t = k / 100
+        want = [next(o for o in range(1, n + 1) if o / n >= t) for n in sizes.tolist()]
+        assert _min_overlap(sizes, t).tolist() == want, t
+        overshoots += sum(math.ceil(t * n) > o for n, o in zip(sizes.tolist(), want))
+    # e.g. ceil(0.14 * 50) = 8, but 7 / 50 >= 0.14
+    assert overshoots == 22
+
+
+def _index_of(sets):
+    """A node index whose node i has the shingle ids sets[i]."""
+    n_shingles = max(map(max, sets)) + 1
+    keys = np.array(
+        sorted(node * n_shingles + s for node, shingles in enumerate(sets) for s in shingles),
+        dtype=np.int64,
+    )
+    starts = np.searchsorted(keys, np.arange(len(sets) + 1) * n_shingles)
+    return _NodeIndex([[i] for i in range(len(sets))], keys, starts, np.arange(n_shingles), 0)
+
+
+# thresholds, and set sizes n with t * n integral: a subset of t * n
+# elements of an n-set sits exactly at Jaccard t
+_SET_SIZES = {0.14: (50, 100), 0.7: (10, 20, 30), 0.8: (5, 10, 15), 1.0: (1, 2, 3)}
+
+
+@st.composite
+def _shingle_sets(draw):
+    """A threshold and a few shingle sets over a tiny vocabulary: each is
+    n or t * n ids drawn from the vocabulary or from an earlier set."""
+    t = draw(st.sampled_from(sorted(_SET_SIZES)))
+    sizes = [s for n in _SET_SIZES[t] for s in (n, round(t * n))]
+    vocabulary = list(range(max(sizes) + draw(st.integers(0, max(sizes) // 2))))
+    sets = []
+    for _ in range(draw(st.integers(2, 8))):
+        size = draw(st.sampled_from(sizes))
+        pools = [vocabulary] + [sorted(s) for s in sets if len(s) >= size]
+        pool = draw(st.sampled_from(pools))
+        sets.append(set(draw(st.permutations(pool))[:size]))
+    return t, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_shingle_sets())
+@example(case=(0.14, [set(range(50)), set(range(43, 50))]))  # ceil(0.14 * 50) misses this
+@example(case=(0.7, [set(range(30)), set(range(9, 30)), set(range(21))]))
+def test_prefix_buckets_hold_every_pair_at_the_threshold(case):
+    t, sets = case
+    bucket, node = _prefix_buckets(_index_of(sets), t)
+    assert np.all(np.diff(bucket) >= 0)
+    shared = set()
+    for b in np.unique(bucket).tolist():
+        members = node[bucket == b].tolist()
+        assert len(members) == len(set(members)) >= 2
+        shared.update((x, y) for x in members for y in members if x < y)
+    for x in range(len(sets)):
+        for y in range(x + 1, len(sets)):
+            if len(sets[x] & sets[y]) / len(sets[x] | sets[y]) >= t:
+                assert (x, y) in shared, (x, y)
+
+
+def _verified_pairs(monkeypatch, rows, threshold=0.8):
+    """The number of node pairs that scan_duplicates passes to _jaccard."""
+    count = [0]
+    original = dedup._jaccard
+
+    def counted(index, a, b):
+        count[0] += len(a)
+        return original(index, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dedup, "_jaccard", counted)
+        scan_duplicates(build_dataset(rows, labels=["x"]), jaccard_threshold=threshold)
+    return count[0]
+
+
+def _templated(n, seed=0):
+    """n texts of 11 fixed words plus 3 random ones: every pair sits at
+    Jaccard 9/15 = 0.6, like bot or news-alert posts."""
+    rng = np.random.default_rng(seed)
+    tail = rng.integers(0, 10**9, size=(n, 3))
+    return [
+        {"id": str(10_000 + i), "text": f"{_words(11)} r{a} r{b} r{c}", "label": "x"}
+        for i, (a, b, c) in enumerate(tail.tolist())
+    ]
+
+
+def test_templated_texts_verify_linearly_many_pairs(monkeypatch):
+    small = _verified_pairs(monkeypatch, _templated(1000))
+    large = _verified_pairs(monkeypatch, _templated(2000))
+    assert large <= 2.5 * small
+
+
+def test_small_vocabulary_verifies_a_bounded_number_of_pairs(monkeypatch):
+    rng = np.random.default_rng(0)
+    words = rng.integers(0, 30, size=(8000, 12)).tolist()
+    rows = [
+        {"id": str(10_000 + i), "text": " ".join(f"v{w}" for w in row), "label": "x"}
+        for i, row in enumerate(words)
+    ]
+    assert _verified_pairs(monkeypatch, rows) <= 20_000
 
 
 def test_near_copy_family_scans_in_bounded_time():
@@ -401,10 +519,11 @@ def test_scan_parameter_validation(leaky):
     small = build_dataset(
         [{"id": "1", "text": "a b c", "label": "true"}], labels=["true"]
     )
-    with pytest.raises(ValueError):
-        scan_duplicates(small, jaccard_threshold=0.0)
-    with pytest.raises(ValueError):
-        scan_duplicates(small, jaccard_threshold=1.2)
+    for bad in (0.0, 1.2, float("nan"), True, False):
+        with pytest.raises(ValueError) as exc:
+            scan_duplicates(small, jaccard_threshold=bad)
+        assert str(exc.value) == f"jaccard_threshold must be a number in (0, 1], got {bad}"
+    assert scan_duplicates(small, 1).jaccard_threshold == 1
 
 
 def test_skipped_empty_and_wrapper():
