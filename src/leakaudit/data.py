@@ -43,6 +43,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .snowflake import parse_id, parse_ids, timestamp_of, timestamps_of
+from .text import TextTable, build_text_table
 
 CANONICAL_FIELDS = ("id", "text", "label", "event", "article_id", "reply_count")
 REQUIRED_FIELDS = ("id", "text", "label")
@@ -144,6 +145,13 @@ class Dataset:
         index = self.label_set.encode(r.label for r in self.records)
         index.flags.writeable = False
         return index
+
+    @cached_property
+    def text_table(self) -> TextTable:
+        """The records' distinct normalized texts and words, which the
+        keyword and duplicate scans share. Built on first use, like
+        ``label_index``."""
+        return build_text_table([r.text for r in self.records])
 
 
 @dataclass(frozen=True)

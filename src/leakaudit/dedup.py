@@ -17,12 +17,15 @@ collapsed to one node first. Components chain, so a cluster can contain a
 pair below threshold; each cluster records the minimum Jaccard of its
 members against the representative to keep that visible.
 
-Every stage is a pass over arrays, and a candidate pair that cannot
+The nodes and their words come from the dataset's text table
+(``leakaudit.text``), which the keyword scan shares: each record is
+normalized once there, and each distinct word has a small id. From there
+every stage is a pass over arrays, and a candidate pair that cannot
 change an output is never verified:
 
-- each distinct token gets a small id; the token ids of a shingle are
-  combined in numpy by an order-sensitive, non-linear 64-bit mixer that
-  also takes the shingle's length;
+- the word ids of a shingle are combined in numpy by an
+  order-sensitive, non-linear 64-bit mixer that also takes the shingle's
+  length;
 - the prefix rows of all nodes are cut from one sort, and a prefix
   shingle that only one node holds makes no bucket;
 - the scan verifies a candidate pair only when it would join two
@@ -31,40 +34,23 @@ change an output is never verified:
 - pairs are verified in bounded batches, by binary search in one sorted
   array of (node, shingle) keys.
 
-Token ids follow the order in which tokens first appear, so shingle ids
-and prefixes depend on the record order; the candidates always include
-every pair at Jaccard >= t, so the outputs do not.
+Word ids follow the order in which words first appear in the table, so
+shingle ids and prefixes depend on the record order; the candidates
+always include every pair at Jaccard >= t, so the outputs do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
 from .data import Dataset
 from .splits import PARTITIONS, Split
-from .textleak import strip_urls
+from .text import batches, ragged_arange, sorted_unique
 
 SHINGLE_SIZE = 3
 WORST_PAIRS = 25  # contamination pairs that are built in full
-_BATCH = 1 << 18  # shingle lookups or pairs one verification or expansion pass holds at most
-
-
-def normalize_text(text: str) -> str:
-    """Lowercase, strip URLs, collapse whitespace. Empty result means the
-    record has no usable text."""
-    return " ".join(strip_urls(text.lower()).split())
-
-
-class _TokenIds(dict):
-    """token -> a small id, in order of first appearance."""
-
-    def __missing__(self, token: str) -> int:
-        value = self[token] = len(self)
-        return value
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -72,18 +58,6 @@ def _mix(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
-
-
-def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), which on large arrays is much slower than a sort."""
-    values = np.sort(values)
-    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
 def _shingle_array(token_ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +71,10 @@ def _shingle_array(token_ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarr
     """
     per_text = np.maximum(lengths - (SHINGLE_SIZE - 1), 1)
     owner = np.repeat(np.arange(len(lengths)), per_text)
-    first = _ragged_arange(np.cumsum(lengths) - lengths, per_text)
+    first = ragged_arange(np.cumsum(lengths) - lengths, per_text)
     size = np.minimum(lengths, SHINGLE_SIZE)[owner]
-    padded = np.concatenate((token_ids, np.zeros(SHINGLE_SIZE - 1, dtype=np.uint64)))
+    padded = np.zeros(len(token_ids) + SHINGLE_SIZE - 1, dtype=np.uint64)
+    padded[: len(token_ids)] = token_ids
     hashes = _mix(size.astype(np.uint64))
     for k in range(SHINGLE_SIZE):
         hashes = np.where(size > k, _mix(hashes ^ padded[first + k]), hashes)
@@ -151,11 +126,27 @@ class Contamination:
     worst: tuple[ContaminationPair, ...]
 
 
+@dataclass(frozen=True)
+class _NodeRows:
+    """Each node's dataset rows, in dataset order: node i's rows are
+    order[bounds[i] : bounds[i + 1]]. Two arrays take far less memory than
+    a list of rows per node."""
+
+    order: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, node: int) -> list[int]:
+        return self.order[self.bounds[node] : self.bounds[node + 1]].tolist()
+
+
 @dataclass
 class _NodeIndex:
     """Distinct normalized texts (nodes), their dataset rows and shingles.
 
-    node_records lists each node's dataset rows in dataset order; record
+    node_records gives each node's dataset rows in dataset order; record
     ids are read off the rows only where clusters and pairs are built.
     keys holds node * len(hashes) + shingle id for each distinct shingle
     of each node, sorted, so node i's shingles are keys[starts[i] :
@@ -163,7 +154,7 @@ class _NodeIndex:
     shingle. hashes maps a shingle id to its 64-bit hash.
     """
 
-    node_records: list[list[int]]
+    node_records: _NodeRows
     keys: np.ndarray
     starts: np.ndarray
     hashes: np.ndarray
@@ -171,45 +162,20 @@ class _NodeIndex:
 
 
 def _build_nodes(dataset: Dataset) -> _NodeIndex:
-    node_of_text: dict[str, int] = {}
-    node_records: list[list[int]] = []
-    skipped = 0
-    for row, record in enumerate(dataset.records):
-        normalized = normalize_text(record.text)
-        if not normalized:
-            skipped += 1
-            continue
-        node = node_of_text.get(normalized)
-        if node is None:
-            node = node_of_text[normalized] = len(node_records)
-            node_records.append([])
-        node_records[node].append(row)
-
-    texts = list(node_of_text)
-    lengths = np.fromiter((t.count(" ") + 1 for t in texts), dtype=np.int64, count=len(texts))
-    token_ids = np.fromiter(
-        map(_TokenIds().__getitem__, chain.from_iterable(map(str.split, texts))),
-        dtype=np.uint64,
-        count=int(lengths.sum()),
+    """The node index of the dataset's text table."""
+    table = dataset.text_table
+    n = len(table.n_words)
+    has_text = np.flatnonzero(table.node >= 0)
+    node_records = _NodeRows(
+        has_text[np.argsort(table.node[has_text], kind="stable")],
+        np.concatenate(([0], np.cumsum(np.bincount(table.node[has_text], minlength=n)))),
     )
-    shingles, owner = _shingle_array(token_ids, lengths)
+    shingles, owner = _shingle_array(table.words, table.n_words)
     hashes, shingle_ids = np.unique(shingles, return_inverse=True)
-    keys = _sorted_unique(owner * len(hashes) + shingle_ids)
-    starts = np.searchsorted(keys, np.arange(len(texts) + 1) * len(hashes))
-    return _NodeIndex(node_records, keys, starts, hashes, skipped)
-
-
-def _batches(weights: np.ndarray) -> Iterable[tuple[int, int]]:
-    """Cut positions into runs (lo, hi) whose weights sum to at most
-    _BATCH; a single heavier position runs alone. This bounds the memory
-    of one pass."""
-    ends = np.cumsum(weights)
-    lo = 0
-    while lo < len(weights):
-        base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + _BATCH, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
+    del shingles
+    keys = sorted_unique(owner * len(hashes) + shingle_ids)
+    starts = np.searchsorted(keys, np.arange(n + 1) * len(hashes))
+    return _NodeIndex(node_records, keys, starts, hashes, len(table.node) - len(has_text))
 
 
 def _jaccard(index: _NodeIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,10 +188,10 @@ def _jaccard(index: _NodeIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_small = np.minimum(size_a, size_b)
     inter = np.zeros(len(a), dtype=np.int64)
     last = len(index.keys) - 1
-    for lo, hi in _batches(n_small):
+    for lo, hi in batches(n_small):
         count = n_small[lo:hi]
         shift = np.repeat((large[lo:hi] - small[lo:hi]) * len(index.hashes), count)
-        query = index.keys[_ragged_arange(index.starts[small[lo:hi]], count)] + shift
+        query = index.keys[ragged_arange(index.starts[small[lo:hi]], count)] + shift
         found = index.keys[np.minimum(np.searchsorted(index.keys, query), last)] == query
         inter[lo:hi] = np.add.reduceat(found.astype(np.int64), np.cumsum(count) - count)
     return inter / (size_a + size_b - inter)
@@ -318,7 +284,7 @@ def _components(
         pivot = np.repeat(starts, sizes)
         cross = label[member] != label[member[pivot]]
         a, b = member[pivot[cross]], member[cross]
-        pairs = _sorted_unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b))
+        pairs = sorted_unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b))
         a, b = np.divmod(pairs, len(nodes))
         passed = _jaccard(index, nodes[a], nodes[b]) >= jaccard_threshold
         label = _merge(label, a[passed], b[passed])
@@ -373,11 +339,9 @@ class DuplicateScan:
         for p, positions in enumerate((split.train, split.dev, split.test)):
             row_part[positions] = p
         node_records = self.index.node_records
-        n = len(node_records)
-        node_of = np.repeat(np.arange(n), np.fromiter(map(len, node_records), np.int64, count=n))
-        rows = np.fromiter(chain.from_iterable(node_records), np.int64, count=len(node_of))
-        n_train = np.bincount(node_of[row_part[rows] == 0], minlength=n)
-        n_other = np.bincount(node_of[row_part[rows] > 0], minlength=n)
+        n, node_of = len(node_records), self.dataset.text_table.node
+        n_train = np.bincount(node_of[(node_of >= 0) & (row_part == 0)], minlength=n)
+        n_other = np.bincount(node_of[(node_of >= 0) & (row_part > 0)], minlength=n)
         bucket, member = self.buckets
 
         # candidate node pairs (x, y), x != y, with train records in x and
@@ -389,12 +353,12 @@ class DuplicateScan:
         first = np.searchsorted(other_bucket, train_bucket)
         count = np.searchsorted(other_bucket, train_bucket, side="right") - first
         pairs = np.empty(0, dtype=np.int64)
-        for lo, hi in _batches(count):
+        for lo, hi in batches(count):
             x = np.repeat(train_node[lo:hi], count[lo:hi])
-            y = other_node[_ragged_arange(first[lo:hi], count[lo:hi])]
+            y = other_node[ragged_arange(first[lo:hi], count[lo:hi])]
             apart = x != y
             x, y = x[apart], y[apart]
-            pairs = _sorted_unique(np.concatenate((pairs, np.minimum(x, y) * n + np.maximum(x, y))))
+            pairs = sorted_unique(np.concatenate((pairs, np.minimum(x, y) * n + np.maximum(x, y))))
         x, y = np.divmod(pairs, n)
         jaccard = _jaccard(self.index, x, y)
         near = jaccard >= self.jaccard_threshold
@@ -468,11 +432,8 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
     def cluster(kind: str, owned: list[tuple[str, int]], min_jaccard: float) -> DuplicateCluster:
         return DuplicateCluster(kind, tuple(rid for rid, _ in owned), owned[0][0], min_jaccard)
 
-    clusters = [
-        cluster("exact", members([node]), 1.0)
-        for node, rows in enumerate(index.node_records)
-        if len(rows) > 1
-    ]
+    copied = np.flatnonzero(np.diff(index.node_records.bounds) > 1)
+    clusters = [cluster("exact", members([node]), 1.0) for node in copied.tolist()]
     components = _components(index, buckets, jaccard_threshold)
     if components:
         near_members = [members(nodes.tolist()) for nodes in components]

@@ -8,6 +8,11 @@ one-vs-rest for each label some record with tokens carries. Both public
 functions read one token-by-label count table, and raise
 UnknownLabelError for a label outside the set.
 
+That count table is read off the dataset's text table
+(``leakaudit.text``), which the duplicate scan shares: each distinct
+word is tokenized once, and each distinct normalized text's tokens count
+once for every record of that text, per label.
+
 Tokenization is deliberately blunt and fixed: lowercase, strip URLs, then
 take maximal alphanumeric runs. @ and # sigils vanish, so mentions and
 hashtags surface as plain tokens.
@@ -16,7 +21,6 @@ hashtags surface as plain tokens.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,24 +28,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import UnknownLabelError
+from .text import assign_ids, batches, ragged_arange, sorted_unique, split_tokens
 
-URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-
-def strip_urls(text: str) -> str:
-    """Replace each URL in lowercased text with a space."""
-    # URL_RE matches only text holding one of these, and costs more than the test
-    return URL_RE.sub(" ", text) if "://" in text or "www." in text else text
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase, drop URLs, split into maximal alphanumeric runs."""
-    return TOKEN_RE.findall(strip_urls(text.lower()))
-
-
-def token_set(text: str) -> set[str]:
-    return set(tokenize(text))
+_BATCH_CHARS = 1 << 15  # vocab characters one tokenizing pass holds at most
 
 
 @dataclass(frozen=True)
@@ -70,21 +59,59 @@ def _label_positions(dataset: Dataset) -> np.ndarray:
     return labels
 
 
-def _doc_counts(dataset: Dataset) -> tuple[dict[str, int], np.ndarray, list[int]]:
-    """One pass over the records: the token -> row map, the int64 [n_tokens,
-    n_labels] count of records holding each token under each label, and each
-    label's count of records holding any token. Row order follows set order,
-    so it must not reach output. An unknown label raises UnknownLabelError."""
-    n_labels = len(dataset.label_set)
-    row_of: dict[str, int] = {}
-    keys, totals = [], [0] * n_labels
-    for record, label in zip(dataset.records, _label_positions(dataset).tolist()):
-        tokens = token_set(record.text)
-        if tokens:
-            totals[label] += 1
-            keys.extend([row_of.setdefault(tok, len(row_of)) * n_labels + label for tok in tokens])
-    counts = np.bincount(np.array(keys, dtype=np.int64), minlength=len(row_of) * n_labels)
-    return row_of, counts.reshape(-1, n_labels), totals
+def _word_tokens(vocab: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The tokens of each word of a text table's vocab, from one translate
+    and split per _BATCH_CHARS characters: the tokens in id order, and the
+    words' token ids laid end to end with a tokens-per-word array. A
+    lowercased word holds no ASCII capital, so the token "A" can end each
+    word's tokens."""
+    token_ids, parts, lo = {"A": -1}, [np.empty(0, dtype=np.int32)], 0
+    while lo < len(vocab):
+        hi = vocab.find(" ", lo + _BATCH_CHARS) + 1 or len(vocab)
+        parts.append(assign_ids(split_tokens(vocab[lo:hi].replace(" ", " A ")), token_ids)[0])
+        lo = hi
+    flat = np.concatenate(parts)
+    ends = np.flatnonzero(flat < 0)
+    tokens = flat[flat >= 0].astype(np.int64)  # token * n_nodes must not overflow
+    return list(token_ids)[1:], tokens, np.diff(ends, prepend=-1) - 1
+
+
+def _doc_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, list[int]]:
+    """The tokens, the int64 [n_tokens, n_labels] count of records holding
+    each token under each label, row for row, and each label's count of
+    records holding any token. Row order follows first appearance, so it
+    must not reach output. An unknown label raises UnknownLabelError.
+
+    Each distinct text's distinct tokens are counted once, weighted by its
+    node's records per label, in batches of nodes.
+    """
+    labels, table = _label_positions(dataset), dataset.text_table
+    n_labels, n_nodes = len(dataset.label_set), len(table.n_words)
+    tokens, flat, n_tokens = _word_tokens(table.vocab)
+    first_token = np.cumsum(n_tokens) - n_tokens
+    word_bounds = np.concatenate(([0], np.cumsum(table.n_words)))
+    has_text = table.node >= 0
+    # each node's records per label, one label per row
+    per_node = np.bincount(
+        labels[has_text] * n_nodes + table.node[has_text], minlength=n_labels * n_nodes
+    ).reshape(n_labels, n_nodes)
+    counts = np.zeros((len(tokens), n_labels), dtype=np.int64)
+    has_tokens = np.zeros(n_nodes, dtype=bool)
+    for lo, hi in batches(table.n_words):
+        words = table.words[word_bounds[lo] : word_bounds[hi]]
+        per_word = n_tokens[words]
+        pairs = flat[ragged_arange(first_token[words], per_word)] * n_nodes
+        pairs += np.repeat(np.repeat(np.arange(lo, hi), table.n_words[lo:hi]), per_word)
+        del words, per_word
+        # the batch's distinct (token, node) pairs, sorted by token
+        token, node = np.divmod(sorted_unique(pairs), n_nodes)
+        del pairs
+        has_tokens[node] = True
+        starts = np.flatnonzero(np.diff(token, prepend=-1))
+        rows = token[starts]
+        for j, label_row in enumerate(per_node):
+            counts[rows, j] += np.add.reduceat(label_row[node], starts)
+    return tokens, counts, per_node[:, has_tokens].sum(axis=1).tolist()
 
 
 def keyword_label_table(
@@ -95,14 +122,21 @@ def keyword_label_table(
     Token mode (default) counts records whose token set contains the
     lowercased keyword; substring mode counts records whose raw lowercased
     text contains it. Keywords absent everywhere get an all-zero row.
+
+    Raises:
+        TypeError: if ``keywords`` is a single string, which would read as
+            one-letter keywords.
     """
+    if isinstance(keywords, str):
+        raise TypeError(f"keywords must be a sequence of strings, not the string {keywords!r}")
     names = dataset.label_set.labels
     if substring:
         labels, texts = _label_positions(dataset), [r.text.lower() for r in dataset.records]
         hit = {kw: np.array([kw.lower() in text for text in texts], dtype=bool) for kw in keywords}
         rows = {kw: np.bincount(labels[hit[kw]], minlength=len(names)) for kw in keywords}
     else:
-        row_of, counts, _ = _doc_counts(dataset)
+        tokens, counts, _ = _doc_counts(dataset)
+        row_of = dict(zip(tokens, range(len(tokens))))
         zero = np.zeros(len(names), dtype=np.int64)
         rows = {kw: counts[row_of[kw.lower()]] if kw.lower() in row_of else zero for kw in keywords}
     return {kw: dict(zip(names, row.tolist())) for kw, row in rows.items()}
@@ -118,9 +152,14 @@ def scan_discriminative_tokens(dataset: Dataset, min_df: int = 5) -> list[TokenS
     the top label and the excluded labels, and counts 0 in
     ``per_label_counts``. Ties rank by token string, so output order is
     deterministic. A label outside the set raises UnknownLabelError.
+
+    Raises:
+        ValueError: if min_df is not an int >= 1 (a bool is refused).
     """
-    row_of, counts, totals = _doc_counts(dataset)
-    names, tokens, doc_freq = dataset.label_set.labels, list(row_of), counts.sum(axis=1)
+    if isinstance(min_df, bool) or not isinstance(min_df, int) or min_df < 1:
+        raise ValueError(f"min_df must be an integer >= 1, got {min_df}")
+    tokens, counts, totals = _doc_counts(dataset)
+    names, doc_freq = dataset.label_set.labels, counts.sum(axis=1)
     n_total, scored = sum(totals), [j for j, total in enumerate(totals) if total]
     stats: list[TokenStats] = []
     for i in np.flatnonzero(doc_freq >= min_df).tolist():

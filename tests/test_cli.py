@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import leakaudit
-from leakaudit import Manifest, dedup, load_jsonl
+from leakaudit import Manifest, data, dedup, load_jsonl
 from leakaudit.cli import main, parse_window
 from leakaudit.data import build_dataset, label_distribution, save_jsonl
 
@@ -190,20 +190,32 @@ def test_audit_split_builds_duplicate_index_once(env, monkeypatch):
     split_path = env["root"] / "once.json"
     assert main(["split", str(env["leaky"]), "--labels", LABELS,
                  "--seed", "3", "--out", str(split_path)]) == 0
-    calls = {"_build_nodes": 0, "_prefix_buckets": 0}
-    for name in calls:
-        original = getattr(dedup, name)
+    calls = dict.fromkeys(("build_text_table", "_build_nodes", "_prefix_buckets"), 0)
+    for module, name in ((data, "build_text_table"), (dedup, "_build_nodes"),
+                         (dedup, "_prefix_buckets")):
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(dedup, name, counted)
+        monkeypatch.setattr(module, name, counted)
     bundle_path = env["root"] / "bundle-once.json"
-    assert main(["audit", str(env["leaky"]), "--labels", LABELS, "--split", str(split_path),
-                 "--k", "2", "--json", str(bundle_path)]) == 2
+    audit = ["audit", str(env["leaky"]), "--labels", LABELS, "--split", str(split_path),
+             "--k", "2", "--json", str(bundle_path)]
+    assert main(audit) == 2
     assert read_json(bundle_path)["contamination"] is not None
-    assert calls == {"_build_nodes": 1, "_prefix_buckets": 1}
+    # the keyword scan and the duplicate scan share one text table
+    assert calls == {"build_text_table": 1, "_build_nodes": 1, "_prefix_buckets": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(audit + ["--skip-duplicates"]) == 2
+    assert calls == {"build_text_table": 1, "_build_nodes": 0, "_prefix_buckets": 0}
+
+
+def test_audit_min_df_must_be_an_int_of_at_least_one(env, capsys):
+    for value in ("0", "-3", "1.5", "true"):
+        assert main(["audit", str(env["leaky"]), "--labels", LABELS, f"--min-df={value}"]) == 1
+        assert "--min-df" in capsys.readouterr().err
 
 
 def test_audit_usage_errors(env, capsys):

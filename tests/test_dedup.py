@@ -22,12 +22,12 @@ from leakaudit.dedup import (
     WORST_PAIRS,
     _min_overlap,
     _NodeIndex,
+    _NodeRows,
     _prefix_buckets,
     _shingle_array,
-    _TokenIds,
-    normalize_text,
 )
 from leakaudit.splits import PARTITIONS
+from leakaudit.text import assign_ids, normalize_text
 
 
 def test_normalize_text():
@@ -38,12 +38,12 @@ def test_normalize_text():
     assert normalize_text("http://only.url") == ""
 
 
-_TOKEN_IDS = _TokenIds()  # one id per token across every call of _shingles
+_TOKEN_IDS = {"": -1}  # one id per token across every call of _shingles
 
 
 def _shingles(tokens):
     """Sorted distinct shingle hashes of one text; no tokens make no text."""
-    token_ids = np.fromiter(map(_TOKEN_IDS.__getitem__, tokens), np.uint64, count=len(tokens))
+    token_ids = assign_ids(tokens, _TOKEN_IDS)[0]
     lengths = np.array([len(tokens)] if tokens else [], dtype=np.int64)
     hashes, owner = _shingle_array(token_ids, lengths)
     assert not owner.any()
@@ -366,7 +366,8 @@ def _index_of(sets):
         dtype=np.int64,
     )
     starts = np.searchsorted(keys, np.arange(len(sets) + 1) * n_shingles)
-    return _NodeIndex([[i] for i in range(len(sets))], keys, starts, np.arange(n_shingles), 0)
+    rows = _NodeRows(np.arange(len(sets)), np.arange(len(sets) + 1))
+    return _NodeIndex(rows, keys, starts, np.arange(n_shingles), 0)
 
 
 # thresholds, and set sizes n with t * n integral: a subset of t * n

@@ -8,14 +8,24 @@ six "r" records (five containing "bomb") and four "n" records (none) gives
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leakaudit import LabelSet, build_dataset, keyword_label_table, scan_discriminative_tokens
+from leakaudit import (
+    LabelSet,
+    build_dataset,
+    keyword_label_table,
+    scan_discriminative_tokens,
+    scan_duplicates,
+    text,
+    textleak,
+)
 from leakaudit.data import Dataset, Record
 from leakaudit.errors import UnknownLabelError
-from leakaudit.textleak import TokenStats, token_set, tokenize
+from leakaudit.text import TOKEN_RE, build_text_table, normalize_text, strip_urls, tokenize
+from leakaudit.textleak import TokenStats, _word_tokens
 
 
 def test_tokenize_rules():
@@ -31,7 +41,6 @@ def test_tokenize_rules():
     assert tokenize("covid19 2020") == ["covid19", "2020"]
     assert tokenize("") == []
     assert tokenize("https://only.a.url/x") == []
-    assert token_set("a b a") == {"a", "b"}
 
 
 def _shortcut_dataset():
@@ -118,6 +127,21 @@ def test_keyword_label_table_token_mode():
     }
 
 
+def test_keyword_label_table_refuses_a_bare_string():
+    # "bomb" would otherwise read as the keywords "b", "o", "m", "b"
+    for substring in (False, True):
+        with pytest.raises(TypeError, match="^keywords must be a sequence of strings"):
+            keyword_label_table(_shortcut_dataset(), "bomb", substring=substring)
+    assert keyword_label_table(_shortcut_dataset(), ("bomb",)) == {"bomb": {"r": 5, "n": 0}}
+
+
+@pytest.mark.parametrize("min_df", [0, -3, True, False, 1.5, 2.0, "2", None, np.int64(2)])
+def test_min_df_must_be_an_int_of_at_least_one(min_df):
+    with pytest.raises(ValueError) as exc_info:
+        scan_discriminative_tokens(_shortcut_dataset(), min_df=min_df)
+    assert str(exc_info.value) == f"min_df must be an integer >= 1, got {min_df}"
+
+
 def test_a_label_outside_the_set_is_refused_by_both_functions():
     # the stray record has no tokens: a scan that skipped it before checking
     # its label, or a table that only looked up labels on a hit, would pass
@@ -135,21 +159,102 @@ def test_a_label_outside_the_set_is_refused_by_both_functions():
         assert str(exc_info.value) == "label 'x' not in ('r', 'n')"
 
 
+# --- one text table for both scans ------------------------------------------
+
+SPECIAL = ("\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", " ", "\t", "_",
+           "\u0301", "\u0663", "\uff13", "\u017f", "\u0130", "\u03a3", "\u00df", "A", "Z")
+URLS = ("http://t.co/Ab", "https://x.io/q?a=1", "www.Foo.com/x", "HTTP://A.B", "WWW.c.d", "www.")
+PUNCT = ("(", ")", ".", ",", "!", '"', "#", "@", "/", ":")
+UNICODE_TEXTS = st.lists(
+    st.one_of(st.text(max_size=6), *(st.sampled_from(pool) for pool in (SPECIAL, URLS, PUNCT))),
+    max_size=12,
+).map("".join)
+
+
+def _table_tokens(texts):
+    """Each text's tokens as the text table and the keyword scan's word
+    tokenization give them."""
+    table = build_text_table(texts)
+    tokens, flat, n_tokens = _word_tokens(table.vocab)
+    vocab = table.vocab.split(" ")[:-1]
+    word_tokens = np.split(flat, np.cumsum(n_tokens)[:-1]) if len(vocab) else []
+    word_bounds = np.concatenate(([0], np.cumsum(table.n_words)))
+    got = []
+    for raw, node in zip(texts, table.node.tolist()):
+        words = table.words[word_bounds[node] : word_bounds[node + 1]].tolist() if node >= 0 else []
+        assert " ".join(vocab[w] for w in words) == normalize_text(raw)
+        got.append([tokens[t] for w in words for t in word_tokens[w].tolist()])
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(UNICODE_TEXTS, min_size=1, max_size=4))
+@example(texts=["http://a.co/x starts", "ends www.b.org", "(http://c.d/e), x.www.y.z",
+                "\u2028https://q.r\x85A\u03a3\u0301 snake_case", "\u0130\u017f\u0663\xa0x\x1cy"])
+def test_table_tokens_match_the_token_regex(texts):
+    expected = [TOKEN_RE.findall(strip_urls(t.lower())) for t in texts]
+    # normalizing keeps the tokens, so the table may key on normalized text
+    assert [TOKEN_RE.findall(normalize_text(t)) for t in texts] == expected
+    assert [tokenize(t) for t in texts] == expected
+    assert _table_tokens(texts) == expected
+
+
+def test_small_batches_build_the_same_tables(monkeypatch):
+    texts = [f"W{i % 7} w{i % 5} {'x ' * (i % 3)}http://u.co/{i} #t{i % 4}" for i in range(60)]
+    ds = build_dataset(
+        [{"id": str(i), "text": t, "label": "rnm"[i % 3]} for i, t in enumerate(texts, 1)],
+        labels=["r", "n", "m"],
+    )
+    table = build_text_table(texts)
+    scan, duplicates = scan_discriminative_tokens(ds, min_df=1), scan_duplicates(ds, 0.5)
+    monkeypatch.setattr(text, "_BATCH_TEXTS", 1)
+    monkeypatch.setattr(text, "_BATCH", 1)
+    monkeypatch.setattr(textleak, "_BATCH_CHARS", 1)
+    small = build_text_table(texts)
+    for name in ("node", "words", "n_words", "vocab"):
+        assert np.array_equal(getattr(small, name), getattr(table, name)), name
+    fresh = Dataset(ds.records, ds.label_set)
+    assert scan_discriminative_tokens(fresh, min_df=1) == scan
+    assert scan_duplicates(fresh, 0.5) == duplicates
+
+
 # --- properties against per-record loops -------------------------------------
 
 WORDS = ("foo", "Foo", "BAR", "bar", "café", "CAFÉ", "x1", "#Tag", "@foo", "snake_case",
          "http://t.co/Foo", "www.bar.com/x")
 TEXTS = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
 KEYWORDS = ("foo", "FOO", "Bar", "café", "tag", "case", "co", "nowhere", "t.co")
+# ways to write a text that normalize to the same node
+VARIANTS = (
+    str,
+    str.upper,
+    str.title,
+    lambda t: t.replace(" ", "\t"),
+    lambda t: t.replace(" ", " \u2028"),
+    lambda t: f"{t} https://t.co/Zz9",
+    lambda t: f"WWW.x.org/a {t}",
+)
 
 
 @st.composite
 def datasets(draw, labels=("r", "n", "m")):
-    rows = draw(st.lists(st.tuples(TEXTS, st.sampled_from(labels)), max_size=25))
+    """Records drawn from a few texts, each written in one of VARIANTS, so
+    the records of one node can carry different labels."""
+    bases = draw(st.lists(TEXTS, min_size=1, max_size=4))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(bases), st.sampled_from(VARIANTS), st.sampled_from(labels)),
+        max_size=25,
+    ))
     return build_dataset(
-        [{"id": str(i), "text": text, "label": label} for i, (text, label) in enumerate(rows, 1)],
+        [{"id": str(i), "text": variant(base), "label": label}
+         for i, (base, variant, label) in enumerate(rows, 1)],
         labels=labels,
     )
+
+
+@given(base=TEXTS)
+def test_variants_normalize_to_one_text(base):
+    assert {normalize_text(variant(base)) for variant in VARIANTS} == {normalize_text(base)}
 
 
 def _scan_oracle(dataset, min_df):
@@ -158,7 +263,7 @@ def _scan_oracle(dataset, min_df):
     totals = dict.fromkeys(dataset.label_set, 0)
     counts = {}
     for record in dataset.records:
-        tokens = token_set(record.text)
+        tokens = set(TOKEN_RE.findall(strip_urls(record.text.lower())))
         totals[record.label] += bool(tokens)
         for tok in tokens:
             counts.setdefault(tok, dict.fromkeys(dataset.label_set, 0))[record.label] += 1
