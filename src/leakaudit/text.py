@@ -24,7 +24,7 @@ import numpy as np
 URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _BATCH_TEXTS = 256  # texts one table-building pass holds at most
-_BATCH = 1 << 18  # array entries one batched pass holds at most
+_BATCH = 1 << 16  # array entries one batched pass holds at most
 _EMPTY = np.empty(0, dtype=np.int32)
 
 
