@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._arrays import batches, ragged_arange, sorted_unique
 from .data import Dataset
 from .splits import PARTITIONS, Split
-from .text import batches, ragged_arange, sorted_unique
 
 SHINGLE_SIZE = 3
 WORST_PAIRS = 25  # contamination pairs that are built in full

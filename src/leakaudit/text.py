@@ -17,14 +17,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _BATCH_TEXTS = 256  # texts one table-building pass holds at most
-_BATCH = 1 << 16  # array entries one batched pass holds at most
 _EMPTY = np.empty(0, dtype=np.int32)
 
 
@@ -64,11 +63,6 @@ def split_tokens(text: str) -> list[str]:
     return text.translate(_TOKEN_CHARS).split()
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, drop URLs, split into maximal alphanumeric runs."""
-    return split_tokens(strip_urls(text.lower()))
-
-
 def assign_ids(keys: list[str], ids: dict[str, int]) -> tuple[np.ndarray, list[str]]:
     """Each key's id in ``ids`` as int32, and the keys that ids lacked,
     which get the next ids in order of first appearance. ids maps one
@@ -76,31 +70,6 @@ def assign_ids(keys: list[str], ids: dict[str, int]) -> tuple[np.ndarray, list[s
     unseen = [key for key in dict.fromkeys(keys) if key not in ids]
     ids.update(zip(unseen, range(len(ids) - 1, len(ids) - 1 + len(unseen))))
     return np.fromiter(map(ids.__getitem__, keys), np.int32, len(keys)), unseen
-
-
-def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
-
-
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), which on large arrays is much slower than a sort."""
-    values = np.sort(values)
-    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
-
-
-def batches(weights: np.ndarray) -> Iterable[tuple[int, int]]:
-    """Cut positions into runs (lo, hi) whose weights sum to at most
-    _BATCH; a single heavier position runs alone. This bounds the memory
-    of one pass."""
-    ends = np.cumsum(weights)
-    lo = 0
-    while lo < len(weights):
-        base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + _BATCH, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 @dataclass(frozen=True)

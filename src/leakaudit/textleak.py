@@ -26,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._arrays import batches, ragged_arange, sorted_unique
 from .data import Dataset
 from .errors import UnknownLabelError
-from .text import assign_ids, batches, ragged_arange, sorted_unique, split_tokens
+from .text import assign_ids, split_tokens
 
 _BATCH_CHARS = 1 << 15  # vocab characters one tokenizing pass holds at most
 

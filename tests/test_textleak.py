@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from leakaudit import (
     LabelSet,
+    _arrays,
     build_dataset,
     keyword_label_table,
     scan_discriminative_tokens,
@@ -24,23 +25,8 @@ from leakaudit import (
 )
 from leakaudit.data import Dataset, Record
 from leakaudit.errors import UnknownLabelError
-from leakaudit.text import TOKEN_RE, build_text_table, normalize_text, strip_urls, tokenize
+from leakaudit.text import TOKEN_RE, build_text_table, normalize_text, strip_urls
 from leakaudit.textleak import TokenStats, _word_tokens
-
-
-def test_tokenize_rules():
-    assert tokenize("Check https://x.co/Ab @user #Tag42 done") == [
-        "check",
-        "user",
-        "tag42",
-        "done",
-    ]
-    assert tokenize("see www.Foo.com/bar rest") == ["see", "rest"]
-    assert tokenize("snake_case stays split") == ["snake", "case", "stays", "split"]
-    assert tokenize("Café CAFÉ") == ["café", "café"]
-    assert tokenize("covid19 2020") == ["covid19", "2020"]
-    assert tokenize("") == []
-    assert tokenize("https://only.a.url/x") == []
 
 
 def _shortcut_dataset():
@@ -187,6 +173,19 @@ def _table_tokens(texts):
     return got
 
 
+def test_tokenize_rules():
+    cases = {
+        "Check https://x.co/Ab @user #Tag42 done": ["check", "user", "tag42", "done"],
+        "see www.Foo.com/bar rest": ["see", "rest"],
+        "snake_case stays split": ["snake", "case", "stays", "split"],
+        "Café CAFÉ": ["café", "café"],
+        "covid19 2020": ["covid19", "2020"],
+        "": [],
+        "https://only.a.url/x": [],
+    }
+    assert _table_tokens(list(cases)) == list(cases.values())
+
+
 @settings(max_examples=300, deadline=None)
 @given(texts=st.lists(UNICODE_TEXTS, min_size=1, max_size=4))
 @example(texts=["http://a.co/x starts", "ends www.b.org", "(http://c.d/e), x.www.y.z",
@@ -195,7 +194,6 @@ def test_table_tokens_match_the_token_regex(texts):
     expected = [TOKEN_RE.findall(strip_urls(t.lower())) for t in texts]
     # normalizing keeps the tokens, so the table may key on normalized text
     assert [TOKEN_RE.findall(normalize_text(t)) for t in texts] == expected
-    assert [tokenize(t) for t in texts] == expected
     assert _table_tokens(texts) == expected
 
 
@@ -208,7 +206,7 @@ def test_small_batches_build_the_same_tables(monkeypatch):
     table = build_text_table(texts)
     scan, duplicates = scan_discriminative_tokens(ds, min_df=1), scan_duplicates(ds, 0.5)
     monkeypatch.setattr(text, "_BATCH_TEXTS", 1)
-    monkeypatch.setattr(text, "_BATCH", 1)
+    monkeypatch.setattr(_arrays, "_BATCH", 1)
     monkeypatch.setattr(textleak, "_BATCH_CHARS", 1)
     small = build_text_table(texts)
     for name in ("node", "words", "n_words", "vocab"):
@@ -238,16 +236,16 @@ VARIANTS = (
 
 @st.composite
 def datasets(draw, labels=("r", "n", "m")):
-    """Records drawn from a few texts, each written in one of VARIANTS, so
-    the records of one node can carry different labels."""
-    bases = draw(st.lists(TEXTS, min_size=1, max_size=4))
-    rows = draw(st.lists(
-        st.tuples(st.sampled_from(bases), st.sampled_from(VARIANTS), st.sampled_from(labels)),
-        max_size=25,
-    ))
+    """Records whose text is drawn on its own or is one of a few texts
+    written in one of VARIANTS, so the records of one node can carry
+    different labels."""
+    bases = draw(st.lists(TEXTS, min_size=1, max_size=25))
+    variant_texts = st.builds(lambda base, variant: variant(base),
+                              st.sampled_from(bases), st.sampled_from(VARIANTS))
+    rows = draw(st.lists(st.tuples(st.one_of(TEXTS, variant_texts), st.sampled_from(labels)),
+                         max_size=25))
     return build_dataset(
-        [{"id": str(i), "text": variant(base), "label": label}
-         for i, (base, variant, label) in enumerate(rows, 1)],
+        [{"id": str(i), "text": text, "label": label} for i, (text, label) in enumerate(rows, 1)],
         labels=labels,
     )
 
