@@ -1,7 +1,7 @@
-"""Array helpers that the keyword scan and the duplicate scan share.
+"""Array helpers that the text stages and the forest share.
 
-``_BATCH`` is the one memory bound of their batched passes: the keyword
-scan's (token, node) pairs and the duplicate scan's verification and
+``_BATCH`` bounds the text stages' batched passes: the keyword scan's
+(token, node) pairs and the duplicate scan's verification and
 contamination passes each hold at most this many array entries at once.
 """
 
@@ -26,14 +26,15 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
-def batches(weights: np.ndarray) -> Iterable[tuple[int, int]]:
+def batches(weights, budget: int | None = None) -> Iterable[tuple[int, int]]:
     """Cut positions into runs (lo, hi) whose weights sum to at most
-    _BATCH; a single heavier position runs alone. This bounds the memory
-    of one pass."""
+    ``budget`` (_BATCH, read at each call, by default); a single heavier
+    position runs alone. This bounds the memory of one pass."""
+    budget = _BATCH if budget is None else budget
     ends = np.cumsum(weights)
     lo = 0
     while lo < len(weights):
         base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + _BATCH, side="right")), lo + 1)
+        hi = max(int(np.searchsorted(ends, base + budget, side="right")), lo + 1)
         yield lo, hi
         lo = hi

@@ -133,6 +133,8 @@ def cmd_audit(args) -> int:
     jaccard = 0.8 if args.jaccard is None else args.jaccard
     if n_splits < 1:
         raise UsageError(f"--n-splits must be >= 1, got {n_splits}")
+    if args.seed < 0:  # the bundle records it as the forest seed, which is >= 0
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if not args.fail_over >= 0.0:  # also rejects nan
         raise UsageError(f"--fail-over must be >= 0, got {args.fail_over}")
     if not 0.0 < jaccard <= 1.0:  # also rejects nan

@@ -75,9 +75,9 @@ class AllIdsTooShortError(LeakAuditError):
 
 class RatioError(LeakAuditError):
     """A split spec is malformed: bad ratios (wrong arity, not numbers,
-    negative, or sum != 1), a missing seed, fields that cannot combine, a
-    group_by outside the group fields, bad quotas, or a min_reply_count
-    that is not a non-negative integer."""
+    negative, or sum != 1), a missing seed or one that is not an int,
+    fields that cannot combine, a group_by outside the group fields, bad
+    quotas, or a min_reply_count that is not a non-negative integer."""
 
 
 class MissingGroupFieldError(LeakAuditError):

@@ -55,6 +55,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from ._arrays import batches, ragged_arange
 from .data import LabelSet
 from .errors import EmptyDistributionError
 
@@ -78,7 +79,7 @@ class ForestConfig:
         for name, lowest, also in (
             ("n_trees", 1, ""), ("max_depth", 1, " or None"),
             ("max_features", 1, ", 'sqrt' or 'all'"),
-            ("min_samples_split", 2, ""), ("min_samples_leaf", 1, ""),
+            ("min_samples_split", 2, ""), ("min_samples_leaf", 1, ""), ("seed", 0, ""),
         ):
             value = getattr(self, name)
             if value in {"max_depth": (None,), "max_features": ("sqrt", "all")}.get(name, ()):
@@ -86,6 +87,8 @@ class ForestConfig:
             # a bool would read as 0 or 1, and a numpy integer would not serialize
             if type(value) is not int or value < lowest:
                 raise ValueError(f"{name} must be an int >= {lowest}{also}, got {value!r}")
+        if type(self.bootstrap) is not bool:
+            raise ValueError(f"bootstrap must be a bool, got {self.bootstrap!r}")
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -183,10 +186,10 @@ class _LockstepGrower:
                 # batches of at most _BATCH_CELLS (pattern, feature) cells, a
                 # larger node alone, bound the memory of the batch's sort
                 cells = (popped[_END, cand] - popped[_START, cand]) * self.n_features
-                for part in _chunks(cells, _BATCH_CELLS):
-                    batch = cand[part]
+                for lo, hi in batches(cells, _BATCH_CELLS):
+                    batch = cand[lo:hi]
                     found = self._split(popped[_START, batch], popped[_END, batch], label_w[batch],
-                                        None if perms is None else perms[part])
+                                        None if perms is None else perms[lo:hi])
                     split_feat[batch], split_thr[batch], n_left[batch], left_w[batch] = found
 
             forest, leaf = live // config.n_trees, split_feat < 0
@@ -259,7 +262,7 @@ class _LockstepGrower:
         lengths = ends - starts
         seg = np.repeat(np.arange(m), lengths)
         seg_first = np.cumsum(lengths) - lengths
-        idx = _ranges(starts, lengths)
+        idx = ragged_arange(starts, lengths)
         pat = self.flat_pat[idx]
         w = self.flat_w[idx]
         codes = self.codes[pat]
@@ -277,7 +280,7 @@ class _LockstepGrower:
         # (node, feature) taking its node's rows: one row per (node, feature,
         # present value), sorted in that order, and one column per label
         pair_seg, pair_feat = np.nonzero(evaluated)
-        cell = _ranges(seg_first[pair_seg], lengths[pair_seg])
+        cell = ragged_arange(seg_first[pair_seg], lengths[pair_seg])
         cell_feat = np.repeat(pair_feat, lengths[pair_seg])
         groups, inverse = np.unique(
             seg[cell] * self.n_codes + codes[cell, cell_feat], return_inverse=True
@@ -476,9 +479,9 @@ def fit_rows(rows, sets, label_set, config: ForestConfig) -> Iterator[ForestMode
     pat_X, pat_y = rows[keys // K], keys % K
 
     entries = [config.n_trees * int(np.count_nonzero(c)) for c in counts]
-    for group in _chunks(entries, _GROUP_ENTRIES):
+    for lo, hi in batches(entries, _GROUP_ENTRIES):
         tables = _LockstepGrower(
-            pat_X, pat_y, K, config, *_tree_copies(inverses[group], counts[group], config)
+            pat_X, pat_y, K, config, *_tree_copies(inverses[lo:hi], counts[lo:hi], config)
         ).grow()
         while tables:  # popped as yielded, so letting each forest go frees the group's tables
             yield ForestModel(config, label_set, rows.shape[1], *tables.pop(0))
@@ -529,11 +532,6 @@ def _order_block(rng, n_features: int, m: int) -> np.ndarray:
     return rng.permuted(np.repeat(ids[None], m, axis=0), axis=1)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
-    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-
-
 def _number(counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Number each key's items in sorted ``keys`` on from ``counts[key]``; advance ``counts``."""
     numbers = counts[keys] + np.arange(len(keys)) - np.searchsorted(keys, keys)
@@ -550,17 +548,6 @@ def _room(a: np.ndarray, need: int, used) -> np.ndarray:
     for i, n in enumerate(used):
         grown[i, : min(n, a.shape[1])] = a[i, :n]
     return grown
-
-
-def _chunks(sizes, budget: int):
-    """Cut consecutive items into slices whose sizes sum to at most
-    ``budget``; a larger item forms a slice alone."""
-    ends, lo = np.cumsum(sizes), 0
-    while lo < len(ends):
-        spent = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, spent + budget, side="right")), lo + 1)
-        yield slice(lo, hi)
-        lo = hi
 
 
 # --- stratified random baseline -------------------------------------------

@@ -9,10 +9,10 @@ model can exploit that instead of content.
 The caller owns the splits: ``probe_splits`` makes the audit's generated
 ones, and ``run_id_leak_suite`` scores the splits it is given, so every
 other check can run on the same partitions. The suite reads each split's
-train and test dataset positions directly. It reads the id column once,
-as one fixed-width byte view checked for digits once, and gives each k a
-pattern table from that view: the distinct k-digit prefixes, sorted, and
-each row's pattern (-1 for an id shorter than k). Every run is checked
+train and test dataset positions directly. It parses the id column once,
+with the loaders' id rule, and gives each k a pattern table from the
+parsed values: the distinct k-digit prefixes, sorted, and each row's
+pattern (-1 for an id shorter than k). Every run is checked
 before any forest grows, so errors come in report order. Then, for each
 k, one ``fit_rows`` call fits the forests of all splits together on the
 table's train patterns (stratified splits share their size, so they share
@@ -31,9 +31,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
+from .errors import AllIdsTooShortError, EmptySplitError, IdParseError
 from .forest import ForestConfig, baseline_expected_macro_f1, fit_rows
 from .metrics import ConfusionMatrix, result_from_matrix
+from .snowflake import parse_id, parse_ids
 from .splits import Split, SplitSpec, make_split
 
 
@@ -41,6 +42,10 @@ from .splits import Split, SplitSpec, make_split
 NONE_BELOW = 0.05
 MILD_BELOW = 0.15
 MODERATE_BELOW = 0.40
+
+# 10**0 .. 10**18 in uint64: a canonical id has at most 19 digits, and
+# uint64 mixed with int64 would promote to float64 and lose digits
+_POWERS = 10 ** np.arange(19, dtype=np.uint64)
 
 
 def verdict(score: float) -> str:
@@ -99,7 +104,7 @@ def run_id_leak_test(
             requirement.
         UnknownLabelError: if a kept record's label is outside the label set.
         ValueError: for a split of another dataset, k < 1, or a dataset id,
-            in the split or not, that is not a string of ASCII digits.
+            in the split or not, that ``snowflake.parse_id`` refuses.
     """
     if split.dataset is not dataset:
         raise ValueError("the split was made from another dataset")
@@ -116,9 +121,8 @@ def _kept(dataset, rows, n_listed, k, pattern_of):
     if n_train == 0 or n_train == len(kept_rows):
         raise AllIdsTooShortError(f"every id in a partition is shorter than {k} digits")
     labels = dataset.label_index[kept_rows]
-    if np.any(labels < 0):
-        bad = dataset.records[kept_rows[np.argmax(labels < 0)]].label
-        raise UnknownLabelError(f"label {bad!r} not in {dataset.label_set.labels}")
+    if np.any(labels < 0):  # index raises UnknownLabelError for the first unknown label
+        dataset.label_set.index(dataset.records[kept_rows[np.argmax(labels < 0)]].label)
     return pattern_of[kept_rows], labels, n_train
 
 
@@ -160,33 +164,37 @@ def _pattern_tables(ids: list[str], k_values) -> dict[int, tuple[np.ndarray, np.
     int64 digit rows in ascending order, and each id's row in that table
     (-1 for an id shorter than k).
 
-    This is the one digit rule: all ids become one fixed-width byte view,
-    checked once, and each digit is its byte minus ``ord('0')``. Each k
-    keys the long-enough ids by their first k bytes, so the key is exact
-    at any length, and bytes of one length sort as their digit rows do.
+    The ids are read with the loaders' id rule, ``snowflake.parse_ids``,
+    and each k takes its prefixes from the parsed values: an id of d
+    digits has the k-digit prefix ``value // 10**(d - k)``. A prefix has
+    no leading zero, so prefixes sort by value as their digit rows do.
 
     Raises:
-        ValueError: if a k is below 1 or repeats, or an id is not a string
-            of ASCII digits (a non-ASCII id raises UnicodeEncodeError).
+        ValueError: if there is no k, a k is below 1 or repeats, or an id
+            is not canonical (``parse_id``'s message for the first such).
     """
+    if not k_values:
+        raise ValueError("no k values to probe")
     for k in k_values:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
     if len(set(k_values)) < len(k_values):
         raise ValueError(f"k values repeat: {list(k_values)}")
-    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    width = max(max(k_values, default=1), int(lengths.max(initial=0)))
-    # a non-ASCII id fails here with UnicodeEncodeError, a ValueError
-    raw = np.array(ids, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    # bytes below '0' wrap above 9
-    if np.any((raw - np.uint8(ord("0")) > 9) & (np.arange(width) < lengths[:, None])):
-        raise ValueError("ids must be strings of ASCII digits")
+    accepted, values = parse_ids(ids)
+    if not accepted.all():
+        try:
+            parse_id(ids[int(np.argmin(accepted))])
+        except IdParseError as exc:
+            raise ValueError(str(exc)) from None
+    n_digits = np.searchsorted(_POWERS, values, side="right")
     tables = {}
     for k in k_values:
-        kept = np.flatnonzero(lengths >= k)
-        keys = raw[kept, :k].view(f"S{k}").reshape(-1)  # indexing copies in C order
-        prefixes, inverse = np.unique(keys, return_inverse=True)
-        table = prefixes.view(np.uint8).reshape(-1, k).astype(np.int64) - ord("0")
+        kept = np.flatnonzero(n_digits >= k)  # none when k > 19
+        prefixes = values[kept] // _POWERS[n_digits[kept] - k]
+        prefixes, inverse = np.unique(prefixes, return_inverse=True)
+        table = np.empty((len(prefixes), k), dtype=np.int64)
+        for place in range(k - 1, -1, -1):  # the last digit first
+            prefixes, table[:, place] = np.divmod(prefixes, np.uint64(10))
         pattern_of = np.full(len(ids), -1, dtype=np.int64)
         pattern_of[kept] = inverse
         tables[k] = table, pattern_of
@@ -219,10 +227,9 @@ def run_id_leak_suite(
 
     Raises:
         ValueError: before any run is checked, in this order: there is no
-            split; the splits come from different datasets; a k is below
-            1; a k repeats; a dataset id, in a split or not, is not a
-            string of ASCII digits (UnicodeEncodeError, a ValueError, for
-            a non-ASCII one).
+            split; the splits come from different datasets; there is no
+            k; a k is below 1; a k repeats; a dataset id, in a split or
+            not, is one ``snowflake.parse_id`` refuses (its message).
         The errors of the first run that fails: EmptySplitError,
         AllIdsTooShortError or UnknownLabelError.
     """

@@ -57,9 +57,8 @@ class ConfusionMatrix:
             raise ValueError(f"{len(gold)} gold labels vs {len(predicted)} predictions")
         labels = [*gold, *predicted, *missing_gold]
         codes = label_set.encode(labels)
-        if np.any(codes < 0):
-            unknown = labels[int(np.argmax(codes < 0))]
-            raise UnknownLabelError(f"label {unknown!r} not in {label_set.labels}")
+        if np.any(codes < 0):  # index raises UnknownLabelError for the first unknown label
+            label_set.index(labels[int(np.argmax(codes < 0))])
         n = len(gold)
         return cls.from_positions(codes[:n], codes[n : 2 * n], label_set, codes[2 * n :])
 

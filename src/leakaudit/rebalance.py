@@ -147,10 +147,14 @@ def time_rebalance(
     already occur in the dataset are dropped up front and counted.
 
     Raises:
+        ValueError: window_ms is not an int >= 1.
         UnknownLabelError: anchor label outside the dataset's label set.
         NoAnchorRecordsError: no anchor record has a decodable timestamp.
         EmptyPoolError: no usable pool record for any non-anchor label.
     """
+    # a bool would read as 0 or 1, and a float would not fit the report schema
+    if type(window_ms) is not int or window_ms < 1:
+        raise ValueError(f"window_ms must be an int >= 1, got {window_ms!r}")
     if anchor_label not in dataset.label_set:
         raise UnknownLabelError(f"anchor label {anchor_label!r} not in label set")
 

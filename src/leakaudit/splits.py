@@ -84,6 +84,8 @@ class SplitSpec:
             raise RatioError(
                 f"group_by must be one of {', '.join(GROUP_FIELDS)}, got {self.group_by!r}"
             )
+        if self.seed is not None and type(self.seed) is not int:
+            raise RatioError(f"seed: needs an integer or None, got {self.seed!r}")
         count = self.min_reply_count
         if count is not None and (
             isinstance(count, bool) or not isinstance(count, int) or count < 0

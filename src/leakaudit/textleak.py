@@ -28,7 +28,6 @@ import numpy as np
 
 from ._arrays import batches, ragged_arange, sorted_unique
 from .data import Dataset
-from .errors import UnknownLabelError
 from .text import assign_ids, split_tokens
 
 _BATCH_CHARS = 1 << 15  # vocab characters one tokenizing pass holds at most
@@ -54,9 +53,8 @@ class TokenStats:
 
 def _label_positions(dataset: Dataset) -> np.ndarray:
     labels = dataset.label_index
-    if np.any(labels < 0):
-        bad = dataset.records[int(np.argmax(labels < 0))].label
-        raise UnknownLabelError(f"label {bad!r} not in {dataset.label_set.labels}")
+    if np.any(labels < 0):  # index raises UnknownLabelError for the first unknown label
+        dataset.label_set.index(dataset.records[int(np.argmax(labels < 0))].label)
     return labels
 
 

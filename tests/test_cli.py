@@ -245,6 +245,8 @@ def test_audit_usage_errors(env, capsys):
         (["--min-df", "0"], "--min-df"),
         (["--min-df=-3"], "--min-df"),
         (["--top-tokens=-1"], "--top-tokens"),
+        # the bundle's schema gives the forest seed a minimum of 0
+        (["--seed=-1"], "--seed"),
     ):
         assert main(base + flags) == 1
         assert f"error: {named} " in capsys.readouterr().err

@@ -428,6 +428,13 @@ def test_input_validation():
         (dict(min_samples_split=2.5), "min_samples_split must be an int >= 2, got 2.5"),
         (dict(min_samples_leaf=0), "min_samples_leaf must be an int >= 1, got 0"),
         (dict(min_samples_leaf=False), "min_samples_leaf must be an int >= 1, got False"),
+        (dict(seed=-1), "seed must be an int >= 0, got -1"),
+        (dict(seed=True), "seed must be an int >= 0, got True"),
+        (dict(seed=1.5), "seed must be an int >= 0, got 1.5"),
+        (dict(seed="3"), "seed must be an int >= 0, got '3'"),
+        (dict(bootstrap="no"), "bootstrap must be a bool, got 'no'"),
+        (dict(bootstrap=0), "bootstrap must be a bool, got 0"),
+        (dict(bootstrap=np.bool_(True)), f"bootstrap must be a bool, got {np.bool_(True)!r}"),
     ):
         with pytest.raises(ValueError) as exc:
             ForestConfig(**bad)
@@ -436,7 +443,8 @@ def test_input_validation():
 
 def test_config_refuses_numpy_integers():
     # the model's JSON holds the config, and json cannot write a numpy integer
-    for name in ("n_trees", "max_depth", "max_features", "min_samples_split", "min_samples_leaf"):
+    names = ("n_trees", "max_depth", "max_features", "min_samples_split", "min_samples_leaf", "seed")
+    for name in names:
         with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
             ForestConfig(**{name: np.int64(3)})
 

@@ -21,7 +21,7 @@ import leakaudit.idleak as idleak_module
 from _oracle_splits import split_of
 from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
 from leakaudit.data import Dataset, Record
-from leakaudit.errors import AllIdsTooShortError, EmptySplitError, UnknownLabelError
+from leakaudit.errors import AllIdsTooShortError, EmptySplitError, IdParseError, UnknownLabelError
 from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.idleak import (
     _pattern_tables,
@@ -31,7 +31,9 @@ from leakaudit.idleak import (
     summarize_id_leak_suite,
     verdict,
 )
+from leakaudit.snowflake import parse_id
 from leakaudit.splits import export_split, import_split, make_split
+from test_snowflake import _ID_STRINGS
 
 FAST = ForestConfig(n_trees=20, seed=0)
 
@@ -82,14 +84,10 @@ def _pattern_tables_by_character(ids, k):
 @settings(max_examples=300, deadline=None)
 @given(
     ids=st.lists(
-        st.one_of(
-            st.integers(1, 2**63 - 1).map(str),
-            st.integers(1, 999).map(str),
-            # hand-built ids past int64: 19 to 25 digits
-            st.integers(10**18, 10**25 - 1).map(str),
-        ),
+        st.one_of(st.integers(1, 2**63 - 1).map(str), st.integers(1, 999).map(str)),
         max_size=30,
     ),
+    # k above 19, the most digits an id has, keeps no id
     k_values=st.lists(st.integers(1, 27), min_size=1, max_size=4, unique=True),
 )
 def test_pattern_tables_match_per_character_oracle(ids, k_values):
@@ -102,22 +100,52 @@ def test_pattern_tables_match_per_character_oracle(ids, k_values):
         assert pattern_of.dtype == np.int64 and pattern_of.tolist() == want_pattern_of
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(
+        # hand-built ids past int64, 19 to 25 digits, are refused too
+        st.one_of(_ID_STRINGS, st.integers(10**18, 10**25 - 1).map(str)), max_size=30
+    )
+)
+def test_pattern_tables_refuse_exactly_the_ids_parse_id_refuses(ids):
+    refusals = []
+    for id_str in ids:
+        try:
+            parse_id(id_str)
+        except IdParseError as exc:
+            refusals.append(str(exc))
+    if not refusals:
+        _pattern_tables(ids, (1, 3))
+        return
+    with pytest.raises(ValueError) as exc:
+        _pattern_tables(ids, (1, 3))
+    assert str(exc.value) == refusals[0]
+
+
 def test_pattern_tables_error_text():
+    with pytest.raises(ValueError, match=r"^no k values to probe$"):
+        _pattern_tables(["123"], ())
     with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         _pattern_tables(["123"], (2, 0))
     with pytest.raises(ValueError, match=r"^k values repeat: \[2, 3, 2\]$"):
         _pattern_tables(["123"], (2, 3, 2))
-    # a non-digit id is an error even when it is too short to be kept
-    for bad in ("12a", "1 2", "1\x002", "12\x00", "/", ":"):
-        with pytest.raises(ValueError, match="^ids must be strings of ASCII digits$"):
+    # an id the loaders refuse is an error even when it is too short to be kept
+    for bad, rule in (
+        ("12a", "is not a decimal string"), ("1 2", "is not a decimal string"),
+        ("1\x002", "is not a decimal string"), ("12\x00", "is not a decimal string"),
+        ("/", "is not a decimal string"), (":", "is not a decimal string"),
+        ("", "is not a decimal string"), ("\u0661\u0662\u0663", "is not a decimal string"),
+        ("07", "has a leading zero"), ("0", "outside [1, 2**63 - 1]"),
+        ("1234567890123456789012", "outside [1, 2**63 - 1]"),
+    ):
+        with pytest.raises(ValueError) as exc:
             _pattern_tables(["456", bad], (3,))
-    with pytest.raises(UnicodeEncodeError):
-        _pattern_tables(["456", "\u0661\u0662\u0663"], (1,))
+        assert str(exc.value) == f"id {rule}: {bad!r}"
 
 
 def test_suite_errors_come_in_order_before_any_run_is_checked():
-    # every check below fails at once: k 0 repeats, an id is not digits,
-    # and the split's train is empty
+    # every check below fails at once: there is no k, k 0 repeats, an id
+    # is not digits, and the split's train is empty
     ids = ["523456789012345678", "623456789012345678"]
     ds = Dataset(
         records=tuple(Record(id=i, text="t", label="x") for i in ids + ["12a"]),
@@ -125,9 +153,10 @@ def test_suite_errors_come_in_order_before_any_run_is_checked():
     )
     split = split_of(ds, test_ids=ids)
     for k_values, message in (
+        ((), r"^no k values to probe$"),
         ((0, 0), r"^k must be >= 1, got 0$"),
         ((3, 3), r"^k values repeat: \[3, 3\]$"),
-        ((3,), "^ids must be strings of ASCII digits$"),
+        ((3,), r"^id is not a decimal string: '12a'$"),
     ):
         with pytest.raises(ValueError, match=message):
             run_id_leak_suite([split], k_values, config=FAST)
@@ -228,11 +257,11 @@ def test_non_digit_id_outside_the_split_is_refused():
         label_set=LabelSet.of("x", "y"),
     )
     split = split_of(ds, train_ids=ids[:2], test_ids=ids[2:])
-    with pytest.raises(ValueError, match="ASCII digits"):
+    with pytest.raises(ValueError, match=r"^id is not a decimal string: '12a'$"):
         run_id_leak_test(ds, split, k=3, config=FAST)
 
 
-def test_suite_builds_the_byte_view_once(leaky, monkeypatch):
+def test_suite_parses_the_ids_once(leaky, monkeypatch):
     calls = []
     original = idleak_module._pattern_tables
 

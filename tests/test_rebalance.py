@@ -77,9 +77,9 @@ def test_deltas_respect_window(rebalanced):
     assert 0 <= report.max_abs_delta_ms <= report.window_ms
 
 
-def test_window_zero_rejects_everything(leaky, pool):
+def test_one_ms_window_rejects_everything(leaky, pool):
     out, report = time_rebalance(
-        leaky, pool, ANCHOR, window_ms=0, seed=0, measure_leak=False
+        leaky, pool, ANCHOR, window_ms=1, seed=0, measure_leak=False
     )
     assert report.n_replaced == 0
     assert report.n_rejected == 1500
@@ -225,6 +225,11 @@ def test_pool_takes_at_one_edge_stay_near_linear(edge):
 def test_rebalance_error_cases(leaky, pool):
     with pytest.raises(UnknownLabelError):
         time_rebalance(leaky, pool, "ghost", seed=0)
+    # a window below 1 ms rejects every record, and the report needs an int
+    for window_ms in (0, -5, True, 1.5, np.int64(7)):
+        with pytest.raises(ValueError) as exc:
+            time_rebalance(leaky, pool, ANCHOR, window_ms=window_ms, seed=0)
+        assert str(exc.value) == f"window_ms must be an int >= 1, got {window_ms!r}"
     with pytest.raises(TypeError):
         time_rebalance(leaky, pool, ANCHOR)
 

@@ -577,6 +577,30 @@ def test_import_split_rejects_bad_files(tmp_path):
             import_split(typed, ds)
 
 
+def test_spec_seed_must_be_an_int_or_none(tmp_path):
+    ds = build_dataset(
+        [{"id": "1", "text": "t", "label": "a"}, {"id": "2", "text": "t", "label": "a"}],
+        labels=["a"],
+    )
+    # a bool would split as 0 or 1, and the others failed inside the generator
+    for seed in (True, 1.5, "3", np.int64(2)):
+        with pytest.raises(RatioError) as exc:
+            make_split(ds, SplitSpec(seed=seed))
+        assert str(exc.value) == f"seed: needs an integer or None, got {seed!r}"
+    # the split-file schema allows any integer seed
+    assert make_split(ds, SplitSpec(seed=-1)).spec.seed == -1
+    path = tmp_path / "split.json"
+    for seed in (True, 1.5, "3"):
+        spec = {"ratios": [0.5, 0.0, 0.5], "seed": seed}
+        path.write_text(
+            json.dumps({"train_ids": ["1"], "dev_ids": [], "test_ids": ["2"], "spec": spec}),
+            encoding="utf-8",
+        )
+        with pytest.raises(SplitFileError) as exc:
+            import_split(path, ds)
+        assert str(exc.value) == f"{path}: seed: needs an integer or None, got {seed!r}"
+
+
 def test_import_split_skips_a_leading_byte_order_mark(tmp_path):
     ds = build_dataset(
         [{"id": "1", "text": "t", "label": "a"}, {"id": "2", "text": "t", "label": "a"}],
