@@ -94,15 +94,15 @@ def _write_json(payload: dict, path: str) -> None:
 
 
 def _fingerprint(dataset: Dataset) -> dict:
-    timestamps = [r.timestamp_ms for r in dataset.records if r.timestamp_ms is not None]
+    timed = dataset.timestamps[dataset.timestamps >= 0]
     return {
         "name": dataset.name,
         "n_records": len(dataset),
         "label_distribution": label_distribution(dataset),
-        "n_undecodable_ids": len(dataset) - len(timestamps),
+        "n_undecodable_ids": len(dataset) - len(timed),
         "n_empty_texts": sum(1 for r in dataset.records if not r.text.strip()),
-        "min_timestamp_ms": min(timestamps) if timestamps else None,
-        "max_timestamp_ms": max(timestamps) if timestamps else None,
+        "min_timestamp_ms": int(timed.min()) if len(timed) else None,
+        "max_timestamp_ms": int(timed.max()) if len(timed) else None,
         # every dataset here came through a loader, which refuses each record rule
         "n_violations": 0,
     }

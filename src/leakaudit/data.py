@@ -1,10 +1,12 @@
 """Core data model: records, label sets, datasets, and file loaders.
 
 A Dataset is an ordered, immutable collection of labeled records with unique
-ids. A Record is an immutable named tuple; a record without extra source
-columns shares one empty read-only ``extra`` mapping. The loaders are the
-one record checker: malformed input raises, with the offending line number,
-so every loaded dataset keeps the record rules.
+ids; its parsed ids and their creation times are columns built on first use
+(``id_values``, ``timestamps``). A Record is an immutable named tuple of its
+source row; a record without extra source columns shares one empty
+read-only ``extra`` mapping. The loaders are the one record checker:
+malformed input raises, with the offending line number, so every loaded
+dataset keeps the record rules.
 
 Every loader builds its records a chunk of at most ``CHUNK_SIZE`` rows at a
 time (``_chunk_builder``): the manifest is resolved once per file, each
@@ -42,7 +44,7 @@ from .errors import (
     SchemaError,
     UnknownLabelError,
 )
-from .snowflake import parse_id, parse_ids, timestamp_of, timestamps_of
+from .snowflake import parse_id, parse_ids, timestamps_of
 from .text import TextTable, build_text_table
 
 CANONICAL_FIELDS = ("id", "text", "label", "event", "article_id", "reply_count")
@@ -101,8 +103,6 @@ _NO_EXTRA: Mapping[str, object] = MappingProxyType({})
 class Record(NamedTuple):
     """One labeled social-media item, an immutable named tuple.
 
-    ``timestamp_ms`` is derived from the id at load time (None when the id
-    carries no snowflake timestamp); it is never read from the input file.
     ``extra`` holds source columns outside the canonical schema so loaders
     round-trip without loss: a dict of the record's own, or the default,
     one shared, empty, read-only mapping. The own dict is not wrapped
@@ -116,7 +116,6 @@ class Record(NamedTuple):
     event: str | None = None
     article_id: str | None = None
     reply_count: int | None = None
-    timestamp_ms: int | None = None
     extra: Mapping[str, object] = _NO_EXTRA
 
 
@@ -135,6 +134,23 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def id_values(self) -> np.ndarray:
+        """Each id as parsed by ``snowflake.parse_id``, uint64, read-only.
+        Raises ``parse_id``'s IdParseError for the first id it refuses."""
+        accepted, values = parse_ids([r.id if isinstance(r.id, str) else "" for r in self.records])
+        if not accepted.all():  # parse_id raises for the first refused id
+            parse_id(self.records[int(np.argmin(accepted))].id)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def timestamps(self) -> np.ndarray:
+        """Each id's creation time, int64 unix ms (-1 for none), read-only."""
+        stamps = timestamps_of(self.id_values)
+        stamps.flags.writeable = False
+        return stamps
 
     @cached_property
     def label_index(self) -> np.ndarray:
@@ -201,15 +217,16 @@ class Manifest:
         return self.fields.get(canonical, canonical)
 
 
-def _check_id(id_value: object, line: int) -> tuple[str, int]:
-    """The id as a canonical string, and its parsed value."""
+def _check_id(id_value: object, line: int) -> str:
+    """The id as a canonical string."""
     # JSON writers commonly emit big ids as numbers; accept ints losslessly.
     if isinstance(id_value, int) and not isinstance(id_value, bool):
         id_value = str(id_value)
     try:
-        return id_value, parse_id(id_value)
+        parse_id(id_value)
     except IdParseError as exc:
         raise RecordParseError(str(exc), line) from None
+    return id_value
 
 
 def _parse_reply_count(value: object, line: int) -> int | None:
@@ -249,7 +266,7 @@ def _record_builder(manifest: Manifest) -> Callable[[Mapping[str, object], int],
         label = raw.get(label_key)
         if label is None:
             raise RecordParseError(f"missing required field {label_key!r}", line)
-        id_str, id_int = _check_id(id_value, line)
+        id_str = _check_id(id_value, line)
         if not isinstance(text, str):
             raise RecordParseError(f"text is not a string: {text!r}", line)
         if label not in labels:
@@ -266,7 +283,6 @@ def _record_builder(manifest: Manifest) -> Callable[[Mapping[str, object], int],
             event=str(event) if event not in (None, "") else None,
             article_id=str(article_id) if article_id not in (None, "") else None,
             reply_count=_parse_reply_count(raw.get(reply_key), line),
-            timestamp_ms=timestamp_of(id_int),
             extra=extra if extra else _NO_EXTRA,
         )
 
@@ -288,8 +304,7 @@ def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
     Column checks over the chunk mark its plain rows: a dict with exactly
     the required keys, a ``str`` text, a ``str`` label in the manifest, and
     a ``str`` id that ``parse_ids`` accepts. A plain row is built with one
-    ``tuple.__new__``, its timestamp taken from ``timestamps_of`` over the
-    chunk's id values. Every other row goes through the record builder,
+    ``tuple.__new__``. Every other row goes through the record builder,
     which raises on the first broken rule; plain rows never raise, so the
     first bad line of the chunk is the one reported.
     """
@@ -314,14 +329,10 @@ def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
         ]
         records: list[Record | None] = [None] * len(chunk)
         if rows:
-            plain, values = parse_ids([row[1] for row in rows])
-            for (i, id_str, text, label), is_plain, stamp in zip(
-                rows, plain.tolist(), timestamps_of(values)
-            ):
+            plain, _ = parse_ids([row[1] for row in rows])
+            for (i, id_str, text, label), is_plain in zip(rows, plain.tolist()):
                 if is_plain:
-                    records[i] = new(Record, (
-                        id_str, text, label, None, None, None, stamp, _NO_EXTRA,
-                    ))
+                    records[i] = new(Record, (id_str, text, label, None, None, None, _NO_EXTRA))
         for i, record in enumerate(records):
             if record is None:
                 records[i] = build(chunk[i][1], chunk[i][0])

@@ -9,15 +9,15 @@ model can exploit that instead of content.
 The caller owns the splits: ``probe_splits`` makes the audit's generated
 ones, and ``run_id_leak_suite`` scores the splits it is given, so every
 other check can run on the same partitions. The suite reads each split's
-train and test dataset positions directly. It parses the id column once,
-with the loaders' id rule, and gives each k a pattern table from the
-parsed values: the distinct k-digit prefixes, sorted, and each row's
-pattern (-1 for an id shorter than k). Every run is checked
-before any forest grows, so errors come in report order. Then, for each
-k, one ``fit_rows`` call fits the forests of all splits together on the
-table's train patterns (stratified splits share their size, so they share
-each tree's bootstrap draw and feature orders), and each (split, k) run
-predicts each table pattern once with its forest.
+train and test dataset positions directly. It reads the dataset's parsed
+id column, ``Dataset.id_values``, and gives each k a pattern table from
+it: the distinct k-digit prefixes, sorted, and each row's pattern (-1 for
+an id shorter than k). Every run is checked before any forest grows, so
+errors come in report order. Then, for each k, one ``fit_rows`` call fits
+the forests of all splits together on the table's train patterns
+(stratified splits share their size, so they share each tree's bootstrap
+draw and feature orders), and each (split, k) run predicts each table
+pattern once with its forest.
 
 The probe's score is normalized headroom above chance,
 ``(macro - baseline) / (1 - baseline)``, clamped at 0, so 0.0 reads as
@@ -34,7 +34,6 @@ from .data import Dataset
 from .errors import AllIdsTooShortError, EmptySplitError, IdParseError
 from .forest import ForestConfig, baseline_expected_macro_f1, fit_rows
 from .metrics import ConfusionMatrix, result_from_matrix
-from .snowflake import parse_id, parse_ids
 from .splits import Split, SplitSpec, make_split
 
 
@@ -159,33 +158,15 @@ def _report(name, k, model, table, patterns, labels, n_train, n_listed, label_se
     )
 
 
-def _pattern_tables(ids: list[str], k_values) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Each k's pattern table: the distinct k-digit prefixes of ``ids`` as
-    int64 digit rows in ascending order, and each id's row in that table
-    (-1 for an id shorter than k).
+def _pattern_tables(values: np.ndarray, k_values) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Each k's pattern table: the distinct k-digit prefixes of the parsed
+    ids ``values`` as int64 digit rows in ascending order, and each id's
+    row in that table (-1 for an id shorter than k).
 
-    The ids are read with the loaders' id rule, ``snowflake.parse_ids``,
-    and each k takes its prefixes from the parsed values: an id of d
-    digits has the k-digit prefix ``value // 10**(d - k)``. A prefix has
-    no leading zero, so prefixes sort by value as their digit rows do.
-
-    Raises:
-        ValueError: if there is no k, a k is below 1 or repeats, or an id
-            is not canonical (``parse_id``'s message for the first such).
+    An id of d digits has the k-digit prefix ``value // 10**(d - k)``. A
+    prefix has no leading zero, so prefixes sort by value as their digit
+    rows do.
     """
-    if not k_values:
-        raise ValueError("no k values to probe")
-    for k in k_values:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-    if len(set(k_values)) < len(k_values):
-        raise ValueError(f"k values repeat: {list(k_values)}")
-    accepted, values = parse_ids(ids)
-    if not accepted.all():
-        try:
-            parse_id(ids[int(np.argmin(accepted))])
-        except IdParseError as exc:
-            raise ValueError(str(exc)) from None
     n_digits = np.searchsorted(_POWERS, values, side="right")
     tables = {}
     for k in k_values:
@@ -195,7 +176,7 @@ def _pattern_tables(ids: list[str], k_values) -> dict[int, tuple[np.ndarray, np.
         table = np.empty((len(prefixes), k), dtype=np.int64)
         for place in range(k - 1, -1, -1):  # the last digit first
             prefixes, table[:, place] = np.divmod(prefixes, np.uint64(10))
-        pattern_of = np.full(len(ids), -1, dtype=np.int64)
+        pattern_of = np.full(len(values), -1, dtype=np.int64)
         pattern_of[kept] = inverse
         tables[k] = table, pattern_of
     return tables
@@ -209,7 +190,14 @@ def probe_splits(dataset: Dataset, n_splits: int = 5, seed: int = 0) -> list[Spl
     """The audit's generated splits: ``n_splits`` stratified 70/10/20
     splits named ``probe-split-{i}``, each seeded by its own substream of
     ``seed``, so summaries can quote mean and spread instead of one
-    arbitrary partition's luck."""
+    arbitrary partition's luck.
+
+    Raises:
+        ValueError: if seed is not an int (a bool or numpy integer is
+            refused).
+    """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     return [
         make_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=_derived_seed(seed, i),
                                       stratify=True, name=f"probe-split-{i}"))
@@ -239,7 +227,18 @@ def run_id_leak_suite(
     if any(each.dataset is not dataset for each in splits):
         raise ValueError("the splits were made from different datasets")
     config = config or ForestConfig()
-    tables = _pattern_tables([r.id for r in dataset.records], k_values)
+    if not k_values:
+        raise ValueError("no k values to probe")
+    for k in k_values:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"k values repeat: {list(k_values)}")
+    try:
+        values = dataset.id_values
+    except IdParseError as exc:
+        raise ValueError(str(exc)) from None
+    tables = _pattern_tables(values, k_values)
     # every run is checked, in report order, before any forest is fitted
     runs = []
     kept = {k: [] for k in k_values}

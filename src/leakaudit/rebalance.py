@@ -68,10 +68,10 @@ class _AlivePool:
     """
 
     def __init__(self, timestamps: list[int], records: list[Record]):
-        order = sorted(range(len(timestamps)), key=lambda i: (timestamps[i], int(records[i].id)))
+        """``timestamps`` in ascending order, ``records`` in the same order."""
         # slots 0 and n + 1 are sentinels that never die and are never in a window
-        self.ts = [-float("inf"), *(timestamps[i] for i in order), float("inf")]
-        self.records = [None, *(records[i] for i in order), None]
+        self.ts = [-float("inf"), *timestamps, float("inf")]
+        self.records = [None, *records, None]
         self.left = list(range(-1, len(self.ts) - 1))
         self.right = list(range(1, len(self.ts) + 1))
         self.dead = [False] * len(self.ts)
@@ -86,10 +86,10 @@ class _AlivePool:
             step[j], j = end, step[j]
         return end
 
-    def take_nearest(self, target: int, window_ms: int) -> Record | None:
-        """Remove and return the alive record with timestamp nearest to
-        target (ties to the earlier timestamp), or None when the nearest
-        is farther than window_ms or the pool is empty."""
+    def take_nearest(self, target: int, window_ms: int) -> tuple[Record, int] | None:
+        """Remove the alive record with timestamp nearest to target (ties
+        to the earlier timestamp) and return it with its timestamp, or None
+        when the nearest is farther than window_ms or the pool is empty."""
         pos = bisect_left(self.ts, target)
         right = self._alive(self.right, pos)
         left = self._alive(self.left, pos - 1)
@@ -97,7 +97,7 @@ class _AlivePool:
         if abs(self.ts[best] - target) > window_ms:
             return None
         self.dead[best] = True
-        return self.records[best]
+        return self.records[best], self.ts[best]
 
 
 def _tv_distance(hist_a: dict[int, int], hist_b: dict[int, int]) -> float:
@@ -147,39 +147,41 @@ def time_rebalance(
     already occur in the dataset are dropped up front and counted.
 
     Raises:
-        ValueError: window_ms is not an int >= 1.
+        ValueError: seed is not an int, or window_ms is not an int >= 1
+            (a bool or numpy integer is refused for either).
         UnknownLabelError: anchor label outside the dataset's label set.
         NoAnchorRecordsError: no anchor record has a decodable timestamp.
         EmptyPoolError: no usable pool record for any non-anchor label.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     # a bool would read as 0 or 1, and a float would not fit the report schema
     if type(window_ms) is not int or window_ms < 1:
         raise ValueError(f"window_ms must be an int >= 1, got {window_ms!r}")
     if anchor_label not in dataset.label_set:
         raise UnknownLabelError(f"anchor label {anchor_label!r} not in label set")
 
-    anchor_ts = np.array(
-        [r.timestamp_ms for r in dataset.records if r.label == anchor_label and r.timestamp_ms],
-        dtype=np.int64,
-    )
-    n_anchor = sum(1 for r in dataset.records if r.label == anchor_label)
+    is_anchor = dataset.label_index == dataset.label_set.index(anchor_label)
+    anchor_ts = dataset.timestamps[is_anchor & (dataset.timestamps >= 0)]
+    n_anchor = int(np.count_nonzero(is_anchor))
     if len(anchor_ts) == 0:
         raise NoAnchorRecordsError(
             f"no {anchor_label!r} record carries a decodable timestamp"
         )
 
-    dataset_ids = {r.id for r in dataset.records}
-    pools: dict[str, tuple[list[int], list[Record]]] = {
-        label: ([], []) for label in dataset.label_set if label != anchor_label
-    }
+    pools = {label: ([], []) for label in dataset.label_set if label != anchor_label}
+    stamps = pool.timestamps.tolist()
+    collides = np.isin(pool.id_values, dataset.id_values).tolist()
     collisions = 0
-    for r in pool.records:
-        if r.label not in pools or r.timestamp_ms is None:
+    # in time order, ids breaking ties, so each label's pool comes out sorted
+    for i in np.lexsort((pool.id_values, pool.timestamps)).tolist():
+        r = pool.records[i]
+        if r.label not in pools or stamps[i] < 0:
             continue
-        if r.id in dataset_ids:
+        if collides[i]:
             collisions += 1
             continue
-        pools[r.label][0].append(r.timestamp_ms)
+        pools[r.label][0].append(stamps[i])
         pools[r.label][1].append(r)
     if all(len(ts) == 0 for ts, _ in pools.values()):
         raise EmptyPoolError("pool has no usable records for any non-anchor label")
@@ -205,13 +207,14 @@ def time_rebalance(
             new_records.append(r)
             continue
         target = next(targets)
-        candidate = alive[r.label].take_nearest(target, window_ms)
-        if candidate is None:
+        taken = alive[r.label].take_nearest(target, window_ms)
+        if taken is None:
             rejected_per_label[r.label] += 1
             new_records.append(r)
             continue
+        candidate, ts = taken
         replaced_per_label[r.label] += 1
-        deltas.append(abs(int(candidate.timestamp_ms) - target))
+        deltas.append(abs(ts - target))
         new_records.append(candidate)
     del targets  # the iterator holds every target until dropped; free them before the probe
 

@@ -13,15 +13,16 @@ rejected rather than decoded to nonsense.
 
 The id rule and the decoding rule live here only. ``parse_id`` and
 ``timestamp_of`` apply them to one value; ``parse_ids`` and
-``timestamps_of`` apply them to a column at once, for the loaders' plain
-rows. The loaders parse each id once and decode that value, and
-``decode_timestamp`` composes the two.
+``timestamps_of`` apply them to a column at once. The loaders check every
+id, and ``Dataset.id_values`` and ``Dataset.timestamps`` parse a dataset's
+ids once and decode those values; ``decode_timestamp`` composes the two.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -94,11 +95,10 @@ def timestamp_of(value: int) -> int | None:
     return offset + TWITTER_EPOCH_MS if offset else None
 
 
-def timestamps_of(values: np.ndarray) -> list[int | None]:
-    """``timestamp_of`` over an array of parsed id values at once."""
+def timestamps_of(values: np.ndarray) -> np.ndarray:
+    """``timestamp_of`` over an array of parsed id values at once: int64, -1 for None."""
     offsets = (values >> np.uint64(TIMESTAMP_SHIFT)).astype(np.int64)
-    stamps = (offsets + TWITTER_EPOCH_MS).tolist()
-    return [stamp if offset else None for offset, stamp in zip(offsets.tolist(), stamps)]
+    return np.where(offsets > 0, offsets + TWITTER_EPOCH_MS, -1)
 
 
 def decode_timestamp(id_str: str) -> int:
@@ -127,8 +127,8 @@ class TimestampHistogram:
     """Per-label counts of records falling in fixed-width time buckets.
 
     Bucket keys are unix-epoch-aligned start times: bucket(ts) is
-    ``(ts // bucket_ms) * bucket_ms``. Records without a ``timestamp_ms``
-    are tallied in excluded_count, not in any bucket.
+    ``(ts // bucket_ms) * bucket_ms``. Records whose id carries no
+    timestamp are tallied in excluded_count, not in any bucket.
     """
 
     bucket_ms: int
@@ -145,20 +145,16 @@ class TimestampHistogram:
 
 def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
     """Histogram a dataset's creation times, per label. A record's time is
-    its ``timestamp_ms``, which the loaders decode from its id.
+    its entry in ``dataset.timestamps``, decoded from its id. Counts are
+    keyed in first-occurrence order.
 
     Raises:
         ValueError: if bucket_ms < 1.
     """
     if bucket_ms < 1:
         raise ValueError(f"bucket_ms must be >= 1, got {bucket_ms}")
-    counts: dict[tuple[str, int], int] = {}
-    excluded = 0
-    for record in dataset.records:
-        ts = record.timestamp_ms
-        if ts is None:
-            excluded += 1
-            continue
-        key = (record.label, (ts // bucket_ms) * bucket_ms)
-        counts[key] = counts.get(key, 0) + 1
-    return TimestampHistogram(bucket_ms=bucket_ms, counts=counts, excluded_count=excluded)
+    stamps = dataset.timestamps
+    timed = (stamps >= 0).tolist()
+    pairs = compress(zip([r.label for r in dataset.records], stamps.tolist()), timed)
+    counts = Counter((label, (ts // bucket_ms) * bucket_ms) for label, ts in pairs)
+    return TimestampHistogram(bucket_ms, dict(counts), excluded_count=timed.count(False))

@@ -51,13 +51,6 @@ class TokenStats:
         return len(self.excluded_labels) > 0
 
 
-def _label_positions(dataset: Dataset) -> np.ndarray:
-    labels = dataset.label_index
-    if np.any(labels < 0):  # index raises UnknownLabelError for the first unknown label
-        dataset.label_set.index(dataset.records[int(np.argmax(labels < 0))].label)
-    return labels
-
-
 def _word_tokens(vocab: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The tokens of each word of a text table's vocab, from one translate
     and split per _BATCH_CHARS characters: the tokens in id order, and the
@@ -84,7 +77,9 @@ def _doc_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, list[int]]:
     Each distinct text's distinct tokens are counted once, weighted by its
     node's records per label, in batches of nodes.
     """
-    labels, table = _label_positions(dataset), dataset.text_table
+    labels, table = dataset.label_index, dataset.text_table
+    if np.any(labels < 0):  # index raises UnknownLabelError for the first unknown label
+        dataset.label_set.index(dataset.records[int(np.argmax(labels < 0))].label)
     n_labels, n_nodes = len(dataset.label_set), len(table.n_words)
     tokens, flat, n_tokens = _word_tokens(table.vocab)
     first_token = np.cumsum(n_tokens) - n_tokens
@@ -113,14 +108,9 @@ def _doc_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, list[int]]:
     return tokens, counts, per_node[:, has_tokens].sum(axis=1).tolist()
 
 
-def keyword_label_table(
-    dataset: Dataset, keywords: Sequence[str], substring: bool = False
-) -> dict[str, dict[str, int]]:
-    """Per-label record counts for each keyword.
-
-    Token mode (default) counts records whose token set contains the
-    lowercased keyword; substring mode counts records whose raw lowercased
-    text contains it. Keywords absent everywhere get an all-zero row.
+def keyword_label_table(dataset: Dataset, keywords: Sequence[str]) -> dict[str, dict[str, int]]:
+    """Per-label counts of the records whose token set contains each
+    lowercased keyword. Keywords absent everywhere get an all-zero row.
 
     Raises:
         TypeError: if ``keywords`` is a single string, which would read as
@@ -129,15 +119,10 @@ def keyword_label_table(
     if isinstance(keywords, str):
         raise TypeError(f"keywords must be a sequence of strings, not the string {keywords!r}")
     names = dataset.label_set.labels
-    if substring:
-        labels, texts = _label_positions(dataset), [r.text.lower() for r in dataset.records]
-        hit = {kw: np.array([kw.lower() in text for text in texts], dtype=bool) for kw in keywords}
-        rows = {kw: np.bincount(labels[hit[kw]], minlength=len(names)) for kw in keywords}
-    else:
-        tokens, counts, _ = _doc_counts(dataset)
-        row_of = dict(zip(tokens, range(len(tokens))))
-        zero = np.zeros(len(names), dtype=np.int64)
-        rows = {kw: counts[row_of[kw.lower()]] if kw.lower() in row_of else zero for kw in keywords}
+    tokens, counts, _ = _doc_counts(dataset)
+    row_of = dict(zip(tokens, range(len(tokens))))
+    zero = np.zeros(len(names), dtype=np.int64)
+    rows = {kw: counts[row_of[kw.lower()]] if kw.lower() in row_of else zero for kw in keywords}
     return {kw: dict(zip(names, row.tolist())) for kw, row in rows.items()}
 
 

@@ -25,6 +25,7 @@ from leakaudit.data import (
 )
 from leakaudit.errors import (
     DuplicateIdError,
+    IdParseError,
     LeakAuditError,
     RecordParseError,
     SchemaError,
@@ -68,13 +69,12 @@ def test_load_jsonl_basic(tmp_path):
     )
     ds = load_jsonl(path, MANIFEST)
     assert len(ds) == 3
-    assert ds.records[0].timestamp_ms is not None
     assert ds.records[1].id == "4211941866"  # numeric ids accepted
     assert ds.records[1].reply_count == 3
     assert ds.records[1].extra == {"lang": "en"}
-    assert ds.records[2].timestamp_ms is None  # pre-snowflake id
     assert ds.records[2].event == "ev1"
     assert ds.name == "d"
+    assert ds.timestamps.tolist() == [1288834975661, 1288834975661, -1]  # "99" is pre-snowflake
 
 
 # each bad second line and the full error it raises
@@ -264,7 +264,7 @@ def test_load_jsonl_accepts_padded_lines_and_int_ids(tmp_path):
         ("4211941866", "int id", "real"),
         ("13", "no final newline", "real"),
     ]
-    assert [r.timestamp_ms for r in ds.records] == [None, None, 1288834975661, None]
+    assert ds.timestamps.tolist() == [-1, -1, 1288834975661, -1]
 
 
 def test_load_jsonl_reports_a_bad_line_before_an_earlier_duplicate(tmp_path):
@@ -331,14 +331,16 @@ def test_loaded_records_are_immutable(tmp_path):
     with pytest.raises(AttributeError):
         plain.text = "changed"
     with pytest.raises(AttributeError):
-        extra.timestamp_ms = 0
+        extra.id = "1"
     assert extra.extra == {"lang": "en"}
     # records without extras share the default's one empty read-only mapping
     assert plain.extra is Record(id="1", text="t", label="real").extra
     assert plain.extra == {} and isinstance(plain.extra, MappingProxyType)
     with pytest.raises(TypeError):
         plain.extra["lang"] = "de"
-    assert plain == Record("4211941865", "plain", "real", timestamp_ms=1288834975661)
+    assert plain == Record("4211941865", "plain", "real")
+    # the creation time is a dataset column, not a field decoded per record
+    assert "timestamp_ms" not in Record._fields
 
 
 def test_loaders_skip_a_leading_byte_order_mark(tmp_path):
@@ -781,4 +783,40 @@ def test_label_distribution_zeros_included():
     )
     assert outside.label_index.tolist() == [1, -1]
     assert label_distribution(outside) == {"fake": 0, "real": 1}
+
+
+def test_id_columns_are_built_on_first_use():
+    ds = build_dataset(
+        [{"id": "4211941865", "text": "a", "label": "real"},
+         {"id": "99", "text": "b", "label": "fake"}],
+        labels=["real", "fake"],
+    )
+    assert "id_values" not in vars(ds) and "timestamps" not in vars(ds)
+    assert ds.timestamps.tolist() == [1288834975661, -1]
+    assert ds.id_values.tolist() == [4211941865, 99]
+    assert ds.timestamps is ds.timestamps and ds.id_values is ds.id_values
+    with pytest.raises(ValueError):
+        ds.id_values[0] = 1
+    empty = Dataset(records=(), label_set=LabelSet.of("real"))
+    assert empty.id_values.tolist() == [] and empty.timestamps.tolist() == []
+
+
+@pytest.mark.parametrize("ids, message", [
+    (["12", 5, "0"], "id is not a decimal string: 5"),
+    (["12", "007", 5], "id has a leading zero: '007'"),
+    (["12", None], "id is not a decimal string: None"),
+    ([b"12"], "id is not a decimal string: b'12'"),
+    (["12", str(2**63)], f"id outside [1, 2**63 - 1]: '{2**63}'"),
+])
+def test_id_values_refuse_the_first_id_parse_id_refuses(ids, message):
+    # construction checks nothing, so a hand-built dataset may hold any id
+    ds = Dataset(
+        records=tuple(Record(id=i, text="t", label="real") for i in ids),
+        label_set=LabelSet.of("real"),
+    )
+    with pytest.raises(IdParseError) as exc:
+        ds.id_values
+    assert str(exc.value) == message
+    with pytest.raises(IdParseError):
+        ds.timestamps
 

@@ -242,7 +242,7 @@ def test_order_blocks_draw_as_sequential_permutations(n_features):
 
 
 def _digits_and_labels(dataset, k):
-    table, pattern_of = _pattern_tables([r.id for r in dataset.records], (k,))[k]
+    table, pattern_of = _pattern_tables(dataset.id_values, (k,))[k]
     kept = np.flatnonzero(pattern_of >= 0)
     return table[pattern_of[kept]], [dataset.records[i].label for i in kept.tolist()]
 

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leakaudit.cli as cli_module
+import leakaudit.data as data_module
 import leakaudit.forest as forest_module
 import leakaudit.idleak as idleak_module
 from _oracle_splits import split_of
 from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
-from leakaudit.data import Dataset, Record
+from leakaudit.data import Dataset, Record, save_jsonl
 from leakaudit.errors import AllIdsTooShortError, EmptySplitError, IdParseError, UnknownLabelError
 from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.idleak import (
@@ -32,7 +34,7 @@ from leakaudit.idleak import (
     verdict,
 )
 from leakaudit.snowflake import parse_id
-from leakaudit.splits import export_split, import_split, make_split
+from leakaudit.splits import Split, export_split, import_split, make_split
 from test_snowflake import _ID_STRINGS
 
 FAST = ForestConfig(n_trees=20, seed=0)
@@ -60,16 +62,23 @@ def test_control_dataset_scores_none(control):
     assert report.leakage_score < 0.05
 
 
+def _dataset_of(ids):
+    """A hand-built one-label dataset with these ids; nothing is checked."""
+    return Dataset(
+        records=tuple(Record(id=i, text="t", label="x") for i in ids), label_set=LabelSet.of("x")
+    )
+
+
 def test_pattern_tables_basic():
-    table, pattern_of = _pattern_tables(["12345", "99", "54321"], (3,))[3]
+    table, pattern_of = _pattern_tables(_dataset_of(["12345", "99", "54321"]).id_values, (3,))[3]
     assert table.tolist() == [[1, 2, 3], [5, 4, 3]]
     assert pattern_of.tolist() == [0, -1, 1]
-    tables = _pattern_tables(["88", "7", "80"], (1, 2))
+    tables = _pattern_tables(_dataset_of(["88", "7", "80"]).id_values, (1, 2))
     assert [(t.tolist(), p.tolist()) for t, p in tables.values()] == [
         ([[7], [8]], [1, 0, 1]),
         ([[8, 0], [8, 8]], [1, -1, 0]),
     ]
-    table, pattern_of = _pattern_tables(["12"], (5,))[5]
+    table, pattern_of = _pattern_tables(_dataset_of(["12"]).id_values, (5,))[5]
     assert table.shape == (0, 5) and pattern_of.tolist() == [-1]
 
 
@@ -91,7 +100,7 @@ def _pattern_tables_by_character(ids, k):
     k_values=st.lists(st.integers(1, 27), min_size=1, max_size=4, unique=True),
 )
 def test_pattern_tables_match_per_character_oracle(ids, k_values):
-    tables = _pattern_tables(ids, tuple(k_values))
+    tables = _pattern_tables(_dataset_of(ids).id_values, tuple(k_values))
     assert list(tables) == k_values
     for k, (table, pattern_of) in tables.items():
         want_table, want_pattern_of = _pattern_tables_by_character(ids, k)
@@ -108,27 +117,31 @@ def test_pattern_tables_match_per_character_oracle(ids, k_values):
     )
 )
 def test_pattern_tables_refuse_exactly_the_ids_parse_id_refuses(ids):
+    # the suite reads the tables' ids from Dataset.id_values before any run
+    # is checked: a split with no rows gets as far as EmptySplitError
     refusals = []
     for id_str in ids:
         try:
             parse_id(id_str)
         except IdParseError as exc:
             refusals.append(str(exc))
-    if not refusals:
-        _pattern_tables(ids, (1, 3))
-        return
-    with pytest.raises(ValueError) as exc:
-        _pattern_tables(ids, (1, 3))
-    assert str(exc.value) == refusals[0]
+    with pytest.raises(ValueError if refusals else EmptySplitError) as exc:
+        run_id_leak_suite([Split(_dataset_of(ids), [], [], [])], (1, 3))
+    if refusals:
+        assert type(exc.value) is ValueError and str(exc.value) == refusals[0]
 
 
 def test_pattern_tables_error_text():
+    # the suite checks the k values, then the ids, before it builds a table
+    def suite(ids, k_values):
+        run_id_leak_suite([Split(_dataset_of(ids), [0], [], [0])], k_values)
+
     with pytest.raises(ValueError, match=r"^no k values to probe$"):
-        _pattern_tables(["123"], ())
+        suite(["12a"], ())
     with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
-        _pattern_tables(["123"], (2, 0))
+        suite(["12a"], (2, 0))
     with pytest.raises(ValueError, match=r"^k values repeat: \[2, 3, 2\]$"):
-        _pattern_tables(["123"], (2, 3, 2))
+        suite(["12a"], (2, 3, 2))
     # an id the loaders refuse is an error even when it is too short to be kept
     for bad, rule in (
         ("12a", "is not a decimal string"), ("1 2", "is not a decimal string"),
@@ -139,7 +152,7 @@ def test_pattern_tables_error_text():
         ("1234567890123456789012", "outside [1, 2**63 - 1]"),
     ):
         with pytest.raises(ValueError) as exc:
-            _pattern_tables(["456", bad], (3,))
+            suite(["456", bad], (3,))
         assert str(exc.value) == f"id {rule}: {bad!r}"
 
 
@@ -226,6 +239,16 @@ def test_probe_splits_names_and_sizes(leaky):
     assert probe_splits(leaky, n_splits=0) == []
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3", np.int64(2)])
+def test_probe_splits_refuse_a_seed_that_is_not_an_int(leaky, seed):
+    # a bool would run as seed 0 or 1, and the others would fail deep in
+    # the split code with a TypeError or an OverflowError
+    with pytest.raises(ValueError) as exc:
+        probe_splits(leaky, n_splits=1, seed=seed)
+    assert str(exc.value) == f"seed must be an int, got {seed!r}"
+    assert len(probe_splits(leaky, n_splits=1, seed=-3)) == 1  # negative ints stay allowed
+
+
 def test_repeated_k_is_refused(leaky):
     # a repeated k would report each of its runs twice and shrink the spread
     with pytest.raises(ValueError, match="repeat"):
@@ -261,18 +284,47 @@ def test_non_digit_id_outside_the_split_is_refused():
         run_id_leak_test(ds, split, k=3, config=FAST)
 
 
-def test_suite_parses_the_ids_once(leaky, monkeypatch):
+def test_int_id_in_a_hand_built_dataset_is_refused():
+    ids = ["523456789012345678", "623456789012345678"]
+    ds = Dataset(
+        records=(*(Record(id=i, text="t", label=lab) for i, lab in zip(ids, "xy")),
+                 Record(id=5, text="t", label="x")),
+        label_set=LabelSet.of("x", "y"),
+    )
+    with pytest.raises(ValueError) as exc:
+        run_id_leak_suite([split_of(ds, train_ids=ids[:1], test_ids=ids[1:])], (3,), FAST)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "id is not a decimal string: 5"
+
+
+def test_suite_parses_the_ids_once(leaky, monkeypatch, tmp_path, capsys):
+    # an audit parses the id column once after load: the probe and the
+    # bundle's fingerprint share Dataset.id_values
+    path = tmp_path / "leaky.jsonl"
+    save_jsonl(leaky, path)
     calls = []
-    original = idleak_module._pattern_tables
+    parse_ids, load = data_module.parse_ids, cli_module._load_dataset
 
-    def counted(ids, k_values):
-        calls.append((list(ids), tuple(k_values)))
-        return original(ids, k_values)
+    def counted(ids):
+        calls.append(list(ids))
+        return parse_ids(ids)
 
-    monkeypatch.setattr(idleak_module, "_pattern_tables", counted)
-    reports = run_id_leak_suite(probe_splits(leaky, n_splits=3), k_values=(2, 3), config=FAST)
-    assert len(reports) == 6
-    assert calls == [([r.id for r in leaky.records], (2, 3))]
+    def loaded(*args):
+        calls.append("loaded")
+        return load(*args)
+
+    monkeypatch.setattr(data_module, "parse_ids", counted)
+    monkeypatch.setattr(cli_module, "_load_dataset", loaded)
+    assert cli_module.main([
+        "audit", str(path), "--labels", ",".join(leaky.label_set), "--n-splits", "2",
+        "--skip-duplicates", "--json", str(tmp_path / "bundle.json"),
+    ]) == 2
+    after_load = calls[calls.index("loaded") + 1:]
+    # the loader checks the ids a chunk at a time, then one parse of the column
+    assert after_load[-1] == [r.id for r in leaky.records]
+    assert sum(len(ids) for ids in after_load[:-1]) == len(leaky)
+    bundle = json.loads((tmp_path / "bundle.json").read_text())
+    assert bundle["fingerprint"]["n_undecodable_ids"] == 0
 
 
 def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):

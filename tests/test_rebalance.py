@@ -163,7 +163,8 @@ def test_pool_id_collisions_dropped():
 
 
 def _brute_force_take(entries, used, target, window_ms):
-    """Nearest unused entry of the (timestamp, id)-sorted list, or None.
+    """(record, timestamp) of the nearest unused entry of the (timestamp,
+    id)-sorted list, or None.
 
     Nearer timestamps win; on equal distance the earlier side wins; among
     equal timestamps the entry nearest the target's place in the order wins.
@@ -178,7 +179,8 @@ def _brute_force_take(entries, used, target, window_ms):
     if best is None or best[0] > window_ms:
         return None
     used.add(best[3])
-    return entries[best[3]][1]
+    ts, record = entries[best[3]]
+    return record, ts
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,16 +196,13 @@ def test_pool_take_nearest_matches_brute_force(data):
         st.lists(st.tuples(st.integers(-10, 50), st.integers(0, 15)), max_size=45),
         label="takes",
     )
-    records = [
-        Record(id=str(rid), text="", label="r", timestamp_ms=ts)
-        for rid, ts in zip(ids, timestamps)
-    ]
-    pool = _AlivePool(timestamps, records)
+    records = [Record(id=str(rid), text="", label="r") for rid in ids]
     entries = sorted(zip(timestamps, records), key=lambda e: (e[0], int(e[1].id)))
+    pool = _AlivePool([ts for ts, _ in entries], [record for _, record in entries])
     used: set[int] = set()
     for target, window_ms in takes:
         want = _brute_force_take(entries, used, target, window_ms)
-        assert pool.take_nearest(target, window_ms) is want
+        assert pool.take_nearest(target, window_ms) == want
 
 
 @pytest.mark.parametrize("edge", ["left", "right"])
@@ -211,14 +210,14 @@ def test_pool_takes_at_one_edge_stay_near_linear(edge):
     # every take lands beside the run of slots taken before it; walking that
     # dead run anew on each take makes 100k takes run for minutes
     n, takes = 200_000, 100_000
-    records = [Record(id=str(i + 1), text="", label="r", timestamp_ms=i) for i in range(n)]
+    records = [Record(id=str(i + 1), text="", label="r") for i in range(n)]
     pool = _AlivePool(list(range(n)), records)
     target = -1 if edge == "left" else n
     start = time.perf_counter()
     got = [pool.take_nearest(target, 2 * n) for _ in range(takes)]
     elapsed = time.perf_counter() - start
-    want = records[:takes] if edge == "left" else records[: n - takes - 1 : -1]
-    assert [r.id for r in got] == [r.id for r in want]
+    want = range(takes) if edge == "left" else range(n - 1, n - takes - 1, -1)
+    assert [(r.id, ts) for r, ts in got] == [(records[i].id, i) for i in want]
     assert elapsed < 5.0, f"{takes} takes at the {edge} edge took {elapsed:.1f} s"
 
 
@@ -232,6 +231,11 @@ def test_rebalance_error_cases(leaky, pool):
         assert str(exc.value) == f"window_ms must be an int >= 1, got {window_ms!r}"
     with pytest.raises(TypeError):
         time_rebalance(leaky, pool, ANCHOR)
+    # a bool would run as seed 0 or 1, and the others would fail deep in the split code
+    for seed in (True, 1.5, "3", np.int64(2)):
+        with pytest.raises(ValueError) as exc:
+            time_rebalance(leaky, pool, ANCHOR, seed=seed, measure_leak=False)
+        assert str(exc.value) == f"seed must be an int, got {seed!r}"
 
     # anchor records whose ids predate the snowflake epoch have no timestamp
     no_ts = build_dataset(

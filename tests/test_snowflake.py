@@ -81,14 +81,40 @@ _ID_STRINGS = st.one_of(
 def test_parse_ids_and_timestamps_of_match_the_scalar_rules(ids):
     accepted, values = parse_ids(ids)
     stamps = timestamps_of(values)
-    for id_str, ok, value, stamp in zip(ids, accepted.tolist(), values.tolist(), stamps):
+    assert stamps.dtype == np.int64
+    rows = zip(ids, accepted.tolist(), values.tolist(), stamps.tolist())
+    for id_str, ok, value, stamp in rows:
         try:
             want = parse_id(id_str)
         except IdParseError:
             assert not ok, id_str
             continue
         assert ok, id_str
-        assert (value, stamp) == (want, timestamp_of(want))
+        want_stamp = timestamp_of(want)
+        assert (value, stamp) == (want, -1 if want_stamp is None else want_stamp)
+
+
+@given(
+    st.lists(
+        # snowflake-era ids, sequential-era ids (no timestamp field) and the
+        # largest ids, some written as JSON numbers
+        st.one_of(
+            st.integers(1 << 22, MAX_ID), st.integers(1, (1 << 22) - 1),
+            st.integers(MAX_ID - 100, MAX_ID),
+        ),
+        max_size=30, unique=True,
+    ),
+    st.booleans(),
+)
+def test_dataset_id_columns_match_the_scalar_rules(values, as_numbers):
+    rows = [{"id": v if as_numbers else str(v), "text": "t", "label": "x"} for v in values]
+    ds = build_dataset(rows, labels=["x"])
+    assert ds.id_values.dtype == np.uint64 and ds.timestamps.dtype == np.int64
+    assert not ds.id_values.flags.writeable and not ds.timestamps.flags.writeable
+    want = [parse_id(r.id) for r in ds.records]
+    assert ds.id_values.tolist() == want
+    stamps = [timestamp_of(v) for v in want]
+    assert ds.timestamps.tolist() == [-1 if ts is None else ts for ts in stamps]
 
 
 def test_decode_random_ids():
@@ -161,3 +187,29 @@ def test_timestamp_histogram_rows_sorted():
     ds = build_dataset(rows, labels=["a"])
     out = timestamp_histogram(ds, bucket_ms=3_600_000).rows()
     assert out == sorted(out)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(1 << 22, MAX_ID), st.integers(1, (1 << 22) - 1)),
+            st.sampled_from("ab"),
+        ),
+        max_size=30, unique_by=lambda row: row[0],
+    ),
+    st.integers(1, 10**13),
+)
+def test_timestamp_histogram_matches_a_per_record_loop(rows, bucket_ms):
+    ds = build_dataset([{"id": str(v), "text": "t", "label": lab} for v, lab in rows], ["a", "b"])
+    counts, excluded = {}, 0
+    for value, label in rows:
+        ts = timestamp_of(value)
+        if ts is None:
+            excluded += 1
+            continue
+        key = (label, (ts // bucket_ms) * bucket_ms)
+        counts[key] = counts.get(key, 0) + 1
+    hist = timestamp_histogram(ds, bucket_ms)
+    # the same keys in the same first-occurrence order
+    assert list(hist.counts.items()) == list(counts.items())
+    assert hist.excluded_count == excluded

@@ -103,21 +103,17 @@ def test_keyword_label_table_token_mode():
     assert table["calm"] == {"r": 0, "n": 1}
     assert table["ghost"] == {"r": 0, "n": 0}
 
-    sub = keyword_label_table(ds, ["Bomb"], substring=True)
-    assert sub["Bomb"] == {"r": 2, "n": 0}
-
-    # a repeated keyword counts each record once, in both modes
+    # a repeated keyword counts each record once
     assert keyword_label_table(ds, ["calm", "calm"]) == {"calm": {"r": 0, "n": 1}}
-    assert keyword_label_table(ds, ["Bomb", "bomb", "Bomb"], substring=True) == {
-        "Bomb": {"r": 2, "n": 0}, "bomb": {"r": 2, "n": 0},
+    assert keyword_label_table(ds, ["Bomb", "bomb", "Bomb"]) == {
+        "Bomb": {"r": 1, "n": 0}, "bomb": {"r": 1, "n": 0},
     }
 
 
 def test_keyword_label_table_refuses_a_bare_string():
     # "bomb" would otherwise read as the keywords "b", "o", "m", "b"
-    for substring in (False, True):
-        with pytest.raises(TypeError, match="^keywords must be a sequence of strings"):
-            keyword_label_table(_shortcut_dataset(), "bomb", substring=substring)
+    with pytest.raises(TypeError, match="^keywords must be a sequence of strings"):
+        keyword_label_table(_shortcut_dataset(), "bomb")
     assert keyword_label_table(_shortcut_dataset(), ("bomb",)) == {"bomb": {"r": 5, "n": 0}}
 
 
@@ -138,7 +134,6 @@ def test_a_label_outside_the_set_is_refused_by_both_functions():
     for call in (
         lambda: scan_discriminative_tokens(ds, min_df=1),
         lambda: keyword_label_table(ds, ["calm"]),
-        lambda: keyword_label_table(ds, ["calm"], substring=True),
     ):
         with pytest.raises(UnknownLabelError) as exc_info:
             call()
@@ -297,13 +292,6 @@ def test_keyword_table_reads_the_scan_counts(dataset, keywords):
     assert keyword_label_table(dataset, list(by_token)) == by_token
     table = keyword_label_table(dataset, keywords)
     assert table == {kw: by_token.get(kw.lower(), zeros) for kw in keywords}
-
-    substring = keyword_label_table(dataset, keywords, substring=True)
-    for kw in keywords:
-        expected = dict(zeros)
-        for record in dataset.records:
-            expected[record.label] += kw.lower() in record.text.lower()
-        assert substring[kw] == expected
 
 
 @settings(max_examples=100, deadline=None)
