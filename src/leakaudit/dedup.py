@@ -128,7 +128,7 @@ class Contamination:
 
 @dataclass(frozen=True)
 class _NodeRows:
-    """Each node's dataset rows, in dataset order: node i's rows are
+    """Each node's dataset rows, in id order: node i's rows are
     order[bounds[i] : bounds[i + 1]]. Two arrays take far less memory than
     a list of rows per node."""
 
@@ -138,16 +138,16 @@ class _NodeRows:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, node: int) -> list[int]:
-        return self.order[self.bounds[node] : self.bounds[node + 1]].tolist()
+    def __getitem__(self, node: int) -> np.ndarray:
+        return self.order[self.bounds[node] : self.bounds[node + 1]]
 
 
 @dataclass
 class _NodeIndex:
     """Distinct normalized texts (nodes), their dataset rows and shingles.
 
-    node_records gives each node's dataset rows in dataset order; record
-    ids are read off the rows only where clusters and pairs are built.
+    node_records gives each node's dataset rows in id order; record ids
+    are read off the rows only where clusters and pairs are built.
     keys holds node * len(hashes) + shingle id for each distinct shingle
     of each node, sorted, so node i's shingles are keys[starts[i] :
     starts[i + 1]] and one binary search tells whether a node has a given
@@ -167,7 +167,7 @@ def _build_nodes(dataset: Dataset) -> _NodeIndex:
     n = len(table.n_words)
     has_text = np.flatnonzero(table.node >= 0)
     node_records = _NodeRows(
-        has_text[np.argsort(table.node[has_text], kind="stable")],
+        has_text[np.lexsort((dataset.id_values[has_text], table.node[has_text]))],
         np.concatenate(([0], np.cumsum(np.bincount(table.node[has_text], minlength=n)))),
     )
     shingles, owner = _shingle_array(table.words, table.n_words)
@@ -384,24 +384,24 @@ class DuplicateScan:
             nth = min(int(np.searchsorted(reach, WORST_PAIRS)), len(live) - 1)
             cut = src_jaccard[by_jaccard[nth]]
         offered = []
-        records, codes = self.dataset.records, row_part.tolist()
+        id_values = self.dataset.id_values
         for s in live[src_jaccard[live] >= cut].tolist():
-            j = float(src_jaccard[s])
+            t_rows = node_records[src_train[s]]
+            t_rows = t_rows[row_part[t_rows] == 0]
+            o_rows = node_records[src_other[s]]
+            o_rows = o_rows[row_part[o_rows] > 0]
+            k = np.arange(min(WORST_PAIRS, len(t_rows) * len(o_rows)))
+            t, o = t_rows[k // len(o_rows)], o_rows[k % len(o_rows)]
             kind = "exact" if s < len(exact) else "near"
-            t_rows = node_records[int(src_train[s])]
-            o_rows = node_records[int(src_other[s])]
-            t_ids = sorted((records[r].id for r in t_rows if codes[r] == 0), key=int)
-            o_ids = sorted(
-                ((records[r].id, PARTITIONS[codes[r]]) for r in o_rows if codes[r] > 0),
-                key=lambda p: int(p[0]),
+            offered += zip(
+                [-float(src_jaccard[s])] * len(k), id_values[t].tolist(), id_values[o].tolist(),
+                t.tolist(), o.tolist(), [kind] * len(k),
             )
-            for k in range(min(WORST_PAIRS, len(t_ids) * len(o_ids))):
-                t_id, (o_id, part) = t_ids[k // len(o_ids)], o_ids[k % len(o_ids)]
-                offered.append((-j, int(t_id), int(o_id), t_id, o_id, part, kind))
         offered.sort()
+        records = self.dataset.records
         worst = tuple(
-            ContaminationPair(t_id, o_id, part, -neg_j, kind)
-            for neg_j, _, _, t_id, o_id, part, kind in offered[:WORST_PAIRS]
+            ContaminationPair(records[t].id, records[o].id, PARTITIONS[row_part[o]], -neg_j, kind)
+            for neg_j, _, _, t, o, kind in offered[:WORST_PAIRS]
         )
         return Contamination(n_pairs, worst)
 
@@ -414,39 +414,40 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
     without a second build.
 
     Raises:
-        ValueError: if the threshold is a bool or outside (0, 1].
+        ValueError: if the threshold is not an int or float (a bool or
+            numpy bool is refused) or lies outside (0, 1].
+        IdParseError: for the first dataset id ``snowflake.parse_id``
+            refuses, which only a hand-built dataset can hold.
     """
-    if isinstance(jaccard_threshold, bool) or not 0.0 < jaccard_threshold <= 1.0:
+    t = jaccard_threshold
+    if isinstance(t, bool) or not (isinstance(t, (int, float)) and 0.0 < t <= 1.0):
         raise ValueError(f"jaccard_threshold must be a number in (0, 1], got {jaccard_threshold}")
 
     index = _build_nodes(dataset)
     buckets = _prefix_buckets(index, jaccard_threshold)
-    records = dataset.records
-
-    def members(nodes) -> list[tuple[str, int]]:
-        """(id, node) of each record of ``nodes``, in numeric id order; the
-        first is the representative."""
-        owned = ((records[r].id, node) for node in nodes for r in index.node_records[node])
-        return sorted(owned, key=lambda pair: int(pair[0]))
-
-    def cluster(kind: str, owned: list[tuple[str, int]], min_jaccard: float) -> DuplicateCluster:
-        return DuplicateCluster(kind, tuple(rid for rid, _ in owned), owned[0][0], min_jaccard)
-
-    copied = np.flatnonzero(np.diff(index.node_records.bounds) > 1)
-    clusters = [cluster("exact", members([node]), 1.0) for node in copied.tolist()]
+    node_records, id_values = index.node_records, dataset.id_values
+    # each cluster's rows in id order, so its first row is the representative
+    members = [node_records[node] for node in np.flatnonzero(np.diff(node_records.bounds) > 1)]
+    n_exact = len(members)
+    min_jaccard = [1.0] * n_exact
     components = _components(index, buckets, jaccard_threshold)
     if components:
-        near_members = [members(nodes.tolist()) for nodes in components]
+        near = [np.concatenate([node_records[node] for node in nodes]) for nodes in components]
+        near = [rows[np.argsort(id_values[rows], kind="stable")] for rows in near]
         # each component's nodes against its representative's node, which
         # scores 1.0 against itself like the exact clusters
         sizes = np.array([len(nodes) for nodes in components])
-        rep_nodes = np.repeat([owned[0][1] for owned in near_members], sizes)
+        rep_nodes = np.repeat(dataset.text_table.node[[rows[0] for rows in near]], sizes)
         jaccard = _jaccard(index, rep_nodes, np.concatenate(components))
-        min_jaccard = np.minimum.reduceat(jaccard, np.cumsum(sizes) - sizes).tolist()
-        clusters += [cluster("near", owned, j) for owned, j in zip(near_members, min_jaccard)]
-    clusters.sort(key=lambda c: (c.kind, int(c.representative_id)))
-    exact = [c for c in clusters if c.kind == "exact"]
-    near = [c for c in clusters if c.kind == "near"]
+        min_jaccard += np.minimum.reduceat(jaccard, np.cumsum(sizes) - sizes).tolist()
+        members += near
+    is_near = np.arange(len(members)) >= n_exact
+    clusters = []
+    for i in np.lexsort((id_values[[rows[0] for rows in members]], is_near)).tolist():
+        ids = tuple(dataset.records[r].id for r in members[i].tolist())
+        kind = "near" if i >= n_exact else "exact"
+        clusters.append(DuplicateCluster(kind, ids, ids[0], min_jaccard[i]))
+    exact, near = clusters[:n_exact], clusters[n_exact:]
     return DuplicateScan(
         clusters=tuple(clusters),
         n_records=len(dataset),

@@ -193,9 +193,11 @@ def probe_splits(dataset: Dataset, n_splits: int = 5, seed: int = 0) -> list[Spl
     arbitrary partition's luck.
 
     Raises:
-        ValueError: if seed is not an int (a bool or numpy integer is
-            refused).
+        ValueError: if n_splits or seed is not an int (a bool or numpy
+            integer is refused).
     """
+    if type(n_splits) is not int:
+        raise ValueError(f"n_splits must be an int, got {n_splits!r}")
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     return [
@@ -216,7 +218,8 @@ def run_id_leak_suite(
     Raises:
         ValueError: before any run is checked, in this order: there is no
             split; the splits come from different datasets; there is no
-            k; a k is below 1; a k repeats; a dataset id, in a split or
+            k; a k is not an int (a bool or numpy integer is refused); a k
+            is below 1; a k repeats; a dataset id, in a split or
             not, is one ``snowflake.parse_id`` refuses (its message).
         The errors of the first run that fails: EmptySplitError,
         AllIdsTooShortError or UnknownLabelError.
@@ -229,6 +232,9 @@ def run_id_leak_suite(
     config = config or ForestConfig()
     if not k_values:
         raise ValueError("no k values to probe")
+    for k in k_values:
+        if type(k) is not int:
+            raise ValueError(f"k must be an int, got {k!r}")
     for k in k_values:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")

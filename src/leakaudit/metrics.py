@@ -13,7 +13,7 @@ Conventions, fixed once here and used by every report in the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -108,17 +108,7 @@ class EvalResult:
         return {
             "labels": list(self.matrix.label_set),
             "confusion": self.matrix.counts.tolist(),
-            "per_class": [
-                {
-                    "label": m.label,
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                    "predicted": m.predicted,
-                }
-                for m in self.per_class
-            ],
+            "per_class": [asdict(m) for m in self.per_class],
             "macro_f1": self.macro_f1,
             "micro_f1": self.micro_f1,
             "accuracy": self.accuracy,

@@ -7,7 +7,8 @@ creation time matches the anchor class's time distribution: for each
 non-anchor record, draw a target timestamp uniformly from the anchor
 records, then take the nearest unused same-label pool record within a
 window. Records with no pool match are kept as they are and counted as
-rejects.
+rejects. Labels match as label-set positions, and the matching tracks
+dataset and pool rows; records are read only to build the output.
 
 The report quantifies what changed: leak scores before and after, and the
 total-variation distance between each label's daily timestamp histogram
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Record
+from .data import Dataset
 from .errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
 from .idleak import IdLeakReport, run_id_leak_test
 from .snowflake import timestamp_histogram
@@ -56,8 +57,8 @@ class RebalanceReport:
 
 
 class _AlivePool:
-    """Sorted timestamps with O(1) removal and path-compressed
-    nearest-alive lookup.
+    """One label's pool rows sorted by timestamp, with O(1) removal and
+    path-compressed nearest-alive lookup.
 
     For a dead slot j, every slot strictly between j and right[j] (or
     left[j]) is dead too. A removal only marks its slot dead. The lookups
@@ -67,11 +68,12 @@ class _AlivePool:
     that lands in it, and many takes at one place stay near-linear.
     """
 
-    def __init__(self, timestamps: list[int], records: list[Record]):
-        """``timestamps`` in ascending order, ``records`` in the same order."""
-        # slots 0 and n + 1 are sentinels that never die and are never in a window
+    def __init__(self, timestamps: list[int], rows: np.ndarray):
+        """``timestamps`` in ascending order, their pool rows in the same order."""
+        # slots 0 and n + 1 are sentinels that never die and are never in a
+        # window, so slot j holds rows[j - 1]
         self.ts = [-float("inf"), *timestamps, float("inf")]
-        self.records = [None, *records, None]
+        self.rows = rows
         self.left = list(range(-1, len(self.ts) - 1))
         self.right = list(range(1, len(self.ts) + 1))
         self.dead = [False] * len(self.ts)
@@ -86,9 +88,9 @@ class _AlivePool:
             step[j], j = end, step[j]
         return end
 
-    def take_nearest(self, target: int, window_ms: int) -> tuple[Record, int] | None:
-        """Remove the alive record with timestamp nearest to target (ties
-        to the earlier timestamp) and return it with its timestamp, or None
+    def take_nearest(self, target: int, window_ms: int) -> tuple[int, int] | None:
+        """Remove the alive row with timestamp nearest to target (ties to
+        the earlier timestamp) and return it with its timestamp, or None
         when the nearest is farther than window_ms or the pool is empty."""
         pos = bisect_left(self.ts, target)
         right = self._alive(self.right, pos)
@@ -97,7 +99,7 @@ class _AlivePool:
         if abs(self.ts[best] - target) > window_ms:
             return None
         self.dead[best] = True
-        return self.records[best], self.ts[best]
+        return self.rows[best - 1], self.ts[best]
 
 
 def _tv_distance(hist_a: dict[int, int], hist_b: dict[int, int]) -> float:
@@ -149,7 +151,7 @@ def time_rebalance(
     Raises:
         ValueError: seed is not an int, or window_ms is not an int >= 1
             (a bool or numpy integer is refused for either).
-        UnknownLabelError: anchor label outside the dataset's label set.
+        UnknownLabelError: anchor or record label outside the dataset's label set.
         NoAnchorRecordsError: no anchor record has a decodable timestamp.
         EmptyPoolError: no usable pool record for any non-anchor label.
     """
@@ -160,8 +162,12 @@ def time_rebalance(
         raise ValueError(f"window_ms must be an int >= 1, got {window_ms!r}")
     if anchor_label not in dataset.label_set:
         raise UnknownLabelError(f"anchor label {anchor_label!r} not in label set")
+    labels, label_of = dataset.label_set, dataset.label_index
+    if np.any(label_of < 0):  # index raises UnknownLabelError for the first unknown label
+        labels.index(dataset.records[int(np.argmax(label_of < 0))].label)
 
-    is_anchor = dataset.label_index == dataset.label_set.index(anchor_label)
+    anchor = labels.index(anchor_label)
+    is_anchor = label_of == anchor
     anchor_ts = dataset.timestamps[is_anchor & (dataset.timestamps >= 0)]
     n_anchor = int(np.count_nonzero(is_anchor))
     if len(anchor_ts) == 0:
@@ -169,23 +175,19 @@ def time_rebalance(
             f"no {anchor_label!r} record carries a decodable timestamp"
         )
 
-    pools = {label: ([], []) for label in dataset.label_set if label != anchor_label}
-    stamps = pool.timestamps.tolist()
-    collides = np.isin(pool.id_values, dataset.id_values).tolist()
-    collisions = 0
-    # in time order, ids breaking ties, so each label's pool comes out sorted
-    for i in np.lexsort((pool.id_values, pool.timestamps)).tolist():
-        r = pool.records[i]
-        if r.label not in pools or stamps[i] < 0:
-            continue
-        if collides[i]:
-            collisions += 1
-            continue
-        pools[r.label][0].append(stamps[i])
-        pools[r.label][1].append(r)
-    if all(len(ts) == 0 for ts, _ in pools.values()):
+    # each pool row's position in the dataset's label set, -1 outside it;
+    # the appended -1 is where a pool label_index of -1 lands
+    pool_label = np.append(labels.encode(pool.label_set), -1)[pool.label_index]
+    usable = (pool_label >= 0) & (pool_label != anchor) & (pool.timestamps >= 0)
+    collides = np.isin(pool.id_values, dataset.id_values)
+    collisions = int(np.count_nonzero(usable & collides))
+    rows = np.flatnonzero(usable & ~collides)
+    # by label, then in time order, ids breaking ties, so each label's pool comes out sorted
+    rows = rows[np.lexsort((pool.id_values[rows], pool.timestamps[rows], pool_label[rows]))]
+    if len(rows) == 0:
         raise EmptyPoolError("pool has no usable records for any non-anchor label")
-    alive = {label: _AlivePool(ts, recs) for label, (ts, recs) in pools.items()}
+    ends = np.cumsum(np.bincount(pool_label[rows], minlength=len(labels)))[:-1]
+    alive = [_AlivePool(pool.timestamps[part].tolist(), part) for part in np.split(rows, ends)]
 
     leak_before = leak_after = None
     if measure_leak:
@@ -195,31 +197,28 @@ def time_rebalance(
     rng = _rng(seed)
     # one draw per non-anchor record, in record order: the same stream as
     # drawing them one at a time
-    targets = iter(
-        anchor_ts[rng.integers(0, len(anchor_ts), size=len(dataset) - n_anchor)].tolist()
-    )
-    replaced_per_label = {label: 0 for label in dataset.label_set if label != anchor_label}
-    rejected_per_label = {label: 0 for label in dataset.label_set if label != anchor_label}
+    targets = anchor_ts[rng.integers(0, len(anchor_ts), size=len(dataset) - n_anchor)].tolist()
+    non_anchor = np.flatnonzero(~is_anchor)
+    # the pool row that replaced each dataset row, -1 for none
+    replacement = np.full(len(dataset), -1, dtype=np.int64)
     deltas: list[int] = []
-    new_records: list[Record] = []
-    for r in dataset.records:
-        if r.label == anchor_label:
-            new_records.append(r)
-            continue
-        target = next(targets)
-        taken = alive[r.label].take_nearest(target, window_ms)
-        if taken is None:
-            rejected_per_label[r.label] += 1
-            new_records.append(r)
-            continue
-        candidate, ts = taken
-        replaced_per_label[r.label] += 1
-        deltas.append(abs(ts - target))
-        new_records.append(candidate)
-    del targets  # the iterator holds every target until dropped; free them before the probe
+    for i, label, target in zip(non_anchor.tolist(), label_of[non_anchor].tolist(), targets):
+        taken = alive[label].take_nearest(target, window_ms)
+        if taken is not None:
+            replacement[i], ts = taken
+            deltas.append(abs(ts - target))
+    del targets  # free the targets before the probe
+    replaced = replacement >= 0
+    n_replaced = np.bincount(label_of[replaced], minlength=len(labels)).tolist()
+    n_rejected = np.bincount(label_of[~replaced & ~is_anchor], minlength=len(labels)).tolist()
+    replaced_per_label = {label: n_replaced[i] for i, label in enumerate(labels) if i != anchor}
+    rejected_per_label = {label: n_rejected[i] for i, label in enumerate(labels) if i != anchor}
+    new_records = tuple(
+        r if j < 0 else pool.records[j] for r, j in zip(dataset.records, replacement.tolist())
+    )
 
     rebalanced = Dataset(
-        records=tuple(new_records),
+        records=new_records,
         label_set=dataset.label_set,
         name=f"{dataset.name}-rebalanced" if dataset.name else "rebalanced",
     )

@@ -149,10 +149,11 @@ def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
     keyed in first-occurrence order.
 
     Raises:
-        ValueError: if bucket_ms < 1.
+        ValueError: if bucket_ms is not an int >= 1 (a bool, float or numpy
+            integer is refused).
     """
-    if bucket_ms < 1:
-        raise ValueError(f"bucket_ms must be >= 1, got {bucket_ms}")
+    if type(bucket_ms) is not int or bucket_ms < 1:
+        raise ValueError(f"bucket_ms must be an int >= 1, got {bucket_ms!r}")
     stamps = dataset.timestamps
     timed = (stamps >= 0).tolist()
     pairs = compress(zip([r.label for r in dataset.records], stamps.tolist()), timed)

@@ -312,31 +312,40 @@ _RECORDS = st.lists(
         (["a"], False, "test"),  # one token
         (["a", "b"], False, "train"),  # two tokens
         (["a", "b"], True, "dev"),  # its exact copy, which sorts after the
-        (["a", "a", "a"], False, "test"),  # near pair at J = 1.0 of ids 42, 930
+        (["a", "a", "a"], False, "test"),  # near pair at J = 1.0 of ids 10698, 19578
         (["b", "c", "dd", "a", "b"], False, None),  # in no partition
         (["b", "c", "dd", "a", "b"], True, "dev"),
     ],
     threshold=0.8,
 )
+# a near cluster whose second node (id 338) sorts before its first (10698)
+@example(records=[([], False, None), (["a"] * 4, False, "train"), (["a"] * 3, False, "test")],
+         threshold=0.8)
 def test_scan_and_contamination_match_brute_force(records, threshold):
     rows, part_of = [], {}
     for i, (words, shout, part) in enumerate(records):
         text = " ".join(words)
         if shout:
             text = text.upper() + " http://t.co/Xy"
-        rid = str(37 * i * i + 5)  # 5, 42, 153, ...: string order is not numeric order
+        # 5, 10698, 338, 14805, ...: neither string order nor record
+        # order is numeric order, and the 31 ids are distinct
+        p = (17 * i) % 31
+        rid = str(37 * p * p + 5)
         rows.append({"id": rid, "text": text, "label": "a"})
         part_of[rid] = part
     ds = build_dataset(rows, labels=["a"])
     scan = scan_duplicates(ds, jaccard_threshold=threshold)
 
-    want_exact, want_near = _brute_force_components(rows, threshold)
-    assert {frozenset(c.member_ids) for c in scan.clusters if c.kind == "exact"} == want_exact
-    near = [c for c in scan.clusters if c.kind == "near"]
-    assert {frozenset(c.member_ids) for c in near} == want_near
+    # members in numeric order; clusters by kind, then numeric representative
+    want = sorted(
+        ((kind, tuple(sorted(members, key=int))) for kind, clusters in
+         zip(("exact", "near"), _brute_force_components(rows, threshold)) for members in clusters),
+        key=lambda c: (c[0], int(c[1][0])),
+    )
+    assert [(c.kind, c.member_ids) for c in scan.clusters] == want
+    assert all(c.representative_id == c.member_ids[0] for c in scan.clusters)
     shingles = {r["id"]: _brute_shingles(r["text"]) for r in rows}
-    for cluster in near:
-        assert cluster.representative_id == min(cluster.member_ids, key=int)
+    for cluster in scan.clusters:
         rep = shingles[cluster.representative_id]
         assert cluster.min_jaccard_to_representative == min(
             len(rep & shingles[m]) / len(rep | shingles[m]) for m in cluster.member_ids
@@ -520,7 +529,7 @@ def test_scan_parameter_validation(leaky):
     small = build_dataset(
         [{"id": "1", "text": "a b c", "label": "true"}], labels=["true"]
     )
-    for bad in (0.0, 1.2, float("nan"), True, False):
+    for bad in (0.0, 1.2, float("nan"), True, False, np.True_, "0.5", None):
         with pytest.raises(ValueError) as exc:
             scan_duplicates(small, jaccard_threshold=bad)
         assert str(exc.value) == f"jaccard_threshold must be a number in (0, 1], got {bad}"

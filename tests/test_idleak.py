@@ -140,6 +140,13 @@ def test_pattern_tables_error_text():
         suite(["12a"], ())
     with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         suite(["12a"], (2, 0))
+    # a bool would probe as k = 0 or 1, a float fails deep in the table
+    # code, and a numpy integer would reach the report's JSON; every k's
+    # type is checked before any k's value
+    for k_values in ((True,), (2.0,), (np.int64(2),), (0, True)):
+        with pytest.raises(ValueError) as exc:
+            suite(["12a"], k_values)
+        assert str(exc.value) == f"k must be an int, got {k_values[-1]!r}"
     with pytest.raises(ValueError, match=r"^k values repeat: \[2, 3, 2\]$"):
         suite(["12a"], (2, 3, 2))
     # an id the loaders refuse is an error even when it is too short to be kept
@@ -237,6 +244,11 @@ def test_probe_splits_names_and_sizes(leaky):
         s.train_ids for s in splits
     ]
     assert probe_splits(leaky, n_splits=0) == []
+    # a bool would make one split, and the others fail in range()
+    for n_splits in (True, 1.5, "2", np.int64(2)):
+        with pytest.raises(ValueError) as exc:
+            probe_splits(leaky, n_splits=n_splits)
+        assert str(exc.value) == f"n_splits must be an int, got {n_splits!r}"
 
 
 @pytest.mark.parametrize("seed", [True, 1.5, "3", np.int64(2)])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakaudit import build_dataset, time_rebalance
-from leakaudit.data import Record, label_distribution, save_jsonl
+from leakaudit.data import Dataset, LabelSet, Record, label_distribution, save_jsonl
 from leakaudit.errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
 from leakaudit.rebalance import _AlivePool
 
@@ -261,6 +261,37 @@ def test_rebalance_error_cases(leaky, pool):
     )
     with pytest.raises(EmptyPoolError):
         time_rebalance(ds, anchor_only_pool, "n", seed=0, measure_leak=False)
+
+    # a hand-built dataset with a label outside its set is refused up front,
+    # with the probe on or off
+    r_pool = build_dataset(
+        [{"id": _ts_id(1423070500000, low=3), "text": "p", "label": "r"}], labels=["n", "r"]
+    )
+    stray = Dataset(records=(*ds.records, Record(id="7", text="c", label="zzz")),
+                    label_set=ds.label_set)
+    for measure_leak in (False, True):
+        with pytest.raises(UnknownLabelError) as exc:
+            time_rebalance(stray, r_pool, "n", seed=0, measure_leak=measure_leak)
+        assert str(exc.value) == "label 'zzz' not in ('n', 'r')"
+
+
+def test_pool_labels_match_by_name(leaky, pool):
+    # a pool whose label set is in another order, with rows of a label the
+    # dataset lacks and (hand-built) of one neither set holds, gives what the
+    # pool without those rows gives
+    foreign = [
+        r._replace(id=str(int(r.id) + 1), label=("zzz", "yyy")[i % 2])
+        for i, r in enumerate(pool.records[::4])
+    ]
+    records = [r for pair in zip(pool.records, foreign) for r in pair]
+    records += pool.records[len(foreign):]
+    assert len({r.id for r in (*records, *leaky.records)}) == len(records) + len(leaky)
+    shuffled = Dataset(records=tuple(records),
+                       label_set=LabelSet(("zzz", *reversed(pool.label_set.labels))))
+    want_out, want_report = time_rebalance(leaky, pool, ANCHOR, seed=4, measure_leak=False)
+    got_out, got_report = time_rebalance(leaky, shuffled, ANCHOR, seed=4, measure_leak=False)
+    assert got_out.records == want_out.records
+    assert got_report == want_report
 
 
 def test_report_json_round_trip(rebalanced):

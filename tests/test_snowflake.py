@@ -173,8 +173,11 @@ def test_timestamp_histogram_buckets_and_exclusions():
     for (_, bucket), _count in hist.counts.items():
         assert bucket % day == 0
 
-    with pytest.raises(ValueError):
-        timestamp_histogram(ds, bucket_ms=0)
+    # a float would make float bucket keys, and a bool would act as 1
+    for bad in (0, -1, 1.5, True, np.int64(7)):
+        with pytest.raises(ValueError) as exc:
+            timestamp_histogram(ds, bucket_ms=bad)
+        assert str(exc.value) == f"bucket_ms must be an int >= 1, got {bad!r}"
 
 
 def test_timestamp_histogram_rows_sorted():
