@@ -30,6 +30,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -455,10 +456,18 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
 
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """Write canonical JSONL (stable key order, extras preserved)."""
+    """Write canonical JSONL (stable key order, extras preserved). A plain
+    record (a ``str`` id, text and label, no optional field, no extra) is
+    written without the encoder, its strings escaped as the encoder does."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for r in dataset.records:
+            if (r.extra is _NO_EXTRA and r.event is None and r.article_id is None
+                    and r.reply_count is None and type(r.id) is str
+                    and type(r.text) is str and type(r.label) is str):
+                fh.write(f'{{"id": {encode_basestring(r.id)}, "label": '
+                         f'{encode_basestring(r.label)}, "text": {encode_basestring(r.text)}}}\n')
+                continue
             row: dict[str, object] = {"id": r.id, "text": r.text, "label": r.label}
             if r.event is not None:
                 row["event"] = r.event

@@ -17,7 +17,9 @@ errors come in report order. Then, for each k, one ``fit_rows`` call fits
 the forests of all splits together on the table's train patterns
 (stratified splits share their size, so they share each tree's bootstrap
 draw and feature orders), and each (split, k) run predicts each table
-pattern once with its forest.
+pattern once with its forest. ``time_rebalance`` probes its input and its
+output on one split through the suite's core, so one ``fit_rows`` per k
+grows both probes' forests too.
 
 The probe's score is normalized headroom above chance,
 ``(macro - baseline) / (1 - baseline)``, clamped at 0, so 0.0 reads as
@@ -240,37 +242,49 @@ def run_id_leak_suite(
             raise ValueError(f"k must be >= 1, got {k}")
     if len(set(k_values)) < len(k_values):
         raise ValueError(f"k values repeat: {list(k_values)}")
+    return _probe_runs([(dataset, each) for each in splits], k_values, config)
+
+
+def _probe_runs(runs, k_values, config: ForestConfig) -> list[IdLeakReport]:
+    """The suite's core: one report per (run, k) pair, run first, for
+    (dataset, split) runs of datasets sharing one label set. Each k has one
+    pattern table over the datasets' ids joined, which keeps each dataset's
+    patterns in order, so every forest equals the one fitted on its own."""
+    datasets = {id(dataset): dataset for dataset, _ in runs}
     try:
-        values = dataset.id_values
+        values = [dataset.id_values for dataset in datasets.values()]
     except IdParseError as exc:
         raise ValueError(str(exc)) from None
-    tables = _pattern_tables(values, k_values)
+    tables = _pattern_tables(np.concatenate(values), k_values)
+    ends = np.cumsum([len(v) for v in values])[:-1]
+    # each k's pattern of every row, split back into datasets, keyed by id()
+    pattern_of = {k: dict(zip(datasets, np.split(tables[k][1], ends))) for k in k_values}
     # every run is checked, in report order, before any forest is fitted
-    runs = []
+    listed = []
     kept = {k: [] for k in k_values}
-    for each in splits:
+    for dataset, each in runs:
         n_train, n_test = len(each.train), len(each.test)
         if not n_train or not n_test:
             raise EmptySplitError(f"need non-empty train and test (got {n_train}/{n_test})")
         rows = np.concatenate((each.train, each.test))
         for k in k_values:
-            kept[k].append(_kept(dataset, rows, n_train, k, tables[k][1]))
-        runs.append((each.name(), len(rows)))
+            kept[k].append(_kept(dataset, rows, n_train, k, pattern_of[k][id(dataset)]))
+        listed.append((each.name(), len(rows)))
 
-    by_k = {k: _probe_k(dataset, runs, kept.pop(k), k, tables[k][0], config) for k in k_values}
+    label_set = runs[0][0].label_set
+    by_k = {k: _probe_k(label_set, listed, kept.pop(k), k, tables[k][0], config) for k in k_values}
     return [by_k[k][i] for i in range(len(runs)) for k in k_values]
 
 
-def _probe_k(dataset, runs, kept, k, table, config) -> list[IdLeakReport]:
+def _probe_k(label_set, runs, kept, k, table, config) -> list[IdLeakReport]:
     """Every run at one k, given each run's ``_kept`` result: one
     ``fit_rows`` call grows the forests of all runs together, and each is
     scored on its run's test rows and let go before the next is taken."""
     models = fit_rows(
-        table, [(patterns[:n], labels[:n]) for patterns, labels, n in kept],
-        dataset.label_set, config,
+        table, [(patterns[:n], labels[:n]) for patterns, labels, n in kept], label_set, config,
     )
     return [
-        _report(name, k, next(models), table, *run, n_listed, dataset.label_set, config)
+        _report(name, k, next(models), table, *run, n_listed, label_set, config)
         for (name, n_listed), run in zip(runs, kept)
     ]
 

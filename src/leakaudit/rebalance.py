@@ -12,7 +12,9 @@ dataset and pool rows; records are read only to build the output.
 
 The report quantifies what changed: leak scores before and after, and the
 total-variation distance between each label's daily timestamp histogram
-and the anchor's, before and after.
+and the anchor's, before and after. Both leak scores come from one probe
+made after matching: one split of the input serves both datasets, and one
+``fit_rows`` call grows both forests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
-from .idleak import IdLeakReport, run_id_leak_test
+from .forest import ForestConfig
+from .idleak import IdLeakReport, _probe_runs
 from .snowflake import timestamp_histogram
 from .splits import SplitSpec, _rng, make_split
 
@@ -126,10 +129,12 @@ def _tv_per_label(dataset: Dataset, anchor_label: str) -> dict[str, float]:
     }
 
 
-def _leak_probe(dataset: Dataset, seed: int) -> IdLeakReport:
-    """The k=3 id probe with default forest settings on one 70/10/20 split."""
-    spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed, stratify=True)
-    return run_id_leak_test(dataset, make_split(dataset, spec), k=3)
+def _leak_probe(dataset: Dataset, rebalanced: Dataset, seed: int) -> list[IdLeakReport]:
+    """The k=3 id probe with default forest settings of the input and of its
+    rebalanced copy on one 70/10/20 split of the input: rebalancing keeps
+    each row's label, and a stratified split reads only labels and seed."""
+    split = make_split(dataset, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed, stratify=True))
+    return _probe_runs([(dataset, split), (rebalanced, split)], (3,), ForestConfig())
 
 
 def time_rebalance(
@@ -179,7 +184,9 @@ def time_rebalance(
     # the appended -1 is where a pool label_index of -1 lands
     pool_label = np.append(labels.encode(pool.label_set), -1)[pool.label_index]
     usable = (pool_label >= 0) & (pool_label != anchor) & (pool.timestamps >= 0)
-    collides = np.isin(pool.id_values, dataset.id_values)
+    # exact membership: an id's insertion points differ where the dataset holds it
+    known, ids = np.sort(dataset.id_values), pool.id_values
+    collides = np.searchsorted(known, ids, "left") < np.searchsorted(known, ids, "right")
     collisions = int(np.count_nonzero(usable & collides))
     rows = np.flatnonzero(usable & ~collides)
     # by label, then in time order, ids breaking ties, so each label's pool comes out sorted
@@ -189,9 +196,6 @@ def time_rebalance(
     ends = np.cumsum(np.bincount(pool_label[rows], minlength=len(labels)))[:-1]
     alive = [_AlivePool(pool.timestamps[part].tolist(), part) for part in np.split(rows, ends)]
 
-    leak_before = leak_after = None
-    if measure_leak:
-        leak_before = _leak_probe(dataset, seed)
     tv_before = _tv_per_label(dataset, anchor_label)
 
     rng = _rng(seed)
@@ -222,8 +226,9 @@ def time_rebalance(
         label_set=dataset.label_set,
         name=f"{dataset.name}-rebalanced" if dataset.name else "rebalanced",
     )
+    leak_before = leak_after = None
     if measure_leak:
-        leak_after = _leak_probe(rebalanced, seed)
+        leak_before, leak_after = _leak_probe(dataset, rebalanced, seed)
     tv_after = _tv_per_label(rebalanced, anchor_label)
 
     report = RebalanceReport(

@@ -155,7 +155,18 @@ def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
     if type(bucket_ms) is not int or bucket_ms < 1:
         raise ValueError(f"bucket_ms must be an int >= 1, got {bucket_ms!r}")
     stamps = dataset.timestamps
-    timed = (stamps >= 0).tolist()
-    pairs = compress(zip([r.label for r in dataset.records], stamps.tolist()), timed)
-    counts = Counter((label, (ts // bucket_ms) * bucket_ms) for label, ts in pairs)
-    return TimestampHistogram(bucket_ms, dict(counts), excluded_count=timed.count(False))
+    timed = stamps >= 0
+    labels = dataset.label_index[timed]
+    if np.any(labels < 0):  # a hand-built record's label outside the set
+        pairs = compress(zip([r.label for r in dataset.records], stamps.tolist()), timed.tolist())
+        counts = dict(Counter((label, (ts // bucket_ms) * bucket_ms) for label, ts in pairs))
+    else:
+        # a bucket_ms beyond every timestamp puts all in bucket 0, and would overflow int64
+        buckets = stamps[timed] // min(bucket_ms, 2**62)
+        span = int(buckets.max(initial=0)) + 1
+        keys, first, n = np.unique(labels * span + buckets, return_index=True, return_counts=True)
+        order = np.argsort(first)  # first-occurrence order, which the TV sums read
+        names = dataset.label_set.labels
+        counts = {(names[key // span], key % span * bucket_ms): count
+                  for key, count in zip(keys[order].tolist(), n[order].tolist())}
+    return TimestampHistogram(bucket_ms, counts, excluded_count=len(stamps) - len(labels))

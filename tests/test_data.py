@@ -15,6 +15,7 @@ from leakaudit import LabelSet, Manifest, build_dataset, load_jsonl
 from leakaudit.data import (
     CANONICAL_FIELDS,
     CHUNK_SIZE,
+    _NO_EXTRA,
     Dataset,
     Record,
     _chunk_builder,
@@ -627,6 +628,42 @@ def test_jsonl_load_save_round_trip_property(rows):
         assert record.id == str(row["id"])
         assert record.event == (row["event"] or None)
         assert record.reply_count == row["reply_count"]
+
+
+# strings with quotes, backslashes, control characters, U+2028 and non-ASCII;
+# a lone surrogate cannot be written as UTF-8 by either path
+_ESCAPED = st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u2028\u2029é✓\U0001f600 ')
+    | st.characters(codec="utf-8"),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    _ESCAPED, _ESCAPED, _ESCAPED,
+    st.none() | _ESCAPED, st.none() | _ESCAPED, st.none() | st.integers(0, 10**6),
+    st.none() | st.dictionaries(st.sampled_from(["x", "é", 'q"']), _ESCAPED | st.integers(),
+                                max_size=2),
+), max_size=8))
+def test_save_jsonl_writes_what_json_dumps_writes(rows):
+    # plain records (no optional field, no extra) take the writer's fast
+    # path, the others the encoder; an empty dict extra is not the shared one
+    records, want = [], ""
+    for id_, text, label, event, article_id, reply_count, extra in rows:
+        records.append(Record(id_, text, label, event, article_id, reply_count,
+                              _NO_EXTRA if extra is None else extra))
+        row = {"id": id_, "text": text, "label": label}
+        for name, value in (("event", event), ("article_id", article_id),
+                            ("reply_count", reply_count)):
+            if value is not None:
+                row[name] = value
+        row.update(extra or {})
+        want += json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.jsonl"
+        save_jsonl(Dataset(records=tuple(records), label_set=LabelSet.of("x")), path)
+        assert path.read_bytes().decode("utf-8") == want
 
 
 @settings(max_examples=150, deadline=None)

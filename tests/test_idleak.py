@@ -365,6 +365,27 @@ def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):
     assert sorted(substreams) == sorted(list(range(20)) * 2)
 
 
+def test_runs_of_several_datasets_equal_each_dataset_alone(leaky):
+    # a copy of leaky with other ids, some too short for k=3 and k=2, so its
+    # union table with leaky's differs from both and its runs keep fewer rows
+    other = Dataset(
+        records=tuple(
+            r._replace(id=str(i % 90 + 1) if i % 9 == 0 else str(int(r.id) // 7919))
+            for i, r in enumerate(leaky.records)
+        ),
+        label_set=leaky.label_set,
+    )
+    splits = probe_splits(leaky, n_splits=3)
+    runs = [(leaky, splits[0]), (other, splits[1]), (leaky, splits[2])]
+    got = idleak_module._probe_runs(runs, (2, 3), FAST)
+    want = [
+        report for dataset, split in runs
+        for report in run_id_leak_suite([make_split(dataset, split.spec)], (2, 3), FAST)
+    ]
+    assert got == want
+    assert got[2].n_train < got[0].n_train and got[3].n_train < got[1].n_train
+
+
 def _mixed_length_id(i):
     if i % 11 == 0:
         return str(i % 9 + 1)

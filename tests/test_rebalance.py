@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakaudit import build_dataset, time_rebalance
+import leakaudit.forest as forest_module
+from leakaudit import SplitSpec, build_dataset, make_split, run_id_leak_test, time_rebalance
 from leakaudit.data import Dataset, LabelSet, Record, label_distribution, save_jsonl
-from leakaudit.errors import EmptyPoolError, NoAnchorRecordsError, UnknownLabelError
+from leakaudit.errors import (
+    AllIdsTooShortError,
+    EmptyPoolError,
+    EmptySplitError,
+    NoAnchorRecordsError,
+    UnknownLabelError,
+)
 from leakaudit.rebalance import _AlivePool
 
 ANCHOR = "non-rumor"
@@ -160,6 +167,124 @@ def test_pool_id_collisions_dropped():
     assert report.n_replaced == 1
     assert out.records[2].id == _ts_id(t0 + 2 * day, low=7)
     assert out.records[2].label == "r"
+
+
+T0 = 1420070400000  # 2015-01-01
+DAY = 86_400_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pool_collisions_match_a_set_oracle(data):
+    # (day, low bits) keys from a small space, so pool ids often equal dataset
+    # ids; day 20,000 puts ids near 2**63, where float64 cannot tell them apart
+    key = st.tuples(st.sampled_from([0, 1, 2, 20_000]), st.integers(1, 3))
+    ds_keys = data.draw(st.lists(key, min_size=2, max_size=10, unique=True), label="ds_keys")
+    ds_labels = ["n", *data.draw(st.lists(st.sampled_from("nr"), min_size=len(ds_keys) - 1,
+                                          max_size=len(ds_keys) - 1), label="ds_labels")]
+    pool_rows = data.draw(st.lists(st.tuples(key, st.sampled_from("nr")), min_size=1,
+                                   max_size=10, unique_by=lambda row: row[0]), label="pool")
+    ds = build_dataset(
+        [{"id": _ts_id(T0 + day * DAY, low), "text": "d", "label": label}
+         for (day, low), label in zip(ds_keys, ds_labels)],
+        labels=["n", "r"],
+    )
+    pool = build_dataset(
+        [{"id": _ts_id(T0 + day * DAY, low), "text": "p", "label": label}
+         for (day, low), label in pool_rows],
+        labels=["n", "r"],
+    )
+    known = {r.id for r in ds.records}
+    usable = [r.id for r in pool.records if r.label == "r"]
+    fresh = {rid for rid in usable if rid not in known}
+    if not fresh:
+        with pytest.raises(EmptyPoolError):
+            time_rebalance(ds, pool, "n", seed=0, measure_leak=False)
+        return
+    out, report = time_rebalance(ds, pool, "n", seed=0, measure_leak=False, window_ms=10**12)
+    assert report.pool_id_collisions == len(usable) - len(fresh)
+    drawn = {after.id for before, after in zip(ds.records, out.records) if after != before}
+    assert drawn <= fresh and len(drawn) == report.n_replaced
+
+
+def _probe_case(data):
+    """An input whose anchor ``n`` sits in January 2015 and whose ``a`` and
+    ``b`` rows sit 40 days later, some with ids too short for k=3 or with
+    no timestamp, and a pool of ``a`` and ``b`` rows near the anchor."""
+    n_anchor = data.draw(st.integers(1, 25), label="n_anchor")
+    kinds = st.sampled_from(["long", "short", "untimed"])
+    others = data.draw(st.lists(st.tuples(st.sampled_from("ab"), kinds), min_size=1, max_size=40),
+                       label="others")
+    pool_rows = data.draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 10 * DAY)),
+                                   min_size=1, max_size=50), label="pool")
+    rows = [{"id": _ts_id(T0 + i * DAY // 4, low=i + 1), "text": "n", "label": "n"}
+            for i in range(n_anchor)]
+    for j, (label, kind) in enumerate(others):
+        rid = {"long": _ts_id(T0 + 40 * DAY + j * DAY // 7, low=j + 1),
+               "short": str(j + 1), "untimed": str(1000 + j)}[kind]
+        rows.append({"id": rid, "text": label, "label": label})
+    pool = [{"id": _ts_id(T0 + offset, low=5000 + i), "text": "p", "label": label}
+            for i, (label, offset) in enumerate(pool_rows)]
+    labels = ["n", "a", "b"]
+    return build_dataset(rows, labels), build_dataset(pool, labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_joint_leak_probe_equals_each_dataset_alone(data):
+    # the two probes share one split and one fit; each report, or the first
+    # error, is the one the probe of its dataset alone gives
+    ds, pool = _probe_case(data)
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed, stratify=True)
+    out, _ = time_rebalance(ds, pool, "n", seed=seed, measure_leak=False)
+    want = []
+    for dataset in (ds, out):
+        try:
+            want.append(run_id_leak_test(dataset, make_split(dataset, spec), k=3))
+        except (EmptySplitError, AllIdsTooShortError) as exc:
+            with pytest.raises(type(exc)) as got:
+                time_rebalance(ds, pool, "n", seed=seed)
+            assert str(got.value) == str(exc)
+            return
+    _, report = time_rebalance(ds, pool, "n", seed=seed)
+    assert [report.leak_before, report.leak_after] == want
+
+
+def test_rebalance_grows_both_probes_once_and_draws_each_tree_once(leaky, pool, monkeypatch):
+    growers, substreams = [], []
+    grower = forest_module._LockstepGrower
+    tree_rng = forest_module._tree_rng
+
+    def counted_grower(*args):
+        growers.append(args)
+        return grower(*args)
+
+    def counted_rng(seed, t):
+        substreams.append(t)
+        return tree_rng(seed, t)
+
+    monkeypatch.setattr(forest_module, "_LockstepGrower", counted_grower)
+    monkeypatch.setattr(forest_module, "_tree_rng", counted_rng)
+    _, report = time_rebalance(leaky, pool, ANCHOR, seed=0)
+    # both probes keep every row, so their forests share each tree's draw
+    assert report.leak_before.n_train == report.leak_after.n_train
+    assert len(growers) == 1
+    # the grower takes 200 trees' alive-entry counts and 100 order streams
+    assert (len(growers[0][6]), len(growers[0][7])) == (200, 100)
+    assert sorted(substreams) == list(range(100))
+
+
+@pytest.mark.parametrize("stratify", [True, False])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_rebalanced_dataset_splits_as_its_input(leaky, rebalanced, seed, stratify):
+    # the probe's one split serves both datasets: rebalancing keeps each
+    # row's label, and a random split reads only the labels and the seed
+    out, _ = rebalanced
+    spec = SplitSpec(ratios=(0.7, 0.1, 0.2), seed=seed, stratify=stratify)
+    want, got = make_split(leaky, spec), make_split(out, spec)
+    for part in ("train", "dev", "test"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def _brute_force_take(entries, used, target, window_ms):

@@ -15,6 +15,7 @@ from leakaudit import (
     timestamp_histogram,
     try_decode_timestamp,
 )
+from leakaudit.data import Dataset, LabelSet, Record
 from leakaudit.errors import IdParseError, PreSnowflakeIdError, RecordParseError
 from leakaudit.snowflake import MAX_ID, parse_id, parse_ids, timestamp_of, timestamps_of
 
@@ -216,3 +217,27 @@ def test_timestamp_histogram_matches_a_per_record_loop(rows, bucket_ms):
     # the same keys in the same first-occurrence order
     assert list(hist.counts.items()) == list(counts.items())
     assert hist.excluded_count == excluded
+
+
+
+def _histogram_loop(records, bucket_ms):
+    counts = {}
+    for r in records:
+        ts = timestamp_of(int(r.id))
+        if ts is not None:
+            key = (r.label, (ts // bucket_ms) * bucket_ms)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_timestamp_histogram_of_a_stray_label_and_a_huge_bucket():
+    # a hand-built record whose label is outside the set keeps its string
+    # key; a bucket wider than int64 holds every time in bucket 0
+    ids = [str((1 << 40) + 3), "77", str(MAX_ID), str(1 << 50), str((1 << 40) + 5)]
+    records = tuple(Record(id=i, text="t", label=lab) for i, lab in zip(ids, "bazba"))
+    for kept in (records, records[:2] + records[3:]):  # with and without the stray label
+        ds = Dataset(records=kept, label_set=LabelSet.of("a", "b"))
+        for bucket_ms in (1, 86_400_000, 2**62, 2**70):
+            hist = timestamp_histogram(ds, bucket_ms)
+            assert list(hist.counts.items()) == list(_histogram_loop(kept, bucket_ms).items())
+            assert hist.excluded_count == 1
