@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .data import Dataset, Manifest, label_distribution, load_csv, load_jsonl, save_jsonl
+from .data import (
+    Dataset, Manifest, label_distribution, load_csv, load_jsonl, save_jsonl, write_json,
+)
 from .dedup import scan_duplicates
 from .errors import LeakAuditError
 from .forest import ForestConfig
@@ -86,11 +87,6 @@ def _load_dataset(path: str, manifest: Manifest) -> Dataset:
     if Path(path).suffix.lower() == ".csv":
         return load_csv(path, manifest)
     return load_jsonl(path, manifest)
-
-
-def _write_json(payload: dict, path: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _fingerprint(dataset: Dataset) -> dict:
@@ -247,7 +243,7 @@ def cmd_audit(args) -> int:
             "worst": [asdict(p) for p in contamination.worst],
         },
     }
-    _write_json(bundle, args.json)
+    write_json(bundle, args.json)
     print(f"bundle written to {args.json}")
     return exit_code
 
@@ -324,7 +320,7 @@ def cmd_eval(args) -> int:
     if args.json:
         payload = {"format_version": 1, "tool": {"name": "leakaudit", "version": __version__}}
         payload.update(result.to_json_dict())
-        _write_json(payload, args.json)
+        write_json(payload, args.json)
         print(f"result written to {args.json}")
     return 0
 
@@ -366,11 +362,8 @@ def cmd_rebalance(args) -> int:
     if window_ms <= 0:
         raise UsageError(f"--window must be positive, got {args.window!r}")
     manifest = _manifest_from_args(args)
+    pool_manifest = Manifest.from_json_file(args.pool_manifest) if args.pool_manifest else manifest
     dataset = _load_dataset(args.data, manifest)
-    if args.pool_manifest:
-        pool_manifest = Manifest.from_json_file(args.pool_manifest)
-    else:
-        pool_manifest = manifest
     pool = _load_dataset(args.pool, pool_manifest)
     rebalanced, report = time_rebalance(
         dataset,
@@ -395,7 +388,7 @@ def cmd_rebalance(args) -> int:
             "tool": {"name": "leakaudit", "version": __version__},
         }
         payload.update(report.to_json_dict())
-        _write_json(payload, args.report)
+        write_json(payload, args.report)
         print(f"report written to {args.report}")
     return 0
 
@@ -420,7 +413,7 @@ def cmd_inspect(args) -> int:
     print(f"undecodable ids: {info['n_undecodable_ids']}, "
           f"empty texts: {info['n_empty_texts']}, violations: {info['n_violations']}")
     if args.json:
-        _write_json({"format_version": 1, "fingerprint": info}, args.json)
+        write_json({"format_version": 1, "fingerprint": info}, args.json)
     return 0
 
 

@@ -9,7 +9,7 @@ malformed input raises, with the offending line number, so every loaded
 dataset keeps the record rules.
 
 Every loader builds its records a chunk of at most ``CHUNK_SIZE`` rows at a
-time (``_chunk_builder``): the manifest is resolved once per file, each
+time (``_chunk_builder``): the manifest is resolved once, when made, each
 JSONL line is decoded once, and column checks over the chunk pick out the
 plain rows, which are built without a per-row check. Every other row goes
 through ``_record_builder``, the one place each record rule and its error
@@ -178,6 +178,9 @@ class Manifest:
     ``fields`` maps canonical field names to source column/key names.
     Unmapped canonical fields default to their own name; optional fields
     whose default column is absent simply load as None.
+    Its label set and source keys are resolved when it is made, so a bad
+    label set is refused before any file is read; they are not fields, so
+    equality and repr stay those of the labels and field map.
     """
 
     labels: tuple[str, ...]
@@ -187,6 +190,8 @@ class Manifest:
         unknown = set(self.fields) - set(CANONICAL_FIELDS)
         if unknown:
             raise SchemaError(f"manifest maps unknown fields: {sorted(unknown)}")
+        object.__setattr__(self, "_label_set", LabelSet(self.labels))
+        object.__setattr__(self, "_keys", tuple(self.fields.get(c, c) for c in CANONICAL_FIELDS))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Manifest":
@@ -209,13 +214,16 @@ class Manifest:
             raise SchemaError(f"manifest {path}: labels must be a non-empty list of strings")
         if not isinstance(fields, dict) or not all(isinstance(v, str) for v in fields.values()):
             raise SchemaError(f"manifest {path}: fields must be an object of strings")
-        return cls(labels=tuple(labels), fields=dict(fields))
+        try:
+            return cls(labels=tuple(labels), fields=dict(fields))
+        except ValueError as exc:  # the label set's refusal
+            raise SchemaError(f"manifest {path}: {exc}") from None
 
     def label_set(self) -> LabelSet:
-        return LabelSet(self.labels)
+        return self._label_set
 
     def source_key(self, canonical: str) -> str:
-        return self.fields.get(canonical, canonical)
+        return self._keys[CANONICAL_FIELDS.index(canonical)]
 
 
 def _check_id(id_value: object, line: int) -> str:
@@ -245,16 +253,14 @@ def _parse_reply_count(value: object, line: int) -> int | None:
 
 
 def _record_builder(manifest: Manifest) -> Callable[[Mapping[str, object], int], Record]:
-    """One file's record builder. The manifest's source keys, mapped-key set
-    and labels are resolved here, once per file.
+    """One file's record builder, reading the keys the manifest resolved.
 
     A record is checked in a fixed order, and the first broken rule raises:
     missing id, text, label; id syntax; text type; label membership;
     reply_count. Duplicate ids are left to ``_build``.
     """
-    keys = tuple(manifest.source_key(canonical) for canonical in CANONICAL_FIELDS)
-    id_key, text_key, label_key, event_key, article_key, reply_key = keys
-    mapped_keys = frozenset(keys)
+    id_key, text_key, label_key, event_key, article_key, reply_key = manifest._keys
+    mapped_keys = frozenset(manifest._keys)
     labels = manifest.labels
 
     def build(raw: Mapping[str, object], line: int) -> Record:
@@ -310,7 +316,7 @@ def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
     first bad line of the chunk is the one reported.
     """
     build = _record_builder(manifest)
-    keys = tuple(manifest.source_key(canonical) for canonical in CANONICAL_FIELDS)
+    keys = manifest._keys
     required = frozenset(keys[:3])
     # an optional field read from a required key would not be None
     fast = required.isdisjoint(keys[3:])
@@ -434,17 +440,11 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
         _, header = next(rows, (0, None))
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
-        for canonical in REQUIRED_FIELDS:
-            if manifest.source_key(canonical) not in header:
-                raise SchemaError(
-                    f"{path}: missing required column {manifest.source_key(canonical)!r}"
-                )
-        for canonical in CANONICAL_FIELDS:
-            if canonical in manifest.fields and manifest.fields[canonical] not in header:
-                raise SchemaError(
-                    f"{path}: manifest maps {canonical!r} to missing column "
-                    f"{manifest.fields[canonical]!r}"
-                )
+        for canonical, key in zip(CANONICAL_FIELDS, manifest._keys):
+            if key not in header and canonical in REQUIRED_FIELDS:
+                raise SchemaError(f"{path}: missing required column {key!r}")
+            if key not in header and canonical in manifest.fields:
+                raise SchemaError(f"{path}: manifest maps {canonical!r} to missing column {key!r}")
 
         def raw_rows() -> Iterator[_Row]:
             for line, row in rows:
@@ -453,6 +453,12 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
                 yield line, dict(zip(header, row))
 
         return _build(raw_rows(), manifest, name or Path(path).stem)
+
+
+def write_json(payload: object, path: str | Path) -> None:
+    """Write the one JSON file format: sorted keys, indent 2, raw UTF-8."""
+    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:

@@ -148,16 +148,16 @@ class _NodeIndex:
 
     node_records gives each node's dataset rows in id order; record ids
     are read off the rows only where clusters and pairs are built.
-    keys holds node * len(hashes) + shingle id for each distinct shingle
+    keys holds node * n_shingles + shingle id for each distinct shingle
     of each node, sorted, so node i's shingles are keys[starts[i] :
     starts[i + 1]] and one binary search tells whether a node has a given
-    shingle. hashes maps a shingle id to its 64-bit hash.
+    shingle; shingle ids number the distinct shingle hashes from 0.
     """
 
     node_records: _NodeRows
     keys: np.ndarray
     starts: np.ndarray
-    hashes: np.ndarray
+    n_shingles: int
     n_skipped_empty: int
 
 
@@ -172,10 +172,11 @@ def _build_nodes(dataset: Dataset) -> _NodeIndex:
     )
     shingles, owner = _shingle_array(table.words, table.n_words)
     hashes, shingle_ids = np.unique(shingles, return_inverse=True)
-    del shingles
-    keys = sorted_unique(owner * len(hashes) + shingle_ids)
-    starts = np.searchsorted(keys, np.arange(n + 1) * len(hashes))
-    return _NodeIndex(node_records, keys, starts, hashes, len(table.node) - len(has_text))
+    n_shingles = len(hashes)
+    del shingles, hashes
+    keys = sorted_unique(owner * n_shingles + shingle_ids)
+    starts = np.searchsorted(keys, np.arange(n + 1) * n_shingles)
+    return _NodeIndex(node_records, keys, starts, n_shingles, len(table.node) - len(has_text))
 
 
 def _jaccard(index: _NodeIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,7 +191,7 @@ def _jaccard(index: _NodeIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     last = len(index.keys) - 1
     for lo, hi in batches(n_small):
         count = n_small[lo:hi]
-        shift = np.repeat((large[lo:hi] - small[lo:hi]) * len(index.hashes), count)
+        shift = np.repeat((large[lo:hi] - small[lo:hi]) * index.n_shingles, count)
         query = index.keys[ragged_arange(index.starts[small[lo:hi]], count)] + shift
         found = index.keys[np.minimum(np.searchsorted(index.keys, query), last)] == query
         inter[lo:hi] = np.add.reduceat(found.astype(np.int64), np.cumsum(count) - count)
@@ -224,7 +225,7 @@ def _prefix_buckets(index: _NodeIndex, threshold: float) -> tuple[np.ndarray, np
     n = len(index.starts) - 1
     if n < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    n_shingles = len(index.hashes)
+    n_shingles = index.n_shingles
     shingle = index.keys % n_shingles
     by_rank = np.argsort(np.bincount(shingle, minlength=n_shingles), kind="stable")
     rank = np.empty(n_shingles, dtype=np.int64)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_json
 from .errors import (
     EmptyInputError,
     InsufficientRecordsError,
@@ -407,8 +407,7 @@ def export_split(split: Split, path: str | Path) -> None:
         "spec": None if split.spec is None else split.spec.to_json_dict(),
         "provenance": split.provenance,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(payload, path)
 
 
 def import_split(path: str | Path, dataset: Dataset) -> Split:

@@ -4,6 +4,7 @@ Every emitted JSON artifact is validated against the schema shipped in
 leakaudit/schemas/, so the schemas are part of the tested contract.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -40,6 +41,16 @@ def env(tmp_path_factory, leaky, control, pool):
         paths[key] = root / f"{key}.jsonl"
         save_jsonl(dataset, paths[key])
     return paths
+
+
+def test_schemas_share_their_report_and_fingerprint_shapes():
+    # the shapes are written out in each schema that embeds them; they must agree
+    bundle, rebalance, inspect = (
+        json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text(encoding="utf-8"))
+        for name in ("audit-bundle", "rebalance-report", "inspect")
+    )
+    assert bundle["$defs"]["id_leak_report"] == rebalance["$defs"]["id_leak_report"]
+    assert bundle["$defs"]["fingerprint"] == inspect["properties"]["fingerprint"]
 
 
 def test_parse_window():
@@ -144,6 +155,23 @@ def test_audit_canonical_split_reports_contamination(env, capsys):
     assert set(bundle["id_leak"]["summary"]) == {"2", "3"}
     assert bundle["contamination"] is not None
     assert bundle["contamination"]["n_pairs"] >= 0
+
+
+def test_audit_reads_a_csv_dataset_as_its_jsonl(env, leaky, tmp_path, capsys):
+    # the same records under the same file stem give the same bundle and stdout
+    csv_path = tmp_path / "leaky.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "text", "label"])
+        writer.writerows((r.id, r.text, r.label) for r in leaky.records)
+    bundle_path = env["root"] / "bundle-csv.json"
+    runs = []
+    for data_path in (env["leaky"], csv_path):
+        capsys.readouterr()
+        assert main(["audit", str(data_path), "--labels", LABELS, "--k", "2",
+                     "--n-splits", "1", "--json", str(bundle_path)]) == 2
+        runs.append((capsys.readouterr().out, bundle_path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_audit_without_json_writes_no_file(env, tmp_path, monkeypatch, capsys):
@@ -695,6 +723,29 @@ def test_rebalance_no_probe_and_errors(env, capsys):
     assert "error: --window needs ms" in capsys.readouterr().err
 
 
+def test_rebalance_pool_manifest_maps_the_pool_columns(env, pool, tmp_path, capsys):
+    # the pool's ids under another column name give the same dataset and report
+    renamed = tmp_path / "pool.jsonl"
+    renamed.write_text("".join(
+        json.dumps({"tweet_id": r.id, "text": r.text, "label": r.label}) + "\n"
+        for r in pool.records
+    ), encoding="utf-8")
+    pool_manifest = tmp_path / "pool-manifest.json"
+    pool_manifest.write_text(json.dumps(
+        {"labels": LABELS.split(","), "fields": {"id": "tweet_id"}}
+    ), encoding="utf-8")
+    out_path, report_path = tmp_path / "out.jsonl", tmp_path / "report.json"
+    base = ["rebalance", str(env["leaky"]), "--labels", LABELS, "--anchor-label", "non-rumor",
+            "--seed", "3", "--out", str(out_path), "--report", str(report_path)]
+    runs = []
+    for extra in (["--pool", str(env["pool"])],
+                  ["--pool", str(renamed), "--pool-manifest", str(pool_manifest)]):
+        assert main(base + extra) == 0
+        capsys.readouterr()
+        runs.append((out_path.read_bytes(), report_path.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_inspect_cli(env, capsys):
     json_path = env["root"] / "fingerprint.json"
     rc = main(["inspect", str(env["leaky"]), "--labels", LABELS, "--json", str(json_path)])
@@ -721,6 +772,24 @@ def test_inspect_rejects_malformed_manifest(env, capsys, tmp_path):
     assert main(["inspect", str(env["leaky"]), "--manifest", str(manifest)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: manifest {manifest}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [("a,a", "duplicate labels in ('a', 'a')"), (",", "label set is empty")],
+)
+def test_bad_labels_are_refused_before_the_data_file_is_opened(env, capsys, labels, message):
+    assert main(["inspect", str(env["root"] / "nope.jsonl"), "--labels", labels]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_manifest_file_with_a_repeated_label_is_refused(env, capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"labels": ["a", "a"]}', encoding="utf-8")
+    for data_path in (env["leaky"], env["root"] / "nope.jsonl"):
+        assert main(["inspect", str(data_path), "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {manifest}: duplicate labels in ('a', 'a')\n"
 
 
 def test_module_entrypoint():

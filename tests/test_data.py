@@ -492,6 +492,15 @@ def test_manifest_rejects_unknown_canonical_field():
         Manifest(labels=("a",), fields={"bogus": "col"})
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [((), "label set is empty"), (("a", "a"), "duplicate labels"), (("a", ""), "non-empty")],
+)
+def test_manifest_refuses_a_bad_label_set_when_made(labels, message):
+    with pytest.raises(ValueError, match=message):
+        Manifest(labels=labels)
+
+
 def test_manifest_from_json_file(tmp_path):
     path = write(
         tmp_path / "m.json",

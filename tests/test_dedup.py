@@ -376,7 +376,7 @@ def _index_of(sets):
     )
     starts = np.searchsorted(keys, np.arange(len(sets) + 1) * n_shingles)
     rows = _NodeRows(np.arange(len(sets)), np.arange(len(sets) + 1))
-    return _NodeIndex(rows, keys, starts, np.arange(n_shingles), 0)
+    return _NodeIndex(rows, keys, starts, n_shingles, 0)
 
 
 # thresholds, and set sizes n with t * n integral: a subset of t * n
