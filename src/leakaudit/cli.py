@@ -96,7 +96,7 @@ def _fingerprint(dataset: Dataset) -> dict:
         "n_records": len(dataset),
         "label_distribution": label_distribution(dataset),
         "n_undecodable_ids": len(dataset) - len(timed),
-        "n_empty_texts": sum(1 for r in dataset.records if not r.text.strip()),
+        "n_empty_texts": sum(1 for text in dataset.texts if not text.strip()),
         "min_timestamp_ms": int(timed.min()) if len(timed) else None,
         "max_timestamp_ms": int(timed.max()) if len(timed) else None,
         # every dataset here came through a loader, which refuses each record rule
@@ -334,7 +334,9 @@ def cmd_aggregate(args) -> int:
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     predictions = read_prediction_file(args.pred)
-    article_of = {r.id: r.article_id for r in dataset.records if r.article_id is not None}
+    # a row with an article id keeps its full record
+    full = [r for r in dataset._full_records if r is not None]
+    article_of = {r.id: r.article_id for r in full if r.article_id is not None}
     votes = aggregate_article_votes(
         predictions, article_of, dataset.label_set, min_tweets=args.min_tweets
     )

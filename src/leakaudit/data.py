@@ -1,21 +1,28 @@
 """Core data model: records, label sets, datasets, and file loaders.
 
 A Dataset is an ordered, immutable collection of labeled records with unique
-ids; its parsed ids and their creation times are columns built on first use
-(``id_values``, ``timestamps``). A Record is an immutable named tuple of its
-source row; a record without extra source columns shares one empty
-read-only ``extra`` mapping. The loaders are the one record checker:
-malformed input raises, with the offending line number, so every loaded
-dataset keeps the record rules.
+ids, stored as columns: the id strings, the texts, each label's label-set
+position and each parsed id (``ids``, ``texts``, ``label_index``,
+``id_values``), with the creation times (``timestamps``) derived on first
+use. A Record is an immutable named tuple of its source row; a record
+without extra source columns shares one empty read-only ``extra`` mapping.
+A loaded dataset keeps a full Record only for a row that is not plain (an
+optional field, an extra column, an id given as a number), and builds its
+``records`` tuple on first access. The
+loaders are the one record checker: malformed input raises, with the
+offending line number, so every loaded dataset keeps the record rules.
 
-Every loader builds its records a chunk of at most ``CHUNK_SIZE`` rows at a
-time (``_chunk_builder``): the manifest is resolved once, when made, each
-JSONL line is decoded once, and column checks over the chunk pick out the
-plain rows, which are built without a per-row check. Every other row goes
-through ``_record_builder``, the one place each record rule and its error
-message live. An unreadable line is reported after the rows before it are
-built, and duplicate ids are checked after the whole file is built, so the
-first bad line is the one reported.
+Every loader fills the columns a chunk of at most ``CHUNK_SIZE`` rows at a
+time (``_chunk_builder``): the manifest is resolved once, when made, a
+JSONL chunk of one JSON object per line is decoded in one pass, and column
+checks over the chunk pick out the plain rows, which go into the columns
+without a per-row check, each id parsed once. Every other row (and every
+line of a chunk with a blank, padded or unreadable line) goes through the
+per-line rules and ``_record_builder``, the one place each record rule and
+its error message live. An unreadable line is reported after the rows
+before it are built, and duplicate ids are found with one stable sort of
+the id values after the whole file is built, so the first bad line is the
+one reported.
 
 File formats (UTF-8; a leading byte order mark is skipped):
   JSONL - one object per line: {"id", "text", "label"} required,
@@ -30,7 +37,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring
+from itertools import compress, islice, repeat
+from json.encoder import encode_basestring as escape
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -120,29 +128,99 @@ class Record(NamedTuple):
     extra: Mapping[str, object] = _NO_EXTRA
 
 
-@dataclass(frozen=True)
+# what a plain record holds past its id, text and label
+_PLAIN_TAIL = (None, None, None, _NO_EXTRA)
+
+
 class Dataset:
     """Immutable ordered collection of records plus its label vocabulary.
+
+    The columns are ``ids`` and ``texts`` (tuples of str), ``label_index``
+    (int64 label-set positions, -1 outside the set) and ``id_values``
+    (uint64, each id as ``snowflake.parse_id`` reads it), with
+    ``timestamps`` and ``text_table`` derived from them on first use. A
+    loaded dataset holds its columns from the start, and a full ``Record``
+    only for a row that is not plain (an optional field, an extra column,
+    an id given as a number); its ``records`` tuple is built on first
+    access. A
+    dataset made as ``Dataset(records, label_set, name)`` holds its
+    records, and derives each column from them on first use.
 
     Construction checks nothing; the loaders below and ``build_dataset``
     enforce id syntax and uniqueness, label membership, text type and
     reply_count strictly and raise on the first violation.
     """
 
-    records: tuple[Record, ...]
-    label_set: LabelSet
-    name: str = ""
+    def __init__(self, records: Sequence[Record], label_set: LabelSet, name: str = ""):
+        vars(self).update(records=records, label_set=label_set, name=name)
+
+    @classmethod
+    def _of_columns(cls, label_set: LabelSet, name: str, ids: tuple[str, ...],
+                    texts: tuple[str, ...], label_index: np.ndarray, id_values: np.ndarray,
+                    full_records: tuple[Record | None, ...]) -> "Dataset":
+        """The dataset of checked columns, and each row's full record (None
+        for a plain row, which the columns hold whole)."""
+        dataset = cls.__new__(cls)
+        label_index.flags.writeable = id_values.flags.writeable = False
+        vars(dataset).update(label_set=label_set, name=name, ids=ids, texts=texts,
+                             label_index=label_index, id_values=id_values,
+                             _full_records=full_records)
+        return dataset
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a Dataset is immutable")
+
+    # equal and hashed by records, label set and name, as a frozen dataclass
+    def _key(self) -> tuple:
+        return self.records, self.label_set, self.name
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Dataset else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """Each row as a ``Record``, equal to the one its source row gave."""
+        labels, new = self.label_set.labels, tuple.__new__
+        return tuple(
+            new(Record, (id_str, text, labels[label], *_PLAIN_TAIL)) if full is None else full
+            for id_str, text, label, full in zip(
+                self.ids, self.texts, self.label_index.tolist(), self._full_records
+            )
+        )
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(r.id for r in self.records)
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(r.text for r in self.records)
+
+    @cached_property
+    def _full_records(self) -> tuple[Record | None, ...]:
+        """Each row's record, or None for a plain row: a ``str`` id, text and
+        label in the set, and ``_PLAIN_TAIL``. Writers and readers of the
+        optional fields read these, and the columns for the plain rows."""
+        return tuple(
+            None if label >= 0 and r[3:] == _PLAIN_TAIL
+            and {type(r.id), type(r.text), type(r.label)} == {str} else r
+            for r, label in zip(self.records, self.label_index.tolist())
+        )
 
     @cached_property
     def id_values(self) -> np.ndarray:
         """Each id as parsed by ``snowflake.parse_id``, uint64, read-only.
         Raises ``parse_id``'s IdParseError for the first id it refuses."""
-        accepted, values = parse_ids([r.id if isinstance(r.id, str) else "" for r in self.records])
+        ids = self.ids
+        accepted, values = parse_ids([i if isinstance(i, str) else "" for i in ids])
         if not accepted.all():  # parse_id raises for the first refused id
-            parse_id(self.records[int(np.argmin(accepted))].id)
+            parse_id(ids[int(np.argmin(accepted))])
         values.flags.writeable = False
         return values
 
@@ -155,10 +233,7 @@ class Dataset:
 
     @cached_property
     def label_index(self) -> np.ndarray:
-        """Each record's label-set position (-1 outside the set), read-only.
-
-        Built on first use, not at load, so loading does not pay for it.
-        """
+        """Each record's label-set position (-1 outside the set), read-only."""
         index = self.label_set.encode(r.label for r in self.records)
         index.flags.writeable = False
         return index
@@ -166,9 +241,8 @@ class Dataset:
     @cached_property
     def text_table(self) -> TextTable:
         """The records' distinct normalized texts and words, which the
-        keyword and duplicate scans share. Built on first use, like
-        ``label_index``."""
-        return build_text_table([r.text for r in self.records])
+        keyword and duplicate scans share. Built on first use."""
+        return build_text_table(self.texts)
 
 
 @dataclass(frozen=True)
@@ -189,7 +263,7 @@ class Manifest:
     def __post_init__(self):
         unknown = set(self.fields) - set(CANONICAL_FIELDS)
         if unknown:
-            raise SchemaError(f"manifest maps unknown fields: {sorted(unknown)}")
+            raise SchemaError(f"field map names unknown fields: {sorted(unknown)}")
         object.__setattr__(self, "_label_set", LabelSet(self.labels))
         object.__setattr__(self, "_keys", tuple(self.fields.get(c, c) for c in CANONICAL_FIELDS))
 
@@ -216,7 +290,7 @@ class Manifest:
             raise SchemaError(f"manifest {path}: fields must be an object of strings")
         try:
             return cls(labels=tuple(labels), fields=dict(fields))
-        except ValueError as exc:  # the label set's refusal
+        except (ValueError, SchemaError) as exc:  # the label set's or field map's refusal
             raise SchemaError(f"manifest {path}: {exc}") from None
 
     def label_set(self) -> LabelSet:
@@ -301,19 +375,28 @@ def _record_builder(manifest: Manifest) -> Callable[[Mapping[str, object], int],
 CHUNK_SIZE = 1024
 # a raw row and the 1-based line it starts on
 _Row = tuple[int, Mapping[str, object]]
+# a chunk's 1-based lines and raw rows
+_Chunk = tuple[Sequence[int], list[Mapping[str, object]]]
+# a chunk's columns: ids, texts, label positions, id values, and each row's
+# full record (None for a plain row)
+_Columns = tuple[list[str], list[str], list[int], np.ndarray, list[Record | None]]
 
 
-def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
-    """One file's chunk builder: the records of a list of (line, raw row)
-    pairs, the same records and the same first error as ``_record_builder``
+def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], _Columns]:
+    """One file's chunk builder: the columns of a chunk's lines and raw
+    rows, the same values and the same first error as ``_record_builder``
     gives row by row.
 
-    Column checks over the chunk mark its plain rows: a dict with exactly
-    the required keys, a ``str`` text, a ``str`` label in the manifest, and
-    a ``str`` id that ``parse_ids`` accepts. A plain row is built with one
-    ``tuple.__new__``. Every other row goes through the record builder,
-    which raises on the first broken rule; plain rows never raise, so the
-    first bad line of the chunk is the one reported.
+    A chunk whose every row is a dict of exactly the required keys, each
+    a ``str``, with a label in the manifest and an id ``parse_ids``
+    accepts, goes straight into the columns, with checks over the whole
+    chunk. Otherwise, checks row by row mark the plain rows, which go into
+    the columns the same way, and every other row goes through the record
+    builder, which raises on the first broken rule; plain rows never
+    raise, so the first bad line of the chunk is the one reported; such a
+    row keeps its record. A plain row's id is parsed in the chunk's first
+    ``parse_ids`` call, another row's, once its record is built, in the
+    second.
     """
     build = _record_builder(manifest)
     keys = manifest._keys
@@ -321,69 +404,110 @@ def _chunk_builder(manifest: Manifest) -> Callable[[list[_Row]], list[Record]]:
     # an optional field read from a required key would not be None
     fast = required.isdisjoint(keys[3:])
     columns = itemgetter(*keys[:3])
-    labels = frozenset(manifest.labels)
-    new = tuple.__new__
+    position = {label: i for i, label in enumerate(manifest.labels)}
 
-    def build_chunk(chunk: list[_Row]) -> list[Record]:
-        keyed = [
-            (i, *columns(raw)) for i, (_, raw) in enumerate(chunk)
-            if type(raw) is dict and raw.keys() == required
-        ] if fast else []
+    def plain_columns(raws: list) -> tuple[list, list, list[int]] | None:
+        """The ids, texts and label positions of a chunk of rows that are
+        plain but for their ids, unchecked; None for any other chunk."""
+        if not (fast and {*map(type, raws)} == {dict} and {*map(len, raws)} == {len(required)}):
+            return None
+        try:  # a row with no more keys than the required ones, missing none, holds just them
+            ids, texts, labels = map(list, zip(*map(columns, raws)))
+        except KeyError:
+            return None
+        if {*map(type, ids), *map(type, texts), *map(type, labels)} != {str}:
+            return None
+        codes = list(map(position.get, labels, repeat(-1, len(labels))))
+        return None if -1 in codes else (ids, texts, codes)
+
+    def build_chunk(lines: Sequence[int], raws: list) -> _Columns:
+        plain_chunk = plain_columns(raws)
+        if plain_chunk is not None:
+            accepted, values = parse_ids(plain_chunk[0])
+            if accepted.all():
+                return *plain_chunk, values, [None] * len(raws)
+        # row by row: a plain row's (id, text, label), every other row's record
         rows = [
-            row for row in keyed
-            if type(row[1]) is str and type(row[2]) is str and type(row[3]) is str
-            and row[3] in labels
+            columns(raw) if type(raw) is dict and raw.keys() == required else None
+            for raw in raws
+        ] if fast else [None] * len(raws)
+        candidate = [
+            row is not None and type(row[0]) is str and type(row[1]) is str
+            and type(row[2]) is str and row[2] in position
+            for row in rows
         ]
-        records: list[Record | None] = [None] * len(chunk)
-        if rows:
-            plain, _ = parse_ids([row[1] for row in rows])
-            for (i, id_str, text, label), is_plain in zip(rows, plain.tolist()):
-                if is_plain:
-                    records[i] = new(Record, (id_str, text, label, None, None, None, _NO_EXTRA))
-        for i, record in enumerate(records):
-            if record is None:
-                records[i] = build(chunk[i][1], chunk[i][0])
-        return records
+        accepted, values = parse_ids([row[0] for row in compress(rows, candidate)])
+        plain = np.zeros(len(raws), dtype=bool)
+        plain[np.flatnonzero(candidate)] = accepted
+        rebuilt = np.flatnonzero(~plain).tolist()
+        full: list[Record | None] = [None] * len(raws)
+        for i in rebuilt:
+            rows[i] = full[i] = build(raws[i], lines[i])
+        ids, texts, labels = (list(map(itemgetter(k), rows)) for k in range(3))
+        chunk_values = np.zeros(len(raws), dtype=np.uint64)
+        chunk_values[plain] = values[accepted]
+        chunk_values[rebuilt] = parse_ids([ids[i] for i in rebuilt])[1]
+        return ids, texts, list(map(position.__getitem__, labels)), chunk_values, full
 
     return build_chunk
 
 
-def _chunks(rows: Iterable[_Row]) -> Iterator[list[_Row]]:
-    """``rows`` in lists of at most ``CHUNK_SIZE``. When reading a row
-    raises (an unreadable line), the rows read before it are yielded first,
-    so their errors are the ones reported, as when each row was built as it
-    was read."""
-    chunk: list[_Row] = []
-    try:
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) == CHUNK_SIZE:
-                yield chunk
-                chunk = []
-    except Exception:
-        yield chunk
-        raise
-    if chunk:
-        yield chunk
-
-
-def _build(rows: Iterable[_Row], manifest: Manifest, name: str) -> Dataset:
-    """The dataset of (line, raw row) pairs, built a chunk at a time.
-    Duplicate ids are checked once every row is built."""
-    build_chunk = _chunk_builder(manifest)
-    records: list[Record] = []
+def _chunks(rows: Iterable[_Row]) -> Iterator[_Chunk]:
+    """``rows`` as (lines, raw rows) chunks of at most ``CHUNK_SIZE``. When
+    reading a row raises (an unreadable line), the rows read before it are
+    yielded first, so their errors are the ones reported, as when each row
+    was built as it was read."""
     lines: list[int] = []
-    for chunk in _chunks(rows):
-        records += build_chunk(chunk)
-        lines += [line for line, _ in chunk]
-    seen: dict[str, int] = {}
-    for record, line in zip(records, lines):
-        if record.id in seen:
-            raise DuplicateIdError(
-                f"id {record.id} already seen on line {seen[record.id]}", line
-            )
-        seen[record.id] = line
-    return Dataset(records=tuple(records), label_set=manifest.label_set(), name=name)
+    raws: list[Mapping[str, object]] = []
+    try:
+        for line, raw in rows:
+            lines.append(line)
+            raws.append(raw)
+            if len(raws) == CHUNK_SIZE:
+                yield lines, raws
+                lines, raws = [], []
+    except Exception:
+        yield lines, raws
+        raise
+    if raws:
+        yield lines, raws
+
+
+def _build(chunks: Iterable[_Chunk], manifest: Manifest, name: str) -> Dataset:
+    """The dataset of (lines, raw rows) chunks, its columns filled a chunk
+    at a time. Duplicate ids are checked once every row is built."""
+    build_chunk = _chunk_builder(manifest)
+    ids: list[str] = []
+    texts: list[str] = []
+    codes: list[int] = []
+    values: list[np.ndarray] = []
+    lines: list[np.ndarray] = []
+    full: list[Record | None] = []
+    for chunk_lines, raws in chunks:
+        new_ids, new_texts, new_codes, new_values, new_full = build_chunk(chunk_lines, raws)
+        ids += new_ids
+        texts += new_texts
+        codes += new_codes
+        values.append(new_values)
+        full += new_full
+        lines.append(np.asarray(chunk_lines, dtype=np.int64))
+    id_values = np.concatenate(values) if values else np.zeros(0, dtype=np.uint64)
+    # a canonical id's value and string are one-to-one, so equal values are
+    # equal ids; the first row whose id came before is the one reported
+    order = np.argsort(id_values, kind="stable")
+    repeats = id_values[order[1:]] == id_values[order[:-1]]
+    if repeats.any():
+        later, earlier = order[1:][repeats], order[:-1][repeats]
+        at = int(np.argmin(later))
+        line_of = np.concatenate(lines)
+        raise DuplicateIdError(
+            f"id {ids[later[at]]} already seen on line {line_of[earlier[at]]}",
+            int(line_of[later[at]]),
+        )
+    return Dataset._of_columns(
+        manifest.label_set(), name, tuple(ids), tuple(texts),
+        np.array(codes, dtype=np.int64), id_values, tuple(full),
+    )
 
 
 # json.loads(line) runs a JSONDecoder's scanner between two regex skips of
@@ -391,18 +515,21 @@ def _build(rows: Iterable[_Row], manifest: Manifest, name: str) -> Dataset:
 # skip, so the loader calls the scanner directly and leaves every other line
 # (blank, padded, trailing data, not JSON) to json.loads and its errors.
 _scan_once = json.JSONDecoder().scan_once
+# what may follow a line's one JSON value: its newline, or nothing on a last
+# line without one
+_LINE_ENDS = ("\n", "")
 
 
-def _jsonl_rows(fh) -> Iterator[_Row]:
-    """Each JSON object line of an open JSONL file and its 1-based line
-    number; blank lines are skipped, and any other line raises."""
-    for line_no, line in enumerate(fh, start=1):
+def _jsonl_rows(lines: Iterable[str], start: int) -> Iterator[_Row]:
+    """Each JSON object line of ``lines``, the first on line ``start``, and
+    its 1-based line number; blank lines are skipped, and any other line
+    raises."""
+    for line_no, line in enumerate(lines, start=start):
         try:
             raw, end = _scan_once(line, 0)
         except (StopIteration, json.JSONDecodeError):
             end = -1
-        n = len(line)
-        if end != n and (end != n - 1 or line[end] != "\n"):
+        if end < 0 or line[end:] not in _LINE_ENDS:
             # blanks around the value, trailing data, or no value at all
             if not line.strip():
                 continue
@@ -415,10 +542,30 @@ def _jsonl_rows(fh) -> Iterator[_Row]:
         yield line_no, raw
 
 
+def _jsonl_chunks(fh) -> Iterator[_Chunk]:
+    """The chunks of an open JSONL file. A chunk of ``CHUNK_SIZE`` lines is
+    decoded in one pass when each line is one JSON object and its newline;
+    a chunk holding any other line goes through ``_jsonl_rows``."""
+    start = 1
+    while lines := list(islice(fh, CHUNK_SIZE)):
+        try:
+            decoded = [_scan_once(line, 0) for line in lines]
+        except (StopIteration, json.JSONDecodeError):
+            decoded = None
+        if decoded is not None and all(
+            type(raw) is dict and line[end:] in _LINE_ENDS
+            for (raw, end), line in zip(decoded, lines)
+        ):
+            yield range(start, start + len(lines)), [raw for raw, _ in decoded]
+        else:
+            yield from _chunks(_jsonl_rows(lines, start))
+        start += len(lines)
+
+
 def load_jsonl(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
     """Load a JSONL dataset strictly; line numbers are 1-based in errors."""
     with open(path, encoding="utf-8-sig") as fh:
-        return _build(_jsonl_rows(fh), manifest, name or Path(path).stem)
+        return _build(_jsonl_chunks(fh), manifest, name or Path(path).stem)
 
 
 def csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
@@ -452,7 +599,7 @@ def load_csv(path: str | Path, manifest: Manifest, name: str = "") -> Dataset:
                     raise RecordParseError("row width does not match header", line)
                 yield line, dict(zip(header, row))
 
-        return _build(raw_rows(), manifest, name or Path(path).stem)
+        return _build(_chunks(raw_rows()), manifest, name or Path(path).stem)
 
 
 def write_json(payload: object, path: str | Path) -> None:
@@ -462,17 +609,18 @@ def write_json(payload: object, path: str | Path) -> None:
 
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """Write canonical JSONL (stable key order, extras preserved). A plain
-    record (a ``str`` id, text and label, no optional field, no extra) is
-    written without the encoder, its strings escaped as the encoder does."""
+    """Write canonical JSONL (stable key order, extras preserved). A row the
+    columns hold whole is written from them without the encoder, its
+    strings escaped as the encoder does; a full record goes through it."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    labels = dataset.label_set.labels
     with open(path, "w", encoding="utf-8") as fh:
-        for r in dataset.records:
-            if (r.extra is _NO_EXTRA and r.event is None and r.article_id is None
-                    and r.reply_count is None and type(r.id) is str
-                    and type(r.text) is str and type(r.label) is str):
-                fh.write(f'{{"id": {encode_basestring(r.id)}, "label": '
-                         f'{encode_basestring(r.label)}, "text": {encode_basestring(r.text)}}}\n')
+        for id_str, text, label, r in zip(
+            dataset.ids, dataset.texts, dataset.label_index.tolist(), dataset._full_records
+        ):
+            if r is None:
+                fh.write(f'{{"id": {escape(id_str)}, "label": {escape(labels[label])}, '
+                         f'"text": {escape(text)}}}\n')
                 continue
             row: dict[str, object] = {"id": r.id, "text": r.text, "label": r.label}
             if r.event is not None:
@@ -503,4 +651,4 @@ def build_dataset(
     Convenience for tests and synthetic corpora; equivalent to writing the
     rows out as JSONL and loading them back.
     """
-    return _build(enumerate(rows, start=1), Manifest(labels=tuple(labels)), name)
+    return _build(_chunks(enumerate(rows, start=1)), Manifest(labels=tuple(labels)), name)

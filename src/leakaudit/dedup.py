@@ -399,9 +399,9 @@ class DuplicateScan:
                 t.tolist(), o.tolist(), [kind] * len(k),
             )
         offered.sort()
-        records = self.dataset.records
+        ids = self.dataset.ids
         worst = tuple(
-            ContaminationPair(records[t].id, records[o].id, PARTITIONS[row_part[o]], -neg_j, kind)
+            ContaminationPair(ids[t], ids[o], PARTITIONS[row_part[o]], -neg_j, kind)
             for neg_j, _, _, t, o, kind in offered[:WORST_PAIRS]
         )
         return Contamination(n_pairs, worst)
@@ -443,9 +443,9 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
         min_jaccard += np.minimum.reduceat(jaccard, np.cumsum(sizes) - sizes).tolist()
         members += near
     is_near = np.arange(len(members)) >= n_exact
-    clusters = []
+    clusters, all_ids = [], dataset.ids
     for i in np.lexsort((id_values[[rows[0] for rows in members]], is_near)).tolist():
-        ids = tuple(dataset.records[r].id for r in members[i].tolist())
+        ids = tuple(all_ids[r] for r in members[i].tolist())
         kind = "near" if i >= n_exact else "exact"
         clusters.append(DuplicateCluster(kind, ids, ids[0], min_jaccard[i]))
     exact, near = clusters[:n_exact], clusters[n_exact:]

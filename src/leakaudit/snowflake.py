@@ -13,9 +13,9 @@ rejected rather than decoded to nonsense.
 
 The id rule and the decoding rule live here only. ``parse_id`` and
 ``timestamp_of`` apply them to one value; ``parse_ids`` and
-``timestamps_of`` apply them to a column at once. The loaders check every
-id, and ``Dataset.id_values`` and ``Dataset.timestamps`` parse a dataset's
-ids once and decode those values; ``decode_timestamp`` composes the two.
+``timestamps_of`` apply them to a column at once. The loaders parse every
+id once, into ``Dataset.id_values``, and ``Dataset.timestamps`` decodes
+those values; ``decode_timestamp`` composes the two.
 """
 
 from __future__ import annotations

@@ -154,8 +154,8 @@ class Split:
             object.__setattr__(self, part, rows)
 
     def _ids(self, rows: np.ndarray) -> tuple[str, ...]:
-        records = self.dataset.records
-        return tuple(records[i].id for i in rows.tolist())
+        ids = self.dataset.ids
+        return tuple(ids[i] for i in rows.tolist())
 
     # the ids at each partition's positions, in split order
     train_ids = property(lambda self: self._ids(self.train))
@@ -300,12 +300,12 @@ def _group(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
 def _filter_rows(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, dict[str, object]]:
     """Dataset positions the spec's event, label and quota filters keep, in
     dataset order, plus each stage's record for the provenance."""
-    records = dataset.records
     label_set = dataset.label_set
-    rows = np.arange(len(records))
+    rows = np.arange(len(dataset))
     stages: dict[str, object] = {}
 
     if spec.event_filter is not None:
+        records = dataset.records
         events = {r.event for r in records}
         missing = [e for e in spec.event_filter if e not in events]
         if missing:
@@ -451,7 +451,7 @@ def import_split(path: str | Path, dataset: Dataset) -> Split:
                 raise SplitFileError(f"{path}: id {rid} appears {where}")
             seen[rid] = key
 
-    row_of = {r.id: row for row, r in enumerate(dataset.records)}
+    row_of = {rid: row for row, rid in enumerate(dataset.ids)}
     rows = [[row_of[rid] for rid in ids if rid in row_of] for ids in parts]
     provenance = dict(raw.get("provenance", {}))
     provenance.setdefault("generator", "import_split")

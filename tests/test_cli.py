@@ -644,6 +644,45 @@ def test_aggregate_votes(env, capsys):
         assert f"error: --min-tweets must be >= 1, got {min_tweets}" in capsys.readouterr().err
 
 
+def test_commands_on_plain_inputs_build_no_records(env, leaky, monkeypatch, tmp_path):
+    # audit, split and rebalance read the loaded columns only, so a plain
+    # input never has its Record tuples made; one text in ten repeats the
+    # one before it, so duplicate clusters and contamination pairs are named
+    dupes = tmp_path / "dupes.jsonl"
+    save_jsonl(build_dataset([
+        {"id": r.id, "text": leaky.records[i - 1].text if i % 10 == 1 else r.text, "label": r.label}
+        for i, r in enumerate(leaky.records)
+    ], LABELS.split(",")), dupes)
+    records = data.Dataset.records
+    built = []
+
+    class Watched:
+        def __get__(self, dataset, owner):
+            if dataset is None:
+                return self
+            built.append(dataset.name)
+            return records.__get__(dataset, owner)
+
+    monkeypatch.setattr(data.Dataset, "records", Watched())
+    split = tmp_path / "split.json"
+    runs = [
+        (["audit", str(dupes), "--labels", LABELS, "--n-splits", "2",
+          "--json", str(tmp_path / "generated.json")], 2),
+        (["split", str(dupes), "--labels", LABELS, "--seed", "3", "--out", str(split)], 0),
+        (["audit", str(dupes), "--labels", LABELS, "--split", str(split),
+          "--json", str(tmp_path / "imported.json")], 2),
+        (["rebalance", str(env["leaky"]), "--labels", LABELS, "--pool", str(env["pool"]),
+          "--anchor-label", "non-rumor", "--seed", "0", "--out", str(tmp_path / "out.jsonl"),
+          "--report", str(tmp_path / "report.json")], 0),
+    ]
+    for argv, exit_code in runs:
+        assert main(argv) == exit_code
+    bundle = read_json(tmp_path / "imported.json")
+    assert bundle["duplicates"]["n_exact_clusters"] > 0
+    assert bundle["contamination"]["n_pairs"] > 0
+    assert built == []
+
+
 def test_rebalance_cli(env, capsys):
     out_path = env["root"] / "rebalanced.jsonl"
     report_path = env["root"] / "rebalance-report.json"
@@ -790,6 +829,16 @@ def test_manifest_file_with_a_repeated_label_is_refused(env, capsys, tmp_path):
         assert main(["inspect", str(data_path), "--manifest", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: manifest {manifest}: duplicate labels in ('a', 'a')\n"
+
+
+def test_manifest_file_mapping_an_unknown_field_is_refused(env, capsys, tmp_path):
+    # named like the file's other refusals, before the data file is opened
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"labels": ["a"], "fields": {"bogus": "x"}}', encoding="utf-8")
+    for data_path in (env["leaky"], env["root"] / "nope.jsonl"):
+        assert main(["inspect", str(data_path), "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {manifest}: field map names unknown fields: ['bogus']\n"
 
 
 def test_module_entrypoint():

@@ -6,11 +6,15 @@ import re
 import tempfile
 from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leakaudit.data as data_module
 from leakaudit import LabelSet, Manifest, build_dataset, load_jsonl
 from leakaudit.data import (
     CANONICAL_FIELDS,
@@ -32,7 +36,7 @@ from leakaudit.errors import (
     SchemaError,
     UnknownLabelError,
 )
-from leakaudit.snowflake import MAX_ID, parse_id
+from leakaudit.snowflake import MAX_ID, parse_id, timestamp_of
 
 MANIFEST = Manifest(labels=("real", "fake"))
 
@@ -488,7 +492,7 @@ def test_load_csv_mapped_column_missing(tmp_path):
 
 
 def test_manifest_rejects_unknown_canonical_field():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=re.escape("field map names unknown fields: ['bogus']")):
         Manifest(labels=("a",), fields={"bogus": "col"})
 
 
@@ -743,16 +747,24 @@ _reply_counts = st.one_of(
 
 @st.composite
 def _chunk_rows(draw, manifest):
-    """Raw rows for ``manifest``. Each row starts plain, and most get one
-    fault: an id, text or label that is not plain, a missing required
-    field, or a mapping that is not a dict. Optional fields and an extra
-    key come and go."""
+    """Raw rows for ``manifest``. Each row starts plain. A draw picks up to
+    two kinds of fault, and a third of its rows get one: an id, text or
+    label that is not plain, a missing required field, or a mapping that
+    is not a dict. In a rich draw, ids given as integers, optional fields
+    and an extra key come and go. A last row may repeat the first row's
+    id."""
     keys = dict(zip(CANONICAL_FIELDS, map(manifest.source_key, CANONICAL_FIELDS)))
+    faults = draw(st.lists(st.sampled_from((*_FAULTS, "missing", "mapping")), max_size=2))
+    rich = draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        row = {keys["id"]: draw(_good_ids), keys["text"]: draw(_texts),
-               keys["label"]: draw(_good_labels)}
-        fault = draw(st.sampled_from(("none", *_FAULTS, "missing", "mapping")))
+        id_value = draw(_good_ids)
+        if rich and draw(st.integers(0, 5)) == 0:
+            id_value = int(id_value)
+        row = {keys["id"]: id_value, keys["text"]: draw(_texts), keys["label"]: draw(_good_labels)}
+        fault = "none"
+        if faults and draw(st.integers(0, 2)) == 0:
+            fault = draw(st.sampled_from(faults))
         if fault in _FAULTS:
             field, values = _FAULTS[fault]
             row[keys[field]] = draw(values)
@@ -764,33 +776,127 @@ def _chunk_rows(draw, manifest):
             (keys["reply_count"], _reply_counts),
             ("note", _json_values),
         ):
-            if draw(st.integers(0, 7)) == 0:
+            if rich and draw(st.integers(0, 5)) == 0:
                 row[key] = draw(values)
         rows.append(MappingProxyType(row) if fault == "mapping" else row)
+    if rows and keys["id"] in rows[0] and draw(st.booleans()):
+        rows.append({keys["id"]: rows[0][keys["id"]], keys["text"]: "again",
+                     keys["label"]: "real"})
     return rows
 
 
 def _outcome(build):
-    """The records ``build()`` gives, or the type and text of its error."""
+    """What ``build()`` gives, or the type and text of its error."""
     try:
         return build()
     except LeakAuditError as exc:
         return type(exc), str(exc)
 
 
+def _built_row_by_row(manifest, rows):
+    """The records of (line, raw row) pairs, each built by the record
+    builder in turn; then the first id seen before raises."""
+    build = _record_builder(manifest)
+    records = [build(raw, line) for line, raw in rows]
+    seen = {}
+    for record, (line, _) in zip(records, rows):
+        if record.id in seen:
+            raise DuplicateIdError(f"id {record.id} already seen on line {seen[record.id]}", line)
+        seen[record.id] = line
+    return records
+
+
+def _column_outcome(dataset):
+    """A built dataset's columns and records, each value with its type."""
+    typed = [[(type(value), value) for value in r] for r in dataset.records]
+    return (list(dataset.ids), list(dataset.texts), dataset.label_index.tolist(),
+            dataset.id_values.tolist(), dataset.timestamps.tolist(), typed)
+
+
+def _expected_columns(manifest, records):
+    """The columns and records a loader must give for ``records``."""
+    typed = [[(type(value), value) for value in r] for r in records]
+    values = [parse_id(r.id) for r in records]
+    return ([r.id for r in records], [r.text for r in records],
+            [manifest.labels.index(r.label) for r in records], values,
+            [-1 if timestamp_of(v) is None else timestamp_of(v) for v in values], typed)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_chunk_builder_matches_the_record_builder(data):
     manifest = data.draw(st.sampled_from(_CHUNK_MANIFESTS))
-    chunk = list(enumerate(data.draw(_chunk_rows(manifest)), start=1))
+    rows = list(enumerate(data.draw(_chunk_rows(manifest)), start=1))
     build = _record_builder(manifest)
-    expected = _outcome(lambda: [build(raw, line) for line, raw in chunk])
-    got = _outcome(lambda: _chunk_builder(manifest)(chunk))
+    expected = _outcome(lambda: [build(raw, line) for line, raw in rows])
+    got = _outcome(lambda: _chunk_builder(manifest)([line for line, _ in rows],
+                                                    [raw for _, raw in rows]))
+    if isinstance(expected, list):
+        ids, texts, codes, values, full = got
+        assert (ids, texts, codes) == _expected_columns(manifest, expected)[:3]
+        assert [type(i) for i in ids] == [type(r.id) for r in expected]
+        assert [type(t) for t in texts] == [type(r.text) for r in expected]
+        assert values.dtype == np.uint64 and values.tolist() == [parse_id(r.id) for r in expected]
+        # a row keeps its record unless the columns hold it whole
+        assert [r if f is None else f for f, r in zip(full, expected)] == expected
+        assert all(f is not None for f, r in zip(full, expected) if r[3:] != (None,) * 3 + ({},))
+    else:
+        assert got == expected
+    # and the dataset built a chunk at a time, chunks of a drawn size
+    size = data.draw(st.sampled_from((1, 2, 3, 5, CHUNK_SIZE)))
+    with mock.patch.object(data_module, "CHUNK_SIZE", size):
+        got = _outcome(lambda: _column_outcome(data_module._build(
+            data_module._chunks(rows), manifest, "chunks")))
+    expected = _outcome(lambda: _built_row_by_row(manifest, rows))
+    if isinstance(expected, list):
+        expected = _expected_columns(manifest, expected)
     assert got == expected
-    if isinstance(got, list):
-        assert [[type(value) for value in r] for r in got] == [
-            [type(value) for value in r] for r in expected
-        ]
+
+
+# how a JSONL line is laid out around its one JSON value
+_LAYOUTS = ("{}\n", "{}\r\n", "  {} \t\n", "\n{}\n", " \n{}\r\n")
+# lines that hold no JSON object: the loader refuses each
+_UNREADABLE = ("not json", "[1, 2]", '"text"', '{"id": "1"} x', "{")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_jsonl_loader_matches_the_record_builder(data):
+    # the JSONL loader against the record builder applied line by line,
+    # with blank, padded and CRLF lines, unreadable lines, and a last line
+    # with or without its newline, in chunks of a drawn size
+    rows = data.draw(_chunk_rows(MANIFEST))
+    lines = [data.draw(st.sampled_from(_LAYOUTS)).format(json.dumps(dict(raw))) for raw in rows]
+    if data.draw(st.integers(0, 3)) == 0:
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(_UNREADABLE)) + "\n")
+    text = "".join(lines)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n \t")
+    size = data.draw(st.sampled_from((1, 2, 3, 5, CHUNK_SIZE)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data_module, "CHUNK_SIZE", size):
+            got = _outcome(lambda: _column_outcome(load_jsonl(path, MANIFEST)))
+
+        def read_line_by_line():
+            with open(path, encoding="utf-8-sig") as fh:
+                read = []
+                for line_no, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        raw = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise RecordParseError(f"invalid JSON: {exc}", line_no) from None
+                    if not isinstance(raw, dict):
+                        raise RecordParseError("line is not a JSON object", line_no)
+                    _record_builder(MANIFEST)(raw, line_no)  # a bad row comes first
+                    read.append((line_no, raw))
+            return _expected_columns(MANIFEST, _built_row_by_row(MANIFEST, read))
+
+        assert got == _outcome(read_line_by_line)
 
 
 def test_load_csv_keeps_extra_columns(tmp_path):
@@ -818,33 +924,54 @@ def test_label_distribution_zeros_included():
         ],
         labels=["real", "fake", "unused"],
     )
-    assert "label_index" not in vars(ds)  # built on first use, not at load
+    assert vars(ds)["label_index"].tolist() == [0, 0, 1]  # a column made at load
     assert label_distribution(ds) == {"real": 2, "fake": 1, "unused": 0}
-    assert ds.label_index.tolist() == [0, 0, 1]
+    assert ds.label_index is vars(ds)["label_index"]
     empty = Dataset(records=(), label_set=LabelSet.of("real", "fake"))
     assert label_distribution(empty) == {"real": 0, "fake": 0}
     outside = Dataset(
         records=(Record(id="1", text="a", label="real"), Record(id="2", text="b", label="other")),
         label_set=LabelSet.of("fake", "real"),
     )
+    assert "label_index" not in vars(outside)  # a hand-built dataset's, made on first use
     assert outside.label_index.tolist() == [1, -1]
     assert label_distribution(outside) == {"fake": 0, "real": 1}
 
 
 def test_id_columns_are_built_on_first_use():
-    ds = build_dataset(
-        [{"id": "4211941865", "text": "a", "label": "real"},
-         {"id": "99", "text": "b", "label": "fake"}],
-        labels=["real", "fake"],
-    )
-    assert "id_values" not in vars(ds) and "timestamps" not in vars(ds)
-    assert ds.timestamps.tolist() == [1288834975661, -1]
-    assert ds.id_values.tolist() == [4211941865, 99]
-    assert ds.timestamps is ds.timestamps and ds.id_values is ds.id_values
-    with pytest.raises(ValueError):
-        ds.id_values[0] = 1
+    rows = [{"id": "4211941865", "text": "a", "label": "real"},
+            {"id": "99", "text": "b", "label": "fake"}]
+    # a loaded dataset holds its columns from load on; the times and the
+    # records are made on first use
+    ds = build_dataset(rows, labels=["real", "fake"])
+    columns = {"ids": ("4211941865", "99"), "texts": ("a", "b"),
+               "label_index": [0, 1], "id_values": [4211941865, 99]}
+    assert {name: vars(ds)[name] for name in ("ids", "texts")} == {
+        name: columns[name] for name in ("ids", "texts")}
+    assert vars(ds)["label_index"].dtype == np.int64
+    assert vars(ds)["id_values"].dtype == np.uint64
+    assert "timestamps" not in vars(ds) and "records" not in vars(ds)
+    # a hand-built one holds its records, and makes every column on first use
+    hand = Dataset(records=ds.records, label_set=ds.label_set)
+    assert vars(ds)["records"] is ds.records
+    assert vars(hand).keys() == {"records", "label_set", "name"}
+    for built in (ds, hand):
+        assert built.ids == columns["ids"] and built.texts == columns["texts"]
+        assert built.label_index.tolist() == columns["label_index"]
+        assert built.id_values.tolist() == columns["id_values"]
+        assert built.timestamps.tolist() == [1288834975661, -1]
+        for name in ("ids", "texts", "label_index", "id_values", "timestamps"):
+            assert getattr(built, name) is getattr(built, name)
+        for column in (built.id_values, built.timestamps, built.label_index):
+            with pytest.raises(ValueError):
+                column[0] = 1
+    assert ds.records == hand.records == tuple(
+        Record(r["id"], r["text"], r["label"]) for r in rows)
+    with pytest.raises(AttributeError):
+        ds.name = "renamed"
     empty = Dataset(records=(), label_set=LabelSet.of("real"))
     assert empty.id_values.tolist() == [] and empty.timestamps.tolist() == []
+    assert len(empty) == 0 and empty.ids == ()
 
 
 @pytest.mark.parametrize("ids, message", [

@@ -309,11 +309,14 @@ def test_int_id_in_a_hand_built_dataset_is_refused():
     assert str(exc.value) == "id is not a decimal string: 5"
 
 
-def test_suite_parses_the_ids_once(leaky, monkeypatch, tmp_path, capsys):
-    # an audit parses the id column once after load: the probe and the
-    # bundle's fingerprint share Dataset.id_values
-    path = tmp_path / "leaky.jsonl"
-    save_jsonl(leaky, path)
+def test_suite_parses_the_ids_once(leaky, pool, monkeypatch, tmp_path, capsys):
+    # an audit and a rebalance parse each input id once, while its file
+    # loads: the probe, the fingerprint and the rebalanced dataset read the
+    # loaded columns, and no id is parsed after load
+    paths = {}
+    for name, dataset in (("leaky", leaky), ("pool", pool)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        save_jsonl(dataset, paths[name])
     calls = []
     parse_ids, load = data_module.parse_ids, cli_module._load_dataset
 
@@ -322,19 +325,32 @@ def test_suite_parses_the_ids_once(leaky, monkeypatch, tmp_path, capsys):
         return parse_ids(ids)
 
     def loaded(*args):
+        calls.append("load")
+        dataset = load(*args)
         calls.append("loaded")
-        return load(*args)
+        return dataset
 
     monkeypatch.setattr(data_module, "parse_ids", counted)
     monkeypatch.setattr(cli_module, "_load_dataset", loaded)
-    assert cli_module.main([
-        "audit", str(path), "--labels", ",".join(leaky.label_set), "--n-splits", "2",
-        "--skip-duplicates", "--json", str(tmp_path / "bundle.json"),
-    ]) == 2
-    after_load = calls[calls.index("loaded") + 1:]
-    # the loader checks the ids a chunk at a time, then one parse of the column
-    assert after_load[-1] == [r.id for r in leaky.records]
-    assert sum(len(ids) for ids in after_load[:-1]) == len(leaky)
+    labels = ",".join(leaky.label_set)
+    runs = [
+        (["audit", str(paths["leaky"]), "--labels", labels, "--n-splits", "2",
+          "--skip-duplicates", "--json", str(tmp_path / "bundle.json")], 2, [leaky]),
+        (["rebalance", str(paths["leaky"]), "--labels", labels, "--pool", str(paths["pool"]),
+          "--anchor-label", "non-rumor", "--seed", "0", "--out", str(tmp_path / "out.jsonl")],
+         0, [leaky, pool]),
+    ]
+    for argv, exit_code, inputs in runs:
+        calls.clear()
+        assert cli_module.main(argv) == exit_code
+        assert calls.count("load") == len(inputs) and calls[-1] == "loaded"
+        for dataset in inputs:
+            assert calls[0] == "load"
+            end = calls.index("loaded")
+            assert all(isinstance(ids, list) for ids in calls[1:end])
+            assert sum(calls[1:end], []) == [r.id for r in dataset.records]
+            del calls[:end + 1]
+        assert calls == []  # no parse outside a load
     bundle = json.loads((tmp_path / "bundle.json").read_text())
     assert bundle["fingerprint"]["n_undecodable_ids"] == 0
 

@@ -10,6 +10,13 @@ the ``split`` that ``audit-split-viral`` prepares, then the ``audit`` or
 run in the same directories, so paths in the outputs match. Compared are
 every output file, the split file, stdout and the exit code.
 
+No workload's inputs hold a row that is not plain (an optional field, an
+extra key, an id written as a JSON number), so the tool also derives a
+rich variant of ``rebalance-dense`` seed 1 from its generated inputs: every
+fifth data and pool line gains ``event``, ``reply_count`` and one extra
+key, and one data id is written as a JSON number. On it, both trees run the
+``rebalance`` and an ``inspect --json`` of each input.
+
 Exit 0 when everything matches; exit 1 naming the first file whose bytes
 differ. Only the standard library is imported here; the commands need what
 the trees need.
@@ -28,6 +35,8 @@ from pathlib import Path
 
 WORKLOADS = ("audit-full", "audit-split-viral", "rebalance-dense")
 SEEDS = (1, 2, 3)
+# the workload and seed whose inputs the rich variant rewrites
+RICH = ("rebalance-dense", 1)
 
 # run in a child with the tree's src/ and perfbench/ importable: prepare the
 # workload (which may run the tree's CLI) and print the CLI argv
@@ -50,8 +59,23 @@ def _env(tree: Path) -> dict:
     return env
 
 
-def outputs(tree: Path, bench: Path, workload: str, seed: int, work: Path) -> dict[str, bytes]:
-    """Every output of one workload run by ``tree``'s program, by name."""
+def enrich(work: Path) -> None:
+    """Rewrite the data and pool files in ``work`` as the rich variant."""
+    for name in ("data.jsonl", "pool.jsonl"):
+        path = work / name
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for i, row in enumerate(rows[::5]):
+            row.update(event=f"event-{i % 3}", reply_count=i % 7, lang="en")
+        if name == "data.jsonl":
+            rows[1]["id"] = int(rows[1]["id"])
+        path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                        encoding="utf-8")
+
+
+def outputs(tree: Path, bench: Path, workload: str, seed: int, work: Path,
+            inspect: bool = False) -> dict[str, bytes]:
+    """Every output of one workload run by ``tree``'s program, by name; with
+    ``inspect``, those of an ``inspect --json`` of each input too."""
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
@@ -64,9 +88,20 @@ def outputs(tree: Path, bench: Path, workload: str, seed: int, work: Path) -> di
     plan = json.loads(prepared.stdout.splitlines()[-1])
     if plan["problems"]:
         sys.exit(f"{tree}: {workload} seed {seed}: {plan['problems']}")
-    run = subprocess.run([sys.executable, "-m", "leakaudit", *plan["argv"]], env=env,
-                         capture_output=True)
-    found = {"exit code": str(run.returncode).encode(), "stdout": run.stdout}
+    argv = plan["argv"]
+    commands = [argv]
+    if inspect:
+        labels = argv[argv.index("--labels") + 1]
+        commands += [["inspect", str(work / name), "--labels", labels,
+                      "--json", str(out / f"inspect-{name}.json")]
+                     for name in ("data.jsonl", "pool.jsonl")]
+    found = {}
+    for command in commands:
+        run = subprocess.run([sys.executable, "-m", "leakaudit", *command], env=env,
+                             capture_output=True)
+        name = f"{command[0]} {Path(command[1]).name}"
+        found[f"{name} exit code"] = str(run.returncode).encode()
+        found[f"{name} stdout"] = run.stdout
     if (work / "split.json").exists():
         found["split.json"] = (work / "split.json").read_bytes()
     for path in sorted(out.iterdir()):
@@ -84,18 +119,22 @@ def main() -> int:
         if not (tree / "src" / "leakaudit" / "cli.py").is_file():
             parser.error(f"no leakaudit sources under {tree / 'src'}")
     bench = trees[0] / "perfbench"
+    runs = [(workload, seed, False) for workload in WORKLOADS for seed in SEEDS]
+    runs.append((*RICH, True))
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                work = Path(scratch) / f"{workload}-seed{seed}"
-                generate = [sys.executable, str(bench / "gen.py"), workload, str(seed), str(work)]
-                subprocess.run(generate, env=_env(trees[0]), check=True)
-                before, after = (outputs(tree, bench, workload, seed, work) for tree in trees)
-                for name in sorted(before.keys() | after.keys()):
-                    if before.get(name) != after.get(name):
-                        print(f"differs: {workload} seed {seed}: {name}")
-                        return 1
-                print(f"same: {workload} seed {seed}: {', '.join(sorted(before))}")
+        for workload, seed, rich in runs:
+            label = f"{workload} seed {seed}{' rich' if rich else ''}"
+            work = Path(scratch) / label.replace(" ", "-")
+            generate = [sys.executable, str(bench / "gen.py"), workload, str(seed), str(work)]
+            subprocess.run(generate, env=_env(trees[0]), check=True)
+            if rich:
+                enrich(work)
+            before, after = (outputs(tree, bench, workload, seed, work, rich) for tree in trees)
+            for name in sorted(before.keys() | after.keys()):
+                if before.get(name) != after.get(name):
+                    print(f"differs: {label}: {name}")
+                    return 1
+            print(f"same: {label}: {', '.join(sorted(before))}")
     return 0
 
 
