@@ -334,9 +334,7 @@ def cmd_aggregate(args) -> int:
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     predictions = read_prediction_file(args.pred)
-    # a row with an article id keeps its full record
-    full = [r for r in dataset._full_records if r is not None]
-    article_of = {r.id: r.article_id for r in full if r.article_id is not None}
+    article_of = {r.id: r.article_id for r in dataset.records if r.article_id is not None}
     votes = aggregate_article_votes(
         predictions, article_of, dataset.label_set, min_tweets=args.min_tweets
     )

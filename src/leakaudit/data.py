@@ -14,13 +14,13 @@ offending line number, so every loaded dataset keeps the record rules.
 
 Every loader fills the columns a chunk of at most ``CHUNK_SIZE`` rows at a
 time (``_chunk_builder``): the manifest is resolved once, when made, a
-JSONL chunk of one JSON object per line is decoded in one pass, and column
-checks over the chunk pick out the plain rows, which go into the columns
-without a per-row check, each id parsed once. Every other row (and every
-line of a chunk with a blank, padded or unreadable line) goes through the
+JSONL chunk of one JSON object per line is decoded in one pass, and type
+and key checks pick out the plain rows, which go into the columns without
+the record builder, each id parsed once. Every other row (and every line
+of a chunk with a blank, padded or unreadable line) goes through the
 per-line rules and ``_record_builder``, the one place each record rule and
-its error message live. An unreadable line is reported after the rows
-before it are built, and duplicate ids are found with one stable sort of
+its error message live. An unreadable line or byte is reported after the
+rows before it are built, and duplicate ids are found with one stable sort of
 the id values after the whole file is built, so the first bad line is the
 one reported.
 
@@ -37,7 +37,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from json.encoder import encode_basestring as escape
 from operator import itemgetter
 from pathlib import Path
@@ -166,6 +166,27 @@ class Dataset:
                              label_index=label_index, id_values=id_values,
                              _full_records=full_records)
         return dataset
+
+    def with_rows_from(self, pool: "Dataset", replacement: np.ndarray,
+                       pool_label: np.ndarray, name: str) -> "Dataset":
+        """This dataset, named ``name``, with each row that has a
+        replacement (>= 0) taken from that pool row, gathered column by
+        column, so no id is parsed again; ``pool_label`` gives each pool
+        row's position in this dataset's label set."""
+        taken = replacement.tolist()
+        replaced = replacement >= 0
+
+        def gathered(own: tuple, pooled: tuple) -> tuple:
+            return tuple(value if j < 0 else pooled[j] for value, j in zip(own, taken))
+
+        return Dataset._of_columns(
+            self.label_set, name,
+            gathered(self.ids, pool.ids),
+            gathered(self.texts, pool.texts),
+            np.where(replaced, pool_label[replacement], self.label_index),
+            np.where(replaced, pool.id_values[replacement], self.id_values),
+            gathered(self._full_records, pool._full_records),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: a Dataset is immutable")
@@ -387,16 +408,14 @@ def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], _Colum
     rows, the same values and the same first error as ``_record_builder``
     gives row by row.
 
-    A chunk whose every row is a dict of exactly the required keys, each
-    a ``str``, with a label in the manifest and an id ``parse_ids``
-    accepts, goes straight into the columns, with checks over the whole
-    chunk. Otherwise, checks row by row mark the plain rows, which go into
-    the columns the same way, and every other row goes through the record
-    builder, which raises on the first broken rule; plain rows never
-    raise, so the first bad line of the chunk is the one reported; such a
-    row keeps its record. A plain row's id is parsed in the chunk's first
-    ``parse_ids`` call, another row's, once its record is built, in the
-    second.
+    Checks row by row mark the plain rows: a dict of exactly the required
+    keys, each a ``str``, with a label in the manifest and an id
+    ``parse_ids`` accepts. They go straight into the columns, and every
+    other row goes through the record builder, which raises on the first
+    broken rule; plain rows never raise, so the first bad line of the
+    chunk is the one reported; such a row keeps its record. A plain row's
+    id is parsed in the chunk's first ``parse_ids`` call, another row's,
+    once its record is built, in the second.
     """
     build = _record_builder(manifest)
     keys = manifest._keys
@@ -406,27 +425,8 @@ def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], _Colum
     columns = itemgetter(*keys[:3])
     position = {label: i for i, label in enumerate(manifest.labels)}
 
-    def plain_columns(raws: list) -> tuple[list, list, list[int]] | None:
-        """The ids, texts and label positions of a chunk of rows that are
-        plain but for their ids, unchecked; None for any other chunk."""
-        if not (fast and {*map(type, raws)} == {dict} and {*map(len, raws)} == {len(required)}):
-            return None
-        try:  # a row with no more keys than the required ones, missing none, holds just them
-            ids, texts, labels = map(list, zip(*map(columns, raws)))
-        except KeyError:
-            return None
-        if {*map(type, ids), *map(type, texts), *map(type, labels)} != {str}:
-            return None
-        codes = list(map(position.get, labels, repeat(-1, len(labels))))
-        return None if -1 in codes else (ids, texts, codes)
-
     def build_chunk(lines: Sequence[int], raws: list) -> _Columns:
-        plain_chunk = plain_columns(raws)
-        if plain_chunk is not None:
-            accepted, values = parse_ids(plain_chunk[0])
-            if accepted.all():
-                return *plain_chunk, values, [None] * len(raws)
-        # row by row: a plain row's (id, text, label), every other row's record
+        # a plain row's (id, text, label), every other row's record
         rows = [
             columns(raw) if type(raw) is dict and raw.keys() == required else None
             for raw in raws
@@ -545,12 +545,21 @@ def _jsonl_rows(lines: Iterable[str], start: int) -> Iterator[_Row]:
 def _jsonl_chunks(fh) -> Iterator[_Chunk]:
     """The chunks of an open JSONL file. A chunk of ``CHUNK_SIZE`` lines is
     decoded in one pass when each line is one JSON object and its newline;
-    a chunk holding any other line goes through ``_jsonl_rows``."""
+    a chunk holding any other line goes through ``_jsonl_rows``, as do the
+    lines read before a read error, which is raised after their rows."""
     start = 1
-    while lines := list(islice(fh, CHUNK_SIZE)):
+    while True:
+        lines: list[str] = []
+        try:
+            lines.extend(islice(fh, CHUNK_SIZE))  # keeps the lines read before an error
+        except Exception:  # an unreadable byte: the rows before it come first
+            yield from _chunks(_jsonl_rows(lines, start))
+            raise
+        if not lines:
+            return
         try:
             decoded = [_scan_once(line, 0) for line in lines]
-        except (StopIteration, json.JSONDecodeError):
+        except Exception:  # _jsonl_rows decodes line by line and raises at the line
             decoded = None
         if decoded is not None and all(
             type(raw) is dict and line[end:] in _LINE_ENDS

@@ -138,28 +138,6 @@ def _leak_probe(dataset: Dataset, rebalanced: Dataset, seed: int) -> list[IdLeak
     return _probe_runs([(dataset, split), (rebalanced, split)], (3,), ForestConfig())
 
 
-def _gather(dataset: Dataset, pool: Dataset, replacement: np.ndarray,
-            pool_label: np.ndarray) -> Dataset:
-    """The dataset with each row that has a replacement (>= 0) taken from
-    that pool row, gathered column by column; ``pool_label`` gives each
-    pool row's position in the dataset's label set."""
-    taken = replacement.tolist()
-    replaced = replacement >= 0
-
-    def gathered(own: tuple, pooled: tuple) -> tuple:
-        return tuple(value if j < 0 else pooled[j] for value, j in zip(own, taken))
-
-    return Dataset._of_columns(
-        dataset.label_set,
-        f"{dataset.name}-rebalanced" if dataset.name else "rebalanced",
-        gathered(dataset.ids, pool.ids),
-        gathered(dataset.texts, pool.texts),
-        np.where(replaced, pool_label[replacement], dataset.label_index),
-        np.where(replaced, pool.id_values[replacement], dataset.id_values),
-        gathered(dataset._full_records, pool._full_records),
-    )
-
-
 def time_rebalance(
     dataset: Dataset,
     pool: Dataset,
@@ -240,7 +218,10 @@ def time_rebalance(
     n_rejected = np.bincount(label_of[~replaced & ~is_anchor], minlength=len(labels)).tolist()
     replaced_per_label = {label: n_replaced[i] for i, label in enumerate(labels) if i != anchor}
     rejected_per_label = {label: n_rejected[i] for i, label in enumerate(labels) if i != anchor}
-    rebalanced = _gather(dataset, pool, replacement, pool_label)
+    rebalanced = dataset.with_rows_from(
+        pool, replacement, pool_label,
+        f"{dataset.name}-rebalanced" if dataset.name else "rebalanced",
+    )
     leak_before = leak_after = None
     if measure_leak:
         leak_before, leak_after = _leak_probe(dataset, rebalanced, seed)

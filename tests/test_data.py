@@ -318,6 +318,34 @@ def test_load_jsonl_reports_a_json_error_after_full_chunks(tmp_path):
     )
 
 
+def test_load_jsonl_reports_a_bad_record_before_a_later_unreadable_byte(tmp_path):
+    # the invalid UTF-8 byte lies more than one 8 KB read block after the
+    # bad record, in the same chunk: the record's error is the one reported
+    lines = _plain_lines(1) + ['{"id": "9", "text": "t", "label": "nope"}'] + [
+        json.dumps({"id": str(100 + i), "text": "x" * 100, "label": "real"}) for i in range(200)
+    ]
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b'{"id": "1", "text": "\xff"}\n')
+    with pytest.raises(UnknownLabelError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 2: label 'nope' not in manifest labels ['real', 'fake']"
+    # with no bad record before it, the read error itself is raised
+    path.write_bytes(("\n".join(_plain_lines(300)) + "\n").encode() + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_jsonl(path, MANIFEST)
+
+
+def test_load_jsonl_reports_a_bad_record_before_a_later_too_deep_line(tmp_path):
+    # decoding a line nested too deep raises RecursionError; the chunk's
+    # lines go through the line-by-line rules, which reach line 2 first
+    deep = "[" * 100_000 + "]" * 100_000
+    lines = _plain_lines(1) + ['{"id": "01", "text": "t", "label": "real"}', deep]
+    path = write(tmp_path / "deep.jsonl", "\n".join(lines) + "\n")
+    with pytest.raises(RecordParseError) as exc:
+        load_jsonl(path, MANIFEST)
+    assert str(exc.value) == "line 2: id has a leading zero: '01'"
+
+
 def test_load_jsonl_finds_duplicates_across_chunks(tmp_path):
     lines = _plain_lines(CHUNK_SIZE + 5) + [json.dumps({"id": "3", "text": "t", "label": "fake"})]
     path = write(tmp_path / "dup.jsonl", "\n".join(lines) + "\n")
@@ -747,15 +775,19 @@ _reply_counts = st.one_of(
 
 @st.composite
 def _chunk_rows(draw, manifest):
-    """Raw rows for ``manifest``. Each row starts plain. A draw picks up to
-    two kinds of fault, and a third of its rows get one: an id, text or
-    label that is not plain, a missing required field, or a mapping that
-    is not a dict. In a rich draw, ids given as integers, optional fields
-    and an extra key come and go. A last row may repeat the first row's
-    id."""
+    """Raw rows for ``manifest``. Each row starts plain. One kind of draw
+    gives each row any one fault, or none, and ids given as integers,
+    optional fields and an extra key come and go. The other picks up to
+    two kinds of fault, and a third of its rows get one; only a rich draw
+    adds integer ids and optional fields, so many chunks are all plain or
+    nearly so. A fault is an id, text or label that is not plain, a
+    missing required field, or a mapping that is not a dict. A last row
+    may repeat the first row's id."""
     keys = dict(zip(CANONICAL_FIELDS, map(manifest.source_key, CANONICAL_FIELDS)))
-    faults = draw(st.lists(st.sampled_from((*_FAULTS, "missing", "mapping")), max_size=2))
-    rich = draw(st.booleans())
+    kinds = (*_FAULTS, "missing", "mapping")
+    every_kind = draw(st.booleans())
+    faults = kinds if every_kind else draw(st.lists(st.sampled_from(kinds), max_size=2))
+    rich = every_kind or draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         id_value = draw(_good_ids)
@@ -763,7 +795,9 @@ def _chunk_rows(draw, manifest):
             id_value = int(id_value)
         row = {keys["id"]: id_value, keys["text"]: draw(_texts), keys["label"]: draw(_good_labels)}
         fault = "none"
-        if faults and draw(st.integers(0, 2)) == 0:
+        if every_kind:
+            fault = draw(st.sampled_from(("none", *kinds)))
+        elif faults and draw(st.integers(0, 2)) == 0:
             fault = draw(st.sampled_from(faults))
         if fault in _FAULTS:
             field, values = _FAULTS[fault]
