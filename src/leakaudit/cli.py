@@ -99,7 +99,7 @@ def _fingerprint(dataset: Dataset) -> dict:
         "n_empty_texts": sum(1 for text in dataset.texts if not text.strip()),
         "min_timestamp_ms": int(timed.min()) if len(timed) else None,
         "max_timestamp_ms": int(timed.max()) if len(timed) else None,
-        # every dataset here came through a loader, which refuses each record rule
+        # every dataset came through the record checker, which refuses each record rule
         "n_violations": 0,
     }
 

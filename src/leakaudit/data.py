@@ -6,11 +6,12 @@ position and each parsed id (``ids``, ``texts``, ``label_index``,
 ``id_values``), with the creation times (``timestamps``) derived on first
 use. A Record is an immutable named tuple of its source row; a record
 without extra source columns shares one empty read-only ``extra`` mapping.
-A loaded dataset keeps a full Record only for a row that is not plain (an
+A dataset keeps a full Record only for a row that is not plain (an
 optional field, an extra column, an id given as a number), and builds its
-``records`` tuple on first access. The
-loaders are the one record checker: malformed input raises, with the
-offending line number, so every loaded dataset keeps the record rules.
+``records`` tuple on first access. The loaders' record builder is the one
+record checker, for files, ``build_dataset`` and ``Dataset(records, ...)``
+alike: malformed input raises, with the offending line or position, so
+every dataset keeps the record rules.
 
 Every loader fills the columns a chunk of at most ``CHUNK_SIZE`` rows at a
 time (``_chunk_builder``): the manifest is resolved once, when made, a
@@ -136,23 +137,25 @@ class Dataset:
     """Immutable ordered collection of records plus its label vocabulary.
 
     The columns are ``ids`` and ``texts`` (tuples of str), ``label_index``
-    (int64 label-set positions, -1 outside the set) and ``id_values``
-    (uint64, each id as ``snowflake.parse_id`` reads it), with
-    ``timestamps`` and ``text_table`` derived from them on first use. A
-    loaded dataset holds its columns from the start, and a full ``Record``
-    only for a row that is not plain (an optional field, an extra column,
-    an id given as a number); its ``records`` tuple is built on first
-    access. A
-    dataset made as ``Dataset(records, label_set, name)`` holds its
-    records, and derives each column from them on first use.
+    (int64 label-set positions) and ``id_values`` (uint64, each id as
+    ``snowflake.parse_id`` reads it), with ``timestamps`` and
+    ``text_table`` derived from them on first use. Every dataset holds its
+    columns from the start, and a full ``Record`` only for a row that is
+    not plain (an optional field, an extra column, an id given as a
+    number); its ``records`` tuple is built on first access.
 
-    Construction checks nothing; the loaders below and ``build_dataset``
-    enforce id syntax and uniqueness, label membership, text type and
-    reply_count strictly and raise on the first violation.
+    ``Dataset(records, label_set, name)`` equals ``build_dataset`` of the
+    rows ``save_jsonl`` writes for those records: it enforces id syntax and
+    uniqueness, label membership, text type and reply_count as the loaders
+    do, and raises their error for the first violation, at the record's
+    1-based position. As from a file, an int id reads back as its string,
+    and an empty ``event`` or ``article_id`` as None.
     """
 
-    def __init__(self, records: Sequence[Record], label_set: LabelSet, name: str = ""):
-        vars(self).update(records=records, label_set=label_set, name=name)
+    def __init__(self, records: Iterable[Record], label_set: LabelSet, name: str = ""):
+        rows = enumerate(map(_row, records), start=1)
+        built = _build(_chunks(rows), Manifest(labels=label_set.labels), name)
+        vars(self).update(vars(built), label_set=label_set)
 
     @classmethod
     def _of_columns(cls, label_set: LabelSet, name: str, ids: tuple[str, ...],
@@ -216,48 +219,11 @@ class Dataset:
         )
 
     @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records)
-
-    @cached_property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(r.text for r in self.records)
-
-    @cached_property
-    def _full_records(self) -> tuple[Record | None, ...]:
-        """Each row's record, or None for a plain row: a ``str`` id, text and
-        label in the set, and ``_PLAIN_TAIL``. Writers and readers of the
-        optional fields read these, and the columns for the plain rows."""
-        return tuple(
-            None if label >= 0 and r[3:] == _PLAIN_TAIL
-            and {type(r.id), type(r.text), type(r.label)} == {str} else r
-            for r, label in zip(self.records, self.label_index.tolist())
-        )
-
-    @cached_property
-    def id_values(self) -> np.ndarray:
-        """Each id as parsed by ``snowflake.parse_id``, uint64, read-only.
-        Raises ``parse_id``'s IdParseError for the first id it refuses."""
-        ids = self.ids
-        accepted, values = parse_ids([i if isinstance(i, str) else "" for i in ids])
-        if not accepted.all():  # parse_id raises for the first refused id
-            parse_id(ids[int(np.argmin(accepted))])
-        values.flags.writeable = False
-        return values
-
-    @cached_property
     def timestamps(self) -> np.ndarray:
         """Each id's creation time, int64 unix ms (-1 for none), read-only."""
         stamps = timestamps_of(self.id_values)
         stamps.flags.writeable = False
         return stamps
-
-    @cached_property
-    def label_index(self) -> np.ndarray:
-        """Each record's label-set position (-1 outside the set), read-only."""
-        index = self.label_set.encode(r.label for r in self.records)
-        index.flags.writeable = False
-        return index
 
     @cached_property
     def text_table(self) -> TextTable:
@@ -617,10 +583,26 @@ def write_json(payload: object, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _row(record: Record) -> dict[str, object]:
+    """The JSONL row of a record: its required fields, each optional field
+    that is set, and its extra columns."""
+    row: dict[str, object] = {"id": record.id, "text": record.text, "label": record.label}
+    if record.event is not None:
+        row["event"] = record.event
+    if record.article_id is not None:
+        row["article_id"] = record.article_id
+    if record.reply_count is not None:
+        row["reply_count"] = record.reply_count
+    if record.extra:  # updating from a read-only mapping is slow even when empty
+        row.update(record.extra)
+    return row
+
+
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Write canonical JSONL (stable key order, extras preserved). A row the
     columns hold whole is written from them without the encoder, its
-    strings escaped as the encoder does; a full record goes through it."""
+    strings escaped as the encoder does; a full record's ``_row`` goes
+    through it."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     labels = dataset.label_set.labels
     with open(path, "w", encoding="utf-8") as fh:
@@ -630,23 +612,13 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
             if r is None:
                 fh.write(f'{{"id": {escape(id_str)}, "label": {escape(labels[label])}, '
                          f'"text": {escape(text)}}}\n')
-                continue
-            row: dict[str, object] = {"id": r.id, "text": r.text, "label": r.label}
-            if r.event is not None:
-                row["event"] = r.event
-            if r.article_id is not None:
-                row["article_id"] = r.article_id
-            if r.reply_count is not None:
-                row["reply_count"] = r.reply_count
-            if r.extra:  # updating from a read-only mapping is slow even when empty
-                row.update(r.extra)
-            fh.write(encode(row) + "\n")
+            else:
+                fh.write(encode(_row(r)) + "\n")
 
 
 def label_distribution(dataset: Dataset) -> dict[str, int]:
     """Counts per label, in label-set order, zeros included."""
-    index = dataset.label_index
-    counts = np.bincount(index[index >= 0], minlength=len(dataset.label_set))
+    counts = np.bincount(dataset.label_index, minlength=len(dataset.label_set))
     return dict(zip(dataset.label_set, counts.tolist()))
 
 

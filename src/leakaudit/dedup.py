@@ -417,8 +417,6 @@ def scan_duplicates(dataset: Dataset, jaccard_threshold: float = 0.8) -> Duplica
     Raises:
         ValueError: if the threshold is not an int or float (a bool or
             numpy bool is refused) or lies outside (0, 1].
-        IdParseError: for the first dataset id ``snowflake.parse_id``
-            refuses, which only a hand-built dataset can hold.
     """
     t = jaccard_threshold
     if isinstance(t, bool) or not (isinstance(t, (int, float)) and 0.0 < t <= 1.0):

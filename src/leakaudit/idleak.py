@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import AllIdsTooShortError, EmptySplitError, IdParseError
+from .errors import AllIdsTooShortError, EmptySplitError
 from .forest import ForestConfig, baseline_expected_macro_f1, fit_rows
 from .metrics import ConfusionMatrix, result_from_matrix
 from .splits import Split, SplitSpec, make_split
@@ -103,9 +103,7 @@ def run_id_leak_test(
         EmptySplitError: if train or test has no records.
         AllIdsTooShortError: if a partition loses every id to the k-digit
             requirement.
-        UnknownLabelError: if a kept record's label is outside the label set.
-        ValueError: for a split of another dataset, k < 1, or a dataset id,
-            in the split or not, that ``snowflake.parse_id`` refuses.
+        ValueError: for a split of another dataset, or k < 1.
     """
     if split.dataset is not dataset:
         raise ValueError("the split was made from another dataset")
@@ -121,10 +119,7 @@ def _kept(dataset, rows, n_listed, k, pattern_of):
     kept_rows = rows[kept]
     if n_train == 0 or n_train == len(kept_rows):
         raise AllIdsTooShortError(f"every id in a partition is shorter than {k} digits")
-    labels = dataset.label_index[kept_rows]
-    if np.any(labels < 0):  # index raises UnknownLabelError for the first unknown label
-        dataset.label_set.index(dataset.records[kept_rows[np.argmax(labels < 0)]].label)
-    return pattern_of[kept_rows], labels, n_train
+    return pattern_of[kept_rows], dataset.label_index[kept_rows], n_train
 
 
 def _label_counts(positions: np.ndarray, names) -> dict[str, int]:
@@ -221,10 +216,9 @@ def run_id_leak_suite(
         ValueError: before any run is checked, in this order: there is no
             split; the splits come from different datasets; there is no
             k; a k is not an int (a bool or numpy integer is refused); a k
-            is below 1; a k repeats; a dataset id, in a split or
-            not, is one ``snowflake.parse_id`` refuses (its message).
-        The errors of the first run that fails: EmptySplitError,
-        AllIdsTooShortError or UnknownLabelError.
+            is below 1; a k repeats.
+        The errors of the first run that fails: EmptySplitError or
+        AllIdsTooShortError.
     """
     if not splits:
         raise ValueError("no splits to probe")
@@ -251,10 +245,7 @@ def _probe_runs(runs, k_values, config: ForestConfig) -> list[IdLeakReport]:
     pattern table over the datasets' ids joined, which keeps each dataset's
     patterns in order, so every forest equals the one fitted on its own."""
     datasets = {id(dataset): dataset for dataset, _ in runs}
-    try:
-        values = [dataset.id_values for dataset in datasets.values()]
-    except IdParseError as exc:
-        raise ValueError(str(exc)) from None
+    values = [dataset.id_values for dataset in datasets.values()]
     tables = _pattern_tables(np.concatenate(values), k_values)
     ends = np.cumsum([len(v) for v in values])[:-1]
     # each k's pattern of every row, split back into datasets, keyed by id()

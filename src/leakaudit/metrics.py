@@ -272,11 +272,8 @@ def evaluate_prediction_file(
         EmptyInputError: if ``test`` is empty.
     """
     ids, labels = dataset.ids, dataset.label_set.labels
-    # only a hand-built dataset holds a label outside its set
-    gold = {
-        ids[i]: labels[label] if label >= 0 else dataset.records[i].label
-        for i, label in zip(test.tolist(), dataset.label_index[test].tolist())
-    }
+    gold = {ids[i]: labels[label]
+            for i, label in zip(test.tolist(), dataset.label_index[test].tolist())}
     preds = read_prediction_file(path)
     for rid, label in preds.items():
         if label not in dataset.label_set:

@@ -157,7 +157,7 @@ def time_rebalance(
     Raises:
         ValueError: seed is not an int, or window_ms is not an int >= 1
             (a bool or numpy integer is refused for either).
-        UnknownLabelError: anchor or record label outside the dataset's label set.
+        UnknownLabelError: anchor label outside the dataset's label set.
         NoAnchorRecordsError: no anchor record has a decodable timestamp.
         EmptyPoolError: no usable pool record for any non-anchor label.
     """
@@ -169,9 +169,6 @@ def time_rebalance(
     if anchor_label not in dataset.label_set:
         raise UnknownLabelError(f"anchor label {anchor_label!r} not in label set")
     labels, label_of = dataset.label_set, dataset.label_index
-    if np.any(label_of < 0):  # index raises UnknownLabelError for the first unknown label
-        labels.index(dataset.records[int(np.argmax(label_of < 0))].label)
-
     anchor = labels.index(anchor_label)
     is_anchor = label_of == anchor
     anchor_ts = dataset.timestamps[is_anchor & (dataset.timestamps >= 0)]
@@ -181,9 +178,8 @@ def time_rebalance(
             f"no {anchor_label!r} record carries a decodable timestamp"
         )
 
-    # each pool row's position in the dataset's label set, -1 outside it;
-    # the appended -1 is where a pool label_index of -1 lands
-    pool_label = np.append(labels.encode(pool.label_set), -1)[pool.label_index]
+    # each pool row's position in the dataset's label set, -1 outside it
+    pool_label = labels.encode(pool.label_set)[pool.label_index]
     usable = (pool_label >= 0) & (pool_label != anchor) & (pool.timestamps >= 0)
     # exact membership: an id's insertion points differ where the dataset holds it
     known, ids = np.sort(dataset.id_values), pool.id_values

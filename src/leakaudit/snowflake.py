@@ -20,9 +20,8 @@ those values; ``decode_timestamp`` composes the two.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -157,16 +156,12 @@ def timestamp_histogram(dataset, bucket_ms: int) -> TimestampHistogram:
     stamps = dataset.timestamps
     timed = stamps >= 0
     labels = dataset.label_index[timed]
-    if np.any(labels < 0):  # a hand-built record's label outside the set
-        pairs = compress(zip([r.label for r in dataset.records], stamps.tolist()), timed.tolist())
-        counts = dict(Counter((label, (ts // bucket_ms) * bucket_ms) for label, ts in pairs))
-    else:
-        # a bucket_ms beyond every timestamp puts all in bucket 0, and would overflow int64
-        buckets = stamps[timed] // min(bucket_ms, 2**62)
-        span = int(buckets.max(initial=0)) + 1
-        keys, first, n = np.unique(labels * span + buckets, return_index=True, return_counts=True)
-        order = np.argsort(first)  # first-occurrence order, which the TV sums read
-        names = dataset.label_set.labels
-        counts = {(names[key // span], key % span * bucket_ms): count
-                  for key, count in zip(keys[order].tolist(), n[order].tolist())}
+    # a bucket_ms beyond every timestamp puts all in bucket 0, and would overflow int64
+    buckets = stamps[timed] // min(bucket_ms, 2**62)
+    span = int(buckets.max(initial=0)) + 1
+    keys, first, n = np.unique(labels * span + buckets, return_index=True, return_counts=True)
+    order = np.argsort(first)  # first-occurrence order, which the TV sums read
+    names = dataset.label_set.labels
+    counts = {(names[key // span], key % span * bucket_ms): count
+              for key, count in zip(keys[order].tolist(), n[order].tolist())}
     return TimestampHistogram(bucket_ms, counts, excluded_count=len(stamps) - len(labels))

@@ -197,9 +197,9 @@ def _partition_indices(
     rng: np.random.Generator,
     stratify: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Allocate positions of ``labels`` (label-set positions, -1 outside the
-    set) to (train, dev, test) in shuffled order. Stratified, each label is
-    allocated on its own and records outside the label set are dropped.
+    """Allocate positions of ``labels`` (label-set positions) to (train,
+    dev, test) in shuffled order. Stratified, each label is allocated on
+    its own.
 
     This is the one allocator. The permutation is drawn before grouping, so
     a label with no records changes nothing: the full label set gives the

@@ -5,8 +5,7 @@ vocabulary, or collection-artifact strings that let a bag-of-words model
 score well without reading meaning. Association is measured on document
 frequency (a token counts once per record) with smoothed log-odds ratios,
 one-vs-rest for each label some record with tokens carries. Both public
-functions read one token-by-label count table, and raise
-UnknownLabelError for a label outside the set.
+functions read one token-by-label count table.
 
 That count table is read off the dataset's text table
 (``leakaudit.text``), which the duplicate scan shares: each distinct
@@ -72,14 +71,12 @@ def _doc_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, list[int]]:
     """The tokens, the int64 [n_tokens, n_labels] count of records holding
     each token under each label, row for row, and each label's count of
     records holding any token. Row order follows first appearance, so it
-    must not reach output. An unknown label raises UnknownLabelError.
+    must not reach output.
 
     Each distinct text's distinct tokens are counted once, weighted by its
     node's records per label, in batches of nodes.
     """
     labels, table = dataset.label_index, dataset.text_table
-    if np.any(labels < 0):  # index raises UnknownLabelError for the first unknown label
-        dataset.label_set.index(dataset.records[int(np.argmax(labels < 0))].label)
     n_labels, n_nodes = len(dataset.label_set), len(table.n_words)
     tokens, flat, n_tokens = _word_tokens(table.vocab)
     first_token = np.cumsum(n_tokens) - n_tokens
@@ -135,7 +132,7 @@ def scan_discriminative_tokens(dataset: Dataset, min_df: int = 5) -> list[TokenS
     tokens carries are scored; any other label is left out of the log-odds,
     the top label and the excluded labels, and counts 0 in
     ``per_label_counts``. Ties rank by token string, so output order is
-    deterministic. A label outside the set raises UnknownLabelError.
+    deterministic.
 
     Raises:
         ValueError: if min_df is not an int >= 1 (a bool is refused).

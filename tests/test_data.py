@@ -24,13 +24,13 @@ from leakaudit.data import (
     Record,
     _chunk_builder,
     _record_builder,
+    _row,
     label_distribution,
     load_csv,
     save_jsonl,
 )
 from leakaudit.errors import (
     DuplicateIdError,
-    IdParseError,
     LeakAuditError,
     RecordParseError,
     SchemaError,
@@ -682,28 +682,32 @@ _ESCAPED = st.text(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(
-    _ESCAPED, _ESCAPED, _ESCAPED,
+    _ESCAPED, _ESCAPED.filter(bool),
     st.none() | _ESCAPED, st.none() | _ESCAPED, st.none() | st.integers(0, 10**6),
     st.none() | st.dictionaries(st.sampled_from(["x", "é", 'q"']), _ESCAPED | st.integers(),
                                 max_size=2),
 ), max_size=8))
 def test_save_jsonl_writes_what_json_dumps_writes(rows):
     # plain records (no optional field, no extra) take the writer's fast
-    # path, the others the encoder; an empty dict extra is not the shared one
+    # path, the others the encoder; an empty dict extra is not the shared
+    # one. Ids must be canonical, so the escaped strings are texts, labels
+    # (each one in the label set) and optional fields; an empty event or
+    # article_id reads as None, as from a file
     records, want = [], ""
-    for id_, text, label, event, article_id, reply_count, extra in rows:
-        records.append(Record(id_, text, label, event, article_id, reply_count,
+    for i, (text, label, event, article_id, reply_count, extra) in enumerate(rows, start=1):
+        records.append(Record(str(i), text, label, event, article_id, reply_count,
                               _NO_EXTRA if extra is None else extra))
-        row = {"id": id_, "text": text, "label": label}
+        row = {"id": str(i), "text": text, "label": label}
         for name, value in (("event", event), ("article_id", article_id),
                             ("reply_count", reply_count)):
-            if value is not None:
+            if value not in (None, ""):
                 row[name] = value
         row.update(extra or {})
         want += json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+    labels = LabelSet(tuple(dict.fromkeys(label for _, label, *_ in rows)) or ("x",))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.jsonl"
-        save_jsonl(Dataset(records=tuple(records), label_set=LabelSet.of("x")), path)
+        save_jsonl(Dataset(records=tuple(records), label_set=labels), path)
         assert path.read_bytes().decode("utf-8") == want
 
 
@@ -963,13 +967,14 @@ def test_label_distribution_zeros_included():
     assert ds.label_index is vars(ds)["label_index"]
     empty = Dataset(records=(), label_set=LabelSet.of("real", "fake"))
     assert label_distribution(empty) == {"real": 0, "fake": 0}
-    outside = Dataset(
-        records=(Record(id="1", text="a", label="real"), Record(id="2", text="b", label="other")),
-        label_set=LabelSet.of("fake", "real"),
-    )
-    assert "label_index" not in vars(outside)  # a hand-built dataset's, made on first use
-    assert outside.label_index.tolist() == [1, -1]
-    assert label_distribution(outside) == {"fake": 0, "real": 1}
+    records = (Record(id="1", text="a", label="real"), Record(id="2", text="b", label="other"))
+    hand = Dataset(records=records[:1], label_set=LabelSet.of("fake", "real"))
+    assert vars(hand)["label_index"].tolist() == [1]  # a hand-built dataset's, made at once
+    assert label_distribution(hand) == {"fake": 0, "real": 1}
+    # no dataset holds a label outside its set: the constructor refuses it
+    with pytest.raises(UnknownLabelError) as exc:
+        Dataset(records=records, label_set=LabelSet.of("fake", "real"))
+    assert str(exc.value) == "line 2: label 'other' not in manifest labels ['fake', 'real']"
 
 
 def test_id_columns_are_built_on_first_use():
@@ -985,10 +990,15 @@ def test_id_columns_are_built_on_first_use():
     assert vars(ds)["label_index"].dtype == np.int64
     assert vars(ds)["id_values"].dtype == np.uint64
     assert "timestamps" not in vars(ds) and "records" not in vars(ds)
-    # a hand-built one holds its records, and makes every column on first use
+    # a hand-built one holds the same columns from the start, and makes
+    # its times and records on first use too
     hand = Dataset(records=ds.records, label_set=ds.label_set)
     assert vars(ds)["records"] is ds.records
-    assert vars(hand).keys() == {"records", "label_set", "name"}
+    assert {name: vars(hand)[name] for name in ("ids", "texts")} == {
+        name: columns[name] for name in ("ids", "texts")}
+    assert vars(hand)["label_index"].dtype == np.int64
+    assert vars(hand)["id_values"].dtype == np.uint64
+    assert "timestamps" not in vars(hand) and "records" not in vars(hand)
     for built in (ds, hand):
         assert built.ids == columns["ids"] and built.texts == columns["texts"]
         assert built.label_index.tolist() == columns["label_index"]
@@ -1009,21 +1019,72 @@ def test_id_columns_are_built_on_first_use():
 
 
 @pytest.mark.parametrize("ids, message", [
-    (["12", 5, "0"], "id is not a decimal string: 5"),
-    (["12", "007", 5], "id has a leading zero: '007'"),
-    (["12", None], "id is not a decimal string: None"),
-    ([b"12"], "id is not a decimal string: b'12'"),
-    (["12", str(2**63)], f"id outside [1, 2**63 - 1]: '{2**63}'"),
+    # an int id reads as its string, as from a file
+    (["12", 5, "0"], "line 3: id outside [1, 2**63 - 1]: '0'"),
+    (["12", "007", 5], "line 2: id has a leading zero: '007'"),
+    (["12", None], "line 2: missing required field 'id'"),
+    ([b"12"], "line 1: id is not a decimal string: b'12'"),
+    (["12", str(2**63)], f"line 2: id outside [1, 2**63 - 1]: '{2**63}'"),
 ])
-def test_id_values_refuse_the_first_id_parse_id_refuses(ids, message):
-    # construction checks nothing, so a hand-built dataset may hold any id
-    ds = Dataset(
-        records=tuple(Record(id=i, text="t", label="real") for i in ids),
-        label_set=LabelSet.of("real"),
-    )
-    with pytest.raises(IdParseError) as exc:
-        ds.id_values
-    assert str(exc.value) == message
-    with pytest.raises(IdParseError):
-        ds.timestamps
+def test_constructor_refuses_the_first_id_the_loaders_refuse(ids, message):
+    # a hand-built dataset goes through the loaders' record checker, so its
+    # id_values hold only ids parse_id accepts
+    with pytest.raises(RecordParseError) as exc:
+        Dataset(
+            records=tuple(Record(id=i, text="t", label="real") for i in ids),
+            label_set=LabelSet.of("real"),
+        )
+    assert type(exc.value) is RecordParseError and str(exc.value) == message
+    ds = Dataset(records=(Record(id=5, text="t", label="real"),), label_set=LabelSet.of("real"))
+    assert ds.ids == ("5",) and ds.id_values.tolist() == [5]
+
+
+@st.composite
+def _hand_records(draw):
+    """Records mixing good rows with each rule the loaders enforce broken:
+    an id, text or label of ``_FAULTS`` (an id that is not a decimal
+    string, has a leading zero, is out of range or an int; a text that is
+    not a str; a label outside the set), a required field left None, or a
+    reply_count that is negative or not an integer. An id may be given as
+    an int, optional fields and extra keys come and go, and a last record
+    may repeat the first one's id."""
+    records = []
+    for _ in range(draw(st.integers(0, 10))):
+        fields = {"id": draw(_good_ids), "text": draw(_texts), "label": draw(_good_labels)}
+        if draw(st.integers(0, 4)) == 0:
+            fields["id"] = int(fields["id"])
+        fault = draw(st.sampled_from(("none", "none", *_FAULTS, "missing")))
+        if fault in _FAULTS:
+            field, values = _FAULTS[fault]
+            fields[field] = draw(values)
+        elif fault == "missing":
+            fields[draw(st.sampled_from(("id", "text", "label")))] = None
+        if draw(st.booleans()):
+            fields.update(
+                event=draw(_optional_text | st.integers()),
+                article_id=draw(_optional_text),
+                reply_count=draw(_reply_counts),
+                extra=draw(st.dictionaries(_extra_keys, _json_values, max_size=2)),
+            )
+        records.append(Record(**fields))
+    if records and draw(st.booleans()):
+        records.append(Record(id=records[0].id, text="again", label="real"))
+    return records
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=_hand_records(), name=st.sampled_from(("", "hand")))
+def test_constructor_is_build_dataset_of_the_saved_rows(records, name):
+    # one record checker: Dataset(records, ...) and build_dataset of the
+    # rows save_jsonl writes for them give the same dataset or the same error
+    label_set = MANIFEST.label_set()
+    got = _outcome(lambda: Dataset(records, label_set, name))
+    want = _outcome(lambda: build_dataset([_row(r) for r in records], label_set.labels, name))
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset) and got == want
+        assert _column_outcome(got) == _column_outcome(want)
+        assert (got.name, got.label_set) == (name, label_set)
+        assert_record_rules(got)
+    else:
+        assert got == want
 

@@ -23,7 +23,14 @@ import leakaudit.idleak as idleak_module
 from _oracle_splits import split_of
 from leakaudit import LabelSet, SplitSpec, build_dataset, run_id_leak_test
 from leakaudit.data import Dataset, Record, save_jsonl
-from leakaudit.errors import AllIdsTooShortError, EmptySplitError, IdParseError, UnknownLabelError
+from leakaudit.errors import (
+    AllIdsTooShortError,
+    DuplicateIdError,
+    EmptySplitError,
+    IdParseError,
+    RecordParseError,
+    UnknownLabelError,
+)
 from leakaudit.forest import ForestConfig, baseline_expected_macro_f1
 from leakaudit.idleak import (
     _pattern_tables,
@@ -33,7 +40,7 @@ from leakaudit.idleak import (
     summarize_id_leak_suite,
     verdict,
 )
-from leakaudit.snowflake import parse_id
+from leakaudit.snowflake import parse_id, parse_ids
 from leakaudit.splits import Split, export_split, import_split, make_split
 from test_snowflake import _ID_STRINGS
 
@@ -63,10 +70,17 @@ def test_control_dataset_scores_none(control):
 
 
 def _dataset_of(ids):
-    """A hand-built one-label dataset with these ids; nothing is checked."""
+    """A hand-built one-label dataset with these ids."""
     return Dataset(
         records=tuple(Record(id=i, text="t", label="x") for i in ids), label_set=LabelSet.of("x")
     )
+
+
+def _id_values(ids):
+    """The parsed values of canonical ids, which may repeat."""
+    accepted, values = parse_ids(ids)
+    assert accepted.all()
+    return values
 
 
 def test_pattern_tables_basic():
@@ -100,7 +114,7 @@ def _pattern_tables_by_character(ids, k):
     k_values=st.lists(st.integers(1, 27), min_size=1, max_size=4, unique=True),
 )
 def test_pattern_tables_match_per_character_oracle(ids, k_values):
-    tables = _pattern_tables(_dataset_of(ids).id_values, tuple(k_values))
+    tables = _pattern_tables(_id_values(ids), tuple(k_values))
     assert list(tables) == k_values
     for k, (table, pattern_of) in tables.items():
         want_table, want_pattern_of = _pattern_tables_by_character(ids, k)
@@ -116,40 +130,51 @@ def test_pattern_tables_match_per_character_oracle(ids, k_values):
         st.one_of(_ID_STRINGS, st.integers(10**18, 10**25 - 1).map(str)), max_size=30
     )
 )
-def test_pattern_tables_refuse_exactly_the_ids_parse_id_refuses(ids):
-    # the suite reads the tables' ids from Dataset.id_values before any run
-    # is checked: a split with no rows gets as far as EmptySplitError
+def test_constructor_refuses_exactly_the_ids_parse_id_refuses(ids):
+    # the suite reads the tables' ids from Dataset.id_values, which hold
+    # only ids parse_id accepts: the constructor refuses the first other
+    # id, at its 1-based position, and a dataset of unique accepted ids
+    # gets as far as the suite's EmptySplitError for a split with no rows
     refusals = []
-    for id_str in ids:
+    for line, id_str in enumerate(ids, start=1):
         try:
             parse_id(id_str)
         except IdParseError as exc:
-            refusals.append(str(exc))
-    with pytest.raises(ValueError if refusals else EmptySplitError) as exc:
-        run_id_leak_suite([Split(_dataset_of(ids), [], [], [])], (1, 3))
+            refusals.append(f"line {line}: {exc}")
     if refusals:
-        assert type(exc.value) is ValueError and str(exc.value) == refusals[0]
+        with pytest.raises(RecordParseError) as exc:
+            _dataset_of(ids)
+        assert type(exc.value) is RecordParseError and str(exc.value) == refusals[0]
+    elif len(set(ids)) < len(ids):
+        with pytest.raises(DuplicateIdError):
+            _dataset_of(ids)
+    else:
+        ds = _dataset_of(ids)
+        assert ds.id_values.tolist() == [parse_id(i) for i in ids]
+        with pytest.raises(EmptySplitError):
+            run_id_leak_suite([Split(ds, [], [], [])], (1, 3))
 
 
 def test_pattern_tables_error_text():
-    # the suite checks the k values, then the ids, before it builds a table
+    # the suite checks the k values before it builds a table
     def suite(ids, k_values):
         run_id_leak_suite([Split(_dataset_of(ids), [0], [], [0])], k_values)
 
     with pytest.raises(ValueError, match=r"^no k values to probe$"):
-        suite(["12a"], ())
+        suite(["12"], ())
     with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
-        suite(["12a"], (2, 0))
+        suite(["12"], (2, 0))
     # a bool would probe as k = 0 or 1, a float fails deep in the table
     # code, and a numpy integer would reach the report's JSON; every k's
     # type is checked before any k's value
     for k_values in ((True,), (2.0,), (np.int64(2),), (0, True)):
         with pytest.raises(ValueError) as exc:
-            suite(["12a"], k_values)
+            suite(["12"], k_values)
         assert str(exc.value) == f"k must be an int, got {k_values[-1]!r}"
     with pytest.raises(ValueError, match=r"^k values repeat: \[2, 3, 2\]$"):
-        suite(["12a"], (2, 3, 2))
-    # an id the loaders refuse is an error even when it is too short to be kept
+        suite(["12"], (2, 3, 2))
+    # an id the loaders refuse is refused when the dataset is made, even
+    # one too short to be kept
     for bad, rule in (
         ("12a", "is not a decimal string"), ("1 2", "is not a decimal string"),
         ("1\x002", "is not a decimal string"), ("12\x00", "is not a decimal string"),
@@ -158,31 +183,30 @@ def test_pattern_tables_error_text():
         ("07", "has a leading zero"), ("0", "outside [1, 2**63 - 1]"),
         ("1234567890123456789012", "outside [1, 2**63 - 1]"),
     ):
-        with pytest.raises(ValueError) as exc:
-            suite(["456", bad], (3,))
-        assert str(exc.value) == f"id {rule}: {bad!r}"
+        with pytest.raises(RecordParseError) as exc:
+            _dataset_of(["456", bad])
+        assert str(exc.value) == f"line 2: id {rule}: {bad!r}"
 
 
 def test_suite_errors_come_in_order_before_any_run_is_checked():
-    # every check below fails at once: there is no k, k 0 repeats, an id
-    # is not digits, and the split's train is empty
+    # every check below fails at once: there is no k, k 0 repeats, and the
+    # split's train is empty; an id that is not digits is refused before,
+    # when the dataset is made
     ids = ["523456789012345678", "623456789012345678"]
-    ds = Dataset(
-        records=tuple(Record(id=i, text="t", label="x") for i in ids + ["12a"]),
-        label_set=LabelSet.of("x"),
-    )
+    records = tuple(Record(id=i, text="t", label="x") for i in ids + ["12a"])
+    with pytest.raises(RecordParseError, match=r"^line 3: id is not a decimal string: '12a'$"):
+        Dataset(records=records, label_set=LabelSet.of("x"))
+    ds = Dataset(records=records[:2], label_set=LabelSet.of("x"))
     split = split_of(ds, test_ids=ids)
     for k_values, message in (
         ((), r"^no k values to probe$"),
         ((0, 0), r"^k must be >= 1, got 0$"),
         ((3, 3), r"^k values repeat: \[3, 3\]$"),
-        ((3,), r"^id is not a decimal string: '12a'$"),
     ):
         with pytest.raises(ValueError, match=message):
             run_id_leak_suite([split], k_values, config=FAST)
-    ok = Dataset(records=ds.records[:2], label_set=ds.label_set)
     with pytest.raises(EmptySplitError, match=r"^need non-empty train and test \(got 0/2\)$"):
-        run_id_leak_suite([split_of(ok, test_ids=ids)], (3,), config=FAST)
+        run_id_leak_suite([split], (3,), config=FAST)
 
 
 SHORT_ID_ROWS = [
@@ -271,42 +295,42 @@ def test_repeated_k_is_refused(leaky):
 
 @pytest.mark.parametrize("bad_in", ["train", "test"])
 def test_label_outside_label_set_is_refused(bad_in):
+    # no dataset the probe reads holds such a row: the constructor refuses
+    # it at its position, whichever partition a split would give it
     ids = ["523456789012345678", "623456789012345678", "533456789012345678", "633456789012345678"]
     labels = ["x", "y", "x", "y"]
-    labels[0 if bad_in == "train" else 2] = "z"
-    ds = Dataset(
-        records=tuple(Record(id=i, text="t", label=lab) for i, lab in zip(ids, labels)),
-        label_set=LabelSet.of("x", "y"),
-    )
-    split = split_of(ds, train_ids=ids[:2], test_ids=ids[2:])
-    with pytest.raises(UnknownLabelError, match="'z'"):
-        run_id_leak_test(ds, split, k=3, config=FAST)
+    at = 0 if bad_in == "train" else 2
+    labels[at] = "z"
+    records = tuple(Record(id=i, text="t", label=lab) for i, lab in zip(ids, labels))
+    with pytest.raises(UnknownLabelError) as exc:
+        Dataset(records=records, label_set=LabelSet.of("x", "y"))
+    assert str(exc.value) == f"line {at + 1}: label 'z' not in manifest labels ['x', 'y']"
 
 
 def test_non_digit_id_outside_the_split_is_refused():
-    # the probe checks every dataset id, not only the split's
+    # every dataset id is checked when the dataset is made, before any split
     ids = ["523456789012345678", "623456789012345678", "533456789012345678", "633456789012345678"]
     records = [Record(id=i, text="t", label=lab) for i, lab in zip(ids, "xyxy")]
-    ds = Dataset(
-        records=tuple(records) + (Record(id="12a", text="t", label="x"),),
-        label_set=LabelSet.of("x", "y"),
-    )
-    split = split_of(ds, train_ids=ids[:2], test_ids=ids[2:])
-    with pytest.raises(ValueError, match=r"^id is not a decimal string: '12a'$"):
-        run_id_leak_test(ds, split, k=3, config=FAST)
+    with pytest.raises(RecordParseError, match=r"^line 5: id is not a decimal string: '12a'$"):
+        Dataset(
+            records=tuple(records) + (Record(id="12a", text="t", label="x"),),
+            label_set=LabelSet.of("x", "y"),
+        )
 
 
-def test_int_id_in_a_hand_built_dataset_is_refused():
+def test_int_id_in_a_hand_built_dataset_reads_as_its_string():
+    # as from a file, an int id is accepted and probed as its string
     ids = ["523456789012345678", "623456789012345678"]
-    ds = Dataset(
-        records=(*(Record(id=i, text="t", label=lab) for i, lab in zip(ids, "xy")),
-                 Record(id=5, text="t", label="x")),
-        label_set=LabelSet.of("x", "y"),
-    )
-    with pytest.raises(ValueError) as exc:
-        run_id_leak_suite([split_of(ds, train_ids=ids[:1], test_ids=ids[1:])], (3,), FAST)
-    assert type(exc.value) is ValueError
-    assert str(exc.value) == "id is not a decimal string: 5"
+    records = [Record(id=i, text="t", label=lab) for i, lab in zip(ids, "xy")]
+    ds = Dataset(records=(*records, Record(id=5, text="t", label="x")),
+                 label_set=LabelSet.of("x", "y"))
+    assert ds.ids == (*ids, "5") and ds.records[2] == Record(id="5", text="t", label="x")
+    same = Dataset(records=(*records, Record(id="5", text="t", label="x")),
+                   label_set=ds.label_set)
+    assert ds == same and ds.id_values.tolist() == same.id_values.tolist()
+    split = split_of(ds, train_ids=(ids[0], "5"), test_ids=ids[1:])
+    assert run_id_leak_suite([split], (1,), FAST) == run_id_leak_suite(
+        [split_of(same, train_ids=(ids[0], "5"), test_ids=ids[1:])], (1,), FAST)
 
 
 def test_suite_parses_the_ids_once(leaky, pool, monkeypatch, tmp_path, capsys):
@@ -382,11 +406,12 @@ def test_suite_grows_each_k_once_and_draws_each_tree_once(leaky, monkeypatch):
 
 
 def test_runs_of_several_datasets_equal_each_dataset_alone(leaky):
-    # a copy of leaky with other ids, some too short for k=3 and k=2, so its
-    # union table with leaky's differs from both and its runs keep fewer rows
+    # a copy of leaky with other unique ids, some too short for k=3 and k=2,
+    # so its union table with leaky's differs from both and its runs keep
+    # fewer rows
     other = Dataset(
         records=tuple(
-            r._replace(id=str(i % 90 + 1) if i % 9 == 0 else str(int(r.id) // 7919))
+            r._replace(id=str(i // 9 + 1) if i % 9 == 0 else str(int(r.id) // 7919))
             for i, r in enumerate(leaky.records)
         ),
         label_set=leaky.label_set,

@@ -409,11 +409,11 @@ RATIOS = st.sampled_from(
 
 @st.composite
 def _datasets(draw, min_size=0):
-    """Small datasets whose records may carry a label outside the set."""
+    """Small datasets whose label set may hold labels no record carries."""
     label_set = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
     rows = draw(
         st.lists(
-            st.tuples(st.sampled_from([*"pqrs", "outside"]), st.sampled_from(["storm", "flood", None])),
+            st.tuples(st.sampled_from(label_set), st.sampled_from(["storm", "flood", None])),
             min_size=min_size,
             max_size=40,
         )
@@ -455,17 +455,6 @@ def test_event_holdout_split_matches_per_label_oracle(ds, dev_ratio, seed, strat
     split = make_split(ds, spec)
     want = _oracle_splits.holdout_split_ids(ds, "storm", dev_ratio, seed, stratify)
     assert (split.train_ids, split.dev_ids, split.test_ids) == want
-
-
-def test_label_outside_the_set_is_dropped_only_when_stratified():
-    records = tuple(
-        Record(id=str(1000 + i), text="t", label="outside" if i == 3 else "a") for i in range(10)
-    )
-    ds = Dataset(records=records, label_set=LabelSet.of("a", "b"))
-    for stratify, want in ((True, 9), (False, 10)):
-        split = make_split(ds, SplitSpec(ratios=(0.7, 0.1, 0.2), seed=1, stratify=stratify))
-        assert sum(split.sizes()) == want
-        assert ("1003" in _all_ids(split)) is not stratify
 
 
 @st.composite

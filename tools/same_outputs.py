@@ -17,6 +17,13 @@ fifth data and pool line gains ``event``, ``reply_count`` and one extra
 key, and one data id is written as a JSON number. On it, both trees run the
 ``rebalance`` and an ``inspect --json`` of each input.
 
+Every workload text is lowercase ASCII words, so the tool derives a
+punctuated variant of ``audit-full`` seed 1 as well: every fifth text of
+its ``data.jsonl`` gains words with sigils, punctuation, URLs, underscores
+and non-ASCII letters and digits, which take the keyword scan's token
+pattern, URL stripping and the duplicate scan's shingles off the plain-word
+path. On it, both trees run the ``audit``.
+
 Exit 0 when everything matches; exit 1 naming the first file whose bytes
 differ. Only the standard library is imported here; the commands need what
 the trees need.
@@ -35,8 +42,9 @@ from pathlib import Path
 
 WORKLOADS = ("audit-full", "audit-split-viral", "rebalance-dense")
 SEEDS = (1, 2, 3)
-# the workload and seed whose inputs the rich variant rewrites
-RICH = ("rebalance-dense", 1)
+# the words the punctuated variant adds, a few to each text it rewrites
+PUNCTUATED_WORDS = ("#Breaking2015!", "@user:", "don't", "https://t.co/Ab1", "www.x.org/y",
+                    "x_y", "café", "٣٤", "ＡＢＣ", "(RT)", "--", "U.S.")
 
 # run in a child with the tree's src/ and perfbench/ importable: prepare the
 # workload (which may run the tree's CLI) and print the CLI argv
@@ -59,17 +67,44 @@ def _env(tree: Path) -> dict:
     return env
 
 
+def _rows(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                    encoding="utf-8")
+
+
 def enrich(work: Path) -> None:
     """Rewrite the data and pool files in ``work`` as the rich variant."""
     for name in ("data.jsonl", "pool.jsonl"):
-        path = work / name
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows = _rows(work / name)
         for i, row in enumerate(rows[::5]):
             row.update(event=f"event-{i % 3}", reply_count=i % 7, lang="en")
         if name == "data.jsonl":
             rows[1]["id"] = int(rows[1]["id"])
-        path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
-                        encoding="utf-8")
+        _write_rows(work / name, rows)
+
+
+def punctuate(work: Path) -> None:
+    """Rewrite the data file in ``work`` as the punctuated variant: the
+    i-th rewritten text gains three of ``PUNCTUATED_WORDS`` from the i-th
+    on, the first before its words and the others after."""
+    rows = _rows(work / "data.jsonl")
+    n = len(PUNCTUATED_WORDS)
+    for i, row in enumerate(rows[::5]):
+        first, *rest = (PUNCTUATED_WORDS[(i + j) % n] for j in range(3))
+        row["text"] = " ".join((first, row["text"], *rest))
+    _write_rows(work / "data.jsonl", rows)
+
+
+# each variant: the workload and seed whose inputs it rewrites, how, and
+# whether each input's ``inspect --json`` is compared too
+VARIANTS = {
+    "rich": ("rebalance-dense", 1, enrich, True),
+    "punctuated": ("audit-full", 1, punctuate, False),
+}
 
 
 def outputs(tree: Path, bench: Path, workload: str, seed: int, work: Path,
@@ -119,17 +154,18 @@ def main() -> int:
         if not (tree / "src" / "leakaudit" / "cli.py").is_file():
             parser.error(f"no leakaudit sources under {tree / 'src'}")
     bench = trees[0] / "perfbench"
-    runs = [(workload, seed, False) for workload in WORKLOADS for seed in SEEDS]
-    runs.append((*RICH, True))
+    runs = [(f"{workload} seed {seed}", workload, seed, None, False)
+            for workload in WORKLOADS for seed in SEEDS]
+    runs += [(f"{workload} seed {seed} {variant}", workload, seed, rewrite, inspect)
+             for variant, (workload, seed, rewrite, inspect) in VARIANTS.items()]
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
-        for workload, seed, rich in runs:
-            label = f"{workload} seed {seed}{' rich' if rich else ''}"
+        for label, workload, seed, rewrite, inspect in runs:
             work = Path(scratch) / label.replace(" ", "-")
             generate = [sys.executable, str(bench / "gen.py"), workload, str(seed), str(work)]
             subprocess.run(generate, env=_env(trees[0]), check=True)
-            if rich:
-                enrich(work)
-            before, after = (outputs(tree, bench, workload, seed, work, rich) for tree in trees)
+            if rewrite is not None:
+                rewrite(work)
+            before, after = (outputs(tree, bench, workload, seed, work, inspect) for tree in trees)
             for name in sorted(before.keys() | after.keys()):
                 if before.get(name) != after.get(name):
                     print(f"differs: {label}: {name}")
