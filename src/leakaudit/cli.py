@@ -334,7 +334,7 @@ def cmd_aggregate(args) -> int:
     manifest = _manifest_from_args(args)
     dataset = _load_dataset(args.data, manifest)
     predictions = read_prediction_file(args.pred)
-    article_of = {r.id: r.article_id for r in dataset.records if r.article_id is not None}
+    article_of = dict(zip(dataset.ids, dataset.article_ids))  # None: a tweet with no article
     votes = aggregate_article_votes(
         predictions, article_of, dataset.label_set, min_tweets=args.min_tweets
     )

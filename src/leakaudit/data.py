@@ -1,14 +1,14 @@
 """Core data model: records, label sets, datasets, and file loaders.
 
 A Dataset is an ordered, immutable collection of labeled records with unique
-ids, stored as columns: the id strings, the texts, each label's label-set
-position and each parsed id (``ids``, ``texts``, ``label_index``,
-``id_values``), with the creation times (``timestamps``) derived on first
-use. A Record is an immutable named tuple of its source row; a record
-without extra source columns shares one empty read-only ``extra`` mapping.
-A dataset keeps a full Record only for a row that is not plain (an
-optional field, an extra column, an id given as a number), and builds its
-``records`` tuple on first access. The loaders' record builder is the one
+ids, stored as one column per record field: the id strings, the texts, each
+label's label-set position and each parsed id (``ids``, ``texts``,
+``label_index``, ``id_values``), and the optional fields (``events``,
+``article_ids``, ``reply_counts``, ``extras``), with the creation times
+(``timestamps``) derived on first use. A Record is an immutable named tuple
+of its source row; a record without extra source columns shares one empty
+read-only ``extra`` mapping. A dataset's ``records`` are a view of its
+columns, built on first access. The loaders' record builder is the one
 record checker, for files, ``build_dataset`` and ``Dataset(records, ...)``
 alike: malformed input raises, with the offending line or position, so
 every dataset keeps the record rules.
@@ -17,10 +17,11 @@ Every loader fills the columns a chunk of at most ``CHUNK_SIZE`` rows at a
 time (``_chunk_builder``): the manifest is resolved once, when made, a
 JSONL chunk of one JSON object per line is decoded in one pass, and type
 and key checks pick out the plain rows, which go into the columns without
-the record builder, each id parsed once. Every other row (and every line
-of a chunk with a blank, padded or unreadable line) goes through the
-per-line rules and ``_record_builder``, the one place each record rule and
-its error message live. An unreadable line or byte is reported after the
+the record builder, each id parsed once, and share one tail of unset
+optional fields. Every other row (and every line of a chunk with a blank,
+padded or unreadable line) goes through the per-line rules and
+``_record_builder``, the one place each record rule and its error message
+live. An unreadable line or byte is reported after the
 rows before it are built, and duplicate ids are found with one stable sort of
 the id values after the whole file is built, so the first bad line is the
 one reported.
@@ -131,18 +132,21 @@ class Record(NamedTuple):
 
 # what a plain record holds past its id, text and label
 _PLAIN_TAIL = (None, None, None, _NO_EXTRA)
+# a dataset's tuple columns, in Record field order, the label aside
+_TUPLE_COLUMNS = ("ids", "texts", "events", "article_ids", "reply_counts", "extras")
 
 
 class Dataset:
     """Immutable ordered collection of records plus its label vocabulary.
 
     The columns are ``ids`` and ``texts`` (tuples of str), ``label_index``
-    (int64 label-set positions) and ``id_values`` (uint64, each id as
-    ``snowflake.parse_id`` reads it), with ``timestamps`` and
+    (int64 label-set positions), ``id_values`` (uint64, each id as
+    ``snowflake.parse_id`` reads it), and ``events``, ``article_ids``,
+    ``reply_counts`` and ``extras`` (tuples holding None, or ``_NO_EXTRA``
+    for ``extras``, at a row without the field), with ``timestamps`` and
     ``text_table`` derived from them on first use. Every dataset holds its
-    columns from the start, and a full ``Record`` only for a row that is
-    not plain (an optional field, an extra column, an id given as a
-    number); its ``records`` tuple is built on first access.
+    columns from the start; its ``records`` tuple is built from them on
+    first access.
 
     ``Dataset(records, label_set, name)`` equals ``build_dataset`` of the
     rows ``save_jsonl`` writes for those records: it enforces id syntax and
@@ -158,16 +162,13 @@ class Dataset:
         vars(self).update(vars(built), label_set=label_set)
 
     @classmethod
-    def _of_columns(cls, label_set: LabelSet, name: str, ids: tuple[str, ...],
-                    texts: tuple[str, ...], label_index: np.ndarray, id_values: np.ndarray,
-                    full_records: tuple[Record | None, ...]) -> "Dataset":
-        """The dataset of checked columns, and each row's full record (None
-        for a plain row, which the columns hold whole)."""
+    def _of_columns(cls, label_set: LabelSet, name: str, label_index: np.ndarray,
+                    id_values: np.ndarray, tuples: Sequence[tuple]) -> "Dataset":
+        """The dataset of checked columns; ``tuples`` are its ``_TUPLE_COLUMNS``."""
         dataset = cls.__new__(cls)
         label_index.flags.writeable = id_values.flags.writeable = False
-        vars(dataset).update(label_set=label_set, name=name, ids=ids, texts=texts,
-                             label_index=label_index, id_values=id_values,
-                             _full_records=full_records)
+        vars(dataset).update(zip(_TUPLE_COLUMNS, tuples), label_set=label_set, name=name,
+                             label_index=label_index, id_values=id_values)
         return dataset
 
     def with_rows_from(self, pool: "Dataset", replacement: np.ndarray,
@@ -176,33 +177,31 @@ class Dataset:
         replacement (>= 0) taken from that pool row, gathered column by
         column, so no id is parsed again; ``pool_label`` gives each pool
         row's position in this dataset's label set."""
-        taken = replacement.tolist()
-        replaced = replacement >= 0
-
-        def gathered(own: tuple, pooled: tuple) -> tuple:
-            return tuple(value if j < 0 else pooled[j] for value, j in zip(own, taken))
-
+        # each row's position in a column of this dataset joined to the pool's
+        taken = np.where(replacement >= 0, replacement + len(self), np.arange(len(self)))
+        rows = taken.tolist()
         return Dataset._of_columns(
             self.label_set, name,
-            gathered(self.ids, pool.ids),
-            gathered(self.texts, pool.texts),
-            np.where(replaced, pool_label[replacement], self.label_index),
-            np.where(replaced, pool.id_values[replacement], self.id_values),
-            gathered(self._full_records, pool._full_records),
+            np.concatenate((self.label_index, pool_label))[taken],
+            np.concatenate((self.id_values, pool.id_values))[taken],
+            [tuple(map((getattr(self, column) + getattr(pool, column)).__getitem__, rows))
+             for column in _TUPLE_COLUMNS],
         )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: a Dataset is immutable")
 
-    # equal and hashed by records, label set and name, as a frozen dataclass
+    # equal as their records, label sets and names are, as a frozen dataclass
     def _key(self) -> tuple:
-        return self.records, self.label_set, self.name
+        return (self.label_set, self.name, self.label_index.tolist(),
+                *(getattr(self, column) for column in _TUPLE_COLUMNS))
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is Dataset else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # a part of the key that is always hashable: an extra may hold a dict
+        return hash((self.ids, self.label_set, self.name))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -210,13 +209,9 @@ class Dataset:
     @cached_property
     def records(self) -> tuple[Record, ...]:
         """Each row as a ``Record``, equal to the one its source row gave."""
-        labels, new = self.label_set.labels, tuple.__new__
-        return tuple(
-            new(Record, (id_str, text, labels[label], *_PLAIN_TAIL)) if full is None else full
-            for id_str, text, label, full in zip(
-                self.ids, self.texts, self.label_index.tolist(), self._full_records
-            )
-        )
+        labels = map(self.label_set.labels.__getitem__, self.label_index.tolist())
+        return tuple(map(Record, self.ids, self.texts, labels, self.events, self.article_ids,
+                         self.reply_counts, self.extras))
 
     @cached_property
     def timestamps(self) -> np.ndarray:
@@ -364,24 +359,23 @@ CHUNK_SIZE = 1024
 _Row = tuple[int, Mapping[str, object]]
 # a chunk's 1-based lines and raw rows
 _Chunk = tuple[Sequence[int], list[Mapping[str, object]]]
-# a chunk's columns: ids, texts, label positions, id values, and each row's
-# full record (None for a plain row)
-_Columns = tuple[list[str], list[str], list[int], np.ndarray, list[Record | None]]
 
 
-def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], _Columns]:
+def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], tuple]:
     """One file's chunk builder: the columns of a chunk's lines and raw
-    rows, the same values and the same first error as ``_record_builder``
+    rows (label positions, id values, then the ``_TUPLE_COLUMNS`` as
+    lists), the same values and the same first error as ``_record_builder``
     gives row by row.
 
     Checks row by row mark the plain rows: a dict of exactly the required
     keys, each a ``str``, with a label in the manifest and an id
-    ``parse_ids`` accepts. They go straight into the columns, and every
-    other row goes through the record builder, which raises on the first
-    broken rule; plain rows never raise, so the first bad line of the
-    chunk is the one reported; such a row keeps its record. A plain row's
-    id is parsed in the chunk's first ``parse_ids`` call, another row's,
-    once its record is built, in the second.
+    ``parse_ids`` accepts. They go straight into the columns, sharing
+    ``_PLAIN_TAIL`` for the optional fields, and every other row goes
+    through the record builder, which raises on the first broken rule;
+    plain rows never raise, so the first bad line of the chunk is the one
+    reported. A plain row's id is parsed in the chunk's first
+    ``parse_ids`` call, another row's, once its record is built, in the
+    second.
     """
     build = _record_builder(manifest)
     keys = manifest._keys
@@ -391,7 +385,7 @@ def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], _Colum
     columns = itemgetter(*keys[:3])
     position = {label: i for i, label in enumerate(manifest.labels)}
 
-    def build_chunk(lines: Sequence[int], raws: list) -> _Columns:
+    def build_chunk(lines: Sequence[int], raws: list) -> tuple:
         # a plain row's (id, text, label), every other row's record
         rows = [
             columns(raw) if type(raw) is dict and raw.keys() == required else None
@@ -406,14 +400,16 @@ def _chunk_builder(manifest: Manifest) -> Callable[[Sequence[int], list], _Colum
         plain = np.zeros(len(raws), dtype=bool)
         plain[np.flatnonzero(candidate)] = accepted
         rebuilt = np.flatnonzero(~plain).tolist()
-        full: list[Record | None] = [None] * len(raws)
+        tails = [_PLAIN_TAIL] * len(raws)
         for i in rebuilt:
-            rows[i] = full[i] = build(raws[i], lines[i])
+            rows[i] = record = build(raws[i], lines[i])
+            tails[i] = record[3:]
         ids, texts, labels = (list(map(itemgetter(k), rows)) for k in range(3))
         chunk_values = np.zeros(len(raws), dtype=np.uint64)
         chunk_values[plain] = values[accepted]
         chunk_values[rebuilt] = parse_ids([ids[i] for i in rebuilt])[1]
-        return ids, texts, list(map(position.__getitem__, labels)), chunk_values, full
+        optional = (list(map(itemgetter(k), tails)) for k in range(4))
+        return list(map(position.__getitem__, labels)), chunk_values, ids, texts, *optional
 
     return build_chunk
 
@@ -443,21 +439,21 @@ def _build(chunks: Iterable[_Chunk], manifest: Manifest, name: str) -> Dataset:
     """The dataset of (lines, raw rows) chunks, its columns filled a chunk
     at a time. Duplicate ids are checked once every row is built."""
     build_chunk = _chunk_builder(manifest)
-    ids: list[str] = []
-    texts: list[str] = []
     codes: list[int] = []
     values: list[np.ndarray] = []
     lines: list[np.ndarray] = []
-    full: list[Record | None] = []
+    columns: list[list] = [[] for _ in _TUPLE_COLUMNS]
     for chunk_lines, raws in chunks:
-        new_ids, new_texts, new_codes, new_values, new_full = build_chunk(chunk_lines, raws)
-        ids += new_ids
-        texts += new_texts
-        codes += new_codes
-        values.append(new_values)
-        full += new_full
+        chunk_codes, chunk_values, *chunk_columns = build_chunk(chunk_lines, raws)
+        codes += chunk_codes
+        values.append(chunk_values)
         lines.append(np.asarray(chunk_lines, dtype=np.int64))
+        for column, chunk_column in zip(columns, chunk_columns):
+            column += chunk_column
+    label_index = np.array(codes, dtype=np.int64)
     id_values = np.concatenate(values) if values else np.zeros(0, dtype=np.uint64)
+    tuples = list(map(tuple, columns))
+    ids = tuples[0]
     # a canonical id's value and string are one-to-one, so equal values are
     # equal ids; the first row whose id came before is the one reported
     order = np.argsort(id_values, kind="stable")
@@ -470,10 +466,7 @@ def _build(chunks: Iterable[_Chunk], manifest: Manifest, name: str) -> Dataset:
             f"id {ids[later[at]]} already seen on line {line_of[earlier[at]]}",
             int(line_of[later[at]]),
         )
-    return Dataset._of_columns(
-        manifest.label_set(), name, tuple(ids), tuple(texts),
-        np.array(codes, dtype=np.int64), id_values, tuple(full),
-    )
+    return Dataset._of_columns(manifest.label_set(), name, label_index, id_values, tuples)
 
 
 # json.loads(line) runs a JSONDecoder's scanner between two regex skips of
@@ -583,37 +576,38 @@ def write_json(payload: object, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _row(record: Record) -> dict[str, object]:
-    """The JSONL row of a record: its required fields, each optional field
-    that is set, and its extra columns."""
-    row: dict[str, object] = {"id": record.id, "text": record.text, "label": record.label}
-    if record.event is not None:
-        row["event"] = record.event
-    if record.article_id is not None:
-        row["article_id"] = record.article_id
-    if record.reply_count is not None:
-        row["reply_count"] = record.reply_count
-    if record.extra:  # updating from a read-only mapping is slow even when empty
-        row.update(record.extra)
+def _row(record: Sequence) -> dict[str, object]:
+    """The JSONL row of a record, or of its seven fields in a tuple: its
+    required fields, each optional field that is set, and its extra
+    columns."""
+    id_str, text, label, event, article_id, reply_count, extra = record
+    row: dict[str, object] = {"id": id_str, "text": text, "label": label}
+    if event is not None:
+        row["event"] = event
+    if article_id is not None:
+        row["article_id"] = article_id
+    if reply_count is not None:
+        row["reply_count"] = reply_count
+    if extra:  # updating from a read-only mapping is slow even when empty
+        row.update(extra)
     return row
 
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """Write canonical JSONL (stable key order, extras preserved). A row the
-    columns hold whole is written from them without the encoder, its
-    strings escaped as the encoder does; a full record's ``_row`` goes
-    through it."""
+    """Write canonical JSONL (stable key order, extras preserved). A plain
+    row, whose optional fields are all unset, is written without the
+    encoder, its strings escaped as the encoder does; another row's
+    ``_row`` goes through it."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-    labels = dataset.label_set.labels
+    labels = map(dataset.label_set.labels.__getitem__, dataset.label_index.tolist())
+    tails = zip(dataset.events, dataset.article_ids, dataset.reply_counts, dataset.extras)
     with open(path, "w", encoding="utf-8") as fh:
-        for id_str, text, label, r in zip(
-            dataset.ids, dataset.texts, dataset.label_index.tolist(), dataset._full_records
-        ):
-            if r is None:
-                fh.write(f'{{"id": {escape(id_str)}, "label": {escape(labels[label])}, '
+        for id_str, text, label, tail in zip(dataset.ids, dataset.texts, labels, tails):
+            if tail == _PLAIN_TAIL:
+                fh.write(f'{{"id": {escape(id_str)}, "label": {escape(label)}, '
                          f'"text": {escape(text)}}}\n')
             else:
-                fh.write(encode(_row(r)) + "\n")
+                fh.write(encode(_row((id_str, text, label, *tail))) + "\n")
 
 
 def label_distribution(dataset: Dataset) -> dict[str, int]:

@@ -237,8 +237,8 @@ def _random(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
 
 def _holdout(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
     """The held-out event's rows are the test set; the rest split train/dev."""
-    records = dataset.records
-    held = np.array([records[i].event == spec.holdout_event for i in rows.tolist()], dtype=bool)
+    events = dataset.events
+    held = np.array([events[i] == spec.holdout_event for i in rows.tolist()], dtype=bool)
     if not held.any():
         raise UnknownEventError(f"no record has event {spec.holdout_event!r}")
     train, dev, _ = _shuffled_parts(dataset, rows[~held], spec)
@@ -259,12 +259,12 @@ def _group(dataset: Dataset, rows: np.ndarray, spec: SplitSpec) -> Split:
     too (their keys are recorded). The output keeps dataset order.
     """
     rng = _rng(spec.seed)
-    records = dataset.records
-    key_of = [getattr(records[i], spec.group_by) for i in rows.tolist()]
-    labels_of: dict[str, set[str]] = {}
-    for i, key in zip(rows.tolist(), key_of):
+    column = getattr(dataset, f"{spec.group_by}s")  # article_ids or events
+    key_of = [column[i] for i in rows.tolist()]
+    labels_of: dict[str, set[int]] = {}
+    for key, label in zip(key_of, dataset.label_index[rows].tolist()):
         if key is not None:
-            labels_of.setdefault(key, set()).add(records[i].label)
+            labels_of.setdefault(key, set()).add(label)
     if not labels_of:
         raise MissingGroupFieldError(f"no record has a {spec.group_by!r} value")
 
@@ -305,13 +305,13 @@ def _filter_rows(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, dict[st
     stages: dict[str, object] = {}
 
     if spec.event_filter is not None:
-        records = dataset.records
-        events = {r.event for r in records}
-        missing = [e for e in spec.event_filter if e not in events]
+        events = dataset.events
+        present = set(events)
+        missing = [e for e in spec.event_filter if e not in present]
         if missing:
             raise UnknownEventError(f"events not in dataset: {missing}")
         keep = set(spec.event_filter)
-        rows = rows[[r.event in keep for r in records]]
+        rows = rows[[event in keep for event in events]]
         stages["event_filter"] = {"events": list(spec.event_filter), "n_after": len(rows)}
 
     # labels a quota may name: the label set, narrowed by the label filter
@@ -352,10 +352,9 @@ def _quota_rows(
             raise UnknownLabelError(f"quota label {label!r} not in label set")
     rng = _rng(spec.seed)
 
-    records = dataset.records
     if spec.min_reply_count is not None:
-        replies = [records[i].reply_count or 0 for i in rows.tolist()]
-        rows = rows[[n >= spec.min_reply_count for n in replies]]
+        replies = dataset.reply_counts
+        rows = rows[[(replies[i] or 0) >= spec.min_reply_count for i in rows.tolist()]]
     label_of = dataset.label_index[rows]
     pools = {label: rows[label_of == dataset.label_set.index(label)] for label in quotas}
     detail = ", ".join(

@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import _synth
 import leakaudit
 from leakaudit import Manifest, data, dedup, load_jsonl
 from leakaudit.cli import main, parse_window
@@ -681,6 +682,43 @@ def test_commands_on_plain_inputs_build_no_records(env, leaky, monkeypatch, tmp_
     assert bundle["duplicates"]["n_exact_clusters"] > 0
     assert bundle["contamination"]["n_pairs"] > 0
     assert built == []
+
+
+def test_no_command_builds_dataset_records(env, monkeypatch, tmp_path):
+    # every stage reads the columns, the optional ones too: on a corpus
+    # whose rows mostly carry an event, an article_id and a reply_count,
+    # audit, split under each preset, rebalance, aggregate, eval, inspect,
+    # save_jsonl, == and hash never make a dataset's Record tuple
+    corpus = _synth.preset_corpus()
+
+    def refuse(dataset):
+        raise AssertionError(f"Dataset.records built for {dataset.name!r}")
+
+    monkeypatch.setattr(data.Dataset, "records", property(refuse))
+    path = tmp_path / "presets.jsonl"
+    save_jsonl(corpus, path)
+    loaded = load_jsonl(path, Manifest(labels=tuple(LABELS.split(","))), name=corpus.name)
+    assert loaded == corpus and hash(loaded) == hash(corpus)
+    # a preset's own refusal of this corpus is allowed
+    for name in sorted(leakaudit.load_presets()):
+        out = tmp_path / f"split-{name}.json"
+        argv = ["split", str(path), "--labels", LABELS, "--preset", name, "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) in (0, 1)
+    split = tmp_path / "split-twitter16.json"
+    runs = [
+        (["audit", str(path), "--labels", LABELS, "--n-splits", "2", "--k", "2"], (0, 2)),
+        (["audit", str(path), "--labels", LABELS, "--split", str(split), "--k", "2"], (0, 2)),
+        (["rebalance", str(path), "--labels", LABELS, "--pool", str(env["pool"]),
+          "--anchor-label", "non-rumor", "--seed", "0", "--no-leak-probe",
+          "--out", str(tmp_path / "out.jsonl")], (0,)),
+        (["aggregate", str(path), "--labels", LABELS, "--pred", str(path),
+          "--out", str(tmp_path / "votes.csv")], (0,)),
+        (["eval", str(path), "--labels", LABELS, "--split", str(split),
+          "--pred", str(path)], (0,)),
+        (["inspect", str(path), "--labels", LABELS], (0,)),
+    ]
+    for argv, exit_codes in runs:
+        assert main(argv) in exit_codes, argv
 
 
 def test_rebalance_cli(env, capsys):

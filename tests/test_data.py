@@ -597,6 +597,9 @@ def test_jsonl_round_trip(tmp_path):
     again = load_jsonl(out, Manifest(labels=("real", "fake")), name="rt")
     assert again.records == ds.records
     assert again.label_set == ds.label_set
+    # equal datasets hash equal, an extra column's dict or list included
+    assert again == ds and hash(again) == hash(ds)
+    assert again != Dataset(ds.records[:1], ds.label_set, "rt")
 
     save_jsonl(again, tmp_path / "rt2.jsonl")
     assert (tmp_path / "rt2.jsonl").read_bytes() == out.read_bytes()
@@ -870,14 +873,18 @@ def test_chunk_builder_matches_the_record_builder(data):
     got = _outcome(lambda: _chunk_builder(manifest)([line for line, _ in rows],
                                                     [raw for _, raw in rows]))
     if isinstance(expected, list):
-        ids, texts, codes, values, full = got
+        codes, values, ids, texts, *optional = got
         assert (ids, texts, codes) == _expected_columns(manifest, expected)[:3]
         assert [type(i) for i in ids] == [type(r.id) for r in expected]
         assert [type(t) for t in texts] == [type(r.text) for r in expected]
         assert values.dtype == np.uint64 and values.tolist() == [parse_id(r.id) for r in expected]
-        # a row keeps its record unless the columns hold it whole
-        assert [r if f is None else f for f, r in zip(full, expected)] == expected
-        assert all(f is not None for f, r in zip(full, expected) if r[3:] != (None,) * 3 + ({},))
+        # each row's event, article_id, reply_count and extra, with their
+        # types, are the record builder's; a row without extras holds the
+        # shared empty mapping itself
+        assert [len(column) for column in optional] == [len(expected)] * 4
+        assert [[(type(v), v) for v in tail] for tail in zip(*optional)] == [
+            [(type(v), v) for v in r[3:]] for r in expected]
+        assert [e is _NO_EXTRA for e in optional[3]] == [not r.extra for r in expected]
     else:
         assert got == expected
     # and the dataset built a chunk at a time, chunks of a drawn size
@@ -1081,10 +1088,61 @@ def test_constructor_is_build_dataset_of_the_saved_rows(records, name):
     got = _outcome(lambda: Dataset(records, label_set, name))
     want = _outcome(lambda: build_dataset([_row(r) for r in records], label_set.labels, name))
     if isinstance(want, Dataset):
-        assert isinstance(got, Dataset) and got == want
+        assert isinstance(got, Dataset) and got == want and hash(got) == hash(want)
         assert _column_outcome(got) == _column_outcome(want)
         assert (got.name, got.label_set) == (name, label_set)
         assert_record_rules(got)
     else:
         assert got == want
 
+
+@st.composite
+def _gather_cases(draw):
+    """A dataset and a pool whose rows mix plain ones with ones carrying
+    optional fields and extra keys, the pool's label set in another order
+    with one more label, and a replacement vector: each dataset row takes
+    a pool row no other row takes, or keeps its own (-1)."""
+    ids = draw(st.lists(_good_ids, max_size=16, unique=True))
+    n = draw(st.integers(0, len(ids)))
+
+    def rows_of(ids):
+        rows = []
+        for id_str in ids:
+            row = {"id": id_str, "text": draw(_texts),
+                   "label": draw(st.sampled_from(ROUND_TRIP_LABELS))}
+            if draw(st.booleans()):
+                row.update(event=draw(_optional_text), article_id=draw(_optional_text),
+                           reply_count=draw(st.none() | st.integers(0, 2**40)))
+                row.update(draw(st.dictionaries(_extra_keys, _json_values, max_size=2)))
+            rows.append(row)
+        return rows
+
+    dataset = build_dataset(rows_of(ids[:n]), ROUND_TRIP_LABELS, "own")
+    pool = build_dataset(rows_of(ids[n:]), ("satire", "other", "fake", "real"), "pool")
+    taken = draw(st.permutations(range(len(pool))))
+    replacement = [j if draw(st.booleans()) else -1
+                   for j in [*taken, *[-1] * len(dataset)][:len(dataset)]]
+    return dataset, pool, np.array(replacement, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_gather_cases())
+def test_with_rows_from_is_the_record_level_gather(case):
+    # gathering columns gives the dataset of the gathered records: the
+    # pool's record where a row has a replacement, its own elsewhere
+    dataset, pool, replacement = case
+    pool_label = dataset.label_set.encode(pool.label_set)[pool.label_index]
+    got = dataset.with_rows_from(pool, replacement, pool_label, "gathered")
+    want = Dataset([pool.records[j] if j >= 0 else record
+                    for record, j in zip(dataset.records, replacement.tolist())],
+                   dataset.label_set, "gathered")
+    assert got == want
+    assert _column_outcome(got) == _column_outcome(want)
+    for name in ("events", "article_ids", "reply_counts", "extras"):
+        assert [(type(v), v) for v in getattr(got, name)] == [
+            (type(v), v) for v in getattr(want, name)]
+    assert [e is _NO_EXTRA for e in got.extras] == [not e for e in want.extras]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_jsonl(got, Path(tmp) / "got.jsonl")
+        save_jsonl(want, Path(tmp) / "want.jsonl")
+        assert (Path(tmp) / "got.jsonl").read_bytes() == (Path(tmp) / "want.jsonl").read_bytes()

@@ -8,14 +8,18 @@ writes the inputs once. Each tree then runs the workload's commands as
 the ``split`` that ``audit-split-viral`` prepares, then the ``audit`` or
 ``rebalance`` itself, with the tree's ``src/`` on ``PYTHONPATH``. Both trees
 run in the same directories, so paths in the outputs match. Compared are
-every output file, the split file, stdout and the exit code.
+every output file, the split file, stdout, stderr and the exit code.
 
 No workload's inputs hold a row that is not plain (an optional field, an
 extra key, an id written as a JSON number), so the tool also derives a
 rich variant of ``rebalance-dense`` seed 1 from its generated inputs: every
-fifth data and pool line gains ``event``, ``reply_count`` and one extra
-key, and one data id is written as a JSON number. On it, both trees run the
-``rebalance`` and an ``inspect --json`` of each input.
+fifth data and pool line gains an ``event`` (one of the PHEME events the
+shipped presets name), a ``reply_count`` and one extra key, every fifth of
+those lines an ``article_id`` too, and one data id is written as a JSON
+number. On it, both trees run the ``rebalance``, an ``inspect --json`` of
+each input, a ``split --preset NAME --seed 1`` of the data for each
+shipped preset, and an ``aggregate`` of the data with its own labels as
+the predictions.
 
 Every workload text is lowercase ASCII words, so the tool derives a
 punctuated variant of ``audit-full`` seed 1 as well: every fifth text of
@@ -42,6 +46,13 @@ from pathlib import Path
 
 WORKLOADS = ("audit-full", "audit-split-viral", "rebalance-dense")
 SEEDS = (1, 2, 3)
+# the events the rich variant gives its rewritten lines: the nine PHEME
+# events, of which the presets' event filters name the first five
+EVENTS = ("charliehebdo", "sydneysiege", "ferguson", "ottawashooting", "germanwings-crash",
+          "putinmissing", "prince-toronto", "gurlitt", "ebola-essien")
+# the shipped split presets, each run on the rich variant's data
+PRESETS = ("gossipcop", "pheme5-3way", "pheme5-lc", "pheme5-rnr", "pheme9-4way", "pheme9-tf",
+           "politifact", "twitter15", "twitter15-tf", "twitter16", "twitter16-tf", "wnut2020")
 # the words the punctuated variant adds, a few to each text it rewrites
 PUNCTUATED_WORDS = ("#Breaking2015!", "@user:", "don't", "https://t.co/Ab1", "www.x.org/y",
                     "x_y", "café", "٣٤", "ＡＢＣ", "(RT)", "--", "U.S.")
@@ -81,7 +92,10 @@ def enrich(work: Path) -> None:
     for name in ("data.jsonl", "pool.jsonl"):
         rows = _rows(work / name)
         for i, row in enumerate(rows[::5]):
-            row.update(event=f"event-{i % 3}", reply_count=i % 7, lang="en")
+            row.update(event=EVENTS[i % len(EVENTS)], reply_count=i % 7, lang="en")
+            if i % 5 == 0:
+                # articles of one label each, but for one that mixes labels
+                row["article_id"] = "mixed" if i % 25 == 0 else f"{row['label']}-{i // 5 % 40}"
         if name == "data.jsonl":
             rows[1]["id"] = int(rows[1]["id"])
         _write_rows(work / name, rows)
@@ -99,18 +113,32 @@ def punctuate(work: Path) -> None:
     _write_rows(work / "data.jsonl", rows)
 
 
+def rich_commands(work: Path, out: Path, labels: str) -> dict[str, list[str]]:
+    """The rich variant's further commands, by name."""
+    data = str(work / "data.jsonl")
+    commands = {f"inspect {name}": ["inspect", str(work / name), "--labels", labels,
+                                    "--json", str(out / f"inspect-{name}.json")]
+                for name in ("data.jsonl", "pool.jsonl")}
+    for preset in PRESETS:
+        commands[f"split {preset}"] = ["split", data, "--labels", labels, "--preset", preset,
+                                       "--seed", "1", "--out", str(out / f"split-{preset}.json")]
+    commands["aggregate"] = ["aggregate", data, "--labels", labels, "--pred", data,
+                             "--out", str(out / "articles.csv")]
+    return commands
+
+
 # each variant: the workload and seed whose inputs it rewrites, how, and
-# whether each input's ``inspect --json`` is compared too
+# the further commands it runs, if any
 VARIANTS = {
-    "rich": ("rebalance-dense", 1, enrich, True),
-    "punctuated": ("audit-full", 1, punctuate, False),
+    "rich": ("rebalance-dense", 1, enrich, rich_commands),
+    "punctuated": ("audit-full", 1, punctuate, None),
 }
 
 
 def outputs(tree: Path, bench: Path, workload: str, seed: int, work: Path,
-            inspect: bool = False) -> dict[str, bytes]:
+            more=None) -> dict[str, bytes]:
     """Every output of one workload run by ``tree``'s program, by name; with
-    ``inspect``, those of an ``inspect --json`` of each input too."""
+    ``more``, a variant's further commands, their outputs too."""
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
@@ -124,19 +152,16 @@ def outputs(tree: Path, bench: Path, workload: str, seed: int, work: Path,
     if plan["problems"]:
         sys.exit(f"{tree}: {workload} seed {seed}: {plan['problems']}")
     argv = plan["argv"]
-    commands = [argv]
-    if inspect:
-        labels = argv[argv.index("--labels") + 1]
-        commands += [["inspect", str(work / name), "--labels", labels,
-                      "--json", str(out / f"inspect-{name}.json")]
-                     for name in ("data.jsonl", "pool.jsonl")]
+    commands = {f"{argv[0]} {Path(argv[1]).name}": argv}
+    if more is not None:
+        commands.update(more(work, out, argv[argv.index("--labels") + 1]))
     found = {}
-    for command in commands:
+    for name, command in commands.items():
         run = subprocess.run([sys.executable, "-m", "leakaudit", *command], env=env,
                              capture_output=True)
-        name = f"{command[0]} {Path(command[1]).name}"
         found[f"{name} exit code"] = str(run.returncode).encode()
         found[f"{name} stdout"] = run.stdout
+        found[f"{name} stderr"] = run.stderr
     if (work / "split.json").exists():
         found["split.json"] = (work / "split.json").read_bytes()
     for path in sorted(out.iterdir()):
@@ -154,18 +179,18 @@ def main() -> int:
         if not (tree / "src" / "leakaudit" / "cli.py").is_file():
             parser.error(f"no leakaudit sources under {tree / 'src'}")
     bench = trees[0] / "perfbench"
-    runs = [(f"{workload} seed {seed}", workload, seed, None, False)
+    runs = [(f"{workload} seed {seed}", workload, seed, None, None)
             for workload in WORKLOADS for seed in SEEDS]
-    runs += [(f"{workload} seed {seed} {variant}", workload, seed, rewrite, inspect)
-             for variant, (workload, seed, rewrite, inspect) in VARIANTS.items()]
+    runs += [(f"{workload} seed {seed} {variant}", workload, seed, rewrite, more)
+             for variant, (workload, seed, rewrite, more) in VARIANTS.items()]
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
-        for label, workload, seed, rewrite, inspect in runs:
+        for label, workload, seed, rewrite, more in runs:
             work = Path(scratch) / label.replace(" ", "-")
             generate = [sys.executable, str(bench / "gen.py"), workload, str(seed), str(work)]
             subprocess.run(generate, env=_env(trees[0]), check=True)
             if rewrite is not None:
                 rewrite(work)
-            before, after = (outputs(tree, bench, workload, seed, work, inspect) for tree in trees)
+            before, after = (outputs(tree, bench, workload, seed, work, more) for tree in trees)
             for name in sorted(before.keys() | after.keys()):
                 if before.get(name) != after.get(name):
                     print(f"differs: {label}: {name}")
